@@ -225,6 +225,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _fraction_text(text: str) -> str:
+    # exact thresholds stay text so reports echo them as given
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not an exact fraction: {text!r}") from exc
+    return text
+
+
 def _matrix_table(name: str, mat: np.ndarray) -> Table:
     mat = np.asarray(mat)
     rows = [
@@ -854,7 +863,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--M", dest="big_m", type=int, default=None)
     p.add_argument("--N", dest="runs_n", type=int, default=1)
-    p.add_argument("--delta-r", default=None,
+    p.add_argument("--delta-r", type=_fraction_text, default=None,
                    help="maverick threshold, exact decimal like 0.1")
     p.add_argument("--phases", default=None)
     p.add_argument("--pairs", type=int, default=2)
@@ -880,9 +889,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad", type=int, default=16)
     p.add_argument("--interval", default=None, help="a,b inside the mesh")
     p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--truncate-ratio", default=None,
+    p.add_argument("--truncate-ratio", type=_fraction_text, default=None,
                    help="geometric ratio; runs truncation instead of a mesh")
-    p.add_argument("--delta-target", default=None)
+    p.add_argument("--delta-target", type=_fraction_text, default=None)
     return parser
 
 

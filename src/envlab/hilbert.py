@@ -55,6 +55,8 @@ class StateVector:
                 f"amplitude count {arr.size} does not match dims {dims}"
             )
         nrm = float(np.linalg.norm(arr))
+        if not math.isfinite(nrm):
+            raise ValueError("amplitudes must be finite")
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {NORM_TOL}")
         arr = arr.copy()

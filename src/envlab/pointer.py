@@ -18,14 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import (
-    NORM_TOL,
-    Bipartition,
-    OrthogonalOutcomeError,
-    StateVector,
-    conditional_state,
-    schmidt,
-)
+from .hilbert import NORM_TOL, ZERO_PROJECTION_TOL, StateVector
 
 SPECTRUM_NORM_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
@@ -276,37 +269,47 @@ def decoherence_factor(couplings: CouplingMatrix, spectrum: EnvSpectrum,
     return complex(np.sum(weights * np.exp(1j * (g[k_other] - g[k]) * float(t))))
 
 
+def _scores(state: StateVector, apparatus: int, bases: np.ndarray) -> np.ndarray:
+    # scores (n, d) of a stack of candidate bases (n, d, d): every
+    # conditional of every basis comes from one product and one SVD call
+    dims = state.dims
+    if len(dims) < 2 or not 0 <= apparatus < len(dims):
+        raise ValueError(f"cannot condition subsystem {apparatus} of dims {dims}")
+    d = dims[apparatus]
+    if bases.shape[1:] != (d, d):
+        raise ValueError(f"candidate basis must be {d} x {d}, one vector per row")
+    gram = bases.conj() @ bases.transpose(0, 2, 1)
+    if np.max(np.abs(gram - np.eye(d))) > 1e-9:
+        raise ValueError("candidate basis is not orthonormal")
+    scores = np.zeros(bases.shape[:2])
+    if len(dims) == 2:
+        return scores  # each conditional is a single-subsystem state
+    cond = bases.conj() @ np.moveaxis(state.tensor(), apparatus, 0).reshape(d, -1)
+    weights = np.linalg.norm(cond, axis=2)
+    live = weights >= ZERO_PROJECTION_TOL
+    rows = cond[live] / weights[live][:, None]
+    first = dims[1] if apparatus == 0 else dims[0]
+    top = np.linalg.svd(rows.reshape(len(rows), first, -1), compute_uv=False)[:, 0]
+    scores[live] = np.clip(1.0 - top * top, 0.0, 1.0)
+    return scores
+
+
+def _as_score(row: np.ndarray, degenerate: bool = False) -> PointerScore:
+    return PointerScore(tuple(float(s) for s in row), float(row.max()), degenerate)
+
+
 def pointer_score(state: StateVector, apparatus: int, candidate_basis) -> PointerScore:
     """Score a candidate record basis by the entanglement of its conditionals.
 
-    For each basis vector the remaining subsystems are conditioned on it and
-    the score is 1 minus the squared top Schmidt coefficient of that
-    conditional across (first remaining subsystem | rest).  Zero means the
-    conditional is a product; any entanglement between the leftover
-    subsystems pushes the score up.  Vectors whose projection weight is below
-    the 1e-12 floor are skipped and scored 0.
+    Each basis vector conditions the remaining subsystems; the normalized
+    conditional is cut into (first remaining subsystem | rest) and scores
+    1 - s_max^2, from its largest singular value alone.  Zero means a product;
+    entanglement between the leftover subsystems pushes the score up.  Vectors
+    with projection weight below the 1e-12 floor score 0, as does every
+    vector of a two-subsystem state, whose conditionals have no cut.
     """
     basis = np.asarray(candidate_basis, dtype=complex)
-    d = state.dims[apparatus]
-    if basis.shape != (d, d):
-        raise ValueError(f"candidate basis must be {d} x {d}, one vector per row")
-    gram = basis.conj() @ basis.T
-    if np.max(np.abs(gram - np.eye(d))) > 1e-9:
-        raise ValueError("candidate basis is not orthonormal")
-    scores = []
-    for row in basis:
-        try:
-            _, residual = conditional_state(state, apparatus, row)
-        except OrthogonalOutcomeError:
-            scores.append(0.0)
-            continue
-        if residual.n_subsystems == 1:
-            scores.append(0.0)
-            continue
-        dec = schmidt(residual, Bipartition((0,)))
-        lam = float(np.max(np.abs(dec.coeffs)))
-        scores.append(min(1.0, max(0.0, 1.0 - lam * lam)))
-    return PointerScore(tuple(scores), max(scores))
+    return _as_score(_scores(state, apparatus, basis[None])[0])
 
 
 def _haar_basis(rng, d: int) -> np.ndarray:
@@ -316,34 +319,29 @@ def _haar_basis(rng, d: int) -> np.ndarray:
     return (q * (diag / np.abs(diag))).T
 
 
-def _rotated(basis: np.ndarray, i: int, j: int, theta: float, phi: float) -> np.ndarray:
-    # two-level rotation mixing rows i and j; c real keeps the rows orthonormal
-    out = basis.copy()
-    c = math.cos(theta)
-    s = math.sin(theta) * complex(math.cos(phi), math.sin(phi))
-    out[i] = c * basis[i] + s * basis[j]
-    out[j] = -s.conjugate() * basis[i] + c * basis[j]
-    return out
-
-
 def _descend(state, apparatus, basis, value, iterations):
     d = basis.shape[0]
     span = math.pi / 2
     phis = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
     for _ in range(max(1, int(iterations))):
+        # the 32 two-level rotations of this bracket, theta slow and phi fast
+        grid = [(float(t), p) for t in np.linspace(-span, span, 9) if t != 0.0
+                for p in phis]
+        c = np.array([math.cos(t) for t, _ in grid])[:, None]
+        s = np.array([math.sin(t) * complex(math.cos(p), math.sin(p))
+                      for t, p in grid])[:, None]
         for i in range(d):
             for j in range(i + 1, d):
-                best_trial, best_val = None, value
-                for theta in np.linspace(-span, span, 9):
-                    if theta == 0.0:
-                        continue
-                    for phi in phis:
-                        trial = _rotated(basis, i, j, float(theta), phi)
-                        v = pointer_score(state, apparatus, trial).max_score
-                        if v < best_val - 1e-15:
-                            best_val, best_trial = v, trial
-                if best_trial is not None:
-                    basis, value = best_trial, best_val
+                # mixing rows i and j with c real keeps each trial orthonormal
+                trials = np.repeat(basis[None], len(grid), axis=0)
+                trials[:, i] = c * basis[i] + s * basis[j]
+                trials[:, j] = -s.conj() * basis[i] + c * basis[j]
+                best, best_val = None, value
+                for k, v in enumerate(_scores(state, apparatus, trials).max(axis=1)):
+                    if v < best_val - 1e-15:
+                        best, best_val = k, float(v)
+                if best is not None:
+                    basis, value = trials[best], best_val
         span *= 0.5
         if value <= 1e-14:
             break
@@ -363,13 +361,13 @@ def find_pointer_basis(state: StateVector, apparatus: int, iterations: int = 48)
     if d > SEARCH_DIM_CAP:
         raise ValueError(f"apparatus dimension {d} above desk scale ({SEARCH_DIM_CAP})")
     rng = np.random.default_rng(17)  # fixed: the search must be reproducible
-    starts = [np.eye(d, dtype=complex)] + [_haar_basis(rng, d) for _ in range(5)]
-    start_scores = [pointer_score(state, apparatus, b).max_score for b in starts]
-    if max(start_scores) - min(start_scores) <= FLAT_LANDSCAPE_TOL:
-        flat = pointer_score(state, apparatus, starts[0])
-        return starts[0], PointerScore(flat.per_outcome, flat.max_score, True)
-    best_basis, best_val = starts[0], start_scores[0]
-    for basis, val in zip(starts, start_scores):
+    starts = np.stack([np.eye(d, dtype=complex)] + [_haar_basis(rng, d) for _ in range(5)])
+    start_scores = _scores(state, apparatus, starts)
+    maxima = [float(v) for v in start_scores.max(axis=1)]
+    if max(maxima) - min(maxima) <= FLAT_LANDSCAPE_TOL:
+        return starts[0], _as_score(start_scores[0], True)
+    best_basis, best_val = starts[0], maxima[0]
+    for basis, val in zip(starts, maxima):
         got_basis, got_val = _descend(state, apparatus, basis, val, iterations)
         if got_val < best_val:
             best_basis, best_val = got_basis, got_val

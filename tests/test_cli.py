@@ -469,6 +469,46 @@ def test_exit_code_two_paths(tmp_path, capsys):
     assert main(["born", "--weights", "1,1", "--tol", "-3"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["born", "--weights", "1,1", "--phases", "nan,0"],
+    ["pointer", "--time", "nan"],
+    ["pointer", "--time", "inf"],
+    ["pointer", "--gamma", "nan,1,1,1"],
+    ["pointer", "--amps", "nan,1"],
+    ["pointer", "--amps", "0,0"],
+])
+def test_non_finite_state_exits_two(argv, couplings_file, capsys):
+    if argv[0] == "pointer":
+        argv = argv + ["--couplings", couplings_file, "--steps", "3"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    assert "amplitudes must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["continuum", "--truncate-ratio", "1/0", "--delta-target", "1/10"],
+    ["continuum", "--truncate-ratio", "1/2", "--delta-target", "1/0"],
+    ["freq", "--m", "1", "--M", "2", "--N", "4", "--delta-r", "1/0"],
+    ["freq", "--m", "1", "--M", "2", "--N", "4", "--delta-r", "tenth"],
+])
+def test_bad_fraction_flag_exits_two(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    assert "not an exact fraction" in err
+
+
+def test_fraction_flags_echo_their_text(capsys):
+    code, out, _ = run_cli(
+        ["freq", "--m", "1", "--M", "2", "--N", "4", "--delta-r", "0.1"], capsys)
+    assert code == 0 and scalar(out, "delta_r") == "0.1"
+    code, out, _ = run_cli(
+        ["continuum", "--truncate-ratio", "2/4", "--delta-target", "0.10"], capsys)
+    assert code == 0
+    assert scalar(out, "ratio") == "2/4" and scalar(out, "delta_target") == "0.10"
+
+
 def test_exit_code_one_on_tolerance_overrun(tmp_path, capsys):
     rng = np.random.default_rng(3)
     raw = rng.standard_normal(9) + 1j * rng.standard_normal(9)

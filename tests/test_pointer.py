@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from envlab.hilbert import (
     Bipartition,
+    OrthogonalOutcomeError,
     StateVector,
     conditional_state,
     schmidt,
@@ -309,6 +310,10 @@ def test_pointer_score_rejects_bad_basis(rng):
         pointer_score(state, 0, 0.9 * np.eye(3))
     with pytest.raises(ValueError):
         pointer_score(state, 0, np.eye(4))
+    nearly = random_unitary(rng, 3).T
+    nearly[2] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="not orthonormal"):
+        pointer_score(state, 0, nearly)
 
 
 def test_pointer_score_skips_empty_levels(rng):
@@ -354,6 +359,79 @@ def test_pointer_score_two_branch_dichotomy(seed, t):
         assert score.max_score > 0.0
 
 
+def reference_scores(state, apparatus, basis):
+    """Per-vector oracle: conditional_state, then the top |coeff| of a full schmidt."""
+    scores = []
+    for row in basis:
+        try:
+            _, residual = conditional_state(state, apparatus, row)
+        except OrthogonalOutcomeError:
+            scores.append(0.0)
+            continue
+        if residual.n_subsystems == 1:
+            scores.append(0.0)
+            continue
+        lam = float(np.max(np.abs(schmidt(residual, Bipartition((0,))).coeffs)))
+        scores.append(min(1.0, max(0.0, 1.0 - lam * lam)))
+    return scores
+
+
+def cli_evolved_state(seed, t):
+    """The state `pointer --search` scores: 3x4 seeded couplings, even records."""
+    g = CouplingMatrix(np.random.default_rng(seed).uniform(0.0, 2 * np.pi, (3, 4)))
+    even = StateVector((2,), np.full(2, 1.0 / math.sqrt(2), dtype=complex))
+    premeasured = premeasure(even, coordinate_table(2), 3)
+    env = environment_state(EnvSpectrum.uniform(4))
+    full = StateVector((3, 2, 4), np.kron(premeasured.amps, env.amps))
+    return evolve(full, 0, 2, g, t)
+
+
+def assert_matches_oracle(state, apparatus, basis):
+    got = pointer_score(state, apparatus, basis)
+    want = reference_scores(state, apparatus, basis)
+    assert np.allclose(got.per_outcome, want, rtol=0.0, atol=1e-12)
+    assert abs(got.max_score - max(want)) <= 1e-12
+    return got
+
+
+def test_pointer_score_matches_oracle_on_cli_state(rng):
+    state = cli_evolved_state(101, 1.5)
+    assert_matches_oracle(state, 0, np.eye(3))
+    scores = [assert_matches_oracle(state, 0, random_unitary(rng, 3).T).max_score
+              for _ in range(20)]
+    assert max(scores) > 0.01  # premise: random bases see entangled conditionals
+
+
+def test_pointer_score_matches_oracle_four_subsystems(rng):
+    state = random_state(rng, (3, 2, 2, 3))
+    for apparatus in range(4):
+        for _ in range(5):
+            basis = random_unitary(rng, state.dims[apparatus]).T
+            assert assert_matches_oracle(state, apparatus, basis).max_score > 0.0
+
+
+def test_pointer_score_two_subsystems_scores_zero(rng):
+    state = random_state(rng, (3, 4))
+    for apparatus in (0, 1):
+        basis = random_unitary(rng, state.dims[apparatus]).T
+        got = assert_matches_oracle(state, apparatus, basis)
+        assert got.per_outcome == (0.0,) * state.dims[apparatus]
+
+
+def test_pointer_score_row_orthogonal_to_support(rng):
+    # apparatus level 0 is never populated, so a basis keeping |0> as a row
+    # has one vector below the projection floor
+    phi = random_state(rng, (3,))
+    out = premeasure(phi, coordinate_table(3), 4)
+    state = tensor_product([out, random_state(rng, (2,))])
+    state = evolve(state, 0, 2, CouplingMatrix(rng.normal(size=(4, 2))), 2.0)
+    basis = np.eye(4, dtype=complex)
+    basis[1:, 1:] = random_unitary(rng, 3).T
+    got = assert_matches_oracle(state, 0, basis)
+    assert got.per_outcome[0] == 0.0
+    assert got.max_score > 0.0
+
+
 # ----- pointer-basis search -----
 
 def test_find_pointer_basis_recovers_rotated_truth(rng):
@@ -393,6 +471,23 @@ def test_find_pointer_basis_flat_when_branches_share_environment():
     _, score = find_pointer_basis(state, 0)
     assert score.degenerate_minimum
     assert score.max_score <= 1e-12
+
+
+def test_find_pointer_basis_svd_call_budget(monkeypatch):
+    # each (i, j) rotation bracket is one stacked SVD, so a per-trial loop
+    # cannot come back unnoticed: bound 3 + 6 starts * iterations * d(d-1)/2
+    state = cli_evolved_state(101, 1.5)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    _, score = find_pointer_basis(state, 0, iterations=48)
+    assert not score.degenerate_minimum  # premise: the descent actually runs
+    assert 0 < len(calls) <= 3 + 6 * 48 * (3 * 2 // 2)
 
 
 def test_find_pointer_basis_dimension_cap():
