@@ -3,21 +3,22 @@
 Squared amplitudes are approximated by integer weights m_k over a common
 denominator M, each coarse outcome is expanded into m_k fine cells of equal
 weight, and a shift correlates every fine cell with its own orthonormal
-environment state.  The resulting state is even across the (system, cells) vs
-environment cut, so swapping any two fine cells is undone from the
-environment; counting cells per coarse outcome then gives p_k = m_k / M.
+environment state.  Every fine term has modulus M^{-1/2} on its own (cell,
+environment) pair, so the state is even across the (system, cells) vs
+environment cut and swapping fine cells is undone from the environment;
+counting cells per outcome, from coefficient moduli alone, gives m_k / M.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .hilbert import Bipartition, SchmidtDecomposition, StateVector, schmidt
-from .envariance import is_even
+from .hilbert import Bipartition, StateVector, schmidt_values
 
 DENSE_AMPLITUDE_CAP = 2**22
 
@@ -75,7 +76,7 @@ def rationalize(amplitudes, m_max: int) -> tuple:
     amps = np.asarray(amplitudes, dtype=complex)
     probs = np.abs(amps) ** 2
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"squared amplitudes sum to {total!r}, not 1")
     k = len(probs)
     if m_max < k:
@@ -95,23 +96,21 @@ def _apportion(probs: np.ndarray, big_m: int) -> np.ndarray:
     # floor + largest-fraction round-up, then enforce m_k >= 1
     scaled = probs * big_m
     m = np.floor(scaled).astype(np.int64)
-    frac = scaled - m
     short = big_m - int(m.sum())
     if short > 0:
-        for idx in np.argsort(-frac)[:short]:
-            m[idx] += 1
-    elif short < 0:
-        # possible only through float carry; shave the largest overshoots
-        for _ in range(-short):
-            dev = np.where(m > 1, m / big_m - probs, -np.inf)
-            m[int(np.argmax(dev))] -= 1
-    lifted = m < 1
-    m[lifted] = 1
-    excess = int(m.sum()) - big_m
-    for _ in range(excess):
-        dev = np.where((m > 1) & ~lifted, m / big_m - probs, -np.inf)
-        m[int(np.argmax(dev))] -= 1
-    return m
+        m[np.argsort(-(scaled - m))[:short]] += 1
+    m[m < 1] = 1
+    # float carry and the lift leave an excess: shave it unit by unit off the
+    # largest overshoot m_i/M - p_i among m_i > 1, lowest index on ties
+    p, units = probs.tolist(), m.tolist()
+    heap = [(-(units[i] / big_m - p[i]), i) for i in np.flatnonzero(m > 1).tolist()]
+    heapq.heapify(heap)
+    for _ in range(sum(units) - big_m):
+        _, i = heapq.heappop(heap)
+        units[i] -= 1
+        if units[i] > 1:
+            heapq.heappush(heap, (-(units[i] / big_m - p[i]), i))
+    return np.array(units, dtype=np.int64)
 
 
 def _staircase_terms(weights: WeightVector, phases, cell_phases=None):
@@ -157,31 +156,20 @@ def even_cut() -> Bipartition:
     return Bipartition((0, 2))
 
 
-def _counted_result(dec: SchmidtDecomposition, weights: WeightVector,
-                    error: float) -> BornResult:
+def born_from_coefficients(coeffs, m_max: int) -> BornResult:
+    """Probabilities from Schmidt coefficient moduli, in their order."""
+    weights, error = rationalize(coeffs, m_max)
+    # structural census: every fine term must carry modulus M^{-1/2}, and
+    # the cells per outcome must reproduce the weight vector
+    big_m = weights.M
+    target = 1.0 / math.sqrt(big_m)
     counts = [0] * len(weights.m)
-    dense_ok = len(weights.m) * weights.M**2 <= DENSE_AMPLITUDE_CAP
-    if dense_ok:
-        fg = fine_grain(weights, np.angle(np.asarray(dec.coeffs)))
-        even_dec = schmidt(fg, even_cut())
-        if even_dec.n_terms != weights.M or not is_even(even_dec):
-            raise ValueError("fine-grained state failed the evenness check")
-        tens = fg.tensor()
-        ks, js, js2 = np.nonzero(np.abs(tens) > 0)
-        if not np.array_equal(js, js2):
-            raise ValueError("fine-grained state lost its cell correlation")
-        for k in ks:
-            counts[int(k)] += 1
-    else:
-        terms = _staircase_terms(weights, np.angle(np.asarray(dec.coeffs)))
-        target = 1.0 / math.sqrt(weights.M)
-        for k, _, a in terms:
-            if abs(abs(a) - target) > 1e-9 * target:
-                raise ValueError("fine-grained terms are not even")
-            counts[k] += 1
+    for k, _, a in _staircase_terms(weights, np.zeros(len(weights.m))):
+        if abs(abs(a) - target) > 1e-9 * target:
+            raise ValueError("fine-grained terms are not even")
+        counts[k] += 1
     if tuple(counts) != weights.m:
         raise ValueError("cell census disagrees with the weight vector")
-    big_m = weights.M
     exact = tuple(Fraction(c, big_m) for c in counts)
     return BornResult(
         probs_exact=exact,
@@ -194,9 +182,7 @@ def _counted_result(dec: SchmidtDecomposition, weights: WeightVector,
 def born_probabilities(state: StateVector, cut: Bipartition, m_max: int,
                        zero_tol: float = 1e-12) -> BornResult:
     """Probabilities by rationalize -> fine-grain -> count, in Schmidt order."""
-    dec = schmidt(state, cut, zero_tol=zero_tol)
-    weights, error = rationalize(dec.coeffs, m_max)
-    return _counted_result(dec, weights, error)
+    return born_from_coefficients(schmidt_values(state, cut, zero_tol), m_max)
 
 
 def coarse_probability(result: BornResult, subset) -> Fraction:

@@ -79,6 +79,7 @@ from .hilbert import (
     reduced_probe,
     save_state,
     schmidt,
+    schmidt_values,
     tensor_product,
 )
 from .pointer import (
@@ -118,6 +119,7 @@ OPERATION_MAP = {
     "hilbert.save_state": "state",
     "hilbert.load_state": "state",
     "hilbert.schmidt": "schmidt",
+    "hilbert.schmidt_values": "born",
     "hilbert.reconstruct": "schmidt",
     "hilbert.reduced_probe": "schmidt",
     "hilbert.apply_local": "envcheck",
@@ -135,6 +137,7 @@ OPERATION_MAP = {
     "born.fine_grain": "born",
     "born.even_cut": "born",
     "born.born_probabilities": "born",
+    "born.born_from_coefficients": "continuum",
     "born.coarse_probability": "born",
     "pointer.environment_state": "pointer",
     "pointer.load_couplings": "pointer",
@@ -215,7 +218,27 @@ def _ints(text: str) -> tuple:
 
 
 def _floats(text: str) -> tuple:
-    return tuple(float(part) for part in str(text).split(","))
+    values = tuple(float(part) for part in str(text).split(","))
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"entries must be finite, got {text!r}")
+    return values
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _unit_vector(text: str, flag: str, size: int, dtype) -> np.ndarray:
+    raw = np.array(_floats(text), dtype=dtype)
+    if raw.size != size:
+        raise ValueError(f"{flag} needs {size} amplitudes")
+    nrm = np.linalg.norm(raw)
+    if not nrm > 0:
+        raise ValueError(f"{flag} must not be all zero")
+    return raw / nrm
 
 
 def _positive_float(text: str) -> float:
@@ -451,10 +474,9 @@ def _cmd_born(args) -> tuple:
         n = len(w.m)
         if n * w.M * w.M <= born_mod.DENSE_AMPLITUDE_CAP:
             phases = _floats(args.phases) if args.phases else (0.0,) * n
-            fg = fine_grain(w, phases)
-            dec = schmidt(fg, even_cut())
-            scalars.append(("fine_terms", len(dec.coeffs)))
-            scalars.append(("fine_even", is_even(dec)))
+            values = schmidt_values(fine_grain(w, phases), even_cut())
+            scalars.append(("fine_terms", len(values)))
+            scalars.append(("fine_even", is_even(values)))
         return Report("born", tuple(scalars), report.tables), code
     state = load_state(args.state)
     cut = Bipartition(_ints(args.cut))
@@ -470,20 +492,12 @@ def _cmd_pointer(args) -> tuple:
     n_rec = apparatus_dim - 1
     if n_rec < 1:
         raise ValueError("couplings need at least two rows: ready level plus records")
-    if args.gamma:
-        raw = np.array(_floats(args.gamma))
-        if raw.size != n_lev:
-            raise ValueError(f"need {n_lev} spectrum amplitudes")
-        spectrum = EnvSpectrum(raw / np.linalg.norm(raw))
-    else:
-        spectrum = EnvSpectrum.uniform(n_lev)
+    spectrum = (EnvSpectrum(_unit_vector(args.gamma, "--gamma", n_lev, float))
+                if args.gamma else EnvSpectrum.uniform(n_lev))
     env = environment_state(spectrum)
     table = TruthTable(np.eye(n_rec))
     if args.amps:
-        amps = np.array(_floats(args.amps), dtype=complex)
-        if amps.size != n_rec:
-            raise ValueError(f"need {n_rec} branch amplitudes")
-        amps = amps / np.linalg.norm(amps)
+        amps = _unit_vector(args.amps, "--amps", n_rec, complex)
         premeasured = premeasure_branches(tuple(amps), table, apparatus_dim)
     else:
         amps = np.full(n_rec, 1.0 / math.sqrt(n_rec), dtype=complex)
@@ -720,7 +734,7 @@ def _cmd_continuum(args) -> tuple:
     else:
         if args.dx is None:
             raise ValueError("need --dx (or --adaptive with --cells)")
-        cells = int(round(span / args.dx))
+        cells = int(round(span / args.dx)) if args.dx > 0 else 0
         if cells < 1 or abs(cells * args.dx - span) > 1e-9 * max(1.0, abs(span)):
             raise ValueError("--dx must tile [x0, x1] evenly")
         mesh = Mesh.uniform(args.x0, args.dx, cells)
@@ -777,14 +791,19 @@ HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one "error:" line, like every other input error
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="table")
     common.add_argument("--out", default=None)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--tol", type=_positive_float, default=None)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="envlab",
         description="batch runner for the entanglement-invariance laboratory",
     )
@@ -823,7 +842,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--cut", required=True)
     p.add_argument("--pair", required=True, help="Schmidt term indices k,l")
-    p.add_argument("--phase", type=float, default=0.0)
+    p.add_argument("--phase", type=_finite_float, default=0.0)
 
     p = sub.add_parser("born", parents=[common],
                        help="probabilities by rationalize/fine-grain/count")
@@ -840,10 +859,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="text file: one row per record, one column per level")
     p.add_argument("--gamma", default=None)
     p.add_argument("--amps", default=None)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=10.0)
+    p.add_argument("--t0", type=_finite_float, default=0.0)
+    p.add_argument("--t1", type=_finite_float, default=10.0)
     p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--time", type=float, default=None)
+    p.add_argument("--time", type=_finite_float, default=None)
     p.add_argument("--search", action="store_true")
     p.add_argument("--iterations", type=int, default=48)
 
@@ -875,15 +894,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="discretize wavefunctions; truncate sequences")
     p.add_argument("--family", choices=("gaussian", "uniform", "box"),
                    default="gaussian")
-    p.add_argument("--center", type=float, default=0.0)
-    p.add_argument("--width", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--center", type=_finite_float, default=0.0)
+    p.add_argument("--width", type=_finite_float, default=1.0)
+    p.add_argument("--a", type=_finite_float, default=0.0)
+    p.add_argument("--b", type=_finite_float, default=1.0)
     p.add_argument("--edges", default=None)
     p.add_argument("--box-weights", default=None)
-    p.add_argument("--x0", type=float, default=-8.0)
-    p.add_argument("--x1", type=float, default=8.0)
-    p.add_argument("--dx", type=float, default=None)
+    p.add_argument("--x0", type=_finite_float, default=-8.0)
+    p.add_argument("--x1", type=_finite_float, default=8.0)
+    p.add_argument("--dx", type=_finite_float, default=None)
     p.add_argument("--cells", type=int, default=None)
     p.add_argument("--adaptive", action="store_true")
     p.add_argument("--quad", type=int, default=16)

@@ -17,8 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .born import BornResult, born_probabilities
-from .hilbert import Bipartition, StateVector
+from .born import BornResult, born_from_coefficients
 
 MAX_TRUNCATION_TERMS = 10_000
 CONSERVATION_TOL = 1e-8
@@ -386,26 +385,22 @@ class CellCountResult:
 def born_continuum(d: DiscretizedState, m_max: int = 10 ** 4) -> CellCountResult:
     """Run the cell amplitudes psi_k sqrt(dx_k) through the counting pipeline.
 
-    The normalized cell coefficients feed an explicitly entangled two-party
-    state through born_probabilities; the outputs, rescaled by the captured
-    weight, must reproduce |psi_k|^2 dx_k within the rationalization error.
+    The normalized cell amplitudes are the Schmidt coefficients of
+    sum_k a_k |k>|e_k>; their nonzero moduli, in falling order (kept by
+    ``born``), are counted, and rescaled by the captured weight the outputs
+    must reproduce |psi_k|^2 dx_k within the rationalization error.
     """
     widths = d.mesh.cell_widths()
     c = np.array(d.psi_k) * np.sqrt(widths)
     captured = float(np.sum(np.abs(c) ** 2))
-    if captured <= 0:
+    if not captured > 0:
         raise ValueError("no weight captured by the mesh")
-    a = c / math.sqrt(captured)
-    n = a.size
-    amps = np.zeros((n, n), dtype=complex)
-    amps[np.arange(n), np.arange(n)] = a
-    state = StateVector((n, n), amps.reshape(-1))
-    result = born_probabilities(state, Bipartition((0,)), m_max, zero_tol=0.0)
-    # pipeline outcomes arrive sorted by weight; put them back on their cells
-    order = np.argsort(-np.abs(a) ** 2, kind="stable")
-    by_cell = np.zeros(n)
-    for rank, p in enumerate(result.probs_float):
-        by_cell[order[rank]] = p
+    mods = np.abs(c / math.sqrt(captured))
+    order = np.argsort(-mods ** 2, kind="stable")
+    order = order[mods[order] > 0]
+    result = born_from_coefficients(mods[order], m_max)
+    by_cell = np.zeros(mods.size)
+    by_cell[order] = result.probs_float
     return CellCountResult(
         born=result,
         cell_probs=tuple(by_cell * captured),

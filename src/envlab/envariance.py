@@ -241,9 +241,9 @@ def protocol_run(state: StateVector, cut: Bipartition, spec: SwapSpec) -> Protoc
     return ProtocolTranscript(tuple(steps), restoration_failed=final < 1 - 1e-12)
 
 
-def is_even(dec: SchmidtDecomposition, tol: float = EVEN_TOL) -> bool:
-    """True when all (nonzero) coefficient moduli agree within relative tol."""
-    mods = np.abs(np.asarray(dec.coeffs))
+def is_even(dec, tol: float = EVEN_TOL) -> bool:
+    """True when all nonzero moduli of dec.coeffs (or dec) agree within tol."""
+    mods = np.abs(np.asarray(getattr(dec, "coeffs", dec)))
     mods = mods[mods > 0]
     if mods.size == 0:
         return False

@@ -287,6 +287,17 @@ def schmidt(state: StateVector, cut: Bipartition, zero_tol: float = 1e-12,
     )
 
 
+def schmidt_values(state: StateVector, cut: Bipartition,
+                   zero_tol: float = 1e-12) -> np.ndarray:
+    """Schmidt coefficient moduli above zero_tol, nonincreasing; no bases."""
+    mat, _, _ = _cut_matrix(state, cut)
+    s = np.linalg.svd(mat, compute_uv=False)
+    s = s[s > zero_tol]
+    if s.size == 0:
+        raise ValueError("state has no support above zero_tol")
+    return s
+
+
 def reconstruct(dec: SchmidtDecomposition) -> StateVector:
     """Reassemble the state a decomposition came from (original subsystem order)."""
     mat = (dec.left_basis.T * np.asarray(dec.coeffs)) @ dec.right_basis

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from envlab.born import (
     BornResult,
     WeightVector,
+    _apportion,
+    born_from_coefficients,
     born_probabilities,
     coarse_probability,
     even_cut,
@@ -14,12 +16,14 @@ from envlab.born import (
     rationalize,
 )
 from envlab.envariance import check_envariance, is_even
+from envlab.continuum import Mesh, WaveFunction, born_continuum, discretize
 from envlab.hilbert import (
     Bipartition,
     LocalUnitary,
     StateVector,
     reduced_probe,
     schmidt,
+    schmidt_values,
 )
 from conftest import schmidt_form_state
 
@@ -70,6 +74,8 @@ def test_rationalize_rejects_small_m_max():
 def test_rationalize_rejects_unnormalized():
     with pytest.raises(ValueError):
         rationalize([1.0, 1.0], 10)
+    with pytest.raises(ValueError, match="not 1"):
+        rationalize([np.nan, 1.0], 10)
 
 
 def test_fine_grain_one_two():
@@ -182,7 +188,7 @@ def test_born_monotone_convergence_in_m_max():
 
 
 def test_born_sparse_route_matches_dense(rng):
-    # same weights through the sparse counting path (big M) and dense path
+    # a small and a large m_max reach the same exact weights
     psi = schmidt_form_state(np.sqrt([0.2, 0.8]), 2, 2, rng)
     dense = born_probabilities(psi, CUT, 10)
     sparse = born_probabilities(psi, CUT, 3000)
@@ -230,3 +236,114 @@ def test_coarse_probability():
     assert coarse_probability(result, kappa) + coarse_probability(result, comp) == 1
     with pytest.raises(ValueError):
         coarse_probability(result, {9})
+
+
+def _apportion_argmax_oracle(probs, big_m):
+    # the per-unit argmax apportionment the heap version replaced
+    scaled = probs * big_m
+    m = np.floor(scaled).astype(np.int64)
+    frac = scaled - m
+    short = big_m - int(m.sum())
+    if short > 0:
+        for idx in np.argsort(-frac)[:short]:
+            m[idx] += 1
+    elif short < 0:
+        for _ in range(-short):
+            dev = np.where(m > 1, m / big_m - probs, -np.inf)
+            m[int(np.argmax(dev))] -= 1
+    lifted = m < 1
+    m[lifted] = 1
+    excess = int(m.sum()) - big_m
+    for _ in range(excess):
+        dev = np.where((m > 1) & ~lifted, m / big_m - probs, -np.inf)
+        m[int(np.argmax(dev))] -= 1
+    return m
+
+
+def _gaussian_cells():
+    # the 320-cell mesh of `continuum --dx 0.05`, normalized cell amplitudes
+    d = discretize(WaveFunction.gaussian(), Mesh.uniform(-8.0, 0.05, 320))
+    c = np.array(d.psi_k) * np.sqrt(d.mesh.cell_widths())
+    return d, c / np.linalg.norm(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=-14.0, max_value=0.0), min_size=1, max_size=60),
+       st.integers(min_value=0, max_value=2), st.randoms(use_true_random=False))
+def test_apportion_heap_matches_argmax_oracle(exponents, which, rnd):
+    # heavy tails: many entries floor to zero, so the lift path runs
+    probs = 10.0 ** np.array(exponents)
+    probs /= probs.sum()
+    k = probs.size
+    big_m = (k, k + 1, rnd.randint(k, 4 * k))[which]
+    assert np.array_equal(_apportion(probs, big_m),
+                          _apportion_argmax_oracle(probs, big_m))
+
+
+def test_apportion_heap_matches_argmax_oracle_on_float_carry():
+    # floors that overshoot M take the shave branch (short < 0); as in
+    # rationalize, M is at least the number of terms
+    probs = np.array([0.7, 0.7, 0.1, 0.35, 0.35])
+    for big_m in (5, 7, 10, 20):
+        assert int(np.floor(probs * big_m).sum()) > big_m
+        got = _apportion(probs, big_m)
+        assert got.sum() == big_m
+        assert np.array_equal(got, _apportion_argmax_oracle(probs, big_m))
+
+
+def test_apportion_heap_matches_argmax_oracle_on_gaussian_sweep():
+    _, a = _gaussian_cells()
+    probs = np.sort(np.abs(a) ** 2)[::-1]
+    for big_m in range(320, 2000, 37):
+        assert np.array_equal(_apportion(probs, big_m),
+                              _apportion_argmax_oracle(probs, big_m))
+
+
+def test_born_from_coefficients_matches_diagonal_state_route():
+    # the route born_continuum used to take: an n x n diagonal state
+    _, a = _gaussian_cells()
+    n = a.size
+    state = StateVector((n, n), np.diag(a).reshape(-1))
+    old = born_probabilities(state, Bipartition((0,)), 800, zero_tol=0.0)
+    new = born_from_coefficients(np.sort(np.abs(a))[::-1], 800)
+    assert new.probs_exact == old.probs_exact
+    assert new.weights == old.weights
+    assert new.rationalization_error == old.rationalization_error
+
+
+def test_schmidt_values_match_schmidt_moduli(rng):
+    from conftest import random_state
+
+    cases = [(random_state(rng, dims), Bipartition(left)) for dims, left in (
+        ((4, 6), (0,)), ((3, 5, 2), (0, 2)), ((2, 3, 4), (1,)), ((7, 7), (1,)))]
+    cases.append((fine_grain(WeightVector((100, 150, 250)), [0.0, 0.0, 0.0]),
+                  even_cut()))
+    for state, cut in cases:
+        values = schmidt_values(state, cut)
+        moduli = np.abs(schmidt(state, cut).coeffs)
+        assert values.shape == moduli.shape
+        assert np.max(np.abs(values - moduli)) <= 1e-12
+    assert is_even(values) and values.size == 500
+
+
+def test_schmidt_values_reject_empty_support():
+    state = StateVector.basis((2, 2), (0, 1))
+    with pytest.raises(ValueError, match="no support"):
+        schmidt_values(state, CUT, zero_tol=1.0)
+
+
+def test_counting_route_svd_calls(monkeypatch, rng):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    d, _ = _gaussian_cells()
+    born_continuum(d, m_max=400)
+    assert calls == []
+    psi = schmidt_form_state(np.sqrt([0.2, 0.3, 0.5]), 4, 5, rng)
+    born_probabilities(psi, CUT, 10)
+    assert calls == [False]

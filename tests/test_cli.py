@@ -8,6 +8,10 @@ operation is reachable through exactly one subcommand.
 import inspect
 import json
 import math
+import resource
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -476,14 +480,52 @@ def test_exit_code_two_paths(tmp_path, capsys):
     ["pointer", "--gamma", "nan,1,1,1"],
     ["pointer", "--amps", "nan,1"],
     ["pointer", "--amps", "0,0"],
+    ["pointer", "--t1=-inf"],
+    ["pointer", "--t0", "nan"],
+    ["pointer", "--gamma", "0,0,0,0"],
+    ["continuum", "--dx", "nan"],
+    ["continuum", "--dx", "0.5", "--x0", "nan"],
+    ["continuum", "--dx", "0.5", "--x1", "inf"],
+    ["continuum", "--dx", "0"],
 ])
 def test_non_finite_state_exits_two(argv, couplings_file, capsys):
+    # rejected while parsing, before any array holds a nan: one plain line
     if argv[0] == "pointer":
         argv = argv + ["--couplings", couplings_file, "--steps", "3"]
-    code, _, err = run_cli(argv, capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(argv, capsys)
     assert code == 2
-    assert "Traceback" not in err
-    assert "amplitudes must be finite" in err
+    assert "Traceback" not in err and "Warning" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    bad = argv[1:3] if argv[0] == "pointer" else argv[-2:]
+    flag, value = bad[0].split("=") if "=" in bad[0] else bad
+    if value in ("0,0", "0,0,0,0"):
+        assert f"{flag} must not be all zero" in err
+    elif value == "0":
+        assert f"{flag} must tile [x0, x1] evenly" in err
+    elif flag in ("--phases", "--gamma", "--amps"):
+        assert f"entries must be finite, got {value!r}" in err
+    else:
+        assert f"argument {flag}: not a finite number: {value!r}" in err
+
+
+def test_readme_continuum_example_exits_two_within_memory_cap(tmp_path):
+    # 16,000 cells cannot each get weight >= 1 out of M <= 10,000; the
+    # counting route says so at once instead of building a dense state
+    cap = 2 << 30  # the benchmark's RLIMIT_AS for every CLI call
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "envlab.cli", "continuum", "--dx", "0.001",
+         "--interval=-1,1", "--m-max", "10000"],
+        capture_output=True, text=True, timeout=120, preexec_fn=limit)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: m_max=10000 cannot give 16000 terms weight >= 1\n"
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -274,3 +274,8 @@ def test_cell_counting_error_propagates():
     d = discretize(psi, Mesh.uniform(0.0, 0.25, 4))
     with pytest.raises(ValueError):
         born_continuum(d, m_max=3)
+    # a non-finite cell amplitude slips past the conservation check (nan
+    # compares false) and must not reach the counting pipeline
+    lost = DiscretizedState((math.nan, 1.0), Mesh.uniform(0.0, 1.0, 2), 0.0)
+    with pytest.raises(ValueError, match="no weight captured"):
+        born_continuum(lost, m_max=3)

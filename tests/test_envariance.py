@@ -400,3 +400,6 @@ def test_is_even_cases(rng):
     coeffs = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) / np.sqrt(n)
     psi = schmidt_form_state(coeffs, n, n, rng)
     assert is_even(schmidt(psi, CUT))
+    # plain coefficient arrays follow the same rule
+    assert is_even(coeffs) and is_even(np.abs(coeffs))
+    assert not is_even(np.sqrt([1 / 3, 2 / 3]))
