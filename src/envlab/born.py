@@ -11,7 +11,6 @@ counting cells per outcome, from coefficient moduli alone, gives m_k / M.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +20,17 @@ import numpy as np
 from .hilbert import Bipartition, StateVector, schmidt_values
 
 DENSE_AMPLITUDE_CAP = 2**22
+
+
+class DenseBudgetError(ValueError):
+    """A dense build would hold more than DENSE_AMPLITUDE_CAP amplitudes."""
+
+
+def require_dense(n_amplitudes: int, what: str) -> None:
+    """The one amplitude budget every dense build is checked against first."""
+    if n_amplitudes > DENSE_AMPLITUDE_CAP:
+        raise DenseBudgetError(
+            f"{what} needs {n_amplitudes} amplitudes (cap {DENSE_AMPLITUDE_CAP})")
 
 
 @dataclass(frozen=True)
@@ -100,24 +110,23 @@ def _apportion(probs: np.ndarray, big_m: int) -> np.ndarray:
     if short > 0:
         m[np.argsort(-(scaled - m))[:short]] += 1
     m[m < 1] = 1
-    # float carry and the lift leave an excess: shave it unit by unit off the
-    # largest overshoot m_i/M - p_i among m_i > 1, lowest index on ties
-    p, units = probs.tolist(), m.tolist()
-    heap = [(-(units[i] / big_m - p[i]), i) for i in np.flatnonzero(m > 1).tolist()]
-    heapq.heapify(heap)
-    for _ in range(sum(units) - big_m):
-        _, i = heapq.heappop(heap)
-        units[i] -= 1
-        if units[i] > 1:
-            heapq.heappush(heap, (-(units[i] / big_m - p[i]), i))
-    return np.array(units, dtype=np.int64)
+    # float carry and the lift leave an excess: shave it off the largest
+    # overshoots (m_i - t)/M - p_i, t < m_i - 1, lowest index on ties; each
+    # entry's overshoots fall with t, so these are the units a greedy
+    # one-at-a-time shave would take
+    excess = int(m.sum()) - big_m
+    if excess > 0:
+        offers = np.minimum(m - 1, excess)
+        owner = np.repeat(np.arange(m.size), offers)
+        t = np.arange(owner.size) - np.repeat(np.cumsum(offers) - offers, offers)
+        overshoot = (m[owner] - t) / big_m - probs[owner]
+        taken = owner[np.lexsort((owner, -overshoot))[:excess]]
+        m -= np.bincount(taken, minlength=m.size)
+    return m
 
 
 def _staircase_terms(weights: WeightVector, phases, cell_phases=None):
     """(coarse k, cell j, amplitude) triples of the fine-grained state."""
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (len(weights.m),):
-        raise ValueError(f"need {len(weights.m)} phases, got {phases.shape}")
     big_m = weights.M
     if cell_phases is not None:
         cell_phases = np.asarray(cell_phases, dtype=float)
@@ -139,12 +148,11 @@ def fine_grain(weights: WeightVector, phases, cell_phases=None) -> StateVector:
     |s_k>|e_j>|c_j>; re-cut as (S,C)|E the state is even.
     """
     n = len(weights.m)
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (n,):
+        raise ValueError(f"need {n} phases, got {phases.shape}")
     big_m = weights.M
-    if n * big_m * big_m > DENSE_AMPLITUDE_CAP:
-        raise ValueError(
-            f"dense fine-grained build needs {n * big_m * big_m} amplitudes "
-            f"(cap {DENSE_AMPLITUDE_CAP}); use born_probabilities which counts sparsely"
-        )
+    require_dense(n * big_m * big_m, "dense fine-grained build")
     amps = np.zeros((n, big_m, big_m), dtype=complex)
     for k, j, a in _staircase_terms(weights, phases, cell_phases):
         amps[k, j, j] = a

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from . import pointer as ptr_mod
 from . import records as rec_mod
 from .born import (
     BornResult,
+    DenseBudgetError,
     WeightVector,
     born_probabilities,
     coarse_probability,
@@ -50,22 +50,21 @@ from .envariance import (
     check_envariance,
     is_even,
     phase_counter,
+    phase_unitary,
     partial_swap_counter,
     partial_swap_unitary,
     protocol_run,
 )
 from .frequencies import (
-    SPARSE_TERM_CAP,
     ExperimentSpec,
-    build_superensemble_explicit,
     deviation,
     frequency_distribution,
     gaussian_approx,
     gaussian_reference,
-    history_census,
     history_counts,
     maverick_mass,
     multinomial_history_counts,
+    superensemble,
 )
 from .hilbert import (
     Bipartition,
@@ -127,12 +126,14 @@ OPERATION_MAP = {
     "hilbert.conditional_state": "pointer",
     "envariance.check_envariance": "envcheck",
     "envariance.phase_counter": "envcheck",
+    "envariance.phase_unitary": "envcheck",
     "envariance.partial_swap_unitary": "envcheck",
     "envariance.partial_swap_counter": "envcheck",
     "envariance.swap_unitary": "protocol",
     "envariance.counterswap": "protocol",
     "envariance.protocol_run": "protocol",
     "envariance.is_even": "born",
+    "born.require_dense": "born",
     "born.rationalize": "born",
     "born.fine_grain": "born",
     "born.even_cut": "born",
@@ -167,6 +168,7 @@ OPERATION_MAP = {
     "frequencies.swap_restoration": "freq",
     "frequencies.history_census": "freq",
     "frequencies.build_superensemble_explicit": "freq",
+    "frequencies.superensemble": "freq",
     "continuum.truncate": "continuum",
     "continuum.discretize": "continuum",
     "continuum.orthogonality_defect": "continuum",
@@ -186,31 +188,6 @@ ENGINE_MODULES = {
 }
 
 MAX_TABLE_ROWS = 4096
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Complete record of one batch run.
-
-    ``options`` holds every subcommand-specific flag (input paths, weight
-    lists, grid bounds, caps) as sorted (name, value) pairs, so the config
-    alone reproduces the run; the shared flags get named fields.
-    """
-
-    command: str
-    fmt: str
-    out: object
-    seed: int
-    tol: object
-    options: tuple = ()
-
-    def __post_init__(self):
-        if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if self.tol is not None and not self.tol > 0:
-            raise ValueError("tolerances must be positive")
-        if not isinstance(self.seed, int):
-            raise ValueError("seed must be an integer")
 
 
 def _ints(text: str) -> tuple:
@@ -382,11 +359,7 @@ def _cmd_envcheck(args) -> tuple:
         dec = schmidt(state, cut)
         phases = _floats(args.term_phases)
         counter = phase_counter(dec, phases)
-        sb = dec.left_basis
-        proj = sb.T @ sb.conj()
-        partial = (sb.T * np.exp(1j * np.array(phases))) @ sb.conj()
-        mat = partial + np.eye(sb.shape[1], dtype=complex) - proj
-        u_s = LocalUnitary(dec.left_targets, mat)
+        u_s = phase_unitary(dec, phases)
         verdict = check_envariance(state, cut, u_s)
         source = "schmidt-phase"
     else:
@@ -471,10 +444,13 @@ def _cmd_born(args) -> tuple:
         )
         report, code = _born_result_report(result, args)
         scalars = list(report.scalars)
-        n = len(w.m)
-        if n * w.M * w.M <= born_mod.DENSE_AMPLITUDE_CAP:
-            phases = _floats(args.phases) if args.phases else (0.0,) * n
-            values = schmidt_values(fine_grain(w, phases), even_cut())
+        phases = _floats(args.phases) if args.phases else (0.0,) * len(w.m)
+        try:
+            fine = fine_grain(w, phases)
+        except DenseBudgetError:
+            pass  # the counting report above does not need the dense state
+        else:
+            values = schmidt_values(fine, even_cut())
             scalars.append(("fine_terms", len(values)))
             scalars.append(("fine_even", is_even(values)))
         return Report("born", tuple(scalars), report.tables), code
@@ -514,8 +490,7 @@ def _cmd_pointer(args) -> tuple:
             prob = 0.0
         branch_rows.append((k, record, prob))
 
-    full = StateVector(premeasured.dims + env.dims,
-                       np.kron(premeasured.amps, env.amps))
+    full = tensor_product([premeasured, env])
     t_final = args.time if args.time is not None else args.t1
     evolved = evolve(full, 0, 2, g, t_final)
 
@@ -655,41 +630,26 @@ def _cmd_freq(args) -> tuple:
         scalars.append(("maverick_mass", maverick_mass(spec, args.delta_r)))
 
     phases = _floats(args.phases) if args.phases else (0.0, 0.0)
-    code = 0
+    route, report = superensemble(spec, phases, args.pairs, args.seed,
+                                  args.register)
+    scalars.append(("superensemble", route))
     tables = [table]
-    dense_size = (2 * spec.M * spec.M) ** spec.runs
-    if args.register:
-        dense_size *= spec.runs + 1
-    report = None
-    if dense_size <= born_mod.DENSE_AMPLITUDE_CAP:
-        _, report = build_superensemble_explicit(
-            spec, phases=phases, swap_pairs=args.pairs, seed=args.seed,
-            with_register=args.register)
-        scalars.append(("superensemble", "explicit"))
-    elif spec.M ** spec.runs <= SPARSE_TERM_CAP and not args.register:
-        report = history_census(spec, phases=phases, swap_pairs=args.pairs,
-                                seed=args.seed)
-        scalars.append(("superensemble", "sparse-census"))
-    else:
-        scalars.append(("superensemble", "skipped-beyond-desk-scale"))
+    code = 0
     if report is not None:
         scalars.append(("census_matches", report.census_matches))
         scalars.append(("max_modulus_dev", report.max_modulus_dev))
-        if not report.census_matches or report.max_modulus_dev > 1e-12:
-            code = 1
         swap_rows = []
         for check in report.swap_checks:
             a = ".".join(str(j) for j in check.pair[0])
             b = ".".join(str(j) for j in check.pair[1])
             swap_rows.append((f"{a}|{b}", check.restoration,
                               check.envariant, check.counter_fidelity))
-            if check.restoration < 1 - 1e-12 or check.envariant is False:
-                code = 1
         if swap_rows:
             tables.append(Table(
                 "swap_checks",
                 ("pair", "restoration", "envariant", "counter_fidelity"),
                 tuple(swap_rows)))
+        code = 1 if report.failed else 0
     return Report("freq", tuple(scalars), tuple(tables)), code
 
 
@@ -920,23 +880,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    shared = {"command", "format", "out", "seed", "tol"}
-    extras = tuple(sorted(
-        (name, value) for name, value in vars(args).items()
-        if name not in shared
-    ))
     try:
-        config = RunConfig(command=args.command, fmt=args.format,
-                           out=args.out, seed=args.seed, tol=args.tol,
-                           options=extras)
-        report, code = HANDLERS[config.command](args)
-    except (ValueError, OSError) as exc:
+        report, code = HANDLERS[args.command](args)
+        text = emit_report(report, args.format)
+        if args.out:
+            Path(args.out).write_text(text)
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = emit_report(report, config.fmt)
-    if config.out:
-        Path(config.out).write_text(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return code
 

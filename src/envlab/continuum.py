@@ -244,22 +244,6 @@ class WaveFunction:
 
         return cls(fn=fn, label=f"box_mixture({weights.size} boxes)")
 
-    @classmethod
-    def sampled(cls, xs, ys, smooth: bool = True) -> "WaveFunction":
-        """Linear interpolation through sample points, zero outside them."""
-        xs = np.array([float(x) for x in xs])
-        ys = np.array([complex(y) for y in ys])
-        if xs.size != ys.size or xs.size < 2 or np.any(np.diff(xs) <= 0):
-            raise ValueError("need ascending xs matching ys")
-
-        def fn(x):
-            re = np.interp(x, xs, ys.real, left=0.0, right=0.0)
-            im = np.interp(x, xs, ys.imag, left=0.0, right=0.0)
-            return re + 1j * im
-
-        return cls(fn=fn, label=f"sampled({xs.size} points, linear)",
-                   smooth=smooth)
-
 
 @lru_cache(maxsize=None)
 def _gauss(points: int):

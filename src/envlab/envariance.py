@@ -72,17 +72,26 @@ def _completed(partial: np.ndarray, projector: np.ndarray) -> np.ndarray:
     return partial + np.eye(projector.shape[0], dtype=complex) - projector
 
 
-def phase_counter(dec: SchmidtDecomposition, phases) -> LocalUnitary:
-    """Environment unitary undoing the Schmidt-phase rotation sum e^{i phi_k}|s_k><s_k|."""
+def _schmidt_phases(dec: SchmidtDecomposition, phases, basis, targets,
+                    sign: int) -> LocalUnitary:
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (dec.n_terms,):
         raise ValueError(
             f"need {dec.n_terms} phases, got {phases.shape}"
         )
-    eps = dec.right_basis
-    proj = eps.T @ eps.conj()
-    partial = (eps.T * np.exp(-1j * phases)) @ eps.conj()
-    return LocalUnitary(dec.right_targets, _completed(partial, proj))
+    proj = basis.T @ basis.conj()
+    partial = (basis.T * np.exp(sign * 1j * phases)) @ basis.conj()
+    return LocalUnitary(targets, _completed(partial, proj))
+
+
+def phase_unitary(dec: SchmidtDecomposition, phases) -> LocalUnitary:
+    """System-side Schmidt-phase rotation sum e^{i phi_k}|s_k><s_k|."""
+    return _schmidt_phases(dec, phases, dec.left_basis, dec.left_targets, 1)
+
+
+def phase_counter(dec: SchmidtDecomposition, phases) -> LocalUnitary:
+    """Environment unitary undoing the Schmidt-phase rotation sum e^{i phi_k}|s_k><s_k|."""
+    return _schmidt_phases(dec, phases, dec.right_basis, dec.right_targets, -1)
 
 
 def swap_unitary(spec: SwapSpec, basis, targets=(0,)) -> LocalUnitary:

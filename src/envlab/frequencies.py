@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .born import DENSE_AMPLITUDE_CAP
+from .born import DenseBudgetError, require_dense
 from .envariance import check_envariance
 from .hilbert import Bipartition, LocalUnitary, StateVector, apply_local, fidelity
 
@@ -202,15 +202,27 @@ class SuperensembleReport:
     def census_matches(self) -> bool:
         return self.census == self.tally
 
+    @property
+    def failed(self) -> bool:
+        """The census, a term modulus or a sampled swap check came out false."""
+        return (not self.census_matches or self.max_modulus_dev > 1e-12
+                or any(c.restoration < 1 - 1e-12 or c.envariant is False
+                       for c in self.swap_checks))
+
 
 def _outcome_of(spec: ExperimentSpec, cell: int) -> int:
     return 0 if cell < spec.m else 1
 
 
-def _history_terms(spec: ExperimentSpec, phases) -> dict:
+def _coarse_phases(phases) -> tuple:
     phases = tuple(float(p) for p in phases)
     if len(phases) != 2:
         raise ValueError("one phase per coarse outcome")
+    return phases
+
+
+def _history_terms(spec: ExperimentSpec, phases) -> dict:
+    phases = _coarse_phases(phases)
     modulus = spec.M ** (-spec.runs / 2.0)
     terms = {}
     for cells in itertools.product(range(spec.M), repeat=spec.runs):
@@ -381,14 +393,11 @@ def build_superensemble_explicit(spec: ExperimentSpec, phases=(0.0, 0.0),
     """
     dims = (2, spec.M, spec.M) * spec.runs
     if with_register:
-        if spec.runs > 3:
-            raise ValueError("physical register option is limited to runs <= 3")
         dims = (spec.runs + 1,) + dims
     size = math.prod(dims)
-    if size > DENSE_AMPLITUDE_CAP:
-        raise ValueError(
-            f"explicit build needs {size} amplitudes, above {DENSE_AMPLITUDE_CAP}"
-        )
+    require_dense(size, "explicit build")
+    if with_register and spec.runs > 3:
+        raise ValueError("physical register option is limited to runs <= 3")
     terms = _history_terms(spec, phases)
     amps = np.zeros(size, dtype=complex)
     for idx, amp in terms.items():
@@ -415,3 +424,24 @@ def build_superensemble_explicit(spec: ExperimentSpec, phases=(0.0, 0.0),
         swap_checks=checks,
     )
     return state, report
+
+
+def superensemble(spec: ExperimentSpec, phases=(0.0, 0.0), swap_pairs: int = 2,
+                  seed: int = 0, with_register: bool = False) -> tuple:
+    """Cross-check the largest superensemble build that is desk scale.
+
+    Returns (route, report): ("explicit", ...) when the dense tensor fits the
+    amplitude budget, else ("sparse-census", ...) when there is no register
+    and at most SPARSE_TERM_CAP histories, else
+    ("skipped-beyond-desk-scale", None).
+    """
+    phases = _coarse_phases(phases)
+    try:
+        _, report = build_superensemble_explicit(spec, phases, swap_pairs, seed,
+                                                 with_register)
+        return "explicit", report
+    except DenseBudgetError:
+        pass
+    if not with_register and spec.M ** spec.runs <= SPARSE_TERM_CAP:
+        return "sparse-census", history_census(spec, phases, swap_pairs, seed)
+    return "skipped-beyond-desk-scale", None

@@ -26,6 +26,7 @@ from envlab.envariance import (
     SwapSpec,
     check_envariance,
     phase_counter,
+    phase_unitary,
     protocol_run,
     swap_unitary,
 )
@@ -159,6 +160,17 @@ def test_criterion_04_phase_redecoration_invariance():
         gap = max(abs(a - b) for a, b in
                   zip(s_orig.per_outcome, s_twin.per_outcome))
         assert gap <= 1e-10
+
+
+def test_phase_unitary_matches_criterion_04_oracle():
+    rng = np.random.default_rng(405)
+    for dims in ((2, 3), (3, 2, 2), (4, 4)):
+        dec = schmidt(random_state(rng, dims), CUT)
+        phases = rng.uniform(0, 2 * np.pi, len(dec.coeffs))
+        got = phase_unitary(dec, phases)
+        want = schmidt_phase_unitary(dec, phases)
+        assert got.targets == want.targets
+        assert np.array_equal(got.matrix, want.matrix)
 
 
 def test_criterion_05_pointer_dichotomy():

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from envlab.born import (
+    DENSE_AMPLITUDE_CAP,
     BornResult,
+    DenseBudgetError,
     WeightVector,
     _apportion,
     born_from_coefficients,
@@ -14,6 +16,7 @@ from envlab.born import (
     even_cut,
     fine_grain,
     rationalize,
+    require_dense,
 )
 from envlab.envariance import check_envariance, is_even
 from envlab.continuum import Mesh, WaveFunction, born_continuum, discretize
@@ -120,8 +123,23 @@ def test_fine_grain_per_cell_phase_override():
 
 
 def test_fine_grain_rejects_oversized_build():
-    with pytest.raises(ValueError):
+    with pytest.raises(DenseBudgetError, match="needs 50000000 amplitudes"):
         fine_grain(WeightVector((1, 4999)), [0.0, 0.0])
+
+
+def test_fine_grain_checks_phases_before_the_budget():
+    with pytest.raises(ValueError, match=r"need 2 phases, got \(1,\)"):
+        fine_grain(WeightVector((1, 4999)), [0.0])
+
+
+def test_require_dense_passes_at_cap_and_refuses_one_more():
+    # arithmetic on the guard only: nothing of this size is allocated
+    require_dense(DENSE_AMPLITUDE_CAP, "probe")
+    message = f"probe needs {DENSE_AMPLITUDE_CAP + 1} amplitudes (cap {DENSE_AMPLITUDE_CAP})"
+    with pytest.raises(DenseBudgetError) as info:
+        require_dense(DENSE_AMPLITUDE_CAP + 1, "probe")
+    assert str(info.value) == message
+    assert isinstance(info.value, ValueError)
 
 
 def test_born_probabilities_two_three_five():

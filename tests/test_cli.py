@@ -336,6 +336,26 @@ def test_freq_multinomial_mode(capsys):
     assert [int(r[1]) for r in rows] == [8, 12, 6, 1]
 
 
+@pytest.mark.parametrize("flags, route, code", [
+    ("--m 1 --M 2 --N 2 --register", "explicit", 0),
+    ("--m 1 --M 2 --N 3 --register", "explicit", 0),
+    ("--m 1 --M 2 --N 4 --register", None, 2),
+    ("--m 1 --M 10 --N 4 --register", "skipped-beyond-desk-scale", 0),
+    ("--m 1 --M 2 --N 13 --register", "skipped-beyond-desk-scale", 0),
+    ("--m 1 --M 2 --N 12", "sparse-census", 0),
+    ("--m 1 --M 3 --N 6", "sparse-census", 0),
+    ("--m 2 --M 10 --N 8", "skipped-beyond-desk-scale", 0),
+])
+def test_freq_route_table(flags, route, code, capsys):
+    got, out, err = run_cli(["freq", *flags.split()], capsys)
+    assert got == code
+    if route is None:
+        assert out == ""
+        assert err == "error: physical register option is limited to runs <= 3\n"
+    else:
+        assert scalar(out, "superensemble") == route
+
+
 def test_freq_beyond_desk_scale_skips(capsys):
     code, out, _ = run_cli(
         ["freq", "--m", "2", "--M", "10", "--N", "8"], capsys)
@@ -417,18 +437,30 @@ def test_golden_bytes_born_csv(capsys):
     assert out == GOLDEN_BORN_CSV
 
 
-def test_run_config_invariants():
-    from envlab.cli import RunConfig
+def one_error_line(code, out, err, message):
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert message in err, err
 
-    config = RunConfig(command="born", fmt="csv", out=None, seed=3,
-                       tol=0.5, options=(("weights", "1,1"),))
-    assert config.options == (("weights", "1,1"),)
-    with pytest.raises(ValueError, match="positive"):
-        RunConfig(command="born", fmt="csv", out=None, seed=0, tol=0.0)
-    with pytest.raises(ValueError, match="format"):
-        RunConfig(command="born", fmt="yaml", out=None, seed=0, tol=None)
-    with pytest.raises(ValueError, match="seed"):
-        RunConfig(command="born", fmt="csv", out=None, seed=1.5, tol=None)
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "0", "argument --tol: tolerance must be positive"),
+    ("--format", "yaml", "argument --format: invalid choice: 'yaml'"),
+    ("--seed", "1.5", "argument --seed: invalid int value: '1.5'"),
+])
+def test_shared_flags_are_checked_while_parsing(flag, value, message, capsys):
+    one_error_line(*run_cli(["born", "--weights", "1,1", flag, value], capsys),
+                   message)
+
+
+@pytest.mark.parametrize("target", ["missing/report.txt", "."],
+                         ids=["missing-directory", "is-a-directory"])
+def test_unwritable_out_exits_two(target, tmp_path, capsys):
+    path = str(tmp_path / target)
+    one_error_line(*run_cli(["born", "--weights", "1,1", "--out", path], capsys),
+                   path)
 
 
 def test_out_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
@@ -511,21 +543,58 @@ def test_non_finite_state_exits_two(argv, couplings_file, capsys):
         assert f"argument {flag}: not a finite number: {value!r}" in err
 
 
-def test_readme_continuum_example_exits_two_within_memory_cap(tmp_path):
-    # 16,000 cells cannot each get weight >= 1 out of M <= 10,000; the
-    # counting route says so at once instead of building a dense state
+def run_under_memory_cap(argv):
     cap = 2 << 30  # the benchmark's RLIMIT_AS for every CLI call
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "envlab.cli", "continuum", "--dx", "0.001",
-         "--interval=-1,1", "--m-max", "10000"],
+    return subprocess.run(
+        [sys.executable, "-m", "envlab.cli", *argv],
         capture_output=True, text=True, timeout=120, preexec_fn=limit)
+
+
+def test_readme_continuum_example_exits_two_within_memory_cap(tmp_path):
+    # 16,000 cells cannot each get weight >= 1 out of M <= 10,000; the
+    # counting route says so at once instead of building a dense state
+    proc = run_under_memory_cap(
+        ["continuum", "--dx", "0.001", "--interval=-1,1", "--m-max", "10000"])
     assert proc.returncode == 2
     assert proc.stderr == "error: m_max=10000 cannot give 16000 terms weight >= 1\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["records", "--universe", "100000", "--trials", "1"],
+    ["state", "--dims", "100000,100000"],
+    ["continuum", "--dx", "0.5", "--quad", "100000"],
+    ["continuum", "--dx", "1e-6"],
+])
+def test_out_of_memory_exits_two_within_memory_cap(argv):
+    # each asks numpy for more than the cap in one array; these sizes are
+    # not put under the dense amplitude budget, which would refuse inputs
+    # that run today (continuum --dx 2e-5, records --universe 4000)
+    proc = run_under_memory_cap(argv)
+    one_error_line(proc.returncode, proc.stdout, proc.stderr,
+                   "error: Unable to allocate")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["born", "--weights", "1000,1000,1000", "--phases", "nan,0,0"],
+     "entries must be finite, got 'nan,0,0'"),
+    (["born", "--weights", "1000,1000,1000", "--phases", "1,2"],
+     "need 3 phases, got (2,)"),
+    (["born", "--weights", "1,1,1", "--phases", "1,2"],
+     "need 3 phases, got (2,)"),
+    (["freq", "--m", "2", "--M", "10", "--N", "8", "--phases", "1,2,3"],
+     "one phase per coarse outcome"),
+    (["freq", "--m", "1", "--M", "2", "--N", "2", "--phases", "1,2,3"],
+     "one phase per coarse outcome"),
+])
+def test_phases_are_checked_whichever_route_runs(argv, message, capsys):
+    # the oversized calls skip the dense build, and still reject bad phases
+    # with the message the in-budget route gives
+    one_error_line(*run_cli(argv, capsys), message)
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envlab.born import WeightVector, fine_grain
+from envlab.born import DenseBudgetError, WeightVector, fine_grain
 from envlab.frequencies import (
     ExperimentSpec,
     HistoryTally,
+    SuperensembleReport,
+    SwapCheck,
     build_superensemble_explicit,
     deviation,
     frequency_distribution,
@@ -20,6 +22,7 @@ from envlab.frequencies import (
     history_counts,
     maverick_mass,
     multinomial_history_counts,
+    superensemble,
     swap_restoration,
 )
 from envlab.hilbert import conditional_state
@@ -352,3 +355,46 @@ def test_register_run_cap():
     with pytest.raises(ValueError, match="runs <= 3"):
         build_superensemble_explicit(
             ExperimentSpec(m=1, M=2, runs=4), with_register=True)
+
+
+def test_register_budget_is_checked_before_run_cap():
+    # too big to build at all: the budget refuses first, so a caller can
+    # fall back instead of seeing the register limit
+    with pytest.raises(DenseBudgetError):
+        build_superensemble_explicit(
+            ExperimentSpec(m=1, M=10, runs=4), with_register=True)
+
+
+@pytest.mark.parametrize("spec, register, route", [
+    (ExperimentSpec(m=1, M=2, runs=2), False, "explicit"),
+    (ExperimentSpec(m=1, M=3, runs=6), False, "sparse-census"),
+    (ExperimentSpec(m=1, M=3, runs=6), True, "skipped-beyond-desk-scale"),
+    (ExperimentSpec(m=2, M=10, runs=8), False, "skipped-beyond-desk-scale"),
+])
+def test_superensemble_routes(spec, register, route):
+    got, report = superensemble(spec, with_register=register)
+    assert got == route
+    if route.startswith("skipped"):
+        assert report is None
+    else:
+        assert report.census == report.tally and not report.failed
+
+
+def test_superensemble_checks_phases_before_routing():
+    for spec in (ExperimentSpec(m=1, M=2, runs=2), ExperimentSpec(m=2, M=10, runs=8)):
+        with pytest.raises(ValueError, match="one phase per coarse outcome"):
+            superensemble(spec, phases=(1.0, 2.0, 3.0))
+
+
+def test_superensemble_report_failed_rule():
+    def report(census=(1, 1), dev=0.0, checks=()):
+        return SuperensembleReport(census=census, tally=(1, 1), total_terms=2,
+                                   max_modulus_dev=dev, swap_checks=checks)
+
+    pair = ((0,), (1,))
+    assert not report().failed
+    assert not report(dev=1e-12, checks=(SwapCheck(pair, 1 - 1e-12, None),)).failed
+    assert report(census=(2, 0)).failed
+    assert report(dev=2e-12).failed
+    assert report(checks=(SwapCheck(pair, 1 - 2e-12),)).failed
+    assert report(checks=(SwapCheck(pair, 1.0, False, 0.0),)).failed
