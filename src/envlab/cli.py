@@ -225,6 +225,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
 def _fraction_text(text: str) -> str:
     # exact thresholds stay text so reports echo them as given
     try:
@@ -845,7 +855,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-r", type=_fraction_text, default=None,
                    help="maverick threshold, exact decimal like 0.1")
     p.add_argument("--phases", default=None)
-    p.add_argument("--pairs", type=int, default=2)
+    p.add_argument("--pairs", type=_nonnegative_int, default=2)
     p.add_argument("--register", action="store_true")
     p.add_argument("--cells", default=None,
                    help="multinomial mode: fine cells per outcome")

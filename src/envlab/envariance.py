@@ -189,14 +189,13 @@ def _spanned_indices(dec: SchmidtDecomposition, new_basis):
 def _block_operator(u: LocalUnitary, left, left_dims) -> np.ndarray:
     """Matrix of u on the full ordered left block (identity off its targets)."""
     pos = [left.index(t) for t in u.targets]
-    dims = list(left_dims)
-    d = math.prod(dims)
-    td = math.prod(dims[p] for p in pos)
-    tens = np.eye(d, dtype=complex).reshape(dims + [d])
-    moved = np.moveaxis(tens, pos, range(len(pos)))
-    shape = moved.shape
-    out = (u.matrix @ moved.reshape(td, -1)).reshape(shape)
-    return np.moveaxis(out, range(len(pos)), pos).reshape(d, d)
+    rest = [p for p in range(len(left_dims)) if p not in pos]
+    d = math.prod(left_dims)
+    kron = np.kron(u.matrix, np.eye(math.prod(left_dims[p] for p in rest)))
+    shuffled = [left_dims[p] for p in pos + rest]
+    inv = list(np.argsort(pos + rest))
+    out = kron.reshape(shuffled * 2).transpose(inv + [len(inv) + i for i in inv])
+    return out.reshape(d, d)
 
 
 def check_envariance(state: StateVector, cut: Bipartition, u_s: LocalUnitary,

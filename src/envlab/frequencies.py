@@ -87,10 +87,10 @@ class HistoryTally:
 def history_counts(spec: ExperimentSpec) -> HistoryTally:
     """Exact tally: counts[n] = C(runs, n) m^(runs-n) (M-m)^n."""
     n_runs, m, big_m = spec.runs, spec.m, spec.M
-    counts = tuple(
-        math.comb(n_runs, n) * m ** (n_runs - n) * (big_m - m) ** n
-        for n in range(n_runs + 1)
-    )
+    counts, binom = [], 1
+    for n in range(n_runs + 1):
+        counts.append(binom * m ** (n_runs - n) * (big_m - m) ** n)
+        binom = binom * (n_runs - n) // (n + 1)
     return HistoryTally(spec, counts)
 
 
@@ -129,7 +129,8 @@ def _compositions(total: int, parts: int):
 def frequency_distribution(spec: ExperimentSpec) -> tuple:
     """p(n) = counts(n) / M^runs as exact Fractions; sums to 1 exactly."""
     tally = history_counts(spec)
-    return tuple(Fraction(c, tally.total) for c in tally.counts)
+    total = tally.total
+    return tuple(Fraction(c, total) for c in tally.counts)
 
 
 def gaussian_approx(spec: ExperimentSpec, n) -> float:
@@ -168,11 +169,10 @@ def maverick_mass(spec: ExperimentSpec, delta_r) -> Fraction:
     if not 0 < dr < 1:
         raise ValueError("delta_r must lie strictly between 0 and 1")
     beta_sq = spec.beta_sq
-    mass = Fraction(0)
-    for n, p in enumerate(frequency_distribution(spec)):
-        if abs(Fraction(n, spec.runs) - beta_sq) > dr:
-            mass += p
-    return mass
+    tally = history_counts(spec)
+    total = sum(c for n, c in enumerate(tally.counts)
+                if abs(Fraction(n, spec.runs) - beta_sq) > dr)
+    return Fraction(total, tally.total)
 
 
 # ----- explicit superensemble tensors -----
@@ -240,13 +240,6 @@ def _sc_part(idx: tuple) -> tuple:
     return tuple(x for i, x in enumerate(idx) if i % 3 != 2)
 
 
-def _interleave(sc: tuple, env: tuple) -> tuple:
-    idx = []
-    for l, e in enumerate(env):
-        idx.extend((sc[2 * l], sc[2 * l + 1], e))
-    return tuple(idx)
-
-
 def _full_index(spec: ExperimentSpec, cells: tuple) -> tuple:
     idx = []
     for j in cells:
@@ -272,26 +265,32 @@ def swap_restoration(spec: ExperimentSpec, pair, phases=(0.0, 0.0)) -> float:
     b = _validate_history(spec, pair[1])
     if a == b:
         raise ValueError("histories must differ")
-    terms = _history_terms(spec, phases)
-    sc_a, sc_b = _sc_part(_full_index(spec, a)), _sc_part(_full_index(spec, b))
+    return _restoration(spec, _history_terms(spec, phases), (a, b))
+
+
+def _restoration(spec: ExperimentSpec, terms: dict, pair) -> float:
+    # One row of register digits per term: the swap rewrites the (S, C)
+    # digits of the two histories, the counterswap their E digits with the
+    # amplitude-ratio phase, and the result is matched back by flat index.
+    a, b = pair
     amp_a, amp_b = terms[_full_index(spec, a)], terms[_full_index(spec, b)]
-    swapped = {}
-    for idx, amp in terms.items():
-        sc, env = _sc_part(idx), idx[2::3]
-        if sc == sc_a:
-            sc = sc_b
-        elif sc == sc_b:
-            sc = sc_a
-        swapped[_interleave(sc, env)] = amp
-    restored = {}
-    for idx, amp in swapped.items():
-        sc, env = _sc_part(idx), idx[2::3]
-        if env == a:
-            env, amp = b, amp * (amp_b / amp_a)
-        elif env == b:
-            env, amp = a, amp * (amp_a / amp_b)
-        restored[_interleave(sc, env)] = amp
-    overlap = sum(terms[idx].conjugate() * restored.get(idx, 0.0) for idx in terms)
+    keys = np.array(list(terms), dtype=np.intp)
+    sc = np.arange(keys.shape[1]) % 3 != 2
+    sc_a, sc_b = (np.array(_full_index(spec, h))[sc] for h in (a, b))
+    moved = keys.copy()
+    moved[np.ix_(np.all(keys[:, sc] == sc_a, axis=1), sc)] = sc_b
+    moved[np.ix_(np.all(keys[:, sc] == sc_b, axis=1), sc)] = sc_a
+    amps = list(terms.values())
+    restored_amps = list(amps)
+    env = moved[:, 2::3].copy()
+    for src, dst, ratio in ((a, b, amp_b / amp_a), (b, a, amp_a / amp_b)):
+        for r in np.flatnonzero(np.all(env == src, axis=1)):
+            moved[r, 2::3] = dst
+            restored_amps[r] = amps[r] * ratio
+    dims = (2, spec.M, spec.M) * spec.runs
+    restored = dict(zip(np.ravel_multi_index(moved.T, dims).tolist(), restored_amps))
+    flat = np.ravel_multi_index(keys.T, dims).tolist()
+    overlap = sum(amp.conjugate() * restored.get(k, 0.0) for amp, k in zip(amps, flat))
     return float(abs(overlap))
 
 
@@ -299,7 +298,7 @@ def _sc_targets(spec: ExperimentSpec, offset: int = 0) -> tuple:
     return tuple(i + offset for i in range(3 * spec.runs) if i % 3 != 2)
 
 
-def _dense_swap_check(spec, state, pair, phases):
+def _dense_swap_check(spec, state, pair):
     """Full envariance verdict for a history swap via the generic machinery."""
     sc_dims = (2, spec.M) * spec.runs
     block = math.prod(sc_dims)
@@ -342,13 +341,13 @@ def _census_from_positions(spec, outcome_digits, moduli) -> tuple:
     return tuple(int(c) for c in census), max_dev
 
 
-def _swap_checks(spec, state, phases, swap_pairs, seed) -> tuple:
+def _swap_checks(spec, state, terms, swap_pairs, seed) -> tuple:
     checks = []
     dense_ok = state is not None and (2 * spec.M) ** spec.runs <= SWAP_BLOCK_CAP
     for pair in _sample_pairs(spec, swap_pairs, seed):
-        sparse_fid = swap_restoration(spec, pair, phases)
+        sparse_fid = _restoration(spec, terms, pair)
         if dense_ok:
-            envariant, counter_fid = _dense_swap_check(spec, state, pair, phases)
+            envariant, counter_fid = _dense_swap_check(spec, state, pair)
             checks.append(SwapCheck(pair, sparse_fid, envariant, counter_fid))
         else:
             checks.append(SwapCheck(pair, sparse_fid))
@@ -374,7 +373,7 @@ def history_census(spec: ExperimentSpec, phases=(0.0, 0.0), swap_pairs: int = 2,
         tally=history_counts(spec).counts,
         total_terms=len(terms),
         max_modulus_dev=max_dev,
-        swap_checks=_swap_checks(spec, None, phases, swap_pairs, seed),
+        swap_checks=_swap_checks(spec, None, terms, swap_pairs, seed),
     )
 
 
@@ -415,7 +414,7 @@ def build_superensemble_explicit(spec: ExperimentSpec, phases=(0.0, 0.0),
         spec, digits, np.abs(state.amps[support]))
     if with_register and not np.array_equal(multi[0], np.sum(digits, axis=0)):
         raise ValueError("register digit disagrees with the outcome registers")
-    checks = () if with_register else _swap_checks(spec, state, phases, swap_pairs, seed)
+    checks = () if with_register else _swap_checks(spec, state, terms, swap_pairs, seed)
     report = SuperensembleReport(
         census=census,
         tally=history_counts(spec).counts,

@@ -206,11 +206,13 @@ def _cut_matrix(state: StateVector, cut: Bipartition):
 def _canonical_group_basis(block: np.ndarray) -> np.ndarray:
     # Deterministic orthonormal basis of span(columns): project coordinate
     # vectors in index order and Gram-Schmidt, so degenerate groups never
-    # inherit backend-dependent rotations.
-    dim, g = block.shape
+    # inherit backend-dependent rotations.  A projection of norm <= 1e-9
+    # cannot leave a residual above the 1e-8 acceptance threshold, so only
+    # the others are visited.
+    g = block.shape[1]
     proj = block @ block.conj().T
     cols = []
-    for i in range(dim):
+    for i in np.flatnonzero(np.linalg.norm(proj, axis=0) > 1e-9):
         v = proj[:, i].copy()
         for c in cols:
             v -= c * (c.conj() @ v)

@@ -610,6 +610,21 @@ def test_bad_fraction_flag_exits_two(argv, capsys):
     assert "not an exact fraction" in err
 
 
+@pytest.mark.parametrize("value", ["-1", "1.5", "two"])
+def test_negative_or_non_integer_pairs_exit_two(value, capsys):
+    # a negative count used to run no swap checks and exit 0
+    one_error_line(*run_cli(["freq", "--m", "1", "--M", "2", "--N", "2",
+                             "--pairs", value], capsys),
+                   f"argument --pairs: not a non-negative integer: '{value}'")
+
+
+def test_zero_pairs_runs_no_swap_checks(capsys):
+    code, out, _ = run_cli(["freq", "--m", "1", "--M", "2", "--N", "2",
+                            "--pairs", "0"], capsys)
+    assert code == 0 and scalar(out, "census_matches") == "true"
+    assert "swap_checks" not in out
+
+
 def test_fraction_flags_echo_their_text(capsys):
     code, out, _ = run_cli(
         ["freq", "--m", "1", "--M", "2", "--N", "4", "--delta-r", "0.1"], capsys)
