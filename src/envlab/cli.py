@@ -225,14 +225,23 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
+def _int_at_least(text: str, low: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    if value is None or value < low:
+        raise argparse.ArgumentTypeError(f"not a {kind} integer: {text!r}")
     return value
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0, "non-negative")
+
+
+def _positive_int(text: str) -> int:
+    # a count of checks: zero would report success after checking nothing
+    return _int_at_least(text, 1, "positive")
 
 
 def _fraction_text(text: str) -> str:
@@ -549,6 +558,9 @@ def _cmd_pointer(args) -> tuple:
 
 def _cmd_records(args) -> tuple:
     n = args.universe
+    for flag, value in (("--other", args.other), ("--given", args.given)):
+        if value is not None and args.event is None:
+            raise ValueError(f"{flag} needs --event")
     if args.event is None and args.partition is None:
         rep = verify_axioms(n, trials=args.trials, seed=args.seed)
         scalars = (
@@ -831,15 +843,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amps", default=None)
     p.add_argument("--t0", type=_finite_float, default=0.0)
     p.add_argument("--t1", type=_finite_float, default=10.0)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--steps", type=_nonnegative_int, default=200)
     p.add_argument("--time", type=_finite_float, default=None)
     p.add_argument("--search", action="store_true")
-    p.add_argument("--iterations", type=int, default=48)
+    p.add_argument("--iterations", type=_nonnegative_int, default=48)
 
     p = sub.add_parser("records", parents=[common],
                        help="record-algebra audit and event probabilities")
     p.add_argument("--universe", type=int, required=True)
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--trials", type=_positive_int, default=500)
     p.add_argument("--event", default=None)
     p.add_argument("--other", default=None)
     p.add_argument("--given", type=int, default=None)

@@ -204,9 +204,14 @@ def check_envariance(state: StateVector, cut: Bipartition, u_s: LocalUnitary,
     left, right = cut.sides(state.n_subsystems)
     if not set(u_s.targets) <= set(left):
         raise ValueError(f"unitary targets {u_s.targets} not on the left side {left}")
-    dec = schmidt(state, cut)
+    return _envariance_verdict(schmidt(state, cut), u_s, tol)
+
+
+def _envariance_verdict(dec: SchmidtDecomposition, u_s: LocalUnitary,
+                        tol: float = GRAM_TOL) -> EnvarianceVerdict:
+    """check_envariance on a decomposition already taken across u_s's cut."""
     coeffs = np.asarray(dec.coeffs)
-    block = _block_operator(u_s, list(left), dec.left_dims)
+    block = _block_operator(u_s, list(dec.left_targets), dec.left_dims)
     overlap = dec.left_basis.conj() @ block @ dec.left_basis.T  # <s_j|u|s_k>
     ratios = coeffs[None, :] / coeffs[:, None]
     images = (overlap * ratios) @ dec.right_basis  # row j = |w_j>

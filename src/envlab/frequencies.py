@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .born import DenseBudgetError, require_dense
-from .envariance import check_envariance
-from .hilbert import Bipartition, LocalUnitary, StateVector, apply_local, fidelity
+from .envariance import _envariance_verdict
+from .hilbert import Bipartition, LocalUnitary, StateVector, apply_local, fidelity, schmidt
 
 SPARSE_TERM_CAP = 4096
 SWAP_BLOCK_CAP = 1400  # dense envariance check needs a (2M)^N square operator
@@ -298,8 +298,12 @@ def _sc_targets(spec: ExperimentSpec, offset: int = 0) -> tuple:
     return tuple(i + offset for i in range(3 * spec.runs) if i % 3 != 2)
 
 
-def _dense_swap_check(spec, state, pair):
-    """Full envariance verdict for a history swap via the generic machinery."""
+def _dense_swap_check(spec, state, dec, pair):
+    """Full envariance verdict for a history swap via the generic machinery.
+
+    ``dec`` is the state's Schmidt decomposition across the (S, C) cut; every
+    sampled swap acts on that one cut, so a report decomposes once.
+    """
     sc_dims = (2, spec.M) * spec.runs
     block = math.prod(sc_dims)
     flat_a = int(np.ravel_multi_index(_sc_part(_full_index(spec, pair[0])), sc_dims))
@@ -308,7 +312,7 @@ def _dense_swap_check(spec, state, pair):
     u[flat_a, flat_a] = u[flat_b, flat_b] = 0.0
     u[flat_a, flat_b] = u[flat_b, flat_a] = 1.0
     swap = LocalUnitary(_sc_targets(spec), u)
-    verdict = check_envariance(state, Bipartition(_sc_targets(spec)), swap)
+    verdict = _envariance_verdict(dec, swap)
     if not verdict.envariant:
         return False, 0.0
     restored = apply_local(apply_local(state, swap), verdict.counter)
@@ -342,12 +346,15 @@ def _census_from_positions(spec, outcome_digits, moduli) -> tuple:
 
 
 def _swap_checks(spec, state, terms, swap_pairs, seed) -> tuple:
+    pairs = _sample_pairs(spec, swap_pairs, seed)
+    dec = None
+    if pairs and state is not None and (2 * spec.M) ** spec.runs <= SWAP_BLOCK_CAP:
+        dec = schmidt(state, Bipartition(_sc_targets(spec)))
     checks = []
-    dense_ok = state is not None and (2 * spec.M) ** spec.runs <= SWAP_BLOCK_CAP
-    for pair in _sample_pairs(spec, swap_pairs, seed):
+    for pair in pairs:
         sparse_fid = _restoration(spec, terms, pair)
-        if dense_ok:
-            envariant, counter_fid = _dense_swap_check(spec, state, pair)
+        if dec is not None:
+            envariant, counter_fid = _dense_swap_check(spec, state, dec, pair)
             checks.append(SwapCheck(pair, sparse_fid, envariant, counter_fid))
         else:
             checks.append(SwapCheck(pair, sparse_fid))

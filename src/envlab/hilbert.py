@@ -112,6 +112,22 @@ class Bipartition:
         return self.left, right
 
 
+def _unitarity_deviation(mat: np.ndarray) -> float:
+    """max |U^dagger U - 1| over all entries.
+
+    A monomial matrix (one nonzero per row and per column, e.g. a phased
+    permutation) has a diagonal U^dagger U with entries |u_ij|^2, so its
+    deviation is read off the nonzeros in O(d^2); any other matrix pays for
+    the product.
+    """
+    nonzero = mat != 0
+    if (np.all(np.count_nonzero(nonzero, axis=0) == 1)
+            and np.all(np.count_nonzero(nonzero, axis=1) == 1)):
+        entries = mat[nonzero]
+        return np.max(np.abs(entries.real ** 2 + entries.imag ** 2 - 1.0))
+    return np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
+
+
 @dataclass(frozen=True)
 class LocalUnitary:
     """Unitary acting on an ordered subset of subsystems."""
@@ -126,7 +142,9 @@ class LocalUnitary:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("unitary matrix must be square")
-        dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
+        if not np.isfinite(mat).all():
+            raise ValueError("unitary matrix entries must be finite")
+        dev = _unitarity_deviation(mat)
         if dev > UNITARY_TOL:
             raise ValueError(f"matrix deviates from unitarity by {dev:g}")
         mat = mat.copy()

@@ -86,21 +86,30 @@ def _require_shared_universe(a: RecordEvent, b: RecordEvent):
         raise ValueError("events live in different universes")
 
 
+def _lattice_result(universe: frozenset, members: frozenset) -> RecordEvent:
+    # meet, join and complement of valid events in one universe are valid
+    # by construction, so their results skip the constructor's checks
+    event = object.__new__(RecordEvent)
+    object.__setattr__(event, "universe", universe)
+    object.__setattr__(event, "members", members)
+    return event
+
+
 def meet(a: RecordEvent, b: RecordEvent) -> RecordEvent:
     """Logical product: intersection of members, P_a P_b on the matrix side."""
     _require_shared_universe(a, b)
-    return RecordEvent(a.universe, a.members & b.members)
+    return _lattice_result(a.universe, a.members & b.members)
 
 
 def join(a: RecordEvent, b: RecordEvent) -> RecordEvent:
     """Logical sum: union of members, P_a + P_b - P_a P_b on the matrix side."""
     _require_shared_universe(a, b)
-    return RecordEvent(a.universe, a.members | b.members)
+    return _lattice_result(a.universe, a.members | b.members)
 
 
 def complement(a: RecordEvent) -> RecordEvent:
     """Negation: universe minus members, P_U - P_a on the matrix side."""
-    return RecordEvent(a.universe, a.universe - a.members)
+    return _lattice_result(a.universe, a.universe - a.members)
 
 
 # matrix mirrors of the lattice operations; verify_axioms evaluates every

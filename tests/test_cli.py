@@ -5,6 +5,7 @@ command layer adds on top of it, plus the audit that every public engine
 operation is reachable through exactly one subcommand.
 """
 
+import argparse
 import inspect
 import json
 import math
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import envlab.born
+import envlab.cli as cli_module
 import envlab.continuum
 import envlab.envariance
 import envlab.frequencies
@@ -623,6 +625,92 @@ def test_zero_pairs_runs_no_swap_checks(capsys):
                             "--pairs", "0"], capsys)
     assert code == 0 and scalar(out, "census_matches") == "true"
     assert "swap_checks" not in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["records", "--universe", "6", "--trials", "-1"],
+     "argument --trials: not a positive integer: '-1'"),
+    (["records", "--universe", "6", "--trials", "0"],
+     "argument --trials: not a positive integer: '0'"),
+    (["pointer", "--search", "--iterations", "-2"],
+     "argument --iterations: not a non-negative integer: '-2'"),
+    (["pointer", "--steps", "-3"],
+     "argument --steps: not a non-negative integer: '-3'"),
+    (["records", "--universe", "6", "--given", "1"], "--given needs --event"),
+    (["records", "--universe", "6", "--other", "1"], "--other needs --event"),
+    (["records", "--universe", "6", "--partition", "0,1;2,3,4,5", "--given", "1"],
+     "--given needs --event"),
+], ids=["trials-negative", "trials-zero", "iterations-negative", "steps-negative",
+        "given-alone", "other-alone", "given-with-partition"])
+def test_counts_and_event_flags_are_checked(argv, message, couplings_file, capsys):
+    # each used to run: zero trials or descents, numpy's text for --steps,
+    # or the flag silently ignored
+    if argv[0] == "pointer":
+        argv = argv + ["--couplings", couplings_file]
+    one_error_line(*run_cli(argv, capsys), message)
+
+
+def test_smallest_counts_still_run(couplings_file, capsys):
+    code, out, _ = run_cli(["records", "--universe", "4", "--trials", "1"], capsys)
+    assert code == 0 and scalar(out, "trials") == "1"
+    code, out, _ = run_cli(["pointer", "--couplings", couplings_file, "--steps", "0",
+                            "--search", "--iterations", "0"], capsys)
+    assert code == 0 and table_rows(out, "decoherence") == []
+
+
+def _parser_actions():
+    parser = cli_module._build_parser()
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            if action.option_strings:
+                yield command, action
+
+
+# Integer options left as plain ``int``: the engine that reads one rejects a
+# bad value with one error line of its own.  Each entry is an argv with a bad
+# value and that message.
+ENGINE_CHECKED_INTS = {
+    "--seed": (["records", "--universe", "4", "--seed", "-1"],
+               "expected non-negative integer"),
+    "born --m-max": (["born", "--state", "{state}", "--cut", "0", "--m-max", "0"],
+                     "m_max=0 cannot give 2 terms weight >= 1"),
+    "records --universe": (["records", "--universe", "0"],
+                           "universe_size must be >= 1"),
+    "records --given": (["records", "--universe", "4", "--event", "1",
+                         "--given", "-1"], "outcome -1 outside the universe"),
+    "freq --m": (["freq", "--m", "0", "--M", "2"], "need 1 <= m < M"),
+    "freq --M": (["freq", "--m", "1", "--M", "-2"], "need 1 <= m < M"),
+    "freq --N": (["freq", "--m", "1", "--M", "2", "--N", "0"],
+                 "need at least one run"),
+    "continuum --cells": (["continuum", "--adaptive", "--cells", "0"],
+                          "need at least one cell"),
+    "continuum --quad": (["continuum", "--dx", "0.5", "--quad", "1"],
+                         "need at least two quadrature points per cell"),
+    "continuum --m-max": (["continuum", "--dx", "0.5", "--m-max", "0"],
+                          "m_max=0 cannot give 32 terms weight >= 1"),
+}
+
+
+def test_every_int_option_is_validated():
+    # a new type=int flag fails here until it gets a validating type or an
+    # engine check listed above
+    plain = set()
+    for command, action in _parser_actions():
+        if action.type is int:
+            option = action.option_strings[0]
+            keys = {option, f"{command} {option}"} & set(ENGINE_CHECKED_INTS)
+            assert len(keys) == 1, f"{command} {option} is a plain int"
+            plain |= keys
+    assert plain == set(ENGINE_CHECKED_INTS)
+
+
+@pytest.mark.parametrize("key", sorted(ENGINE_CHECKED_INTS))
+def test_plain_int_options_are_checked_by_the_engine(key, even_state, capsys):
+    argv, message = ENGINE_CHECKED_INTS[key]
+    argv = [even_state if a == "{state}" else a for a in argv]
+    one_error_line(*run_cli(argv, capsys), message)
 
 
 def test_fraction_flags_echo_their_text(capsys):

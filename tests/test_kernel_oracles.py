@@ -1,9 +1,11 @@
-"""Bit-exact oracles for the rewritten freq cross-check kernels.
+"""Oracles for the rewritten freq cross-check, unitarity and lattice kernels.
 
 Each oracle is the earlier, slower implementation of a kernel, kept here
 verbatim.  The current kernels must reproduce it exactly (``==`` on floats
 and arrays, never closeness), because the CLI prints their results and its
-output is pinned byte for byte.
+output is pinned byte for byte.  The one exception is the unitarity
+deviation of a monomial matrix, which sums the same products in a different
+order: there the verdict must agree and the deviation within a few ulps.
 """
 
 import math
@@ -13,22 +15,39 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import envlab.envariance as envariance
 import envlab.frequencies as frequencies
-from envlab.envariance import _block_operator
+import envlab.hilbert as hilbert
+import envlab.records as records
+from envlab.envariance import _block_operator, check_envariance
 from envlab.frequencies import (
+    SWAP_BLOCK_CAP,
     ExperimentSpec,
+    SwapCheck,
     _full_index,
     _history_terms,
+    _restoration,
     _sample_pairs,
     _sc_part,
+    _sc_targets,
     _validate_history,
     build_superensemble_explicit,
     history_census,
     history_counts,
     maverick_mass,
+    superensemble,
     swap_restoration,
 )
-from envlab.hilbert import LocalUnitary, _canonical_group_basis
+from envlab.hilbert import (
+    UNITARY_TOL,
+    Bipartition,
+    LocalUnitary,
+    _canonical_group_basis,
+    _unitarity_deviation,
+    apply_local,
+    fidelity,
+)
+from envlab.records import RecordEvent, complement, join, meet, verify_axioms
 from conftest import random_unitary
 
 
@@ -97,6 +116,53 @@ def oracle_swap_restoration(spec, pair, phases=(0.0, 0.0)):
         restored[_interleave(sc, env)] = amp
     overlap = sum(terms[idx].conjugate() * restored.get(idx, 0.0) for idx in terms)
     return float(abs(overlap))
+
+
+def oracle_unitarity_deviation(mat):
+    return np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
+
+
+def oracle_dense_swap_check(spec, state, pair):
+    sc_dims = (2, spec.M) * spec.runs
+    block = math.prod(sc_dims)
+    flat_a = int(np.ravel_multi_index(_sc_part(_full_index(spec, pair[0])), sc_dims))
+    flat_b = int(np.ravel_multi_index(_sc_part(_full_index(spec, pair[1])), sc_dims))
+    u = np.eye(block, dtype=complex)
+    u[flat_a, flat_a] = u[flat_b, flat_b] = 0.0
+    u[flat_a, flat_b] = u[flat_b, flat_a] = 1.0
+    swap = LocalUnitary(_sc_targets(spec), u)
+    verdict = check_envariance(state, Bipartition(_sc_targets(spec)), swap)
+    if not verdict.envariant:
+        return False, 0.0
+    restored = apply_local(apply_local(state, swap), verdict.counter)
+    return True, fidelity(state, restored)
+
+
+def oracle_swap_checks(spec, state, terms, swap_pairs, seed):
+    checks = []
+    dense_ok = state is not None and (2 * spec.M) ** spec.runs <= SWAP_BLOCK_CAP
+    for pair in _sample_pairs(spec, swap_pairs, seed):
+        sparse_fid = _restoration(spec, terms, pair)
+        if dense_ok:
+            envariant, counter_fid = oracle_dense_swap_check(spec, state, pair)
+            checks.append(SwapCheck(pair, sparse_fid, envariant, counter_fid))
+        else:
+            checks.append(SwapCheck(pair, sparse_fid))
+    return tuple(checks)
+
+
+def oracle_meet(a, b):
+    records._require_shared_universe(a, b)
+    return RecordEvent(a.universe, a.members & b.members)
+
+
+def oracle_join(a, b):
+    records._require_shared_universe(a, b)
+    return RecordEvent(a.universe, a.members | b.members)
+
+
+def oracle_complement(a):
+    return RecordEvent(a.universe, a.universe - a.members)
 
 
 def oracle_history_counts(spec):
@@ -286,3 +352,165 @@ def test_restoration_input_checks_run_before_any_expansion(expansion_counter):
     assert expansion_counter == []
     assert swap_restoration(spec, ((0, 1, 0), (0, 1, 1))) >= 1 - 1e-12
     assert len(expansion_counter) == 1
+
+
+# ----- unitarity of monomial matrices -----
+
+def _phased_permutation(seed, dim):
+    rng = np.random.default_rng(seed)
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[rng.permutation(dim), np.arange(dim)] = np.exp(
+        1j * rng.uniform(-np.pi, np.pi, dim))
+    return mat, rng
+
+
+def _same_unitarity_verdict(mat):
+    # the guard as it stood: the dense deviation against UNITARY_TOL
+    dense = oracle_unitarity_deviation(mat)
+    if dense > UNITARY_TOL:
+        with pytest.raises(ValueError, match=f"deviates from unitarity by {dense:g}"):
+            LocalUnitary((0,), mat)
+    else:
+        LocalUnitary((0,), mat)
+    return dense
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 200),
+       st.sampled_from([0.0, 1e-11]))
+@settings(max_examples=120, deadline=None)
+def test_monomial_deviation_matches_dense_oracle(seed, dim, wobble):
+    mat, rng = _phased_permutation(seed, dim)
+    mat *= 1 + wobble * rng.uniform(-1, 1, dim)
+    dense = _same_unitarity_verdict(mat)
+    fast = _unitarity_deviation(mat)
+    eps = np.finfo(float).eps
+    assert abs(fast - dense) <= 4 * eps * np.max(np.abs(mat)) ** 2
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 64])
+def test_scaled_permutation_is_rejected_like_oracle(dim):
+    mat, _ = _phased_permutation(dim, dim)
+    mat *= 1 + 1e-9
+    assert _same_unitarity_verdict(mat) > UNITARY_TOL
+
+
+def test_permutation_with_a_zero_column_takes_the_dense_route():
+    mat, _ = _phased_permutation(3, 9)
+    mat[:, 4] = 0.0
+    assert _unitarity_deviation(mat) == oracle_unitarity_deviation(mat) == 1.0
+    with pytest.raises(ValueError, match="deviates from unitarity by 1"):
+        LocalUnitary((0,), mat)
+
+
+def test_near_monomial_matrix_takes_the_dense_route():
+    # the extra entry gives its row and column two nonzeros; read as monomial
+    # it would show |1e-14|^2 - 1 as a deviation of 1
+    mat, _ = _phased_permutation(5, 9)
+    i, j = np.argwhere(mat == 0)[0]
+    mat[i, j] = 1e-14
+    assert _unitarity_deviation(mat) == oracle_unitarity_deviation(mat)
+    _same_unitarity_verdict(mat)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_unitary_is_rejected(bad):
+    # nan compared false against the tolerance, so the guard used to pass it
+    mat, _ = _phased_permutation(2, 4)
+    mat[np.flatnonzero(mat[:, 0])[0], 0] = bad
+    with pytest.raises(ValueError, match="unitary matrix entries must be finite"):
+        LocalUnitary((0,), mat)
+    dense = np.array([[1.0, bad], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="unitary matrix entries must be finite"):
+        LocalUnitary((0,), dense)
+
+
+# ----- one Schmidt decomposition per freq report -----
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = {"schmidt": 0, "verdict": 0, "unitarity": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    schmidt = counted("schmidt", hilbert.schmidt)
+    monkeypatch.setattr(envariance, "schmidt", schmidt)
+    monkeypatch.setattr(frequencies, "schmidt", schmidt)
+    monkeypatch.setattr(frequencies, "_envariance_verdict",
+                        counted("verdict", frequencies._envariance_verdict))
+    monkeypatch.setattr(hilbert, "_unitarity_deviation",
+                        counted("unitarity", hilbert._unitarity_deviation))
+    return calls
+
+
+@pytest.mark.parametrize("pairs, decompositions", [(8, 1), (0, 0)])
+def test_one_schmidt_decomposition_per_report(pairs, decompositions, kernel_calls):
+    spec = ExperimentSpec(m=1, M=2, runs=5)
+    route, report = superensemble(spec, swap_pairs=pairs, seed=1)
+    assert route == "explicit" and len(report.swap_checks) == pairs
+    assert all(c.envariant is True for c in report.swap_checks)
+    # every pair still gets a dense verdict, and every swap and counter
+    # still passes the unitarity guard
+    assert kernel_calls == {"schmidt": decompositions, "verdict": pairs,
+                            "unitarity": 2 * pairs}
+
+
+@pytest.mark.parametrize("m, big_m, runs, phases", [
+    (1, 2, 2, (0.0, 0.0)),
+    (1, 3, 3, (0.4, -1.3)),
+    (2, 3, 4, (0.0, 0.0)),
+    (1, 2, 5, (2.1, 0.7)),
+])
+def test_swap_checks_match_per_pair_decomposition_oracle(m, big_m, runs, phases):
+    spec = ExperimentSpec(m=m, M=big_m, runs=runs)
+    state, report = build_superensemble_explicit(spec, phases, swap_pairs=8, seed=3)
+    expected = oracle_swap_checks(spec, state, _history_terms(spec, phases), 8, 3)
+    assert all(c.envariant is not None for c in expected)
+    assert report.swap_checks == expected
+
+
+# ----- trusted lattice results -----
+
+@st.composite
+def event_pairs(draw):
+    universe = draw(st.frozensets(st.integers(0, 40), min_size=1, max_size=16))
+    members = st.frozensets(st.sampled_from(sorted(universe)))
+    return (RecordEvent(universe, draw(members)),
+            RecordEvent(universe, draw(members)))
+
+
+def _same_event(got, expected):
+    assert type(got) is RecordEvent
+    assert got == expected and hash(got) == hash(expected)
+
+
+@given(event_pairs())
+@settings(max_examples=200, deadline=None)
+def test_lattice_results_equal_validated_events(events):
+    a, b = events
+    _same_event(meet(a, b), oracle_meet(a, b))
+    _same_event(join(a, b), oracle_join(a, b))
+    _same_event(complement(a), oracle_complement(a))
+    _same_event(complement(complement(a)), a)
+
+
+def test_lattice_results_still_require_one_universe():
+    a = RecordEvent(frozenset({0, 1}), frozenset({0}))
+    b = RecordEvent(frozenset({0, 1, 2}), frozenset({0}))
+    for op in (meet, join):
+        with pytest.raises(ValueError, match="different universes"):
+            op(a, b)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_axioms_matches_validating_oracle(seed, monkeypatch):
+    trusted = verify_axioms(12, 500, seed)
+    monkeypatch.setattr(records, "meet", oracle_meet)
+    monkeypatch.setattr(records, "join", oracle_join)
+    monkeypatch.setattr(records, "complement", oracle_complement)
+    assert verify_axioms(12, 500, seed) == trusted
+    assert trusted.clean and trusted.passes == tuple(
+        (name, 500) for name in records.AXIOM_NAMES)
