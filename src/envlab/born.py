@@ -33,6 +33,15 @@ def require_dense(n_amplitudes: int, what: str) -> None:
             f"{what} needs {n_amplitudes} amplitudes (cap {DENSE_AMPLITUDE_CAP})")
 
 
+def _chunk_rows(row_amplitudes: int) -> int:
+    """Rows of row_amplitudes each that one chunk of a batched kernel holds.
+
+    A chunk takes 1/512 of the dense budget, so it stays small next to a
+    dense build even with its temporaries; a larger row is a chunk alone.
+    """
+    return max(1, DENSE_AMPLITUDE_CAP // (512 * row_amplitudes))
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Integer weights m_k with common denominator M = sum(m)."""
@@ -79,9 +88,12 @@ class BornResult:
 def rationalize(amplitudes, m_max: int) -> tuple:
     """Best common-denominator integer weights for squared amplitudes.
 
-    Scans every denominator M from the number of terms up to m_max and keeps
-    the assignment minimizing max_k | |a_k|^2 - m_k/M |, all m_k >= 1.
-    Returns (WeightVector, error).
+    Over denominators M from the number of terms k up to m_max, finds the
+    ``_apportion`` weights minimizing max_i | |a_i|^2 - m_i/M |, all
+    m_i >= 1; on equal error the smaller M wins.  Denominators are visited in
+    ascending order of a lower bound on that error (``_error_bounds``), and
+    the visit stops at the first bound above the best error found, since no
+    later M can beat or tie it.  Returns (WeightVector, error).
     """
     amps = np.asarray(amplitudes, dtype=complex)
     probs = np.abs(amps) ** 2
@@ -92,14 +104,54 @@ def rationalize(amplitudes, m_max: int) -> tuple:
     if m_max < k:
         raise ValueError(f"m_max={m_max} cannot give {k} terms weight >= 1")
 
-    best = None
-    for big_m in range(k, int(m_max) + 1):
-        m = _apportion(probs, big_m)
-        err = float(np.max(np.abs(probs - m / big_m)))
-        if best is None or err < best[1]:
-            best = (m, err, big_m)
-    m, err, _ = best
-    return WeightVector(tuple(int(x) for x in m)), err
+    best_m, best_err, best_big_m = None, math.inf, None
+    # one order for all denominators, unless m_max is so large that their
+    # bounds would not fit a chunk: then block by block, in ascending M
+    stop, block = int(m_max) + 1, _chunk_rows(1)
+    for lo in range(k, stop, block):
+        bounds = _error_bounds(probs, lo, min(lo + block, stop))
+        for i in np.argsort(bounds, kind="stable"):
+            if bounds[i] > best_err:
+                break
+            big_m = lo + int(i)
+            m = _apportion(probs, big_m)
+            err = float(np.max(np.abs(probs - m / big_m)))
+            if err < best_err or (err == best_err and big_m < best_big_m):
+                best_m, best_err, best_big_m = m, err, big_m
+    return WeightVector(tuple(int(x) for x in best_m)), best_err
+
+
+def _error_bounds(probs: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Lower bounds on ``_apportion``'s error at each denominator lo <= M < hi.
+
+    The larger of two bounds, scaled by 1 - 1e-12 so that float rounding
+    never prunes the optimum:
+
+    * coordinate: m_i >= 1 is an integer, so entry i is off by at least its
+      distance to the nearer of max(1, floor(p_i M))/M, max(1, ceil(p_i M))/M;
+    * sum rule: ``_apportion`` returns sum(m) = M, so the errors
+      m_i/M - p_i sum to 1 - sum(p).  Entries with p_i M < 1 are lifted to
+      m_i >= 1, a surplus F = sum(1/M - p_i) over them, and one of the other
+      entries falls short by at least (F - (1 - sum(p))) / #others.
+    """
+    k = probs.size
+    drift = 1.0 - math.fsum(probs)
+    slack = 4 * (k + 2) * np.finfo(float).eps  # rounding in the sums
+    bounds = np.empty(hi - lo)
+    rows = _chunk_rows(k)
+    for start in range(lo, hi, rows):
+        big_m = np.arange(start, min(start + rows, hi), dtype=float)[:, None]
+        scaled = probs * big_m
+        down = np.abs(probs - np.maximum(1.0, np.floor(scaled)) / big_m)
+        up = np.abs(probs - np.maximum(1.0, np.ceil(scaled)) / big_m)
+        coordinate = np.minimum(down, up).max(axis=1)
+        lifted = scaled < 1
+        surplus = np.where(lifted, 1.0 / big_m - probs, 0.0).sum(axis=1)
+        others = k - np.count_nonzero(lifted, axis=1)
+        shortfall = np.where(others > 0, (surplus - drift) / np.maximum(others, 1)
+                             - slack, 0.0)
+        bounds[start - lo:start - lo + len(big_m)] = np.maximum(coordinate, shortfall)
+    return bounds * (1 - 1e-12)
 
 
 def _apportion(probs: np.ndarray, big_m: int) -> np.ndarray:

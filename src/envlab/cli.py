@@ -239,6 +239,15 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0, "non-negative")
 
 
+def _seed(text: str) -> int:
+    # numpy takes only non-negative seeds; a non-integer keeps argparse's text
+    try:
+        int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return _nonnegative_int(text)
+
+
 def _positive_int(text: str) -> int:
     # a count of checks: zero would report success after checking nothing
     return _int_at_least(text, 1, "positive")
@@ -454,6 +463,8 @@ def _cmd_born(args) -> tuple:
     if (args.weights is None) == (args.state is None):
         raise ValueError("give exactly one of --weights or --state")
     if args.weights is not None:
+        if args.m_max is not None:
+            raise ValueError("--m-max needs --state")
         w = WeightVector(_ints(args.weights))
         result = BornResult(
             probs_exact=tuple(Fraction(m_k, w.M) for m_k in w.m),
@@ -475,7 +486,8 @@ def _cmd_born(args) -> tuple:
         return Report("born", tuple(scalars), report.tables), code
     state = load_state(args.state)
     cut = Bipartition(_ints(args.cut))
-    result = born_probabilities(state, cut, args.m_max)
+    m_max = 1024 if args.m_max is None else args.m_max
+    result = born_probabilities(state, cut, m_max)
     return _born_result_report(result, args)
 
 
@@ -782,7 +794,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="table")
     common.add_argument("--out", default=None)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_seed, default=0)
     common.add_argument("--tol", type=_positive_float, default=None)
 
     parser = _Parser(
@@ -832,7 +844,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phases", default=None)
     p.add_argument("--state", default=None)
     p.add_argument("--cut", default="0")
-    p.add_argument("--m-max", type=int, default=1024)
+    p.add_argument("--m-max", type=int, default=None,
+                   help="largest denominator for --state (default 1024)")
     p.add_argument("--subset", default=None)
 
     p = sub.add_parser("pointer", parents=[common],

@@ -309,9 +309,20 @@ def schmidt(state: StateVector, cut: Bipartition, zero_tol: float = 1e-12,
 
 def schmidt_values(state: StateVector, cut: Bipartition,
                    zero_tol: float = 1e-12) -> np.ndarray:
-    """Schmidt coefficient moduli above zero_tol, nonincreasing; no bases."""
+    """Schmidt coefficient moduli above zero_tol, nonincreasing; no bases.
+
+    A partial-permutation cut (at most one nonzero per row and per column, as
+    a fine-grained state has) is in Schmidt form up to phases and order, so
+    its singular values are the moduli of its nonzeros; any other cut pays
+    for the SVD.
+    """
     mat, _, _ = _cut_matrix(state, cut)
-    s = np.linalg.svd(mat, compute_uv=False)
+    nonzero = mat != 0
+    if (np.all(np.count_nonzero(nonzero, axis=0) <= 1)
+            and np.all(np.count_nonzero(nonzero, axis=1) <= 1)):
+        s = np.sort(np.abs(mat[nonzero]))[::-1]
+    else:
+        s = np.linalg.svd(mat, compute_uv=False)
     s = s[s > zero_tol]
     if s.size == 0:
         raise ValueError("state has no support above zero_tol")

@@ -640,14 +640,41 @@ def test_zero_pairs_runs_no_swap_checks(capsys):
     (["records", "--universe", "6", "--other", "1"], "--other needs --event"),
     (["records", "--universe", "6", "--partition", "0,1;2,3,4,5", "--given", "1"],
      "--given needs --event"),
+    (["born", "--weights", "1,2", "--m-max", "-1"], "--m-max needs --state"),
+    (["born", "--weights", "1,2", "--m-max", "1024"], "--m-max needs --state"),
 ], ids=["trials-negative", "trials-zero", "iterations-negative", "steps-negative",
-        "given-alone", "other-alone", "given-with-partition"])
+        "given-alone", "other-alone", "given-with-partition", "m-max-negative-weights",
+        "m-max-weights"])
 def test_counts_and_event_flags_are_checked(argv, message, couplings_file, capsys):
     # each used to run: zero trials or descents, numpy's text for --steps,
     # or the flag silently ignored
     if argv[0] == "pointer":
         argv = argv + ["--couplings", couplings_file]
     one_error_line(*run_cli(argv, capsys), message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["born", "--weights", "1,2"],
+    ["born", "--state", "{state}", "--cut", "0"],
+    ["schmidt", "--state", "{state}", "--cut", "0"],
+    ["records", "--universe", "4"],
+    ["freq", "--m", "1", "--M", "2"],
+    ["state", "--dims", "2,2"],
+], ids=lambda argv: argv[0] + ("-" + argv[1][2:] if argv[0] == "born" else ""))
+def test_negative_seed_is_checked_while_parsing(argv, even_state, capsys):
+    # born and schmidt used to ignore it and exit 0; records, freq and state
+    # exited 2 with numpy's "expected non-negative integer"
+    argv = [even_state if a == "{state}" else a for a in argv] + ["--seed", "-1"]
+    one_error_line(*run_cli(argv, capsys),
+                   "argument --seed: not a non-negative integer: '-1'")
+
+
+def test_state_route_m_max_defaults_to_1024(uneven_state, capsys):
+    argv = ["born", "--state", uneven_state, "--cut", "0"]
+    default = run_cli(argv, capsys)
+    assert default[0] == 0
+    assert run_cli(argv + ["--m-max", "1024"], capsys) == default
+    assert run_cli(argv + ["--m-max", "2"], capsys) != default
 
 
 def test_smallest_counts_still_run(couplings_file, capsys):
@@ -672,8 +699,6 @@ def _parser_actions():
 # bad value with one error line of its own.  Each entry is an argv with a bad
 # value and that message.
 ENGINE_CHECKED_INTS = {
-    "--seed": (["records", "--universe", "4", "--seed", "-1"],
-               "expected non-negative integer"),
     "born --m-max": (["born", "--state", "{state}", "--cut", "0", "--m-max", "0"],
                      "m_max=0 cannot give 2 terms weight >= 1"),
     "records --universe": (["records", "--universe", "0"],

@@ -1,13 +1,18 @@
-"""Oracles for the rewritten freq cross-check, unitarity and lattice kernels.
+"""Oracles for the rewritten freq cross-check, unitarity, lattice and counting kernels.
 
 Each oracle is the earlier, slower implementation of a kernel, kept here
 verbatim.  The current kernels must reproduce it exactly (``==`` on floats
 and arrays, never closeness), because the CLI prints their results and its
-output is pinned byte for byte.  The one exception is the unitarity
-deviation of a monomial matrix, which sums the same products in a different
-order: there the verdict must agree and the deviation within a few ulps.
+output is pinned byte for byte.  Two exceptions compare within a few ulps:
+the unitarity deviation of a monomial matrix, which sums the same products
+in a different order, and the Schmidt values of a partial-permutation cut
+whose nonzeros differ in modulus, where the SVD rounds the exact singular
+values (the moduli) a few more times.  There the verdict and the route must
+agree as well.
 """
 
+import contextlib
+import io
 import math
 from fractions import Fraction
 
@@ -15,10 +20,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import envlab.born as born
+import envlab.cli as cli
 import envlab.envariance as envariance
 import envlab.frequencies as frequencies
 import envlab.hilbert as hilbert
 import envlab.records as records
+from envlab.born import WeightVector, _apportion, _chunk_rows, even_cut, fine_grain
 from envlab.envariance import _block_operator, check_envariance
 from envlab.frequencies import (
     SWAP_BLOCK_CAP,
@@ -42,12 +50,26 @@ from envlab.hilbert import (
     UNITARY_TOL,
     Bipartition,
     LocalUnitary,
+    StateVector,
     _canonical_group_basis,
+    _cut_matrix,
     _unitarity_deviation,
     apply_local,
     fidelity,
+    schmidt_values,
 )
-from envlab.records import RecordEvent, complement, join, meet, verify_axioms
+from envlab.records import (
+    AXIOM_NAMES,
+    PROJECTOR_TOL,
+    _IDENTITIES,
+    AxiomReport,
+    RecordEvent,
+    _random_event,
+    complement,
+    join,
+    meet,
+    verify_axioms,
+)
 from conftest import random_unitary
 
 
@@ -163,6 +185,72 @@ def oracle_join(a, b):
 
 def oracle_complement(a):
     return RecordEvent(a.universe, a.universe - a.members)
+
+
+def oracle_rationalize(amplitudes, m_max: int) -> tuple:
+    amps = np.asarray(amplitudes, dtype=complex)
+    probs = np.abs(amps) ** 2
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"squared amplitudes sum to {total!r}, not 1")
+    k = len(probs)
+    if m_max < k:
+        raise ValueError(f"m_max={m_max} cannot give {k} terms weight >= 1")
+
+    best = None
+    for big_m in range(k, int(m_max) + 1):
+        m = _apportion(probs, big_m)
+        err = float(np.max(np.abs(probs - m / big_m)))
+        if best is None or err < best[1]:
+            best = (m, err, big_m)
+    m, err, _ = best
+    return WeightVector(tuple(int(x) for x in m)), err
+
+
+def oracle_schmidt_values(state, cut, zero_tol=1e-12):
+    mat, _, _ = _cut_matrix(state, cut)
+    s = np.linalg.svd(mat, compute_uv=False)
+    s = s[s > zero_tol]
+    if s.size == 0:
+        raise ValueError("state has no support above zero_tol")
+    return s
+
+
+def oracle_verify_axioms(universe_size, trials=500, seed=0):
+    n = int(universe_size)
+    if n < 1:
+        raise ValueError("universe_size must be >= 1")
+    universe = frozenset(range(n))
+    top_event = RecordEvent(universe, universe)
+    top_matrix = np.eye(n)
+    rng = np.random.default_rng(seed)
+    counts = dict.fromkeys(AXIOM_NAMES, 0)
+    violations = []
+    for trial in range(int(trials)):
+        events = tuple(_random_event(rng, universe) for _ in range(3))
+        projs = tuple(e.projector() for e in events)
+        failed = set()
+        for name, identity in _IDENTITIES:
+            ev_l, ev_r = identity(*events, top_event)
+            mat_l, mat_r = identity(*projs, top_matrix)
+            if ev_l.members != ev_r.members:
+                failed.add(name)
+                violations.append((name, trial, "set sides differ"))
+            if float(np.max(np.abs(mat_l - mat_r))) > PROJECTOR_TOL:
+                failed.add(name)
+                violations.append((name, trial, "projector sides differ"))
+            if float(np.max(np.abs(ev_l.projector() - mat_l))) > PROJECTOR_TOL:
+                failed.add(name)
+                violations.append((name, trial, "set and projector semantics split"))
+        for name in AXIOM_NAMES:
+            if name not in failed:
+                counts[name] += 1
+    return AxiomReport(
+        universe_size=n,
+        trials=int(trials),
+        passes=tuple((name, counts[name]) for name in AXIOM_NAMES),
+        violations=tuple(violations),
+    )
 
 
 def oracle_history_counts(spec):
@@ -514,3 +602,225 @@ def test_verify_axioms_matches_validating_oracle(seed, monkeypatch):
     assert verify_axioms(12, 500, seed) == trusted
     assert trusted.clean and trusted.passes == tuple(
         (name, 500) for name in records.AXIOM_NAMES)
+
+
+# ----- pruned denominator scan -----
+
+@st.composite
+def spectra(draw):
+    k = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        # heavy tails over twelve decades: the small entries get lifted
+        weights = [10.0 ** draw(st.floats(-12, 0)) for _ in range(k)]
+    else:
+        # small integer weights: equal entries and exact error ties
+        weights = [draw(st.integers(1, 4)) for _ in range(k)]
+    amps = np.sqrt(np.array(weights, dtype=float) / math.fsum(weights))
+    return amps, draw(st.integers(k, k + 300))
+
+
+@given(spectra())
+@settings(max_examples=150, deadline=None)
+def test_rationalize_matches_full_scan(spectrum):
+    amps, m_max = spectrum
+    assert born.rationalize(amps, m_max) == oracle_rationalize(amps, m_max)
+
+
+@pytest.mark.parametrize("weights", [(1,), (1, 1), (1,) * 7, (1,) * 40, (1, 2),
+                                     (2, 3, 5), (1, 1, 2, 2), (100, 150, 250)])
+def test_rationalize_ties_match_full_scan(weights):
+    amps = np.sqrt(np.array(weights) / sum(weights))
+    for m_max in (len(weights), 2 * sum(weights), 3 * sum(weights) + 1):
+        assert born.rationalize(amps, m_max) == oracle_rationalize(amps, m_max)
+
+
+def test_rationalize_tie_goes_to_the_smaller_denominator():
+    # errors tie exactly at M = 46, 48 and 50, and the larger M has the
+    # smaller bound, so it is visited first and must not win the tie
+    weights = np.array([0.2561585805028376, 0.007464455171485789, 0.22390621005583314,
+                        0.004115289925779774, 0.0025445270174136313])
+    amps = np.sqrt(weights / weights.sum())
+    bounds = born._error_bounds(np.abs(amps.astype(complex)) ** 2, 46, 51)
+    assert bounds[4] < bounds[2] < bounds[0]
+    weights_m, err = born.rationalize(amps, 50)
+    assert weights_m.M == 46 and (weights_m, err) == oracle_rationalize(amps, 50)
+
+
+# the counting workload's three rationalize inputs, and the _apportion calls
+# the pruned scan makes on them (the full scan makes 1681, 1801 and 1985)
+COUNTING_CALLS = {
+    "gaussian": (["continuum", "--dx", "0.05", "--interval=-1,1", "--m-max", "2000"],
+                 389),
+    "adaptive": (["continuum", "--adaptive", "--cells", "200", "--x0=-6", "--x1", "6",
+                  "--m-max", "2000"], 23),
+    "rand64": (["born", "--state", "{state}", "--cut", "0", "--m-max", "2048"], 1),
+}
+
+
+@pytest.fixture(scope="module")
+def counting_spectra(tmp_path_factory):
+    state = str(tmp_path_factory.mktemp("counting") / "rand64.state")
+    runs = {}
+    real_rationalize, real_apportion = born.rationalize, born._apportion
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["state", "--dims", "64,64", "--seed", "1",
+                         "--save", state]) == 0
+        for name, (argv, _) in COUNTING_CALLS.items():
+            run = runs[name] = {"apportion": 0}
+
+            def spy(amplitudes, m_max, run=run):
+                run["input"] = (np.array(amplitudes), m_max)
+                return real_rationalize(amplitudes, m_max)
+
+            def counted(probs, big_m, run=run):
+                run["apportion"] += 1
+                return real_apportion(probs, big_m)
+
+            mp.setattr(born, "rationalize", spy)
+            mp.setattr(born, "_apportion", counted)
+            assert cli.main([state if a == "{state}" else a for a in argv]) == 0
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(COUNTING_CALLS))
+def test_rationalize_on_counting_spectra_matches_full_scan(name, counting_spectra):
+    amps, m_max = counting_spectra[name]["input"]
+    assert born.rationalize(amps, m_max) == oracle_rationalize(amps, m_max)
+
+
+@pytest.mark.parametrize("name", sorted(COUNTING_CALLS))
+def test_pruned_scan_work_count(name, counting_spectra):
+    # a change that quietly undoes the pruning fails here
+    assert counting_spectra[name]["apportion"] <= COUNTING_CALLS[name][1]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_chunked_bounds_match_unchunked(rows, monkeypatch):
+    rng = np.random.default_rng(rows)
+    weights = 10.0 ** rng.uniform(-9, 0, 20)
+    amps = np.sqrt(weights / math.fsum(weights))
+    probs = np.abs(amps.astype(complex)) ** 2
+    whole = born._error_bounds(probs, 20, 260)
+    # the cap shrinks to 3 or 1 rows of 20 per chunk, and the visit to
+    # blocks of 60 or 20 denominators
+    monkeypatch.setattr(born, "DENSE_AMPLITUDE_CAP", 512 * 20 * rows)
+    assert _chunk_rows(20) == rows and _chunk_rows(1) == 20 * rows
+    assert np.array_equal(born._error_bounds(probs, 20, 260), whole)
+    assert born.rationalize(amps, 259) == oracle_rationalize(amps, 259)
+
+
+def test_chunks_fit_the_budget_by_arithmetic():
+    cap = born.DENSE_AMPLITUDE_CAP
+    for row in (1, 64, 320, 12 * 12, 90 * 90):
+        assert 512 * row * _chunk_rows(row) <= cap
+    # a row over the chunk share, even one over the whole cap, is a chunk alone
+    assert _chunk_rows(91 * 91) == 1 and _chunk_rows(4000 * 4000) == 1
+
+
+# ----- Schmidt values of partial-permutation cuts -----
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (2, 3, 5), (1, 2, 3, 4, 5, 6, 7),
+                                     (100, 150, 250)])
+def test_fine_grained_values_equal_the_svd(weights, svd_calls):
+    fine = fine_grain(WeightVector(weights), np.zeros(len(weights)))
+    got = schmidt_values(fine, even_cut())
+    assert svd_calls == []
+    assert np.array_equal(got, oracle_schmidt_values(fine, even_cut()))
+
+
+@st.composite
+def partial_permutations(draw):
+    rows, cols = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    k = draw(st.integers(1, min(rows, cols)))
+    r = draw(st.permutations(range(rows)))[:k]
+    c = draw(st.permutations(range(cols)))[:k]
+    mods = draw(st.lists(st.floats(1e-5, 1.0), min_size=k, max_size=k))
+    phases = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=k, max_size=k))
+    mat = np.zeros((rows, cols), dtype=complex)
+    mat[r, c] = np.array(mods) * np.exp(1j * np.array(phases))
+    return mat
+
+
+@given(partial_permutations())
+@settings(max_examples=200, deadline=None)
+def test_partial_permutation_values_match_the_svd(mat):
+    # zero rows and columns wherever k < rows or cols
+    state = StateVector.normalized(mat.shape, mat.reshape(-1))
+    cut = Bipartition((0,))
+    calls = []
+    real = np.linalg.svd
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        got = schmidt_values(state, cut)
+    expected = oracle_schmidt_values(state, cut)
+    assert calls == []
+    assert got.shape == expected.shape
+    assert np.all(np.diff(got) <= 0)
+    assert np.all(np.abs(got - expected) <= 8 * np.spacing(expected))
+
+
+@pytest.mark.parametrize("extra", [(1, 3), (0, 2)], ids=["second-in-column",
+                                                      "second-in-row"])
+def test_near_partial_permutation_takes_the_svd(extra, svd_calls):
+    mat = np.zeros((6, 4), dtype=complex)
+    mat[[0, 2, 5], [3, 0, 1]] = [0.6, 0.64j, -0.48]
+    mat[extra] = 1e-14
+    state = StateVector.normalized(mat.shape, mat.reshape(-1))
+    got = schmidt_values(state, Bipartition((0,)))
+    assert svd_calls == [(6, 4)]
+    assert np.array_equal(got, oracle_schmidt_values(state, Bipartition((0,))))
+
+
+def test_born_weights_takes_no_svd(svd_calls):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["born", "--weights", "100,150,250", "--subset", "0,1"]) == 0
+    assert svd_calls == []
+    assert "fine_terms = 500" in out.getvalue() and "fine_even = true" in out.getvalue()
+
+
+# ----- stacked projector pass for the axioms -----
+
+@pytest.mark.parametrize("universe", [1, 6, 12])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_axioms_matches_per_trial_oracle(universe, seed):
+    assert verify_axioms(universe, 300, seed) == oracle_verify_axioms(universe, 300, seed)
+
+
+def _faulty_meet(a, b):
+    return records._lattice_result(a.universe, a.members | b.members)
+
+
+def _faulty_matrix_meet(a, b):
+    return 0.5 * (a @ b) if isinstance(a, np.ndarray) else records.meet(a, b)
+
+
+@pytest.mark.parametrize("name, fault", [("meet", _faulty_meet),
+                                         ("_m", _faulty_matrix_meet)])
+def test_verify_axioms_violations_keep_their_order(name, fault, monkeypatch):
+    monkeypatch.setattr(records, name, fault)
+    got = verify_axioms(6, 40, 2)
+    assert got.violations and not got.clean
+    assert got == oracle_verify_axioms(6, 40, 2)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 7])
+def test_chunked_axiom_stacks_match_per_trial_oracle(per_chunk, monkeypatch):
+    expected = oracle_verify_axioms(12, 40, 3)
+    monkeypatch.setattr(born, "DENSE_AMPLITUDE_CAP", 512 * 144 * per_chunk)
+    assert _chunk_rows(144) == per_chunk
+    assert verify_axioms(12, 40, 3) == expected
+    monkeypatch.setattr(records, "meet", _faulty_meet)
+    assert verify_axioms(12, 40, 3) == oracle_verify_axioms(12, 40, 3)
