@@ -58,13 +58,6 @@ class WeightVector:
     def M(self) -> int:
         return sum(self.m)
 
-    def prefix(self) -> tuple:
-        """mu_k boundaries: cell j belongs to outcome k when mu_k <= j < mu_{k+1}."""
-        mu = [0]
-        for x in self.m:
-            mu.append(mu[-1] + x)
-        return tuple(mu)
-
     def staircase(self) -> tuple:
         """Coarse outcome index for each fine cell."""
         out = []

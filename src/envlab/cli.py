@@ -18,13 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import born as born_mod
-from . import continuum as cont_mod
-from . import envariance as env_mod
-from . import frequencies as freq_mod
-from . import hilbert as hil_mod
-from . import pointer as ptr_mod
-from . import records as rec_mod
 from .born import (
     BornResult,
     DenseBudgetError,
@@ -71,6 +64,7 @@ from .hilbert import (
     LocalUnitary,
     OrthogonalOutcomeError,
     StateVector,
+    _load_matrix,
     apply_local,
     conditional_state,
     load_state,
@@ -106,86 +100,6 @@ from .records import (
     verify_axioms,
 )
 from .report import FORMATS, Report, Table, emit_report
-
-SUBCOMMANDS = (
-    "state", "schmidt", "envcheck", "protocol", "born",
-    "pointer", "records", "freq", "continuum",
-)
-
-# one canonical subcommand per engine operation; audited for coverage in tests
-OPERATION_MAP = {
-    "hilbert.tensor_product": "state",
-    "hilbert.save_state": "state",
-    "hilbert.load_state": "state",
-    "hilbert.schmidt": "schmidt",
-    "hilbert.schmidt_values": "born",
-    "hilbert.reconstruct": "schmidt",
-    "hilbert.reduced_probe": "schmidt",
-    "hilbert.apply_local": "envcheck",
-    "hilbert.fidelity": "protocol",
-    "hilbert.conditional_state": "pointer",
-    "envariance.check_envariance": "envcheck",
-    "envariance.phase_counter": "envcheck",
-    "envariance.phase_unitary": "envcheck",
-    "envariance.partial_swap_unitary": "envcheck",
-    "envariance.partial_swap_counter": "envcheck",
-    "envariance.swap_unitary": "protocol",
-    "envariance.counterswap": "protocol",
-    "envariance.protocol_run": "protocol",
-    "envariance.is_even": "born",
-    "born.require_dense": "born",
-    "born.rationalize": "born",
-    "born.fine_grain": "born",
-    "born.even_cut": "born",
-    "born.born_probabilities": "born",
-    "born.born_from_coefficients": "continuum",
-    "born.coarse_probability": "born",
-    "pointer.environment_state": "pointer",
-    "pointer.load_couplings": "pointer",
-    "pointer.premeasure": "pointer",
-    "pointer.premeasure_branches": "pointer",
-    "pointer.evolve": "pointer",
-    "pointer.decoherence_factor": "pointer",
-    "pointer.pointer_score": "pointer",
-    "pointer.find_pointer_basis": "pointer",
-    "pointer.commutator_norm": "pointer",
-    "records.meet": "records",
-    "records.join": "records",
-    "records.complement": "records",
-    "records.verify_axioms": "records",
-    "records.event_probability": "records",
-    "records.conditional_probability": "records",
-    "records.build_upsilon": "records",
-    "records.lemma5_recursion": "records",
-    "records.parse_event": "records",
-    "frequencies.history_counts": "freq",
-    "frequencies.multinomial_history_counts": "freq",
-    "frequencies.frequency_distribution": "freq",
-    "frequencies.gaussian_approx": "freq",
-    "frequencies.gaussian_reference": "freq",
-    "frequencies.deviation": "freq",
-    "frequencies.maverick_mass": "freq",
-    "frequencies.swap_restoration": "freq",
-    "frequencies.history_census": "freq",
-    "frequencies.build_superensemble_explicit": "freq",
-    "frequencies.superensemble": "freq",
-    "continuum.truncate": "continuum",
-    "continuum.discretize": "continuum",
-    "continuum.orthogonality_defect": "continuum",
-    "continuum.interval_probability": "continuum",
-    "continuum.equal_mass_mesh": "continuum",
-    "continuum.born_continuum": "continuum",
-}
-
-ENGINE_MODULES = {
-    "hilbert": hil_mod,
-    "envariance": env_mod,
-    "born": born_mod,
-    "pointer": ptr_mod,
-    "records": rec_mod,
-    "frequencies": freq_mod,
-    "continuum": cont_mod,
-}
 
 MAX_TABLE_ROWS = 4096
 
@@ -363,7 +277,7 @@ def _parse_block_unitary(spec_text: str, block_dim: int) -> np.ndarray:
         mat[[k, l]] = mat[[l, k]]
         return mat
     if kind == "matrix":
-        mat = np.loadtxt(rest, dtype=complex, ndmin=2)
+        mat = _load_matrix(rest, complex)
         if mat.shape != (block_dim, block_dim):
             raise ValueError(f"matrix file must be {block_dim}x{block_dim}")
         return mat
@@ -392,7 +306,7 @@ def _cmd_envcheck(args) -> tuple:
         source = "schmidt-phase"
     else:
         dec = schmidt(state, cut)
-        new_basis = np.loadtxt(args.partial, dtype=complex, ndmin=2)
+        new_basis = _load_matrix(args.partial, complex)
         u_s = partial_swap_unitary(dec, new_basis)
         counter = partial_swap_counter(dec, new_basis)
         verdict = check_envariance(state, cut, u_s)

@@ -22,6 +22,9 @@ from .born import BornResult, born_from_coefficients
 MAX_TRUNCATION_TERMS = 10_000
 CONSERVATION_TOL = 1e-8
 REMAINDER_FLOOR = -1e-6  # quadrature noise below this means the inputs lied
+COVERAGE_TOL = 1e-6      # density a mesh may miss outright
+DEFECT_QUAD_POINTS = 64  # independent quadrature of orthogonality_defect
+MASS_GRID = 4096         # trapezoid steps behind equal_mass_mesh
 
 
 @dataclass(frozen=True)
@@ -260,13 +263,12 @@ def _cell_nodes(mesh: Mesh, points: int):
     return left + half * (nodes[None, :] + 1.0), weights
 
 
-def discretize(psi: WaveFunction, mesh: Mesh, quad_points: int = 16,
-               coverage_tol: float = 1e-6) -> DiscretizedState:
+def discretize(psi: WaveFunction, mesh: Mesh, quad_points: int = 16) -> DiscretizedState:
     """Project psi onto the mesh boxes by per-cell Gauss-Legendre averages.
 
     psi_k is the cell average of psi; remainder_sq = 1 - sum |psi_k|^2 dx_k
     carries the weight the boxes cannot represent.  Raises when the declared
-    mesh misses more than coverage_tol of the density outright.
+    mesh misses more than COVERAGE_TOL of the density outright.
     """
     if not psi.smooth:
         raise ValueError("input declared non-smooth; refusing to discretize")
@@ -278,10 +280,10 @@ def discretize(psi: WaveFunction, mesh: Mesh, quad_points: int = 16,
     psi_k = 0.5 * vals @ weights
     widths = mesh.cell_widths()
     mass_in_span = float(np.sum((np.abs(vals) ** 2 @ weights) * widths / 2.0))
-    if 1.0 - mass_in_span > coverage_tol:
+    if 1.0 - mass_in_span > COVERAGE_TOL:
         raise ValueError(
             f"mesh covers only {mass_in_span:.6g} of the density "
-            f"(tolerance {coverage_tol:g})"
+            f"(tolerance {COVERAGE_TOL:g})"
         )
     captured = float(np.sum(np.abs(psi_k) ** 2 * widths))
     remainder_sq = 1.0 - captured
@@ -295,14 +297,13 @@ def discretize(psi: WaveFunction, mesh: Mesh, quad_points: int = 16,
     )
 
 
-def orthogonality_defect(psi: WaveFunction, d: DiscretizedState,
-                         quad_points: int = 64) -> float:
+def orthogonality_defect(psi: WaveFunction, d: DiscretizedState) -> float:
     """|<box part | remainder>| recomputed with independent quadrature.
 
     The box combination and the remainder are orthogonal by construction;
     this measures how far the actual quadrature is from that identity.
     """
-    xs, weights = _cell_nodes(d.mesh, quad_points)
+    xs, weights = _cell_nodes(d.mesh, DEFECT_QUAD_POINTS)
     widths = d.mesh.cell_widths()
     integrals = (psi(xs) @ weights) * widths / 2.0   # integral of psi per cell
     psi_k = np.array(d.psi_k)
@@ -330,8 +331,7 @@ def interval_probability(d: DiscretizedState, x1: float, x2: float) -> float:
     return float(np.sum(dens * (hi - lo)))
 
 
-def equal_mass_mesh(psi: WaveFunction, x0: float, x1: float, cells: int,
-                    grid: int = 4096) -> Mesh:
+def equal_mass_mesh(psi: WaveFunction, x0: float, x1: float, cells: int) -> Mesh:
     """Adaptive mesh whose cells carry roughly equal density mass.
 
     Inverts a trapezoid cumulative of |psi|^2 on a fine grid; one of the
@@ -342,7 +342,7 @@ def equal_mass_mesh(psi: WaveFunction, x0: float, x1: float, cells: int,
         raise ValueError("need x0 < x1")
     if cells < 1:
         raise ValueError("need at least one cell")
-    xs = np.linspace(x0, x1, int(grid) + 1)
+    xs = np.linspace(x0, x1, MASS_GRID + 1)
     dens = np.abs(psi(xs)) ** 2
     steps = np.diff(xs) * (dens[:-1] + dens[1:]) / 2.0
     cdf = np.concatenate(([0.0], np.cumsum(steps)))

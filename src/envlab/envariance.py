@@ -198,17 +198,16 @@ def _block_operator(u: LocalUnitary, left, left_dims) -> np.ndarray:
     return out.reshape(d, d)
 
 
-def check_envariance(state: StateVector, cut: Bipartition, u_s: LocalUnitary,
-                     tol: float = GRAM_TOL) -> EnvarianceVerdict:
+def check_envariance(state: StateVector, cut: Bipartition,
+                     u_s: LocalUnitary) -> EnvarianceVerdict:
     """Decide envariance of a system-side unitary and construct its counter."""
     left, right = cut.sides(state.n_subsystems)
     if not set(u_s.targets) <= set(left):
         raise ValueError(f"unitary targets {u_s.targets} not on the left side {left}")
-    return _envariance_verdict(schmidt(state, cut), u_s, tol)
+    return _envariance_verdict(schmidt(state, cut), u_s)
 
 
-def _envariance_verdict(dec: SchmidtDecomposition, u_s: LocalUnitary,
-                        tol: float = GRAM_TOL) -> EnvarianceVerdict:
+def _envariance_verdict(dec: SchmidtDecomposition, u_s: LocalUnitary) -> EnvarianceVerdict:
     """check_envariance on a decomposition already taken across u_s's cut."""
     coeffs = np.asarray(dec.coeffs)
     block = _block_operator(u_s, list(dec.left_targets), dec.left_dims)
@@ -224,7 +223,7 @@ def _envariance_verdict(dec: SchmidtDecomposition, u_s: LocalUnitary,
     best_overlap = float(np.sum(np.linalg.svd(best_op, compute_uv=False)))
     residual = max(0.0, 1.0 - best_overlap)
 
-    if gram_dev > tol:
+    if gram_dev > GRAM_TOL:
         return EnvarianceVerdict(False, None, residual, gram_dev)
 
     # polish candidate images to exact orthonormality before completing
@@ -254,10 +253,10 @@ def protocol_run(state: StateVector, cut: Bipartition, spec: SwapSpec) -> Protoc
     return ProtocolTranscript(tuple(steps), restoration_failed=final < 1 - 1e-12)
 
 
-def is_even(dec, tol: float = EVEN_TOL) -> bool:
-    """True when all nonzero moduli of dec.coeffs (or dec) agree within tol."""
+def is_even(dec) -> bool:
+    """True when all nonzero moduli of dec.coeffs (or dec) agree within EVEN_TOL."""
     mods = np.abs(np.asarray(getattr(dec, "coeffs", dec)))
     mods = mods[mods > 0]
     if mods.size == 0:
         return False
-    return float(mods.max() - mods.min()) <= tol * float(mods.max())
+    return float(mods.max() - mods.min()) <= EVEN_TOL * float(mods.max())

@@ -48,10 +48,6 @@ class ExperimentSpec:
         object.__setattr__(self, "runs", runs)
 
     @property
-    def alpha_sq(self) -> Fraction:
-        return Fraction(self.m, self.M)
-
-    @property
     def beta_sq(self) -> Fraction:
         return Fraction(self.M - self.m, self.M)
 
@@ -79,9 +75,6 @@ class HistoryTally:
     @property
     def total(self) -> int:
         return self.spec.M ** self.spec.runs
-
-    def count(self, n: int) -> int:
-        return self.counts[n]
 
 
 def history_counts(spec: ExperimentSpec) -> HistoryTally:
@@ -247,28 +240,9 @@ def _full_index(spec: ExperimentSpec, cells: tuple) -> tuple:
     return tuple(idx)
 
 
-def _validate_history(spec: ExperimentSpec, cells) -> tuple:
-    cells = tuple(int(j) for j in cells)
-    if len(cells) != spec.runs or any(not 0 <= j < spec.M for j in cells):
-        raise ValueError(f"history must list {spec.runs} cell indices below {spec.M}")
-    return cells
-
-
-def swap_restoration(spec: ExperimentSpec, pair, phases=(0.0, 0.0)) -> float:
-    """Swap two histories in the (S, C) registers, undo from E, return fidelity.
-
-    Worked on the sparse term expansion, so it runs at any spec size the
-    term cap admits.  The counterswap exchanges the two environment
-    configurations with the amplitude-ratio phases that restore the state.
-    """
-    a = _validate_history(spec, pair[0])
-    b = _validate_history(spec, pair[1])
-    if a == b:
-        raise ValueError("histories must differ")
-    return _restoration(spec, _history_terms(spec, phases), (a, b))
-
-
 def _restoration(spec: ExperimentSpec, terms: dict, pair) -> float:
+    # Swap two distinct histories in the (S, C) registers, undo the swap from
+    # E, and return the fidelity with the original expansion ``terms``.
     # One row of register digits per term: the swap rewrites the (S, C)
     # digits of the two histories, the counterswap their E digits with the
     # amplitude-ratio phase, and the result is matched back by flat index.
@@ -294,8 +268,8 @@ def _restoration(spec: ExperimentSpec, terms: dict, pair) -> float:
     return float(abs(overlap))
 
 
-def _sc_targets(spec: ExperimentSpec, offset: int = 0) -> tuple:
-    return tuple(i + offset for i in range(3 * spec.runs) if i % 3 != 2)
+def _sc_targets(spec: ExperimentSpec) -> tuple:
+    return tuple(i for i in range(3 * spec.runs) if i % 3 != 2)
 
 
 def _dense_swap_check(spec, state, dec, pair):

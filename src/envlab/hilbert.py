@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,9 +174,6 @@ class SchmidtDecomposition:
     @property
     def n_terms(self) -> int:
         return len(self.coeffs)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(np.asarray(self.coeffs)) ** 2
 
 
 def tensor_product(parts) -> StateVector:
@@ -403,8 +401,18 @@ def save_state(state: StateVector, path) -> None:
         fh.write("\n")
 
 
-def load_state(state_file, norm_tol: float = FILE_NORM_TOL) -> StateVector:
-    """Read a state file; rejects norm deviations beyond norm_tol."""
+def _load_matrix(path, dtype) -> np.ndarray:
+    """Whitespace-separated text matrix, one row per line; empty is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns only on empty input
+        mat = np.loadtxt(path, dtype=dtype, ndmin=2)
+    if mat.size == 0:
+        raise ValueError(f"no matrix entries in {path}")
+    return mat
+
+
+def load_state(state_file) -> StateVector:
+    """Read a state file; rejects norm deviations beyond FILE_NORM_TOL."""
     if hasattr(state_file, "read"):
         doc = json.load(state_file)
     else:
@@ -416,8 +424,8 @@ def load_state(state_file, norm_tol: float = FILE_NORM_TOL) -> StateVector:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file: {exc}") from exc
     nrm = float(np.linalg.norm(amps))
-    if abs(nrm - 1.0) > norm_tol:
-        raise ValueError(f"state file norm {nrm!r} deviates from 1 beyond {norm_tol}")
+    if abs(nrm - 1.0) > FILE_NORM_TOL:
+        raise ValueError(f"state file norm {nrm!r} deviates from 1 beyond {FILE_NORM_TOL}")
     if nrm > 0:
         amps = amps / nrm
     return StateVector(dims, amps)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import NORM_TOL, ZERO_PROJECTION_TOL, StateVector
+from .hilbert import NORM_TOL, ZERO_PROJECTION_TOL, StateVector, _load_matrix
 
 SPECTRUM_NORM_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
@@ -85,9 +85,9 @@ class TruthTable:
     def dim_system(self) -> int:
         return self.system_basis.shape[1]
 
-    def is_orthonormal(self, tol: float = 1e-9) -> bool:
+    def is_orthonormal(self) -> bool:
         gram = self.system_basis.conj() @ self.system_basis.T
-        return float(np.max(np.abs(gram - np.eye(self.n_outcomes)))) <= tol
+        return float(np.max(np.abs(gram - np.eye(self.n_outcomes)))) <= NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,7 @@ class CouplingMatrix:
     """Record-environment coupling strengths g[k, nu] (hbar = 1)."""
 
     g: np.ndarray = field(repr=False)
+    _spread: float = field(init=False, repr=False)  # bounds every |g_k'n - g_kn|
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -105,6 +106,7 @@ class CouplingMatrix:
         g = g.copy()
         g.flags.writeable = False
         object.__setattr__(self, "g", g)
+        object.__setattr__(self, "_spread", float(g.max()) - float(g.min()))
 
     @property
     def n_records(self) -> int:
@@ -166,7 +168,7 @@ def environment_state(spectrum: EnvSpectrum) -> StateVector:
 
 def load_couplings(path) -> CouplingMatrix:
     """Read g[k, nu] from whitespace-separated text, one row per record level."""
-    return CouplingMatrix(np.loadtxt(path, ndmin=2, dtype=float))
+    return CouplingMatrix(_load_matrix(path, float))
 
 
 def _assemble(amplitudes, table: TruthTable, apparatus_dim: int,
@@ -208,8 +210,7 @@ def premeasure(system_state: StateVector, table: TruthTable, apparatus_dim: int,
     return _assemble(amplitudes, table, apparatus_dim, destructive, system_state.dims)
 
 
-def premeasure_branches(amplitudes, table: TruthTable, apparatus_dim: int,
-                        destructive: bool = False) -> StateVector:
+def premeasure_branches(amplitudes, table: TruthTable, apparatus_dim: int) -> StateVector:
     """Record explicitly weighted branches: sum_k c_k |A_r(k)>|s_k>.
 
     This is the route for non-orthogonal recorded states, where projections
@@ -222,7 +223,7 @@ def premeasure_branches(amplitudes, table: TruthTable, apparatus_dim: int,
         raise ValueError("one amplitude per table outcome required")
     if abs(np.linalg.norm(c) - 1.0) > NORM_TOL:
         raise ValueError("branch amplitudes must satisfy sum |c_k|^2 = 1")
-    return _assemble(c, table, apparatus_dim, destructive, (table.dim_system,))
+    return _assemble(c, table, apparatus_dim, False, (table.dim_system,))
 
 
 def evolve(state: StateVector, apparatus: int, env: int,
@@ -245,6 +246,7 @@ def evolve(state: StateVector, apparatus: int, env: int,
             f"coupling shape {g.shape} does not match apparatus/environment "
             f"dimensions ({state.dims[apparatus]}, {state.dims[env]})"
         )
+    _require_finite_phase(g, t)
     phases = np.exp(-1j * g * float(t))
     tens = np.moveaxis(state.tensor(), (apparatus, env), (0, 1))
     tens = tens * phases.reshape(g.shape + (1,) * (n - 2))
@@ -266,7 +268,18 @@ def decoherence_factor(couplings: CouplingMatrix, spectrum: EnvSpectrum,
     if spectrum.n_levels != g.shape[1]:
         raise ValueError("spectrum level count does not match the couplings")
     weights = np.abs(spectrum.gamma) ** 2
+    if not couplings._spread * abs(float(t)) < math.inf:  # else no phase can overflow
+        with np.errstate(over="ignore"):
+            _require_finite_phase(g[k_other] - g[k], t)
     return complex(np.sum(weights * np.exp(1j * (g[k_other] - g[k]) * float(t))))
+
+
+def _require_finite_phase(rate: np.ndarray, t: float) -> None:
+    """Refuse coupling phases rate * t that overflow, before an exp sees them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.all(np.isfinite(rate * float(t)))
+    if not finite:
+        raise ValueError(f"coupling phases g*t are not finite at t={float(t)!r}")
 
 
 def _scores(state: StateVector, apparatus: int, bases: np.ndarray) -> np.ndarray:
@@ -388,7 +401,7 @@ def commutator_norm(pointer_observable, couplings: CouplingMatrix) -> float:
     g = couplings.g
     if lam.shape[0] != g.shape[0]:
         raise ValueError("observable dimension does not match the coupling rows")
-    h = np.diag(g.reshape(-1))  # apparatus index slow, environment fast
-    lam_full = np.kron(lam, np.eye(g.shape[1]))
-    comm = lam_full @ h - h @ lam_full
-    return float(np.linalg.norm(comm))
+    # [lam (x) 1, H] has entry lam_kk' (g_k'n - g_kn) at row (k, n), column
+    # (k', n) and zeros elsewhere, so its norm needs no (K L)^2 operator
+    diff = g[None, :, :] - g[:, None, :]
+    return float(np.linalg.norm(lam[:, :, None] * diff))

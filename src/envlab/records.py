@@ -49,14 +49,9 @@ class RecordEvent:
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "members", members)
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
     def projector(self) -> np.ndarray:
         """0/1 diagonal matrix over the sorted universe (record basis order)."""
-        order = sorted(self.universe)
-        return np.diag([1.0 if k in self.members else 0.0 for k in order])
+        return _projectors((self,))[0]
 
     @classmethod
     def from_projector(cls, universe, matrix) -> "RecordEvent":
@@ -79,6 +74,13 @@ class RecordEvent:
             raise ValueError("matrix is not an idempotent 0/1 projector")
         members = frozenset(order[i] for i in range(len(order)) if rounded[i] == 1.0)
         return cls(frozenset(order), members)
+
+
+def _projectors(events) -> np.ndarray:
+    """Stacked projectors of events sharing one universe, from their membership."""
+    order = sorted(events[0].universe)
+    members = np.array([[k in e.members for k in order] for e in events])
+    return members[:, :, None] * np.eye(len(order))
 
 
 def _require_shared_universe(a: RecordEvent, b: RecordEvent):
@@ -197,8 +199,7 @@ def verify_axioms(universe_size: int, trials: int = 500, seed: int = 0) -> Axiom
     for first in range(0, trials, chunk):
         batch = [tuple(_random_event(rng, universe) for _ in range(3))
                  for _ in range(min(chunk, trials - first))]
-        projs = tuple(np.stack([e.projector() for e in column])
-                      for column in zip(*batch))
+        projs = tuple(_projectors(column) for column in zip(*batch))
         flags = []  # per identity: the three checks, one flag per trial
         for _, identity in _IDENTITIES:
             sides = [identity(*events, top_event) for events in batch]
@@ -206,7 +207,7 @@ def verify_axioms(universe_size: int, trials: int = 500, seed: int = 0) -> Axiom
             flags.append((
                 [ev_l.members != ev_r.members for ev_l, ev_r in sides],
                 _split(mat_l, mat_r),
-                _split(np.stack([ev_l.projector() for ev_l, _ in sides]), mat_l),
+                _split(_projectors([ev_l for ev_l, _ in sides]), mat_l),
             ))
         for t in range(len(batch)):
             failed = set()

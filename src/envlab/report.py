@@ -2,8 +2,8 @@
 
 Every value is formatted through one function so the three output styles
 (aligned table, CSV, JSON) agree byte for byte across runs: exact fractions
-print as "a/b", floats at 12 significant digits, complex entries as
-re/im pairs.  No locale, no timestamps, no hashing of dict order.
+print as "a/b", floats at 12 significant digits.  No locale, no timestamps,
+no hashing of dict order.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ def format_value(value) -> str:
         return str(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (complex, np.complexfloating)):
-        return f"{value.real:.12g}{value.imag:+.12g}j"
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.12g}"
     return str(value)

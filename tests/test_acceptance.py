@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
+import envlab.cli as cli
 from envlab.born import DENSE_AMPLITUDE_CAP, born_probabilities
-from envlab.cli import SUBCOMMANDS
 from envlab.continuum import (
     CoefficientSequence,
     Mesh,
@@ -276,7 +276,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         ["freq", "--m", "1", "--M", "3", "--N", "3", "--seed", "5"],
         ["continuum", "--dx", "0.5", "--interval=-1,1", "--m-max", "512"],
     )
-    assert {argv[0] for argv in commands} == set(SUBCOMMANDS)
+    assert {argv[0] for argv in commands} == set(cli.HANDLERS)
     for argv in commands:
         runs = [
             subprocess.run([sys.executable, "-m", "envlab.cli", *argv],

@@ -36,7 +36,6 @@ CUT = Bipartition((0,))
 def test_weight_vector_validation():
     w = WeightVector((2, 3, 5))
     assert w.M == 10
-    assert w.prefix() == (0, 2, 5, 10)
     assert w.staircase() == (0, 0, 1, 1, 1, 2, 2, 2, 2, 2)
     with pytest.raises(ValueError):
         WeightVector((0, 1))

@@ -1,12 +1,14 @@
 """Front-end checks: flag wiring, rendering, exit codes, determinism.
 
 Engine math is covered by the module suites; here we only pin what the
-command layer adds on top of it, plus the audit that every public engine
-operation is reachable through exactly one subcommand.
+command layer adds on top of it, plus the audit that CLI runs, watched call
+by call, enter every public engine function.
 """
 
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import math
 import resource
@@ -25,7 +27,7 @@ import envlab.frequencies
 import envlab.hilbert
 import envlab.pointer
 import envlab.records
-from envlab.cli import ENGINE_MODULES, OPERATION_MAP, SUBCOMMANDS, main
+from envlab.cli import main
 from envlab.hilbert import StateVector, load_state, save_state
 
 ENGINES = (
@@ -104,19 +106,90 @@ def public_operations(mod):
     return names
 
 
-def test_every_public_operation_mapped_once():
-    # the engine list here is built independently of the cli's own inventory
-    assert set(ENGINE_MODULES.values()) == set(ENGINES)
+# One in-process run per flag route.  Braced names are fixture files.
+AUDIT_RUNS = (
+    ["state", "--dims", "2,2", "--save", "{saved}"],
+    ["state", "--product", "{state},{state}"],
+    ["schmidt", "--state", "{state}", "--cut", "0"],
+    ["envcheck", "--state", "{state}", "--cut", "0", "--unitary", "matrix:{swap}"],
+    ["envcheck", "--state", "{state}", "--cut", "0", "--term-phases", "0.3,0.9"],
+    ["envcheck", "--state", "{state}", "--cut", "0", "--partial", "{basis}"],
+    ["protocol", "--state", "{state}", "--cut", "0", "--pair", "0,1"],
+    ["born", "--weights", "2,3,5", "--subset", "0,2"],
+    ["born", "--state", "{state}", "--cut", "0"],
+    ["pointer", "--couplings", "{couplings}", "--steps", "3", "--search",
+     "--iterations", "1"],
+    ["pointer", "--couplings", "{couplings}", "--steps", "3", "--amps", "0.6,0.8"],
+    ["records", "--universe", "4", "--trials", "5"],
+    ["records", "--universe", "4", "--event", "0,1", "--other", "1,2",
+     "--given", "1", "--partition", "0,1;2,3"],
+    ["freq", "--m", "1", "--M", "2", "--N", "2", "--delta-r", "0.1"],
+    ["freq", "--m", "1", "--M", "2", "--N", "12"],
+    ["freq", "--cells", "1,2", "--N", "3"],
+    ["continuum", "--dx", "0.5", "--interval=-1,1", "--m-max", "512"],
+    ["continuum", "--adaptive", "--cells", "8"],
+    ["continuum", "--truncate-ratio", "1/2", "--delta-target", "0.1"],
+)
+
+
+@pytest.fixture(scope="module")
+def audit_reached(tmp_path_factory):
+    """(argv, exit code, public engine functions the run entered) per run."""
+    root = tmp_path_factory.mktemp("audit")
+    files = {name: str(root / name)
+             for name in ("saved", "state", "swap", "basis", "couplings")}
+    save_state(StateVector((2, 2), np.array([1, 0, 0, 1]) / math.sqrt(2)),
+               files["state"])
+    np.savetxt(files["swap"], [[0.0, 1.0], [1.0, 0.0]])
+    np.savetxt(files["basis"], np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2))
+    np.savetxt(files["couplings"], 0.37 * np.arange(12.0).reshape(3, 4))
+    names = {}
+    for mod in ENGINES:
+        for op in public_operations(mod):
+            names[vars(mod)[op.split(".")[1]].__code__] = op
+
+    results = []
+    for argv in AUDIT_RUNS:
+        argv = [a.format(**files) for a in argv]
+        reached = set()
+
+        def watch(frame, event, arg):
+            if event == "call" and frame.f_code in names:
+                reached.add(names[frame.f_code])
+
+        previous = sys.getprofile()
+        sys.setprofile(watch)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        finally:
+            sys.setprofile(previous)
+        results.append((argv, code, reached))
+    return results
+
+
+def test_every_audit_run_exits_zero(audit_reached):
+    assert [argv for argv, code, _ in audit_reached if code != 0] == []
+
+
+def test_every_public_operation_is_reached_by_a_cli_run(audit_reached):
+    # the engine list here is built independently of the cli module
     available = set()
     for mod in ENGINES:
         available |= public_operations(mod)
-    assert set(OPERATION_MAP) == available
-    assert set(OPERATION_MAP.values()) == set(SUBCOMMANDS)
+    reached = set().union(*(ops for _, _, ops in audit_reached))
+    assert sorted(available - reached) == []
+    assert reached == available
 
 
-def test_operation_map_targets_are_subcommands():
-    for op, cmd in OPERATION_MAP.items():
-        assert cmd in SUBCOMMANDS, op
+def test_every_subcommand_reaches_the_engines(audit_reached):
+    for command in cli_module.HANDLERS:
+        assert any(argv[0] == command and ops for argv, _, ops in audit_reached), command
+
+
+def test_handlers_are_the_parser_subcommands():
+    assert set(cli_module.HANDLERS) == {command for command, _ in _parser_actions()}
 
 
 # ----- rendering of exact values -----
@@ -543,6 +616,42 @@ def test_non_finite_state_exits_two(argv, couplings_file, capsys):
         assert f"entries must be finite, got {value!r}" in err
     else:
         assert f"argument {flag}: not a finite number: {value!r}" in err
+
+
+def run_without_warnings(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(argv, capsys)
+    assert [str(w.message) for w in caught] == []
+    return result
+
+
+@pytest.mark.parametrize("argv", [
+    ["--time", "0", "--t1", "1e308", "--steps", "3"],
+    ["--t1", "1e308"],
+], ids=["decoherence-sweep", "evolve"])
+def test_overflowing_coupling_phases_exit_two(argv, tmp_path, capsys):
+    # the sweep used to exit 0 with a nan row, both after two RuntimeWarnings
+    path = tmp_path / "g.txt"
+    np.savetxt(path, [[0.0] * 4, [0.0] * 4, [3.0, 0.0, 0.0, 0.0]])
+    one_error_line(*run_without_warnings(["pointer", "--couplings", str(path), *argv],
+                                         capsys),
+                   "coupling phases g*t are not finite at t=1e+308")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pointer", "--couplings", "{empty}"],
+    ["envcheck", "--state", "{state}", "--cut", "0", "--unitary", "matrix:{empty}"],
+    ["envcheck", "--state", "{state}", "--cut", "0", "--partial", "{empty}"],
+], ids=["couplings", "unitary", "partial"])
+def test_empty_matrix_file_exits_two_without_warning(argv, even_state, tmp_path,
+                                                     capsys):
+    # numpy's "loadtxt: input contained no data" warning used to come first
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    argv = [a.format(empty=empty, state=even_state) for a in argv]
+    one_error_line(*run_without_warnings(argv, capsys),
+                   f"no matrix entries in {empty}")
 
 
 def run_under_memory_cap(argv):

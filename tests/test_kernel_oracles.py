@@ -38,13 +38,11 @@ from envlab.frequencies import (
     _sample_pairs,
     _sc_part,
     _sc_targets,
-    _validate_history,
     build_superensemble_explicit,
     history_census,
     history_counts,
     maverick_mass,
     superensemble,
-    swap_restoration,
 )
 from envlab.hilbert import (
     UNITARY_TOL,
@@ -113,8 +111,10 @@ def _interleave(sc, env):
 
 
 def oracle_swap_restoration(spec, pair, phases=(0.0, 0.0)):
-    a = _validate_history(spec, pair[0])
-    b = _validate_history(spec, pair[1])
+    a, b = (tuple(int(j) for j in cells) for cells in pair)
+    for cells in (a, b):
+        if len(cells) != spec.runs or any(not 0 <= j < spec.M for j in cells):
+            raise ValueError(f"history must list {spec.runs} cell indices below {spec.M}")
     if a == b:
         raise ValueError("histories must differ")
     terms = _history_terms(spec, phases)
@@ -185,6 +185,11 @@ def oracle_join(a, b):
 
 def oracle_complement(a):
     return RecordEvent(a.universe, a.universe - a.members)
+
+
+def oracle_projector(event):
+    order = sorted(event.universe)
+    return np.diag([1.0 if k in event.members else 0.0 for k in order])
 
 
 def oracle_rationalize(amplitudes, m_max: int) -> tuple:
@@ -364,7 +369,7 @@ def test_block_operator_target_orders(left_dims, left, targets):
     _check_block_operator(11, left_dims, left, targets)
 
 
-# ----- swap_restoration -----
+# ----- sparse swap restoration -----
 
 SMALL_SPECS = [(m, big_m, runs) for big_m in (2, 3, 4) for m in range(1, big_m)
                for runs in range(1, 9) if big_m ** runs <= 256]
@@ -376,8 +381,8 @@ SMALL_SPECS = [(m, big_m, runs) for big_m in (2, 3, 4) for m in range(1, big_m)
 def test_swap_restoration_matches_oracle_bit_for_bit(spec_args, seed, phases):
     spec = ExperimentSpec(*spec_args)
     for pair in _sample_pairs(spec, 3, seed):
-        assert swap_restoration(spec, pair, phases) == oracle_swap_restoration(
-            spec, pair, phases)
+        assert _restoration(spec, _history_terms(spec, phases), pair) == \
+            oracle_swap_restoration(spec, pair, phases)
 
 
 def test_report_restorations_match_oracle_bit_for_bit():
@@ -431,14 +436,8 @@ def test_one_expansion_per_report(pairs, expansion_counter):
 
 def test_restoration_input_checks_run_before_any_expansion(expansion_counter):
     spec = ExperimentSpec(m=1, M=2, runs=3)
-    with pytest.raises(ValueError, match="histories must differ"):
-        swap_restoration(spec, ((0, 1, 1), (0, 1, 1)))
-    with pytest.raises(ValueError, match="history must list 3 cell indices below 2"):
-        swap_restoration(spec, ((0, 1, 2), (0, 1, 1)))
-    with pytest.raises(ValueError, match="history must list 3 cell indices below 2"):
-        swap_restoration(spec, ((0, 1), (0, 1, 1)))
-    assert expansion_counter == []
-    assert swap_restoration(spec, ((0, 1, 0), (0, 1, 1))) >= 1 - 1e-12
+    terms = frequencies._history_terms(spec, (0.0, 0.0))
+    assert _restoration(spec, terms, ((0, 1, 0), (0, 1, 1))) >= 1 - 1e-12
     assert len(expansion_counter) == 1
 
 
@@ -792,6 +791,29 @@ def test_born_weights_takes_no_svd(svd_calls):
 
 
 # ----- stacked projector pass for the axioms -----
+
+def _same_bits(got, expected):
+    return got.dtype == expected.dtype and got.shape == expected.shape \
+        and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_projectors_from_masks_match_list_oracle(n):
+    universe = frozenset(range(n))
+    events = [RecordEvent(universe, frozenset(k for k in range(n) if bits >> k & 1))
+              for bits in range(2 ** n)]
+    assert all(_same_bits(e.projector(), oracle_projector(e)) for e in events)
+    assert _same_bits(records._projectors(events),
+                      np.stack([oracle_projector(e) for e in events]))
+
+
+@given(st.frozensets(st.integers(0, 40), min_size=1, max_size=12), st.data())
+@settings(max_examples=60, deadline=None)
+def test_projector_of_a_gapped_universe_matches_list_oracle(universe, data):
+    members = data.draw(st.frozensets(st.sampled_from(sorted(universe))))
+    event = RecordEvent(universe, members)
+    assert _same_bits(event.projector(), oracle_projector(event))
+
 
 @pytest.mark.parametrize("universe", [1, 6, 12])
 @pytest.mark.parametrize("seed", [1, 2, 3])

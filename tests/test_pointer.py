@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -505,16 +506,54 @@ def test_commutator_norm_diagonal_observables(rng):
     assert commutator_norm(np.eye(4), g) <= 1e-12
 
 
+def dense_commutator_norm(lam, g):
+    h = np.diag(g.reshape(-1))  # apparatus index slow, environment fast
+    full = np.kron(lam, np.eye(g.shape[1]))
+    return np.linalg.norm(full @ h - h @ full)
+
+
 def test_commutator_norm_bitflip_direct():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     g = np.array([[0.2, 1.0], [0.9, -0.4]])
     got = commutator_norm(x, CouplingMatrix(g))
-    h = np.diag(g.reshape(-1))
-    full = np.kron(x, np.eye(2))
-    direct = np.linalg.norm(full @ h - h @ full)
-    assert abs(got - direct) < 1e-12
+    assert abs(got - dense_commutator_norm(x, g)) < 1e-12
     assert abs(got - math.sqrt(2.0 * np.sum((g[0] - g[1]) ** 2))) < 1e-12
     assert got > 1.0
+    # seeded random hermitian observables against the same dense oracle
+    rng = np.random.default_rng(29)
+    for k, n_levels in [(2, 3), (3, 1), (4, 5), (6, 2)]:
+        a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        lam = (a + a.conj().T) / 2
+        g = rng.normal(size=(k, n_levels))
+        got = commutator_norm(lam, CouplingMatrix(g))
+        assert abs(got - dense_commutator_norm(lam, g)) < 1e-12
+
+
+@pytest.mark.parametrize("g_value, t", [(3.0, 1e308), (0.0, math.inf), (1e300, 1e10)])
+def test_overflowing_coupling_phases_are_refused(g_value, t):
+    # each used to reach the exp and return nan amplitudes with two warnings
+    g = CouplingMatrix(np.array([[0.0, 0.0], [g_value, 0.0]]))
+    spectrum = EnvSpectrum.uniform(2)
+    state = tensor_product([StateVector((2,), np.array([1.0, 0.0])),
+                            environment_state(spectrum)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="coupling phases g\\*t are not finite"):
+            evolve(state, 0, 1, g, t)
+        with pytest.raises(ValueError, match="coupling phases g\\*t are not finite"):
+            decoherence_factor(g, spectrum, 0, 1, t)
+
+
+def test_finite_phases_pass_beside_an_overflowing_pair():
+    # a wide coupling spread sends every call to the exact check, which
+    # refuses only the pair whose phases overflow
+    g = CouplingMatrix(np.array([[0.0, 0.0], [0.0, 0.0], [1e300, 0.0]]))
+    spectrum = EnvSpectrum.uniform(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(decoherence_factor(g, spectrum, 0, 1, 1e10) - 1.0) < 1e-12
+        with pytest.raises(ValueError, match="not finite at t=10000000000.0"):
+            decoherence_factor(g, spectrum, 0, 2, 1e10)
 
 
 def test_commutator_norm_validation(rng):

@@ -34,7 +34,6 @@ def test_record_event_validation():
     with pytest.raises(ValueError):
         RecordEvent(frozenset({-1, 0}), frozenset())
     ev = event(4, 1, 3)
-    assert ev.size == 2
     assert np.array_equal(ev.projector(), np.diag([0.0, 1.0, 0.0, 1.0]))
 
 
