@@ -445,13 +445,19 @@ def _cmd_pointer(args) -> tuple:
     zeta_cols = ["t"]
     for k, l in pairs:
         zeta_cols += [f"re_{k}_{l}", f"im_{k}_{l}", f"abs_{k}_{l}"]
-    zeta_rows = []
-    for t in ts:
-        row = [float(t)]
-        for k, l in pairs:
-            z = decoherence_factor(g, spectrum, k, l, float(t))
-            row += [float(z.real), float(z.imag), float(abs(z))]
-        zeta_rows.append(tuple(row))
+    try:
+        zetas = [decoherence_factor(g, spectrum, k, l, ts) for k, l in pairs]
+    except ValueError:
+        # a refused phase is reported at its first time in sweep order
+        for t in ts:
+            for k, l in pairs:
+                decoherence_factor(g, spectrum, k, l, t)
+        raise
+    columns = [ts.tolist()]
+    for z in zetas:
+        # hypot rounds as abs(complex) does; np.abs can differ by an ulp
+        columns += [z.real.tolist(), z.imag.tolist(), np.hypot(z.real, z.imag).tolist()]
+    zeta_rows = tuple(zip(*columns))
 
     truth_basis = np.eye(apparatus_dim)
     score = pointer_score(evolved, 0, truth_basis)
@@ -469,7 +475,7 @@ def _cmd_pointer(args) -> tuple:
         Table("branches", ("outcome", "record", "prob"), tuple(branch_rows)),
         Table("score_per_vector", ("vector", "score"),
               tuple((i, s) for i, s in enumerate(score.per_outcome))),
-        Table("decoherence", tuple(zeta_cols), tuple(zeta_rows)),
+        Table("decoherence", tuple(zeta_cols), zeta_rows),
     ]
     if args.search:
         basis, found = find_pointer_basis(evolved, 0, iterations=args.iterations)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .born import _chunk_rows
 from .hilbert import NORM_TOL, ZERO_PROJECTION_TOL, StateVector, _load_matrix
 
 SPECTRUM_NORM_TOL = 1e-10
@@ -34,14 +35,11 @@ class TruthTable:
     but do not have to be: non-orthogonal inputs can still be recorded on
     orthonormal apparatus levels through ``premeasure_branches``.  Level 0 of
     the apparatus is the ready state and never appears as a record image, so
-    record indices start at 1; the default map is k -> k + 1.  ``parked`` is
-    where a destructive readout leaves the system (first coordinate vector
-    unless overridden).
+    record indices start at 1; the default map is k -> k + 1.
     """
 
     system_basis: np.ndarray = field(repr=False)
     record_map: tuple = ()
-    parked: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         basis = np.asarray(self.system_basis, dtype=complex)
@@ -60,22 +58,10 @@ class TruthTable:
             raise ValueError("record_map must be injective")
         if min(rmap) < 1:
             raise ValueError("apparatus level 0 is the ready state; records start at 1")
-        if self.parked is None:
-            parked = np.zeros(basis.shape[1], dtype=complex)
-            parked[0] = 1.0
-        else:
-            parked = np.asarray(self.parked, dtype=complex)
-            if parked.shape != (basis.shape[1],):
-                raise ValueError("parked vector dimension mismatch")
-            if abs(np.linalg.norm(parked) - 1.0) > NORM_TOL:
-                raise ValueError("parked vector must be normalized")
         basis = basis.copy()
         basis.flags.writeable = False
-        parked = parked.copy()
-        parked.flags.writeable = False
         object.__setattr__(self, "system_basis", basis)
         object.__setattr__(self, "record_map", rmap)
-        object.__setattr__(self, "parked", parked)
 
     @property
     def n_outcomes(self) -> int:
@@ -172,7 +158,7 @@ def load_couplings(path) -> CouplingMatrix:
 
 
 def _assemble(amplitudes, table: TruthTable, apparatus_dim: int,
-              destructive: bool, system_dims) -> StateVector:
+              system_dims) -> StateVector:
     if apparatus_dim < table.n_outcomes + 1:
         raise ValueError(
             f"apparatus too small: {table.n_outcomes} outcomes need dimension "
@@ -182,19 +168,17 @@ def _assemble(amplitudes, table: TruthTable, apparatus_dim: int,
         raise ValueError("record_map points past the apparatus dimension")
     out = np.zeros((int(apparatus_dim), table.dim_system), dtype=complex)
     for k, r in enumerate(table.record_map):
-        target = table.parked if destructive else table.system_basis[k]
-        out[r] += amplitudes[k] * target
+        out[r] += amplitudes[k] * table.system_basis[k]
     return StateVector((int(apparatus_dim),) + tuple(system_dims), out.reshape(-1))
 
 
-def premeasure(system_state: StateVector, table: TruthTable, apparatus_dim: int,
-               destructive: bool = False) -> StateVector:
+def premeasure(system_state: StateVector, table: TruthTable,
+               apparatus_dim: int) -> StateVector:
     """Record a system state onto a fresh apparatus: |A_0>|s_k> -> |A_r(k)>|s_k>.
 
     The table basis must be orthonormal (the branch amplitudes are the
-    projections <s_k|input>) and the input must lie in its span.  With
-    ``destructive`` the system is left parked in a fixed vector while the
-    record keeps k.  Output layout: (apparatus, system), apparatus first.
+    projections <s_k|input>) and the input must lie in its span.  Output
+    layout: (apparatus, system), apparatus first.
     """
     if not table.is_orthonormal():
         raise ValueError(
@@ -207,7 +191,7 @@ def premeasure(system_state: StateVector, table: TruthTable, apparatus_dim: int,
     residue = system_state.amps - amplitudes @ table.system_basis
     if np.linalg.norm(residue) > 1e-9:
         raise ValueError("input state has weight outside the recorded span")
-    return _assemble(amplitudes, table, apparatus_dim, destructive, system_state.dims)
+    return _assemble(amplitudes, table, apparatus_dim, system_state.dims)
 
 
 def premeasure_branches(amplitudes, table: TruthTable, apparatus_dim: int) -> StateVector:
@@ -223,7 +207,7 @@ def premeasure_branches(amplitudes, table: TruthTable, apparatus_dim: int) -> St
         raise ValueError("one amplitude per table outcome required")
     if abs(np.linalg.norm(c) - 1.0) > NORM_TOL:
         raise ValueError("branch amplitudes must satisfy sum |c_k|^2 = 1")
-    return _assemble(c, table, apparatus_dim, False, (table.dim_system,))
+    return _assemble(c, table, apparatus_dim, (table.dim_system,))
 
 
 def evolve(state: StateVector, apparatus: int, env: int,
@@ -255,11 +239,13 @@ def evolve(state: StateVector, apparatus: int, env: int,
 
 
 def decoherence_factor(couplings: CouplingMatrix, spectrum: EnvSpectrum,
-                       k: int, k_other: int, t: float) -> complex:
+                       k: int, k_other: int, t):
     """Overlap of the environment branches behind records k and k_other.
 
     zeta_kk'(t) = sum_nu |gamma_nu|^2 e^{i (g_k'nu - g_knu) t}; modulus <= 1
-    always, and exactly 1 at t = 0 or k = k'.
+    always, and exactly 1 at t = 0 or k = k'.  ``t`` is a time or an array
+    of times; an array gives one zeta per time, swept in chunks of time
+    points that keep the (times, levels) temporaries within the chunk budget.
     """
     g = couplings.g
     for idx in (k, k_other):
@@ -267,11 +253,22 @@ def decoherence_factor(couplings: CouplingMatrix, spectrum: EnvSpectrum,
             raise ValueError(f"record index {idx} out of range")
     if spectrum.n_levels != g.shape[1]:
         raise ValueError("spectrum level count does not match the couplings")
+    times = np.asarray(t, dtype=float)
+    flat = times.reshape(-1)
     weights = np.abs(spectrum.gamma) ** 2
-    if not couplings._spread * abs(float(t)) < math.inf:  # else no phase can overflow
-        with np.errstate(over="ignore"):
-            _require_finite_phase(g[k_other] - g[k], t)
-    return complex(np.sum(weights * np.exp(1j * (g[k_other] - g[k]) * float(t))))
+    rate = g[k_other] - g[k]
+    if flat.size:
+        # the time of largest modulus decides whether any phase overflows
+        extreme = float(flat[np.argmax(np.abs(flat))])
+        if not couplings._spread * abs(extreme) < math.inf:  # else none can
+            with np.errstate(over="ignore"):
+                _require_finite_phase(rate, extreme)
+    zeta = np.empty(flat.size, dtype=complex)
+    step = _chunk_rows(g.shape[1])
+    for lo in range(0, flat.size, step):
+        phases = 1j * rate * flat[lo:lo + step, None]
+        zeta[lo:lo + step] = np.sum(weights * np.exp(phases), axis=1)
+    return complex(zeta[0]) if times.ndim == 0 else zeta.reshape(times.shape)
 
 
 def _require_finite_phase(rate: np.ndarray, t: float) -> None:
@@ -282,29 +279,45 @@ def _require_finite_phase(rate: np.ndarray, t: float) -> None:
         raise ValueError(f"coupling phases g*t are not finite at t={float(t)!r}")
 
 
-def _scores(state: StateVector, apparatus: int, bases: np.ndarray) -> np.ndarray:
-    # scores (n, d) of a stack of candidate bases (n, d, d): every
-    # conditional of every basis comes from one product and one SVD call
+def _conditionals(state: StateVector, apparatus: int):
+    # the state as a (d, rest) matrix whose row a is <a| on the apparatus,
+    # and the dimension of the first remaining subsystem, where each
+    # conditional is cut
     dims = state.dims
     if len(dims) < 2 or not 0 <= apparatus < len(dims):
         raise ValueError(f"cannot condition subsystem {apparatus} of dims {dims}")
-    d = dims[apparatus]
-    if bases.shape[1:] != (d, d):
+    psi = np.moveaxis(state.tensor(), apparatus, 0).reshape(dims[apparatus], -1)
+    return psi, dims[1] if apparatus == 0 else dims[0]
+
+
+def _require_orthonormal(bases: np.ndarray, d: int) -> None:
+    if bases.shape[-2:] != (d, d):
         raise ValueError(f"candidate basis must be {d} x {d}, one vector per row")
-    gram = bases.conj() @ bases.transpose(0, 2, 1)
+    gram = bases.conj() @ np.swapaxes(bases, -1, -2)
     if np.max(np.abs(gram - np.eye(d))) > 1e-9:
         raise ValueError("candidate basis is not orthonormal")
-    scores = np.zeros(bases.shape[:2])
-    if len(dims) == 2:
-        return scores  # each conditional is a single-subsystem state
-    cond = bases.conj() @ np.moveaxis(state.tensor(), apparatus, 0).reshape(d, -1)
-    weights = np.linalg.norm(cond, axis=2)
+
+
+def _vector_scores(psi: np.ndarray, first: int, vectors: np.ndarray) -> np.ndarray:
+    # scores of a stack of candidate vectors (..., d) on a state of three or
+    # more subsystems: every conditional from one product and one SVD call
+    cond = vectors.conj() @ psi
+    weights = np.linalg.norm(cond, axis=-1)
     live = weights >= ZERO_PROJECTION_TOL
     rows = cond[live] / weights[live][:, None]
-    first = dims[1] if apparatus == 0 else dims[0]
     top = np.linalg.svd(rows.reshape(len(rows), first, -1), compute_uv=False)[:, 0]
+    scores = np.zeros(weights.shape)
     scores[live] = np.clip(1.0 - top * top, 0.0, 1.0)
     return scores
+
+
+def _scores(state: StateVector, apparatus: int, bases: np.ndarray) -> np.ndarray:
+    # scores (n, d) of a stack of candidate bases (n, d, d)
+    psi, first = _conditionals(state, apparatus)
+    _require_orthonormal(bases, psi.shape[0])
+    if len(state.dims) == 2:
+        return np.zeros(bases.shape[:2])  # each conditional is a single-subsystem state
+    return _vector_scores(psi, first, bases)
 
 
 def _as_score(row: np.ndarray, degenerate: bool = False) -> PointerScore:
@@ -332,8 +345,16 @@ def _haar_basis(rng, d: int) -> np.ndarray:
     return (q * (diag / np.abs(diag))).T
 
 
-def _descend(state, apparatus, basis, value, iterations):
-    d = basis.shape[0]
+def _descend(state, apparatus, bases, scores, iterations):
+    # greedy descent of every start at once; a start leaves the stack once
+    # its value is at most 1e-14.  A two-level rotation changes rows i and j
+    # only, so just their conditionals go through the SVD, and the other
+    # rows keep the scores cached for the current basis of each start
+    psi, first = _conditionals(state, apparatus)
+    d = bases.shape[1]
+    bases, scores = bases.copy(), scores.copy()
+    values = scores.max(axis=1).tolist()
+    active = list(range(len(bases)))
     span = math.pi / 2
     phis = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
     for _ in range(max(1, int(iterations))):
@@ -346,19 +367,27 @@ def _descend(state, apparatus, basis, value, iterations):
         for i in range(d):
             for j in range(i + 1, d):
                 # mixing rows i and j with c real keeps each trial orthonormal
-                trials = np.repeat(basis[None], len(grid), axis=0)
-                trials[:, i] = c * basis[i] + s * basis[j]
-                trials[:, j] = -s.conj() * basis[i] + c * basis[j]
-                best, best_val = None, value
-                for k, v in enumerate(_scores(state, apparatus, trials).max(axis=1)):
-                    if v < best_val - 1e-15:
-                        best, best_val = k, float(v)
-                if best is not None:
-                    basis, value = trials[best], best_val
+                now = bases[active][:, None]
+                trials = np.repeat(now, len(grid), axis=1)
+                trials[:, :, i] = c * now[:, :, i] + s * now[:, :, j]
+                trials[:, :, j] = -s.conj() * now[:, :, i] + c * now[:, :, j]
+                _require_orthonormal(trials, d)
+                trial_scores = np.repeat(scores[active][:, None], len(grid), axis=1)
+                trial_scores[:, :, [i, j]] = _vector_scores(psi, first, trials[:, :, [i, j]])
+                maxima = trial_scores.max(axis=2).tolist()
+                for a, start in enumerate(active):
+                    best, best_val = None, values[start]
+                    for k, v in enumerate(maxima[a]):
+                        if v < best_val - 1e-15:
+                            best, best_val = k, v
+                    if best is not None:
+                        bases[start], scores[start] = trials[a, best], trial_scores[a, best]
+                        values[start] = best_val
         span *= 0.5
-        if value <= 1e-14:
+        active = [start for start in active if values[start] > 1e-14]
+        if not active:
             break
-    return basis, value
+    return bases, values
 
 
 def find_pointer_basis(state: StateVector, apparatus: int, iterations: int = 48):
@@ -379,12 +408,9 @@ def find_pointer_basis(state: StateVector, apparatus: int, iterations: int = 48)
     maxima = [float(v) for v in start_scores.max(axis=1)]
     if max(maxima) - min(maxima) <= FLAT_LANDSCAPE_TOL:
         return starts[0], _as_score(start_scores[0], True)
-    best_basis, best_val = starts[0], maxima[0]
-    for basis, val in zip(starts, maxima):
-        got_basis, got_val = _descend(state, apparatus, basis, val, iterations)
-        if got_val < best_val:
-            best_basis, best_val = got_basis, got_val
-    return best_basis, pointer_score(state, apparatus, best_basis)
+    bases, values = _descend(state, apparatus, starts, start_scores, iterations)
+    best = values.index(min(values))  # the first start to reach the lowest value
+    return bases[best], pointer_score(state, apparatus, bases[best])
 
 
 def commutator_norm(pointer_observable, couplings: CouplingMatrix) -> float:

@@ -8,9 +8,9 @@ no hashing of dict order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -32,6 +32,8 @@ class Report:
 
 
 def format_value(value) -> str:
+    if type(value) is float:  # the common cell, before any ABC isinstance check
+        return f"{value:.12g}"
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
     if value is None:
@@ -45,12 +47,15 @@ def format_value(value) -> str:
     return str(value)
 
 
+def _formatted_row(table: Table, row) -> list:
+    cells = [format_value(c) for c in row]
+    if len(cells) != len(table.columns):
+        raise ValueError(f"row width mismatch in table {table.name!r}")
+    return cells
+
+
 def _formatted_rows(table: Table) -> list:
-    rows = [[format_value(c) for c in row] for row in table.rows]
-    for row in rows:
-        if len(row) != len(table.columns):
-            raise ValueError(f"row width mismatch in table {table.name!r}")
-    return rows
+    return [_formatted_row(table, row) for row in table.rows]
 
 
 def _emit_table_style(report: Report) -> str:
@@ -87,20 +92,41 @@ def _emit_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_array(items, indent: str) -> str:
+    # JSON texts laid out as a list the way json.dumps(..., indent=2) does
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
 def _emit_structured(report: Report) -> str:
-    payload = {
-        "title": report.title,
-        "scalars": {name: format_value(v) for name, v in report.scalars},
-        "tables": [
-            {
-                "name": t.name,
-                "columns": list(t.columns),
-                "rows": _formatted_rows(t),
-            }
-            for t in report.tables
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    # the bytes of json.dumps(payload, indent=2) for the payload of title,
+    # scalars and tables, all strings.  Each row is formatted, encoded and
+    # laid out on its own, and the pieces are joined once at the end, so
+    # neither the formatted cells of a whole table nor a joined body is held
+    # beside the result
+    enc = encode_basestring_ascii
+    scalars = {name: format_value(v) for name, v in report.scalars}
+    out = ['{\n  "title": ', enc(report.title), ',\n  "scalars": ']
+    if scalars:
+        out.append("{")
+        for n, (name, value) in enumerate(scalars.items()):
+            out += ("\n    " if n == 0 else ",\n    ", enc(name), ": ", enc(value))
+        out.append("\n  }")
+    else:
+        out.append("{}")
+    out.append(',\n  "tables": ')
+    for n, table in enumerate(report.tables):
+        out += ("[\n    " if n == 0 else ",\n    ", '{\n      "name": ', enc(table.name),
+                ',\n      "columns": ', _json_array([enc(c) for c in table.columns], "      "),
+                ',\n      "rows": ')
+        for r, row in enumerate(table.rows):
+            out += ("[\n        " if r == 0 else ",\n        ",
+                    _json_array([enc(c) for c in _formatted_row(table, row)], "        "))
+        out.append("\n      ]\n    }" if table.rows else "[]\n    }")
+    out.append("\n  ]\n}\n" if report.tables else "[]\n}\n")
+    return "".join(out)
 
 
 def emit_report(report: Report, fmt: str) -> str:

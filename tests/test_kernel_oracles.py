@@ -1,4 +1,5 @@
-"""Oracles for the rewritten freq cross-check, unitarity, lattice and counting kernels.
+"""Oracles for the rewritten freq cross-check, unitarity, lattice, counting,
+pointer-search, decoherence-sweep and structured-output kernels.
 
 Each oracle is the earlier, slower implementation of a kernel, kept here
 verbatim.  The current kernels must reproduce it exactly (``==`` on floats
@@ -13,8 +14,10 @@ agree as well.
 
 import contextlib
 import io
+import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ import envlab.cli as cli
 import envlab.envariance as envariance
 import envlab.frequencies as frequencies
 import envlab.hilbert as hilbert
+import envlab.pointer as pointer
 import envlab.records as records
 from envlab.born import WeightVector, _apportion, _chunk_rows, even_cut, fine_grain
 from envlab.envariance import _block_operator, check_envariance
@@ -68,6 +72,7 @@ from envlab.records import (
     meet,
     verify_axioms,
 )
+from envlab.report import Report, Table, emit_report, format_value
 from conftest import random_unitary
 
 
@@ -434,7 +439,8 @@ def test_one_expansion_per_report(pairs, expansion_counter):
     assert len(report.swap_checks) == pairs and len(expansion_counter) == 2
 
 
-def test_restoration_input_checks_run_before_any_expansion(expansion_counter):
+def test_one_history_expansion_per_restoration_call(expansion_counter):
+    # _restoration reads the expansion it is given and builds none of its own
     spec = ExperimentSpec(m=1, M=2, runs=3)
     terms = frequencies._history_terms(spec, (0.0, 0.0))
     assert _restoration(spec, terms, ((0, 1, 0), (0, 1, 1))) >= 1 - 1e-12
@@ -846,3 +852,299 @@ def test_chunked_axiom_stacks_match_per_trial_oracle(per_chunk, monkeypatch):
     assert verify_axioms(12, 40, 3) == expected
     monkeypatch.setattr(records, "meet", _faulty_meet)
     assert verify_axioms(12, 40, 3) == oracle_verify_axioms(12, 40, 3)
+
+
+# ----- pointer search, decoherence sweep and structured output -----
+
+def oracle_scores(state, apparatus, bases):
+    # scores (n, d) of a stack of candidate bases (n, d, d): every
+    # conditional of every basis comes from one product and one SVD call
+    dims = state.dims
+    if len(dims) < 2 or not 0 <= apparatus < len(dims):
+        raise ValueError(f"cannot condition subsystem {apparatus} of dims {dims}")
+    d = dims[apparatus]
+    if bases.shape[1:] != (d, d):
+        raise ValueError(f"candidate basis must be {d} x {d}, one vector per row")
+    gram = bases.conj() @ bases.transpose(0, 2, 1)
+    if np.max(np.abs(gram - np.eye(d))) > 1e-9:
+        raise ValueError("candidate basis is not orthonormal")
+    scores = np.zeros(bases.shape[:2])
+    if len(dims) == 2:
+        return scores  # each conditional is a single-subsystem state
+    cond = bases.conj() @ np.moveaxis(state.tensor(), apparatus, 0).reshape(d, -1)
+    weights = np.linalg.norm(cond, axis=2)
+    live = weights >= hilbert.ZERO_PROJECTION_TOL
+    rows = cond[live] / weights[live][:, None]
+    first = dims[1] if apparatus == 0 else dims[0]
+    top = np.linalg.svd(rows.reshape(len(rows), first, -1), compute_uv=False)[:, 0]
+    scores[live] = np.clip(1.0 - top * top, 0.0, 1.0)
+    return scores
+
+
+def oracle_descend(state, apparatus, basis, value, iterations):
+    d = basis.shape[0]
+    span = math.pi / 2
+    phis = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+    for _ in range(max(1, int(iterations))):
+        # the 32 two-level rotations of this bracket, theta slow and phi fast
+        grid = [(float(t), p) for t in np.linspace(-span, span, 9) if t != 0.0
+                for p in phis]
+        c = np.array([math.cos(t) for t, _ in grid])[:, None]
+        s = np.array([math.sin(t) * complex(math.cos(p), math.sin(p))
+                      for t, p in grid])[:, None]
+        for i in range(d):
+            for j in range(i + 1, d):
+                # mixing rows i and j with c real keeps each trial orthonormal
+                trials = np.repeat(basis[None], len(grid), axis=0)
+                trials[:, i] = c * basis[i] + s * basis[j]
+                trials[:, j] = -s.conj() * basis[i] + c * basis[j]
+                best, best_val = None, value
+                for k, v in enumerate(oracle_scores(state, apparatus, trials).max(axis=1)):
+                    if v < best_val - 1e-15:
+                        best, best_val = k, float(v)
+                if best is not None:
+                    basis, value = trials[best], best_val
+        span *= 0.5
+        if value <= 1e-14:
+            break
+    return basis, value
+
+
+def oracle_find_pointer_basis(state, apparatus, iterations=48):
+    d = state.dims[apparatus]
+    if d > pointer.SEARCH_DIM_CAP:
+        raise ValueError(f"apparatus dimension {d} above desk scale ({pointer.SEARCH_DIM_CAP})")
+    rng = np.random.default_rng(17)  # fixed: the search must be reproducible
+    starts = np.stack([np.eye(d, dtype=complex)]
+                      + [pointer._haar_basis(rng, d) for _ in range(5)])
+    start_scores = oracle_scores(state, apparatus, starts)
+    maxima = [float(v) for v in start_scores.max(axis=1)]
+    if max(maxima) - min(maxima) <= pointer.FLAT_LANDSCAPE_TOL:
+        return starts[0], pointer._as_score(start_scores[0], True)
+    best_basis, best_val = starts[0], maxima[0]
+    for basis, val in zip(starts, maxima):
+        got_basis, got_val = oracle_descend(state, apparatus, basis, val, iterations)
+        if got_val < best_val:
+            best_basis, best_val = got_basis, got_val
+    return best_basis, pointer._as_score(
+        oracle_scores(state, apparatus, best_basis[None])[0])
+
+
+def oracle_decoherence_factor(couplings, spectrum, k, k_other, t):
+    g = couplings.g
+    for idx in (k, k_other):
+        if idx < 0 or idx >= g.shape[0]:
+            raise ValueError(f"record index {idx} out of range")
+    if spectrum.n_levels != g.shape[1]:
+        raise ValueError("spectrum level count does not match the couplings")
+    weights = np.abs(spectrum.gamma) ** 2
+    if not couplings._spread * abs(float(t)) < math.inf:  # else no phase can overflow
+        with np.errstate(over="ignore"):
+            pointer._require_finite_phase(g[k_other] - g[k], t)
+    return complex(np.sum(weights * np.exp(1j * (g[k_other] - g[k]) * float(t))))
+
+
+def oracle_decoherence_rows(couplings, spectrum, ts):
+    # the sweep as the pointer command printed it: one call per (t, pair)
+    n = couplings.n_records
+    pairs = [(k, l) for k in range(1, n) for l in range(k + 1, n)]
+    zeta_rows = []
+    for t in ts:
+        row = [float(t)]
+        for k, l in pairs:
+            z = oracle_decoherence_factor(couplings, spectrum, k, l, float(t))
+            row += [float(z.real), float(z.imag), float(abs(z))]
+        zeta_rows.append(tuple(row))
+    return zeta_rows
+
+
+def oracle_format_value(value):
+    if isinstance(value, bool) or isinstance(value, np.bool_):
+        return "true" if value else "false"
+    if value is None:
+        return "none"
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.12g}"
+    return str(value)
+
+
+def oracle_emit_structured(rep):
+    payload = {
+        "title": rep.title,
+        "scalars": {name: oracle_format_value(v) for name, v in rep.scalars},
+        "tables": [
+            {
+                "name": t.name,
+                "columns": list(t.columns),
+                "rows": [[oracle_format_value(c) for c in row] for row in t.rows],
+            }
+            for t in rep.tables
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _search_state(g, t, amps):
+    # the state `pointer --search` scores, built as the command builds it
+    n_rec = g.shape[0] - 1
+    table = pointer.TruthTable(np.eye(n_rec))
+    if amps is None:
+        even = np.full(n_rec, 1.0 / math.sqrt(n_rec), dtype=complex)
+        premeasured = pointer.premeasure(StateVector((n_rec,), even), table, g.shape[0])
+    else:
+        premeasured = pointer.premeasure_branches(amps, table, g.shape[0])
+    env = pointer.environment_state(pointer.EnvSpectrum.uniform(g.shape[1]))
+    return pointer.evolve(hilbert.tensor_product([premeasured, env]), 0, 2,
+                          pointer.CouplingMatrix(g), t)
+
+
+@st.composite
+def pointer_runs(draw):
+    # couplings, --time, --amps (real, as the command reads them), the sweep
+    # and a short search
+    n_app, n_lev = draw(st.integers(3, 5)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = rng.uniform(0.0, 2 * math.pi, (n_app, n_lev))
+    argv = ["pointer", "--couplings", "g.txt", "--search",
+            "--time", repr(draw(st.floats(0.0, 10.0))),
+            f"--t0={draw(st.floats(-20.0, 20.0))!r}",
+            f"--t1={draw(st.floats(-20.0, 20.0))!r}",
+            "--steps", str(draw(st.integers(0, 60))),
+            "--iterations", str(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        amps = rng.normal(size=n_app - 1)
+        argv.append("--amps=" + ",".join(repr(float(a)) for a in amps))
+    return g, argv
+
+
+@given(pointer_runs())
+@settings(max_examples=30, deadline=None)
+def test_pointer_route_matches_per_time_and_per_start_oracles(run):
+    g, argv = run
+    args = cli._build_parser().parse_args(argv)
+    couplings = pointer.CouplingMatrix(g)
+    with mock.patch.object(cli, "load_couplings", lambda path: couplings):
+        rep, _ = cli.HANDLERS["pointer"](args)
+    tables = {t.name: t for t in rep.tables}
+    spectrum = pointer.EnvSpectrum.uniform(g.shape[1])
+    ts = np.linspace(args.t0, args.t1, args.steps)
+    # repr, unlike ==, tells -0.0 from 0.0, which print differently
+    want_rows = oracle_decoherence_rows(couplings, spectrum, ts)
+    assert repr(list(tables["decoherence"].rows)) == repr(want_rows)
+    amps = None
+    if args.amps:
+        raw = np.array(args.amps.split(","), dtype=float).astype(complex)
+        amps = tuple(raw / np.linalg.norm(raw))
+    basis, score = oracle_find_pointer_basis(_search_state(g, args.time, amps), 0,
+                                             args.iterations)
+    assert repr(tables["found_basis"].rows) == repr(cli._matrix_table("found_basis", basis).rows)
+    assert repr(dict(rep.scalars)["found_score"]) == repr(score.max_score)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(2, 4), min_size=3, max_size=3),
+       st.integers(0, 2), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_batched_search_matches_oracle_on_random_states(seed, dims, apparatus, iterations):
+    # on generic states every start and every cached row can decide the
+    # outcome; on the command's states the coordinate start usually wins
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=math.prod(dims)) + 1j * rng.normal(size=math.prod(dims))
+    state = StateVector.normalized(tuple(dims), amps)
+    basis, score = pointer.find_pointer_basis(state, apparatus, iterations)
+    want_basis, want_score = oracle_find_pointer_basis(state, apparatus, iterations)
+    assert np.array_equal(basis, want_basis) and score == want_score
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_batched_search_matches_oracle_on_the_search_workload(seed):
+    # the benchmark's 3x4 couplings at --time 1.5, full 48 iterations
+    g = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, (3, 4))
+    state = _search_state(g, 1.5, None)
+    basis, score = pointer.find_pointer_basis(state, 0)
+    want_basis, want_score = oracle_find_pointer_basis(state, 0)
+    assert not score.degenerate_minimum  # premise: the descent runs
+    assert np.array_equal(basis, want_basis) and score == want_score
+
+
+@pytest.mark.parametrize("per_chunk", [1, 7])
+def test_chunked_sweep_matches_unchunked(per_chunk, monkeypatch):
+    g = pointer.CouplingMatrix(np.random.default_rng(per_chunk).uniform(0, 7, (4, 16)))
+    spectrum = pointer.EnvSpectrum.uniform(16)
+    ts = np.linspace(-3.0, 40.0, 101)
+    whole = pointer.decoherence_factor(g, spectrum, 1, 3, ts)
+    assert _chunk_rows(16) >= len(ts)  # premise: the default sweep is one chunk
+    monkeypatch.setattr(born, "DENSE_AMPLITUDE_CAP", 512 * 16 * per_chunk)
+    assert _chunk_rows(16) == per_chunk
+    sizes = []
+    exp = np.exp
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    assert np.array_equal(pointer.decoherence_factor(g, spectrum, 1, 3, ts), whole)
+    # every (times, levels) temporary stays within the chunk share of the budget
+    assert max(sizes) <= 16 * per_chunk <= born.DENSE_AMPLITUDE_CAP // 512
+
+
+def test_sweep_refuses_an_overflowing_phase_at_its_largest_time():
+    g = pointer.CouplingMatrix(np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 0.0]]))
+    spectrum = pointer.EnvSpectrum.uniform(2)
+    ts = np.array([1.0, -1e308, 5e307])
+    with pytest.raises(ValueError, match="not finite at t=-1e\\+308"):
+        pointer.decoherence_factor(g, spectrum, 1, 2, ts)
+    # a pair whose phases stay finite is swept at the same times
+    assert pointer.decoherence_factor(g, spectrum, 0, 1, ts).tolist() == [
+        oracle_decoherence_factor(g, spectrum, 0, 1, t) for t in ts]
+
+
+_names = st.text(max_size=8)
+_cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-10 ** 20, 10 ** 20),
+    st.booleans(), st.none(), st.text(max_size=6),
+    st.fractions(max_denominator=1000),
+    st.builds(np.float64, st.floats()), st.builds(np.int64, st.integers(-9, 9)))
+
+
+@st.composite
+def reports(draw):
+    tables = []
+    for _ in range(draw(st.integers(0, 3))):
+        columns = tuple(draw(st.lists(_names, max_size=4)))
+        rows = draw(st.lists(st.tuples(*[_cells] * len(columns)), max_size=4))
+        tables.append(Table(draw(_names), columns, tuple(rows)))
+    scalars = draw(st.lists(st.tuples(_names, _cells), max_size=5))
+    title = draw(st.one_of(_names, st.sampled_from(['"q"', "b\\s", "\x00\x1f\t\n", "Σψ—é"])))
+    return Report(title, tuple(scalars), tuple(tables))
+
+
+@given(reports())
+@settings(max_examples=300, deadline=None)
+def test_structured_output_matches_json_dumps(rep):
+    assert emit_report(rep, "structured") == oracle_emit_structured(rep)
+
+
+@given(_cells)
+@settings(max_examples=300, deadline=None)
+def test_format_value_matches_isinstance_chain(value):
+    assert format_value(value) == oracle_format_value(value)
+
+
+def test_structured_output_edge_reports():
+    # empty scalars and tables, a table with no rows, duplicate scalar names
+    # (the last value at the first name's place), quotes, backslashes,
+    # control characters and non-ASCII text
+    cases = [
+        Report("t"),
+        Report("", (), (Table("e", (), ()),)),
+        Report('a"b\\c\x01', (("x", 1.5), ("y", None), ("x", True)),
+               (Table("é", ("c", "d"), ()),
+                Table("ψ\n", ("c",), ((Fraction(1, 3),), (" ",))))),
+    ]
+    for rep in cases:
+        assert emit_report(rep, "structured") == oracle_emit_structured(rep)

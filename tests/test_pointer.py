@@ -53,7 +53,6 @@ def test_truth_table_defaults():
     assert table.record_map == (1, 2, 3)
     assert table.n_outcomes == 3 and table.dim_system == 3
     assert table.is_orthonormal()
-    assert np.allclose(table.parked, [1, 0, 0])
 
 
 def test_truth_table_validation():
@@ -66,7 +65,7 @@ def test_truth_table_validation():
     with pytest.raises(ValueError):
         TruthTable(np.eye(3), record_map=(1, 2))         # length mismatch
     with pytest.raises(ValueError):
-        TruthTable(np.eye(3), parked=np.array([1.0, 0.0]))
+        TruthTable(np.ones(3))                           # not one vector per row
 
 
 def test_premeasure_eigenstate_is_product():
@@ -130,17 +129,16 @@ def test_premeasure_rejects_nonorthonormal_basis():
         premeasure(phi, TruthTable(rows), 3)
 
 
-def test_destructive_measurement_parks_the_system():
-    # records live on levels 1, 2; the system is dumped into |s_0>
+def test_premeasure_leaves_the_system_in_the_recorded_state():
+    # records of |s_1>, |s_2> live on levels 1, 2: each record level keeps
+    # its system vector, so the two branches stay entangled
     table = TruthTable(np.eye(3)[1:3])
     phi = StateVector.normalized((3,), [0.0, 1.0, 1.0])
-    out = premeasure(phi, table, 3, destructive=True)
-    apparatus = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
-    expect = np.kron(apparatus, np.eye(3)[0])
+    out = premeasure(phi, table, 3)
+    expect = (np.kron(np.eye(3)[1], np.eye(3)[1])
+              + np.kron(np.eye(3)[2], np.eye(3)[2])) / np.sqrt(2)
     assert np.allclose(out.amps, expect, atol=1e-14)
-    assert schmidt(out, Bipartition((0,))).n_terms == 1
-    kept = premeasure(phi, table, 3, destructive=False)
-    assert schmidt(kept, Bipartition((0,))).n_terms == 2
+    assert schmidt(out, Bipartition((0,))).n_terms == 2
 
 
 def test_premeasure_branches_nonorthogonal_states(rng):
@@ -475,8 +473,9 @@ def test_find_pointer_basis_flat_when_branches_share_environment():
 
 
 def test_find_pointer_basis_svd_call_budget(monkeypatch):
-    # each (i, j) rotation bracket is one stacked SVD, so a per-trial loop
-    # cannot come back unnoticed: bound 3 + 6 starts * iterations * d(d-1)/2
+    # each (i, j) rotation bracket is one stacked SVD for every start at
+    # once, so neither a per-trial nor a per-start loop can come back
+    # unnoticed: bound 3 + iterations * d(d-1)/2
     state = cli_evolved_state(101, 1.5)
     calls = []
     svd = np.linalg.svd
@@ -488,7 +487,7 @@ def test_find_pointer_basis_svd_call_budget(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     _, score = find_pointer_basis(state, 0, iterations=48)
     assert not score.degenerate_minimum  # premise: the descent actually runs
-    assert 0 < len(calls) <= 3 + 6 * 48 * (3 * 2 // 2)
+    assert 0 < len(calls) <= 3 + 48 * (3 * 2 // 2)
 
 
 def test_find_pointer_basis_dimension_cap():
