@@ -170,27 +170,19 @@ def _apportion(probs: np.ndarray, big_m: int) -> np.ndarray:
     return m
 
 
-def _staircase_terms(weights: WeightVector, phases, cell_phases=None):
+def _staircase_terms(weights: WeightVector, phases):
     """(coarse k, cell j, amplitude) triples of the fine-grained state."""
-    big_m = weights.M
-    if cell_phases is not None:
-        cell_phases = np.asarray(cell_phases, dtype=float)
-        if cell_phases.shape != (big_m,):
-            raise ValueError(f"cell_phases must have length {big_m}")
-    amp = 1.0 / math.sqrt(big_m)
-    terms = []
-    for j, k in enumerate(weights.staircase()):
-        ph = phases[k] if cell_phases is None else cell_phases[j]
-        terms.append((k, j, amp * np.exp(1j * ph)))
-    return terms
+    amp = 1.0 / math.sqrt(weights.M)
+    return [(k, j, amp * np.exp(1j * phases[k]))
+            for j, k in enumerate(weights.staircase())]
 
 
-def fine_grain(weights: WeightVector, phases, cell_phases=None) -> StateVector:
+def fine_grain(weights: WeightVector, phases) -> StateVector:
     """Explicit fine-grained state, subsystem layout (S, E, C).
 
-    Outcome k keeps its phase on all of its cells unless per-cell phases are
-    supplied.  Cell j of outcome k carries amplitude e^{i phi}/sqrt(M) on
-    |s_k>|e_j>|c_j>; re-cut as (S,C)|E the state is even.
+    Outcome k keeps its phase on all of its cells.  Cell j of outcome k
+    carries amplitude e^{i phi_k}/sqrt(M) on |s_k>|e_j>|c_j>; re-cut as
+    (S,C)|E the state is even.
     """
     n = len(weights.m)
     phases = np.asarray(phases, dtype=float)
@@ -199,7 +191,7 @@ def fine_grain(weights: WeightVector, phases, cell_phases=None) -> StateVector:
     big_m = weights.M
     require_dense(n * big_m * big_m, "dense fine-grained build")
     amps = np.zeros((n, big_m, big_m), dtype=complex)
-    for k, j, a in _staircase_terms(weights, phases, cell_phases):
+    for k, j, a in _staircase_terms(weights, phases):
         amps[k, j, j] = a
     return StateVector((n, big_m, big_m), amps.reshape(-1))
 

@@ -26,6 +26,7 @@ from .born import (
     coarse_probability,
     even_cut,
     fine_grain,
+    require_dense,
 )
 from .continuum import (
     CoefficientSequence,
@@ -86,7 +87,6 @@ from .pointer import (
     load_couplings,
     pointer_score,
     premeasure,
-    premeasure_branches,
 )
 from .records import (
     build_upsilon,
@@ -416,13 +416,10 @@ def _cmd_pointer(args) -> tuple:
     spectrum = (EnvSpectrum(_unit_vector(args.gamma, "--gamma", n_lev, float))
                 if args.gamma else EnvSpectrum.uniform(n_lev))
     env = environment_state(spectrum)
-    table = TruthTable(np.eye(n_rec))
-    if args.amps:
-        amps = _unit_vector(args.amps, "--amps", n_rec, complex)
-        premeasured = premeasure_branches(tuple(amps), table, apparatus_dim)
-    else:
-        amps = np.full(n_rec, 1.0 / math.sqrt(n_rec), dtype=complex)
-        premeasured = premeasure(StateVector((n_rec,), amps), table, apparatus_dim)
+    amps = (_unit_vector(args.amps, "--amps", n_rec, complex) if args.amps
+            else np.full(n_rec, 1.0 / math.sqrt(n_rec), dtype=complex))
+    premeasured = premeasure(StateVector((n_rec,), amps), TruthTable(np.eye(n_rec)),
+                             apparatus_dim)
 
     branch_rows = []
     for k in range(n_rec):
@@ -439,9 +436,10 @@ def _cmd_pointer(args) -> tuple:
     t_final = args.time if args.time is not None else args.t1
     evolved = evolve(full, 0, 2, g, t_final)
 
-    ts = np.linspace(args.t0, args.t1, args.steps)
     pairs = [(k, l) for k in range(1, apparatus_dim)
              for l in range(k + 1, apparatus_dim)]
+    require_dense(args.steps * (1 + 3 * len(pairs)), "decoherence table")
+    ts = np.linspace(args.t0, args.t1, args.steps)
     zeta_cols = ["t"]
     for k, l in pairs:
         zeta_cols += [f"re_{k}_{l}", f"im_{k}_{l}", f"abs_{k}_{l}"]

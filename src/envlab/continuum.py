@@ -31,34 +31,16 @@ MASS_GRID = 4096         # trapezoid steps behind equal_mass_mesh
 class CoefficientSequence:
     """Amplitudes a_k (k >= 1) with unit total weight.
 
-    Either a finite tuple of coefficients, or a lazy ``term(k)`` paired with
-    an analytically known ``tail(n)`` = sum_{k>n} |a_k|^2 (which may return
-    exact Fractions).
+    A lazy ``term(k)`` paired with an analytically known ``tail(n)`` =
+    sum_{k>n} |a_k|^2 (which may return exact Fractions).
     """
 
-    coeffs: tuple = None
     term: object = None
     tail: object = None
 
     def __post_init__(self):
-        finite = self.coeffs is not None
-        lazy = self.term is not None or self.tail is not None
-        if finite == lazy:
-            raise ValueError("give either a finite coefficient list or term+tail")
-        if finite:
-            coeffs = tuple(complex(a) for a in self.coeffs)
-            if not coeffs:
-                raise ValueError("need at least one coefficient")
-            total = sum(abs(a) ** 2 for a in coeffs)
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"squared coefficients sum to {total!r}, not 1")
-            object.__setattr__(self, "coeffs", coeffs)
-        elif self.term is None or self.tail is None:
-            raise ValueError("lazy sequences need both term and tail")
-
-    @classmethod
-    def finite(cls, coeffs) -> "CoefficientSequence":
-        return cls(coeffs=tuple(coeffs))
+        if self.term is None or self.tail is None:
+            raise ValueError("a sequence needs both term and tail")
 
     @classmethod
     def analytic(cls, term, tail) -> "CoefficientSequence":
@@ -75,16 +57,9 @@ class CoefficientSequence:
         )
 
     def tail_weight(self, n: int):
-        if self.coeffs is not None:
-            if n >= len(self.coeffs):
-                return 0.0
-            head = sum(abs(a) ** 2 for a in self.coeffs[:n])
-            return max(0.0, 1.0 - head)
         return self.tail(n)
 
     def amplitude(self, k: int) -> complex:
-        if self.coeffs is not None:
-            return self.coeffs[k - 1]
         return complex(self.term(k))
 
 
@@ -103,13 +78,12 @@ def truncate(seq: CoefficientSequence, delta_target) -> Truncation:
     if not 0 < delta_target < 1:
         raise ValueError("delta_target must lie strictly between 0 and 1")
     budget = delta_target * delta_target
-    limit = len(seq.coeffs) if seq.coeffs is not None else MAX_TRUNCATION_TERMS
     n = 0
     while seq.tail_weight(n) > budget:
         n += 1
-        if n > limit:
+        if n > MAX_TRUNCATION_TERMS:
             raise ValueError(
-                f"tail still above budget after {limit} terms; "
+                f"tail still above budget after {MAX_TRUNCATION_TERMS} terms; "
                 "sequence converges too slowly for this target"
             )
     delta_sq = seq.tail_weight(n)

@@ -7,21 +7,23 @@ an environment register.  N parallel runs produce M^N equiprobable histories
 detections gives exact big-integer tallies C(N,n) m^{N-n} (M-m)^n, a binomial
 distribution in exact rationals, its Gaussian limit, and the exponentially
 shrinking mass of maverick histories whose frequencies sit far from the
-squared amplitude.  Small instances are materialized as explicit tensors and
-cross-checked against the combinatorics, including swap/counterswap
-envariance of sampled history pairs.
+squared amplitude.  Desk-scale instances are expanded history by history,
+once, and the census of that expansion is cross-checked against the
+combinatorics, with swap/counterswap envariance of sampled history pairs;
+the dense tensor is built from the same expansion only where a check reads
+it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .born import DenseBudgetError, require_dense
+from . import born
+from .born import require_dense
 from .envariance import _envariance_verdict
 from .hilbert import Bipartition, LocalUnitary, StateVector, apply_local, fidelity, schmidt
 
@@ -168,12 +170,14 @@ def maverick_mass(spec: ExperimentSpec, delta_r) -> Fraction:
     return Fraction(total, tally.total)
 
 
-# ----- explicit superensemble tensors -----
+# ----- the superensemble census -----
 #
 # Run l occupies three adjacent subsystems (S_l, C_l, E_l) with dims
 # (2, M, M): S_l holds the coarse outcome, C_l the fine cell, E_l the
 # environment register correlated with the cell.  History (j_1..j_N) puts
 # amplitude M^{-N/2} e^{i sum phases} on S_l = [j_l >= m], C_l = E_l = j_l.
+# A report expands the histories once, in lexicographic cell order: one row
+# of these 3N register digits (a key) and one amplitude per history.
 
 @dataclass(frozen=True)
 class SwapCheck:
@@ -185,10 +189,10 @@ class SwapCheck:
 
 @dataclass(frozen=True)
 class SuperensembleReport:
-    census: tuple            # per-n nonzero-amplitude counts from the tensor
+    census: tuple            # per-n term counts from the outcome digits
     tally: tuple             # combinatorial counts
     total_terms: int
-    max_modulus_dev: float   # worst | |amp| - M^{-N/2} | over the support
+    max_modulus_dev: float   # worst | |amp| - M^{-N/2} | over the terms
     swap_checks: tuple
 
     @property
@@ -203,10 +207,6 @@ class SuperensembleReport:
                        for c in self.swap_checks))
 
 
-def _outcome_of(spec: ExperimentSpec, cell: int) -> int:
-    return 0 if cell < spec.m else 1
-
-
 def _coarse_phases(phases) -> tuple:
     phases = tuple(float(p) for p in phases)
     if len(phases) != 2:
@@ -214,65 +214,81 @@ def _coarse_phases(phases) -> tuple:
     return phases
 
 
-def _history_terms(spec: ExperimentSpec, phases) -> dict:
-    phases = _coarse_phases(phases)
-    modulus = spec.M ** (-spec.runs / 2.0)
-    terms = {}
-    for cells in itertools.product(range(spec.M), repeat=spec.runs):
-        idx, total_phase = [], 0.0
-        for j in cells:
-            s = _outcome_of(spec, j)
-            idx.extend((s, j, j))
-            total_phase += phases[s]
-        terms[tuple(idx)] = modulus * complex(
-            math.cos(total_phase), math.sin(total_phase))
-    return terms
+def _history_terms(spec: ExperimentSpec, phases) -> tuple:
+    """(keys, amps): the 3N register digits and the amplitude of every history."""
+    phases = np.array(_coarse_phases(phases))
+    n_runs = spec.runs
+    cells = np.indices((spec.M,) * n_runs).reshape(n_runs, -1).T
+    outcomes = (cells >= spec.m).astype(cells.dtype)
+    keys = np.stack((outcomes, cells, cells), axis=2).reshape(len(cells), 3 * n_runs)
+    # the phases are added run by run, in the order a history lists them
+    total = np.zeros(len(cells))
+    for l in range(n_runs):
+        total = total + phases[outcomes[:, l]]
+    modulus = spec.M ** (-n_runs / 2.0)
+    amps = np.array([modulus * complex(math.cos(p), math.sin(p)) for p in total.tolist()])
+    return keys, amps
 
 
-def _sc_part(idx: tuple) -> tuple:
-    return tuple(x for i, x in enumerate(idx) if i % 3 != 2)
-
-
-def _full_index(spec: ExperimentSpec, cells: tuple) -> tuple:
-    idx = []
-    for j in cells:
-        idx.extend((_outcome_of(spec, j), j, j))
-    return tuple(idx)
-
-
-def _restoration(spec: ExperimentSpec, terms: dict, pair) -> float:
-    # Swap two distinct histories in the (S, C) registers, undo the swap from
-    # E, and return the fidelity with the original expansion ``terms``.
-    # One row of register digits per term: the swap rewrites the (S, C)
-    # digits of the two histories, the counterswap their E digits with the
-    # amplitude-ratio phase, and the result is matched back by flat index.
-    a, b = pair
-    amp_a, amp_b = terms[_full_index(spec, a)], terms[_full_index(spec, b)]
-    keys = np.array(list(terms), dtype=np.intp)
-    sc = np.arange(keys.shape[1]) % 3 != 2
-    sc_a, sc_b = (np.array(_full_index(spec, h))[sc] for h in (a, b))
-    moved = keys.copy()
-    moved[np.ix_(np.all(keys[:, sc] == sc_a, axis=1), sc)] = sc_b
-    moved[np.ix_(np.all(keys[:, sc] == sc_b, axis=1), sc)] = sc_a
-    amps = list(terms.values())
-    restored_amps = list(amps)
-    env = moved[:, 2::3].copy()
-    for src, dst, ratio in ((a, b, amp_b / amp_a), (b, a, amp_a / amp_b)):
-        for r in np.flatnonzero(np.all(env == src, axis=1)):
-            moved[r, 2::3] = dst
-            restored_amps[r] = amps[r] * ratio
+def _tensor_dims(spec: ExperimentSpec, with_register: bool) -> tuple:
     dims = (2, spec.M, spec.M) * spec.runs
-    restored = dict(zip(np.ravel_multi_index(moved.T, dims).tolist(), restored_amps))
-    flat = np.ravel_multi_index(keys.T, dims).tolist()
-    overlap = sum(amp.conjugate() * restored.get(k, 0.0) for amp, k in zip(amps, flat))
-    return float(abs(overlap))
+    return (spec.runs + 1,) + dims if with_register else dims
+
+
+def _dense_state(spec: ExperimentSpec, keys, amps, with_register: bool = False):
+    """The expansion (keys, amps) as a dense state.
+
+    ``with_register`` prepends a detection register: each term sits on the
+    register level that counts its "1" outcomes.
+    """
+    dims = _tensor_dims(spec, with_register)
+    size = math.prod(dims)
+    require_dense(size, "explicit build")
+    if with_register:
+        keys = np.column_stack((keys[:, 0::3].sum(axis=1), keys))
+    flat = np.zeros(size, dtype=complex)
+    flat[np.ravel_multi_index(keys.T, dims)] = amps
+    return StateVector(dims, flat)
 
 
 def _sc_targets(spec: ExperimentSpec) -> tuple:
     return tuple(i for i in range(3 * spec.runs) if i % 3 != 2)
 
 
-def _dense_swap_check(spec, state, dec, pair):
+def _rows(spec: ExperimentSpec, pair) -> tuple:
+    """Rows of the expansion that hold the two histories of ``pair``."""
+    return tuple(int(np.ravel_multi_index(h, (spec.M,) * spec.runs)) for h in pair)
+
+
+def _restoration(spec: ExperimentSpec, keys, amps, pair) -> float:
+    # Swap two distinct histories in the (S, C) registers, undo the swap from
+    # E, and return the fidelity with the original expansion (keys, amps).
+    # The swap rewrites the (S, C) digits of the two histories, the
+    # counterswap their E digits with the amplitude-ratio phase, and the
+    # result is matched back by flat index.
+    a, b = pair
+    values = amps.tolist()
+    row_a, row_b = _rows(spec, pair)
+    amp_a, amp_b = values[row_a], values[row_b]
+    sc = list(_sc_targets(spec))
+    sc_a, sc_b = keys[row_a, sc], keys[row_b, sc]
+    moved = keys.copy()
+    moved[np.ix_(np.all(keys[:, sc] == sc_a, axis=1), sc)] = sc_b
+    moved[np.ix_(np.all(keys[:, sc] == sc_b, axis=1), sc)] = sc_a
+    restored_amps = list(values)
+    env = keys[:, 2::3]
+    for src, dst, ratio in ((a, b, amp_b / amp_a), (b, a, amp_a / amp_b)):
+        for r in np.flatnonzero(np.all(env == src, axis=1)):
+            moved[r, 2::3] = dst
+            restored_amps[r] = values[r] * ratio
+    dims = (2, spec.M, spec.M) * spec.runs
+    restored = dict(zip(np.ravel_multi_index(moved.T, dims).tolist(), restored_amps))
+    flat = np.ravel_multi_index(keys.T, dims).tolist()
+    overlap = sum(amp.conjugate() * restored.get(k, 0.0) for amp, k in zip(values, flat))
+    return float(abs(overlap))
+
+
+def _dense_swap_check(spec, state, dec, keys, pair):
     """Full envariance verdict for a history swap via the generic machinery.
 
     ``dec`` is the state's Schmidt decomposition across the (S, C) cut; every
@@ -280,8 +296,8 @@ def _dense_swap_check(spec, state, dec, pair):
     """
     sc_dims = (2, spec.M) * spec.runs
     block = math.prod(sc_dims)
-    flat_a = int(np.ravel_multi_index(_sc_part(_full_index(spec, pair[0])), sc_dims))
-    flat_b = int(np.ravel_multi_index(_sc_part(_full_index(spec, pair[1])), sc_dims))
+    sc_digits = keys[np.ix_(_rows(spec, pair), _sc_targets(spec))]
+    flat_a, flat_b = (int(f) for f in np.ravel_multi_index(sc_digits.T, sc_dims))
     u = np.eye(block, dtype=complex)
     u[flat_a, flat_a] = u[flat_b, flat_b] = 0.0
     u[flat_a, flat_b] = u[flat_b, flat_a] = 1.0
@@ -295,133 +311,73 @@ def _dense_swap_check(spec, state, dec, pair):
 
 def _sample_pairs(spec: ExperimentSpec, swap_pairs: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
-    total = spec.M ** spec.runs
+    histories = (spec.M,) * spec.runs
     pairs = []
     for _ in range(int(swap_pairs)):
-        i, j = rng.choice(total, size=2, replace=False)
-        pairs.append((_decode_history(spec, int(i)), _decode_history(spec, int(j))))
+        flat = rng.choice(spec.M ** spec.runs, size=2, replace=False)
+        pairs.append(tuple(tuple(int(j) for j in np.unravel_index(int(f), histories))
+                           for f in flat))
     return pairs
 
 
-def _decode_history(spec: ExperimentSpec, flat: int) -> tuple:
-    cells = []
-    for _ in range(spec.runs):
-        flat, j = divmod(flat, spec.M)
-        cells.append(j)
-    return tuple(reversed(cells))
-
-
-def _census_from_positions(spec, outcome_digits, moduli) -> tuple:
-    n_per_term = np.sum(np.asarray(outcome_digits), axis=0)
-    census = np.bincount(n_per_term, minlength=spec.runs + 1)
-    target = spec.M ** (-spec.runs / 2.0)
-    max_dev = float(np.max(np.abs(np.asarray(moduli) - target)))
-    return tuple(int(c) for c in census), max_dev
-
-
-def _swap_checks(spec, state, terms, swap_pairs, seed) -> tuple:
-    pairs = _sample_pairs(spec, swap_pairs, seed)
-    dec = None
-    if pairs and state is not None and (2 * spec.M) ** spec.runs <= SWAP_BLOCK_CAP:
-        dec = schmidt(state, Bipartition(_sc_targets(spec)))
+def _swap_checks(spec, keys, amps, pairs, state) -> tuple:
+    # every pair is restored by the sparse protocol; with a dense ``state``
+    # it also gets the generic envariance verdict
+    dec = schmidt(state, Bipartition(_sc_targets(spec))) if state is not None else None
     checks = []
     for pair in pairs:
-        sparse_fid = _restoration(spec, terms, pair)
+        sparse_fid = _restoration(spec, keys, amps, pair)
         if dec is not None:
-            envariant, counter_fid = _dense_swap_check(spec, state, dec, pair)
+            envariant, counter_fid = _dense_swap_check(spec, state, dec, keys, pair)
             checks.append(SwapCheck(pair, sparse_fid, envariant, counter_fid))
         else:
             checks.append(SwapCheck(pair, sparse_fid))
     return tuple(checks)
 
 
-def history_census(spec: ExperimentSpec, phases=(0.0, 0.0), swap_pairs: int = 2,
-                   seed: int = 0) -> SuperensembleReport:
-    """Census of the explicit history expansion without the dense tensor.
-
-    Enumerates every nonzero amplitude as an explicit sparse term, so it
-    covers specs whose dense tensor would exceed the amplitude cap; swap
-    checks run through the sparse protocol only.
-    """
-    if spec.M ** spec.runs > SPARSE_TERM_CAP:
-        raise ValueError(f"more than {SPARSE_TERM_CAP} histories; not desk scale")
-    terms = _history_terms(spec, phases)
-    digits = [[idx[3 * l] for idx in terms] for l in range(spec.runs)]
-    census, max_dev = _census_from_positions(
-        spec, digits, [abs(a) for a in terms.values()])
-    return SuperensembleReport(
-        census=census,
-        tally=history_counts(spec).counts,
-        total_terms=len(terms),
-        max_modulus_dev=max_dev,
-        swap_checks=_swap_checks(spec, None, terms, swap_pairs, seed),
-    )
-
-
-def build_superensemble_explicit(spec: ExperimentSpec, phases=(0.0, 0.0),
-                                 swap_pairs: int = 2, seed: int = 0,
-                                 with_register: bool = False):
-    """Materialize the N-run state and cross-check it against the tally.
-
-    Returns (StateVector, SuperensembleReport).  The census is recomputed
-    from the dense tensor's nonzero entries, not from the generator, and the
-    sampled history swaps are verified envariant (dense machinery where the
-    swap block fits, exact sparse protocol always).  ``with_register``
-    prepends a detection-count register (runs <= 3): its digit must agree
-    with the outcome registers term by term, and swap checks are skipped
-    because the swap is no longer local to (S, C).
-    """
-    dims = (2, spec.M, spec.M) * spec.runs
-    if with_register:
-        dims = (spec.runs + 1,) + dims
-    size = math.prod(dims)
-    require_dense(size, "explicit build")
-    if with_register and spec.runs > 3:
-        raise ValueError("physical register option is limited to runs <= 3")
-    terms = _history_terms(spec, phases)
-    amps = np.zeros(size, dtype=complex)
-    for idx, amp in terms.items():
-        if with_register:
-            n = sum(idx[3 * l] for l in range(spec.runs))
-            idx = (n,) + idx
-        amps[np.ravel_multi_index(idx, dims)] = amp
-    state = StateVector(dims, amps)
-
-    support = np.nonzero(state.amps)[0]
-    multi = np.unravel_index(support, dims)
-    offset = 1 if with_register else 0
-    digits = [multi[offset + 3 * l] for l in range(spec.runs)]
-    census, max_dev = _census_from_positions(
-        spec, digits, np.abs(state.amps[support]))
-    if with_register and not np.array_equal(multi[0], np.sum(digits, axis=0)):
-        raise ValueError("register digit disagrees with the outcome registers")
-    checks = () if with_register else _swap_checks(spec, state, terms, swap_pairs, seed)
-    report = SuperensembleReport(
-        census=census,
-        tally=history_counts(spec).counts,
-        total_terms=int(support.size),
-        max_modulus_dev=max_dev,
-        swap_checks=checks,
-    )
-    return state, report
-
-
 def superensemble(spec: ExperimentSpec, phases=(0.0, 0.0), swap_pairs: int = 2,
                   seed: int = 0, with_register: bool = False) -> tuple:
-    """Cross-check the largest superensemble build that is desk scale.
+    """Census of the N-run history expansion, cross-checked against the tally.
 
-    Returns (route, report): ("explicit", ...) when the dense tensor fits the
-    amplitude budget, else ("sparse-census", ...) when there is no register
-    and at most SPARSE_TERM_CAP histories, else
-    ("skipped-beyond-desk-scale", None).
+    Returns (route, report).  The route is "explicit" when the dense tensor
+    (after the detection register, if asked for) fits the amplitude budget,
+    "sparse-census" when it does not but there is no register and at most
+    SPARSE_TERM_CAP histories, else "skipped-beyond-desk-scale" with no
+    report.  Every route expands the histories once and counts the census,
+    the term count and the worst modulus from that expansion; every sampled
+    history swap is restored through the sparse protocol.  The dense tensor
+    is built from the same expansion, and only on the explicit route where a
+    check reads it: the dense envariance verdict of each sampled swap (when
+    the (2M)^N swap block is within SWAP_BLOCK_CAP), and ``with_register``
+    (runs <= 3), whose register digit is read back for every term and must
+    equal its detection count.  A register build runs no swap checks,
+    because the swap is no longer local to (S, C).
     """
     phases = _coarse_phases(phases)
-    try:
-        _, report = build_superensemble_explicit(spec, phases, swap_pairs, seed,
-                                                 with_register)
-        return "explicit", report
-    except DenseBudgetError:
-        pass
-    if not with_register and spec.M ** spec.runs <= SPARSE_TERM_CAP:
-        return "sparse-census", history_census(spec, phases, swap_pairs, seed)
-    return "skipped-beyond-desk-scale", None
+    explicit = math.prod(_tensor_dims(spec, with_register)) <= born.DENSE_AMPLITUDE_CAP
+    if not explicit and (with_register or spec.M ** spec.runs > SPARSE_TERM_CAP):
+        return "skipped-beyond-desk-scale", None
+    if with_register and spec.runs > 3:
+        raise ValueError("physical register option is limited to runs <= 3")
+    keys, amps = _history_terms(spec, phases)
+    detections = keys[:, 0::3].sum(axis=1)
+    checks = ()
+    if with_register:
+        state = _dense_state(spec, keys, amps, with_register=True)
+        levels = state.amps.reshape(spec.runs + 1, -1)[
+            :, np.ravel_multi_index(keys.T, state.dims[1:])]
+        if not np.array_equal(levels != 0, np.arange(spec.runs + 1)[:, None] == detections):
+            raise ValueError("register digit disagrees with the outcome registers")
+    else:
+        pairs = _sample_pairs(spec, swap_pairs, seed)
+        dense = explicit and bool(pairs) and (2 * spec.M) ** spec.runs <= SWAP_BLOCK_CAP
+        checks = _swap_checks(spec, keys, amps, pairs,
+                              _dense_state(spec, keys, amps) if dense else None)
+    report = SuperensembleReport(
+        census=tuple(int(c) for c in np.bincount(detections, minlength=spec.runs + 1)),
+        tally=history_counts(spec).counts,
+        total_terms=len(amps),
+        max_modulus_dev=float(np.max(np.abs(np.abs(amps) - spec.M ** (-spec.runs / 2.0)))),
+        swap_checks=checks,
+    )
+    return ("explicit" if explicit else "sparse-census"), report

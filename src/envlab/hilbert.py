@@ -413,11 +413,8 @@ def _load_matrix(path, dtype) -> np.ndarray:
 
 def load_state(state_file) -> StateVector:
     """Read a state file; rejects norm deviations beyond FILE_NORM_TOL."""
-    if hasattr(state_file, "read"):
-        doc = json.load(state_file)
-    else:
-        with open(state_file) as fh:
-            doc = json.load(fh)
+    with open(state_file) as fh:
+        doc = json.load(fh)
     try:
         dims = tuple(int(d) for d in doc["dims"])
         amps = np.array([complex(re, im) for re, im in doc["amps"]])

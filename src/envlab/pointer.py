@@ -29,39 +29,26 @@ SEARCH_DIM_CAP = 8
 
 @dataclass(frozen=True)
 class TruthTable:
-    """Record rule: system vector k is written to apparatus level record_map[k].
+    """Record rule: system vector k is written to apparatus level k + 1.
 
-    ``system_basis`` rows must be unit vectors.  They are usually orthonormal,
-    but do not have to be: non-orthogonal inputs can still be recorded on
-    orthonormal apparatus levels through ``premeasure_branches``.  Level 0 of
-    the apparatus is the ready state and never appears as a record image, so
-    record indices start at 1; the default map is k -> k + 1.
+    ``system_basis`` rows must be orthonormal, so the branch amplitudes of a
+    recorded state are its projections <s_k|input>.  Level 0 of the
+    apparatus is the ready state and never holds a record, so records start
+    at level 1.
     """
 
     system_basis: np.ndarray = field(repr=False)
-    record_map: tuple = ()
 
     def __post_init__(self):
         basis = np.asarray(self.system_basis, dtype=complex)
         if basis.ndim != 2 or basis.shape[0] < 1:
             raise ValueError("system_basis must be a 2-d array, one vector per row")
-        nrms = np.linalg.norm(basis, axis=1)
-        if np.max(np.abs(nrms - 1.0)) > NORM_TOL:
-            raise ValueError("system_basis rows must be unit vectors")
-        if self.record_map:
-            rmap = tuple(int(r) for r in self.record_map)
-        else:
-            rmap = tuple(range(1, basis.shape[0] + 1))
-        if len(rmap) != basis.shape[0]:
-            raise ValueError("record_map length must match the number of outcomes")
-        if len(set(rmap)) != len(rmap):
-            raise ValueError("record_map must be injective")
-        if min(rmap) < 1:
-            raise ValueError("apparatus level 0 is the ready state; records start at 1")
+        gram = basis.conj() @ basis.T
+        if float(np.max(np.abs(gram - np.eye(basis.shape[0])))) > NORM_TOL:
+            raise ValueError("system_basis rows must be orthonormal")
         basis = basis.copy()
         basis.flags.writeable = False
         object.__setattr__(self, "system_basis", basis)
-        object.__setattr__(self, "record_map", rmap)
 
     @property
     def n_outcomes(self) -> int:
@@ -70,10 +57,6 @@ class TruthTable:
     @property
     def dim_system(self) -> int:
         return self.system_basis.shape[1]
-
-    def is_orthonormal(self) -> bool:
-        gram = self.system_basis.conj() @ self.system_basis.T
-        return float(np.max(np.abs(gram - np.eye(self.n_outcomes)))) <= NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -157,57 +140,29 @@ def load_couplings(path) -> CouplingMatrix:
     return CouplingMatrix(_load_matrix(path, float))
 
 
-def _assemble(amplitudes, table: TruthTable, apparatus_dim: int,
-              system_dims) -> StateVector:
-    if apparatus_dim < table.n_outcomes + 1:
-        raise ValueError(
-            f"apparatus too small: {table.n_outcomes} outcomes need dimension "
-            f">= {table.n_outcomes + 1} (level 0 stays the ready state)"
-        )
-    if max(table.record_map) >= apparatus_dim:
-        raise ValueError("record_map points past the apparatus dimension")
-    out = np.zeros((int(apparatus_dim), table.dim_system), dtype=complex)
-    for k, r in enumerate(table.record_map):
-        out[r] += amplitudes[k] * table.system_basis[k]
-    return StateVector((int(apparatus_dim),) + tuple(system_dims), out.reshape(-1))
-
-
 def premeasure(system_state: StateVector, table: TruthTable,
                apparatus_dim: int) -> StateVector:
-    """Record a system state onto a fresh apparatus: |A_0>|s_k> -> |A_r(k)>|s_k>.
+    """Record a system state onto a fresh apparatus: |A_0>|s_k> -> |A_k+1>|s_k>.
 
-    The table basis must be orthonormal (the branch amplitudes are the
-    projections <s_k|input>) and the input must lie in its span.  Output
-    layout: (apparatus, system), apparatus first.
+    The branch amplitudes are the projections <s_k|input>, and the input must
+    lie in the span of the table basis.  Output layout: (apparatus, system),
+    apparatus first.
     """
-    if not table.is_orthonormal():
-        raise ValueError(
-            "premeasure needs an orthonormal system_basis; for general unit "
-            "vectors supply branch amplitudes to premeasure_branches"
-        )
     if system_state.amps.size != table.dim_system:
         raise ValueError("system state dimension does not match the table")
     amplitudes = table.system_basis.conj() @ system_state.amps
     residue = system_state.amps - amplitudes @ table.system_basis
     if np.linalg.norm(residue) > 1e-9:
         raise ValueError("input state has weight outside the recorded span")
-    return _assemble(amplitudes, table, apparatus_dim, system_state.dims)
-
-
-def premeasure_branches(amplitudes, table: TruthTable, apparatus_dim: int) -> StateVector:
-    """Record explicitly weighted branches: sum_k c_k |A_r(k)>|s_k>.
-
-    This is the route for non-orthogonal recorded states, where projections
-    are ambiguous and the caller owns the branch amplitudes c_k.  The output
-    is normalized because the record images are orthonormal regardless of the
-    overlaps <s_k|s_l>.
-    """
-    c = np.asarray(amplitudes, dtype=complex)
-    if c.shape != (table.n_outcomes,):
-        raise ValueError("one amplitude per table outcome required")
-    if abs(np.linalg.norm(c) - 1.0) > NORM_TOL:
-        raise ValueError("branch amplitudes must satisfy sum |c_k|^2 = 1")
-    return _assemble(c, table, apparatus_dim, (table.dim_system,))
+    if apparatus_dim < table.n_outcomes + 1:
+        raise ValueError(
+            f"apparatus too small: {table.n_outcomes} outcomes need dimension "
+            f">= {table.n_outcomes + 1} (level 0 stays the ready state)"
+        )
+    out = np.zeros((int(apparatus_dim), table.dim_system), dtype=complex)
+    for k in range(table.n_outcomes):
+        out[k + 1] += amplitudes[k] * table.system_basis[k]
+    return StateVector((int(apparatus_dim),) + tuple(system_state.dims), out.reshape(-1))
 
 
 def evolve(state: StateVector, apparatus: int, env: int,

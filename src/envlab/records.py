@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .born import BornResult, WeightVector, _chunk_rows
+from .born import _chunk_rows
 from .hilbert import StateVector
 
 PROJECTOR_TOL = 1e-12
@@ -227,13 +227,9 @@ def verify_axioms(universe_size: int, trials: int = 500, seed: int = 0) -> Axiom
     )
 
 
-def _weights_of(result) -> tuple:
-    """Fine-grained weights from a BornResult, WeightVector, or plain tally."""
-    if isinstance(result, BornResult):
-        return result.weights.m
-    if isinstance(result, WeightVector):
-        return result.m
-    tally = tuple(int(x) for x in result)
+def _weights_of(tally) -> tuple:
+    """Fine-grained weights from a tally of nonnegative integers."""
+    tally = tuple(int(x) for x in tally)
     if not tally or any(x < 0 for x in tally):
         raise ValueError("tally must be nonnegative integers")
     if sum(tally) == 0:
@@ -241,9 +237,9 @@ def _weights_of(result) -> tuple:
     return tally
 
 
-def event_probability(result, event: RecordEvent) -> Fraction:
+def event_probability(tally, event: RecordEvent) -> Fraction:
     """Exact probability of a coarse event: member weights over the total."""
-    weights = _weights_of(result)
+    weights = _weights_of(tally)
     if event.universe != frozenset(range(len(weights))):
         raise ValueError(
             f"event universe does not match the {len(weights)} outcome indices"
@@ -258,7 +254,7 @@ def conditional_probability(event: RecordEvent, outcome: int) -> Fraction:
     return Fraction(1 if int(outcome) in event.members else 0)
 
 
-def build_upsilon(result, partition) -> StateVector:
+def build_upsilon(tally, partition) -> StateVector:
     """Two-register state correlating coarse cells with fine outcomes.
 
     Cell c of the partition contributes sqrt(m_k / M) on |c>|k> for each of
@@ -266,7 +262,7 @@ def build_upsilon(result, partition) -> StateVector:
     there is no record of something that never happened.  Layout: (coarse,
     fine), coarse register first, cells in the order given.
     """
-    weights = _weights_of(result)
+    weights = _weights_of(tally)
     n = len(weights)
     cells = list(partition)
     if not cells:

@@ -32,10 +32,9 @@ from envlab.envariance import (
 )
 from envlab.frequencies import (
     ExperimentSpec,
-    build_superensemble_explicit,
-    history_census,
     history_counts,
     maverick_mass,
+    superensemble,
 )
 from envlab.hilbert import (
     Bipartition,
@@ -56,7 +55,7 @@ from envlab.pointer import (
     environment_state,
     evolve,
     pointer_score,
-    premeasure_branches,
+    premeasure,
 )
 from envlab.records import verify_axioms
 from conftest import random_state, schmidt_form_state
@@ -183,8 +182,8 @@ def test_criterion_05_pointer_dichotomy():
         spectrum = EnvSpectrum(gamma / np.linalg.norm(gamma))
         # even branch amplitudes keep the rotated-basis floor well above 0.01
         amps = np.exp(1j * rng.uniform(0, 2 * np.pi, n_rec)) / 2.0
-        pre = premeasure_branches(tuple(amps), TruthTable(np.eye(n_rec)),
-                                  n_rec + 1)
+        pre = premeasure(StateVector((n_rec,), amps), TruthTable(np.eye(n_rec)),
+                         n_rec + 1)
         env = environment_state(spectrum)
         base = StateVector(pre.dims + env.dims, np.kron(pre.amps, env.amps))
         truth = np.eye(n_rec + 1, dtype=complex)
@@ -221,11 +220,10 @@ def test_criterion_07_history_counting():
                 spec = ExperimentSpec(m=m, M=big_m, runs=runs)
                 tally = history_counts(spec)
                 assert tally.total == big_m ** runs
-                if (2 * big_m * big_m) ** runs <= DENSE_AMPLITUDE_CAP:
-                    _, rep = build_superensemble_explicit(
-                        spec, swap_pairs=3, seed=700 + runs)
-                else:
-                    rep = history_census(spec, swap_pairs=3, seed=700 + runs)
+                route, rep = superensemble(spec, swap_pairs=3, seed=700 + runs)
+                assert route == ("explicit"
+                                 if (2 * big_m * big_m) ** runs <= DENSE_AMPLITUDE_CAP
+                                 else "sparse-census")
                 assert rep.census_matches
                 assert rep.total_terms == big_m ** runs
                 assert rep.max_modulus_dev <= 1e-12

@@ -112,15 +112,6 @@ def test_fine_grain_staircase_bookkeeping():
     assert np.count_nonzero(tens) == 10
 
 
-def test_fine_grain_per_cell_phase_override():
-    cell_phases = np.linspace(0, 1.8, 3)
-    fg = fine_grain(WeightVector((1, 2)), [0.0, 0.0], cell_phases=cell_phases)
-    tens = fg.tensor()
-    owners = (0, 1, 1)
-    for j in range(3):
-        assert abs(tens[owners[j], j, j] - np.exp(1j * cell_phases[j]) / np.sqrt(3)) < 1e-12
-
-
 def test_fine_grain_rejects_oversized_build():
     with pytest.raises(DenseBudgetError, match="needs 50000000 amplitudes"):
         fine_grain(WeightVector((1, 4999)), [0.0, 0.0])

@@ -125,6 +125,8 @@ AUDIT_RUNS = (
      "--given", "1", "--partition", "0,1;2,3"],
     ["freq", "--m", "1", "--M", "2", "--N", "2", "--delta-r", "0.1"],
     ["freq", "--m", "1", "--M", "2", "--N", "12"],
+    ["freq", "--m", "1", "--M", "2", "--N", "2", "--register"],
+    ["freq", "--m", "1", "--M", "2", "--N", "12", "--phases", "0.3,-0.8", "--pairs", "1"],
     ["freq", "--cells", "1,2", "--N", "3"],
     ["continuum", "--dx", "0.5", "--interval=-1,1", "--m-max", "512"],
     ["continuum", "--adaptive", "--cells", "8"],
@@ -637,6 +639,25 @@ def test_overflowing_coupling_phases_exit_two(argv, tmp_path, capsys):
     one_error_line(*run_without_warnings(["pointer", "--couplings", str(path), *argv],
                                          capsys),
                    "coupling phases g*t are not finite at t=1e+308")
+
+
+def test_decoherence_table_is_checked_against_the_budget(couplings_file, monkeypatch,
+                                                         capsys):
+    # two records give one pair: a step is t plus re, im and abs, 4 cells, so
+    # 10 steps need 40; an unchecked --steps used to fill memory before failing
+    sweeps = []
+    real = cli_module.decoherence_factor
+    monkeypatch.setattr(cli_module, "decoherence_factor",
+                        lambda *args: sweeps.append(args) or real(*args))
+    argv = ["pointer", "--couplings", couplings_file, "--steps", "10"]
+    monkeypatch.setattr(envlab.born, "DENSE_AMPLITUDE_CAP", 40)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and len(table_rows(out, "decoherence")) == 10
+    assert len(sweeps) == 1
+    monkeypatch.setattr(envlab.born, "DENSE_AMPLITUDE_CAP", 39)
+    one_error_line(*run_cli(argv, capsys),
+                   "decoherence table needs 40 amplitudes (cap 39)")
+    assert len(sweeps) == 1
 
 
 @pytest.mark.parametrize("argv", [

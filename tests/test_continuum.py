@@ -29,14 +29,12 @@ def quad_mass(psi, a, b, points=64):
 
 
 def test_sequence_validation():
-    with pytest.raises(ValueError, match="sum"):
-        CoefficientSequence.finite([0.5, 0.5])
-    with pytest.raises(ValueError, match="finite coefficient list or term"):
+    with pytest.raises(ValueError, match="both term and tail"):
         CoefficientSequence()
-    with pytest.raises(ValueError, match="finite coefficient list or term"):
-        CoefficientSequence(coeffs=(1.0,), term=lambda k: 0.0, tail=lambda n: 0.0)
     with pytest.raises(ValueError, match="both term and tail"):
         CoefficientSequence(term=lambda k: 0.0)
+    with pytest.raises(ValueError, match="both term and tail"):
+        CoefficientSequence(tail=lambda n: 0.0)
     with pytest.raises(ValueError, match="ratio"):
         CoefficientSequence.geometric(1)
 
@@ -61,11 +59,14 @@ def test_truncate_geometric_half():
 
 
 def test_truncate_finite_list():
-    seq = CoefficientSequence.finite(
-        [math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)])
+    # three coefficients given as term and exact tail, zero beyond k = 3
+    weights = (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
+    seq = CoefficientSequence.analytic(
+        term=lambda k: math.sqrt(weights[k - 1]) if k <= 3 else 0.0,
+        tail=lambda n: sum(weights[n:], Fraction(0)))
     cut = truncate(seq, 1e-8)
     assert cut.n_delta == 3
-    assert cut.delta_sq == 0.0
+    assert cut.delta_sq == 0
     assert cut.conditional_probs == pytest.approx(cut.probs)
 
     partial = truncate(seq, 0.5)  # budget 0.25: drop only the 0.2 tail
@@ -76,7 +77,7 @@ def test_truncate_finite_list():
 
 
 def test_truncate_validation():
-    seq = CoefficientSequence.finite([1.0])
+    seq = CoefficientSequence.geometric(Fraction(1, 2))
     with pytest.raises(ValueError, match="strictly between"):
         truncate(seq, 0)
     with pytest.raises(ValueError, match="strictly between"):

@@ -7,26 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import envlab.born as born
+import envlab.frequencies as frequencies
 from envlab.born import DenseBudgetError, WeightVector, fine_grain
 from envlab.frequencies import (
     ExperimentSpec,
     HistoryTally,
     SuperensembleReport,
     SwapCheck,
+    _dense_state,
     _history_terms,
     _restoration,
-    build_superensemble_explicit,
     deviation,
     frequency_distribution,
     gaussian_approx,
     gaussian_reference,
-    history_census,
     history_counts,
     maverick_mass,
     multinomial_history_counts,
     superensemble,
 )
-from envlab.hilbert import conditional_state
+from envlab.hilbert import StateVector, conditional_state
 
 
 # Oracles: brute-force history enumeration, written before the module and
@@ -241,11 +242,17 @@ def test_maverick_validation():
         maverick_mass(spec, 1)
 
 
+def _tensor(spec, phases=(0.0, 0.0), with_register=False):
+    return _dense_state(spec, *_history_terms(spec, phases), with_register)
+
+
 def test_superensemble_two_runs_even_coin():
     spec = ExperimentSpec(m=1, M=2, runs=2)
-    state, report = build_superensemble_explicit(spec, swap_pairs=3, seed=11)
+    route, report = superensemble(spec, swap_pairs=3, seed=11)
+    assert route == "explicit"
+    state = _tensor(spec)
     assert state.dims == (2, 2, 2, 2, 2, 2)
-    assert report.total_terms == 4
+    assert np.count_nonzero(state.amps) == report.total_terms == 4
     assert report.census == (1, 2, 1)
     assert report.census_matches
     assert report.max_modulus_dev <= 1e-15
@@ -259,11 +266,13 @@ def test_superensemble_two_runs_even_coin():
 
 def test_superensemble_phases_enter_amplitudes():
     spec = ExperimentSpec(m=1, M=2, runs=2)
-    state, report = build_superensemble_explicit(spec, phases=(0.3, -0.8), seed=5)
+    state = _tensor(spec, (0.3, -0.8))
     idx = np.ravel_multi_index((0, 0, 0, 1, 1, 1), state.dims)
     expected = 0.5 * np.exp(1j * (0.3 - 0.8))
     assert state.amps[idx] == pytest.approx(expected, abs=1e-15)
     # phases never disturb the census, the moduli, or envariance
+    route, report = superensemble(spec, phases=(0.3, -0.8), seed=5)
+    assert route == "explicit"
     assert report.census == (1, 2, 1)
     assert report.max_modulus_dev <= 1e-15
     for check in report.swap_checks:
@@ -274,7 +283,7 @@ def test_superensemble_phases_enter_amplitudes():
 
 def test_single_run_is_fine_grained_state():
     spec = ExperimentSpec(m=1, M=3, runs=1)
-    state, _ = build_superensemble_explicit(spec)
+    state = _tensor(spec)
     mirror = fine_grain(WeightVector((1, 2)), (0.0, 0.0))
     assert state.dims == mirror.dims
     assert np.allclose(state.amps, mirror.amps, atol=1e-15)
@@ -282,31 +291,39 @@ def test_single_run_is_fine_grained_state():
 
 def test_superensemble_exchangeable_across_runs():
     spec = ExperimentSpec(m=1, M=2, runs=3)
-    state, _ = build_superensemble_explicit(spec, phases=(0.4, 1.1))
+    state = _tensor(spec, (0.4, 1.1))
     arr = state.amps.reshape(state.dims)
     swapped = np.transpose(arr, (6, 7, 8, 3, 4, 5, 0, 1, 2))
     assert np.allclose(arr, swapped, atol=1e-15)
 
 
-def test_history_census_agrees_with_dense():
+def test_routes_agree_on_one_spec(monkeypatch):
+    # one spec with nonzero phases, counted on the explicit route and then,
+    # with the dense budget one amplitude short, on the sparse-census route
     spec = ExperimentSpec(m=1, M=2, runs=4)
-    _, dense = build_superensemble_explicit(spec, swap_pairs=2, seed=3)
-    sparse = history_census(spec, swap_pairs=2, seed=3)
-    assert sparse.census == dense.census == dense.tally
-    assert sparse.total_terms == dense.total_terms == 16
-    assert sparse.max_modulus_dev <= 1e-12
-    for check in sparse.swap_checks:
-        assert check.restoration >= 1 - 1e-12
-        assert check.envariant is None
-        assert check.counter_fidelity is None
+    phases = (0.3, -0.8)
+    route, explicit = superensemble(spec, phases, swap_pairs=3, seed=3)
+    assert route == "explicit"
+    monkeypatch.setattr(born, "DENSE_AMPLITUDE_CAP", 8 ** 4 - 1)
+    route, sparse = superensemble(spec, phases, swap_pairs=3, seed=3)
+    assert route == "sparse-census"
+    assert sparse.census == explicit.census == explicit.tally
+    assert sparse.total_terms == explicit.total_terms == 16
+    assert sparse.max_modulus_dev == explicit.max_modulus_dev
+    assert ([c.restoration for c in sparse.swap_checks]
+            == [c.restoration for c in explicit.swap_checks])
+    assert all(c.envariant is True for c in explicit.swap_checks)
+    assert all(c.envariant is None and c.counter_fidelity is None
+               for c in sparse.swap_checks)
 
 
 def test_history_census_beyond_dense_cap():
     # 18^6 amplitudes would blow the dense cap; the census still runs sparsely
     spec = ExperimentSpec(m=1, M=3, runs=6)
-    with pytest.raises(ValueError, match="amplitudes"):
-        build_superensemble_explicit(spec)
-    report = history_census(spec, swap_pairs=4, seed=9)
+    with pytest.raises(DenseBudgetError, match="amplitudes"):
+        _tensor(spec)
+    route, report = superensemble(spec, swap_pairs=4, seed=9)
+    assert route == "sparse-census"
     assert report.total_terms == 729
     assert report.census == report.tally == history_counts(spec).counts
     assert report.max_modulus_dev <= 1e-12
@@ -315,43 +332,58 @@ def test_history_census_beyond_dense_cap():
 
 
 def test_history_census_term_cap():
-    with pytest.raises(ValueError, match="desk scale"):
-        history_census(ExperimentSpec(m=1, M=2, runs=13))
+    # 2^13 histories: past the sparse term cap as well as the dense budget
+    assert superensemble(ExperimentSpec(m=1, M=2, runs=13)) == (
+        "skipped-beyond-desk-scale", None)
 
 
 def test_swap_restoration_all_pairs():
     spec = ExperimentSpec(m=1, M=2, runs=2)
     histories = list(itertools.product(range(2), repeat=2))
-    terms = _history_terms(spec, (0.7, -0.2))
+    keys, amps = _history_terms(spec, (0.7, -0.2))
     for a, b in itertools.combinations(histories, 2):
-        fid = _restoration(spec, terms, (a, b))
+        fid = _restoration(spec, keys, amps, (a, b))
         assert fid >= 1 - 1e-12
 
 
 def test_register_counts_detections():
     spec = ExperimentSpec(m=1, M=2, runs=2)
-    state, report = build_superensemble_explicit(spec, with_register=True)
-    assert state.dims == (3, 2, 2, 2, 2, 2, 2)
+    route, report = superensemble(spec, with_register=True)
+    assert route == "explicit"
     assert report.census == report.tally
     assert report.swap_checks == ()
+    state = _tensor(spec, with_register=True)
+    assert state.dims == (3, 2, 2, 2, 2, 2, 2)
     probs = frequency_distribution(spec)
     for n in range(3):
         weight, _ = conditional_state(state, 0, np.eye(3)[n])
         assert weight ** 2 == pytest.approx(float(probs[n]), abs=1e-12)
 
 
+def test_register_check_reads_the_tensor(monkeypatch):
+    # a tensor whose register digit is off by one for some terms is refused
+    real = frequencies._dense_state
+
+    def shifted(spec, keys, amps, with_register=False):
+        state = real(spec, keys, amps, with_register)
+        tens = np.roll(state.amps.reshape(state.dims[0], -1), 1, axis=0)
+        return StateVector(state.dims, tens.reshape(-1))
+
+    monkeypatch.setattr(frequencies, "_dense_state", shifted)
+    with pytest.raises(ValueError, match="register digit disagrees"):
+        superensemble(ExperimentSpec(m=1, M=2, runs=2), with_register=True)
+
+
 def test_register_run_cap():
     with pytest.raises(ValueError, match="runs <= 3"):
-        build_superensemble_explicit(
-            ExperimentSpec(m=1, M=2, runs=4), with_register=True)
+        superensemble(ExperimentSpec(m=1, M=2, runs=4), with_register=True)
 
 
 def test_register_budget_is_checked_before_run_cap():
-    # too big to build at all: the budget refuses first, so a caller can
-    # fall back instead of seeing the register limit
-    with pytest.raises(DenseBudgetError):
-        build_superensemble_explicit(
-            ExperimentSpec(m=1, M=10, runs=4), with_register=True)
+    # too big to build at all: the budget decides first, so the route is
+    # skipped instead of refused by the register limit
+    assert superensemble(ExperimentSpec(m=1, M=10, runs=4), with_register=True) == (
+        "skipped-beyond-desk-scale", None)
 
 
 @pytest.mark.parametrize("spec, register, route", [

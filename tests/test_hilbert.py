@@ -1,4 +1,3 @@
-import io
 
 import numpy as np
 import pytest
@@ -256,12 +255,15 @@ def test_state_file_roundtrip(rng, tmp_path):
     assert np.allclose(back.amps, psi.amps, atol=1e-15)
 
 
-def test_state_file_rejects_bad_norm():
-    doc = '{"dims": [2], "amps": [[1.0, 0.0], [0.1, 0.0]]}'
+def test_state_file_rejects_bad_norm(tmp_path):
+    path = tmp_path / "bad.state"
+    path.write_text('{"dims": [2], "amps": [[1.0, 0.0], [0.1, 0.0]]}')
     with pytest.raises(ValueError):
-        load_state(io.StringIO(doc))
+        load_state(path)
 
 
-def test_state_file_rejects_malformed():
+def test_state_file_rejects_malformed(tmp_path):
+    path = tmp_path / "malformed.state"
+    path.write_text('{"dims": [2]}')
     with pytest.raises(ValueError):
-        load_state(io.StringIO('{"dims": [2]}'))
+        load_state(path)

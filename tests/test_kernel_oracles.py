@@ -14,6 +14,7 @@ agree as well.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -36,14 +37,11 @@ from envlab.frequencies import (
     SWAP_BLOCK_CAP,
     ExperimentSpec,
     SwapCheck,
-    _full_index,
+    _dense_state,
     _history_terms,
     _restoration,
     _sample_pairs,
-    _sc_part,
     _sc_targets,
-    build_superensemble_explicit,
-    history_census,
     history_counts,
     maverick_mass,
     superensemble,
@@ -108,6 +106,32 @@ def oracle_block_operator(u, left, left_dims):
     return np.moveaxis(out, range(len(pos)), pos).reshape(d, d)
 
 
+def oracle_history_terms(spec, phases) -> dict:
+    phases = tuple(float(p) for p in phases)
+    modulus = spec.M ** (-spec.runs / 2.0)
+    terms = {}
+    for cells in itertools.product(range(spec.M), repeat=spec.runs):
+        idx, total_phase = [], 0.0
+        for j in cells:
+            s = 0 if j < spec.m else 1
+            idx.extend((s, j, j))
+            total_phase += phases[s]
+        terms[tuple(idx)] = modulus * complex(
+            math.cos(total_phase), math.sin(total_phase))
+    return terms
+
+
+def _sc_part(idx: tuple) -> tuple:
+    return tuple(x for i, x in enumerate(idx) if i % 3 != 2)
+
+
+def _full_index(spec, cells: tuple) -> tuple:
+    idx = []
+    for j in cells:
+        idx.extend((0 if j < spec.m else 1, j, j))
+    return tuple(idx)
+
+
 def _interleave(sc, env):
     idx = []
     for l, e in enumerate(env):
@@ -122,7 +146,7 @@ def oracle_swap_restoration(spec, pair, phases=(0.0, 0.0)):
             raise ValueError(f"history must list {spec.runs} cell indices below {spec.M}")
     if a == b:
         raise ValueError("histories must differ")
-    terms = _history_terms(spec, phases)
+    terms = oracle_history_terms(spec, phases)
     sc_a, sc_b = _sc_part(_full_index(spec, a)), _sc_part(_full_index(spec, b))
     amp_a, amp_b = terms[_full_index(spec, a)], terms[_full_index(spec, b)]
     swapped = {}
@@ -169,7 +193,7 @@ def oracle_swap_checks(spec, state, terms, swap_pairs, seed):
     checks = []
     dense_ok = state is not None and (2 * spec.M) ** spec.runs <= SWAP_BLOCK_CAP
     for pair in _sample_pairs(spec, swap_pairs, seed):
-        sparse_fid = _restoration(spec, terms, pair)
+        sparse_fid = _restoration(spec, *terms, pair)
         if dense_ok:
             envariant, counter_fid = oracle_dense_swap_check(spec, state, pair)
             checks.append(SwapCheck(pair, sparse_fid, envariant, counter_fid))
@@ -331,7 +355,7 @@ def test_group_basis_rank_deficient_raises_like_oracle():
 def test_group_basis_on_degenerate_superensemble_cut(runs):
     # the 2^runs-fold group of the left singular vectors in freq's dense check
     spec = ExperimentSpec(m=1, M=2, runs=runs)
-    state, _ = build_superensemble_explicit(spec, swap_pairs=0)
+    state = _dense_state(spec, *_history_terms(spec, (0.0, 0.0)))
     sc = [i for i in range(3 * runs) if i % 3 != 2]
     env = [i for i in range(3 * runs) if i % 3 == 2]
     mat = np.transpose(state.amps.reshape(state.dims), sc + env)
@@ -374,10 +398,22 @@ def test_block_operator_target_orders(left_dims, left, targets):
     _check_block_operator(11, left_dims, left, targets)
 
 
-# ----- sparse swap restoration -----
+# ----- history expansion and sparse swap restoration -----
 
 SMALL_SPECS = [(m, big_m, runs) for big_m in (2, 3, 4) for m in range(1, big_m)
                for runs in range(1, 9) if big_m ** runs <= 256]
+
+
+@given(st.sampled_from(SMALL_SPECS),
+       st.tuples(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0)))
+@settings(max_examples=120, deadline=None)
+def test_history_expansion_matches_dict_oracle(spec_args, phases):
+    # the same keys in the same order, and the same amplitudes bit for bit
+    spec = ExperimentSpec(*spec_args)
+    keys, amps = _history_terms(spec, phases)
+    terms = oracle_history_terms(spec, phases)
+    assert [tuple(k) for k in keys.tolist()] == list(terms)
+    assert [repr(a) for a in amps.tolist()] == [repr(a) for a in terms.values()]
 
 
 @given(st.sampled_from(SMALL_SPECS), st.integers(0, 2 ** 32 - 1),
@@ -386,15 +422,18 @@ SMALL_SPECS = [(m, big_m, runs) for big_m in (2, 3, 4) for m in range(1, big_m)
 def test_swap_restoration_matches_oracle_bit_for_bit(spec_args, seed, phases):
     spec = ExperimentSpec(*spec_args)
     for pair in _sample_pairs(spec, 3, seed):
-        assert _restoration(spec, _history_terms(spec, phases), pair) == \
+        assert _restoration(spec, *_history_terms(spec, phases), pair) == \
             oracle_swap_restoration(spec, pair, phases)
 
 
-def test_report_restorations_match_oracle_bit_for_bit():
+def test_report_restorations_match_oracle_bit_for_bit(monkeypatch):
     spec = ExperimentSpec(m=1, M=3, runs=4)
     phases = (0.4, -1.3)
-    _, dense = build_superensemble_explicit(spec, phases, swap_pairs=4, seed=2)
-    sparse = history_census(spec, phases, swap_pairs=4, seed=2)
+    route, dense = superensemble(spec, phases, swap_pairs=4, seed=2)
+    assert route == "explicit"
+    monkeypatch.setattr(born, "DENSE_AMPLITUDE_CAP", 18 ** 4 - 1)
+    route, sparse = superensemble(spec, phases, swap_pairs=4, seed=2)
+    assert route == "sparse-census"
     for check in dense.swap_checks + sparse.swap_checks:
         assert check.restoration == oracle_swap_restoration(spec, check.pair, phases)
 
@@ -431,19 +470,25 @@ def expansion_counter(monkeypatch):
 
 
 @pytest.mark.parametrize("pairs", [0, 1, 5])
-def test_one_expansion_per_report(pairs, expansion_counter):
+def test_one_expansion_per_report(pairs, expansion_counter, monkeypatch):
     spec = ExperimentSpec(m=1, M=3, runs=3)
-    report = history_census(spec, swap_pairs=pairs, seed=4)
+    route, report = superensemble(spec, swap_pairs=pairs, seed=4)
+    assert route == "explicit"
     assert len(report.swap_checks) == pairs and len(expansion_counter) == 1
-    _, report = build_superensemble_explicit(spec, swap_pairs=pairs, seed=4)
-    assert len(report.swap_checks) == pairs and len(expansion_counter) == 2
+    route, report = superensemble(spec, swap_pairs=pairs, seed=4, with_register=True)
+    assert route == "explicit"
+    assert report.swap_checks == () and len(expansion_counter) == 2
+    monkeypatch.setattr(born, "DENSE_AMPLITUDE_CAP", 18 ** 3 - 1)
+    route, report = superensemble(spec, swap_pairs=pairs, seed=4)
+    assert route == "sparse-census"
+    assert len(report.swap_checks) == pairs and len(expansion_counter) == 3
 
 
 def test_one_history_expansion_per_restoration_call(expansion_counter):
     # _restoration reads the expansion it is given and builds none of its own
     spec = ExperimentSpec(m=1, M=2, runs=3)
-    terms = frequencies._history_terms(spec, (0.0, 0.0))
-    assert _restoration(spec, terms, ((0, 1, 0), (0, 1, 1))) >= 1 - 1e-12
+    keys, amps = frequencies._history_terms(spec, (0.0, 0.0))
+    assert _restoration(spec, keys, amps, ((0, 1, 0), (0, 1, 1))) >= 1 - 1e-12
     assert len(expansion_counter) == 1
 
 
@@ -559,8 +604,10 @@ def test_one_schmidt_decomposition_per_report(pairs, decompositions, kernel_call
 ])
 def test_swap_checks_match_per_pair_decomposition_oracle(m, big_m, runs, phases):
     spec = ExperimentSpec(m=m, M=big_m, runs=runs)
-    state, report = build_superensemble_explicit(spec, phases, swap_pairs=8, seed=3)
-    expected = oracle_swap_checks(spec, state, _history_terms(spec, phases), 8, 3)
+    route, report = superensemble(spec, phases, swap_pairs=8, seed=3)
+    assert route == "explicit"
+    terms = _history_terms(spec, phases)
+    expected = oracle_swap_checks(spec, _dense_state(spec, *terms), terms, 8, 3)
     assert all(c.envariant is not None for c in expected)
     assert report.swap_checks == expected
 
@@ -991,12 +1038,10 @@ def oracle_emit_structured(rep):
 def _search_state(g, t, amps):
     # the state `pointer --search` scores, built as the command builds it
     n_rec = g.shape[0] - 1
-    table = pointer.TruthTable(np.eye(n_rec))
     if amps is None:
-        even = np.full(n_rec, 1.0 / math.sqrt(n_rec), dtype=complex)
-        premeasured = pointer.premeasure(StateVector((n_rec,), even), table, g.shape[0])
-    else:
-        premeasured = pointer.premeasure_branches(amps, table, g.shape[0])
+        amps = np.full(n_rec, 1.0 / math.sqrt(n_rec), dtype=complex)
+    premeasured = pointer.premeasure(StateVector((n_rec,), amps),
+                                     pointer.TruthTable(np.eye(n_rec)), g.shape[0])
     env = pointer.environment_state(pointer.EnvSpectrum.uniform(g.shape[1]))
     return pointer.evolve(hilbert.tensor_product([premeasured, env]), 0, 2,
                           pointer.CouplingMatrix(g), t)

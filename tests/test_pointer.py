@@ -25,7 +25,6 @@ from envlab.pointer import (
     load_couplings,
     pointer_score,
     premeasure,
-    premeasure_branches,
 )
 from conftest import random_state, random_unitary
 
@@ -50,20 +49,16 @@ def branch_state(c, app_basis, eps):
 
 def test_truth_table_defaults():
     table = coordinate_table(3)
-    assert table.record_map == (1, 2, 3)
     assert table.n_outcomes == 3 and table.dim_system == 3
-    assert table.is_orthonormal()
+    assert np.array_equal(table.system_basis, np.eye(3))
+    assert not table.system_basis.flags.writeable
 
 
 def test_truth_table_validation():
-    with pytest.raises(ValueError):
-        TruthTable(np.eye(3), record_map=(1, 1, 2))      # not injective
-    with pytest.raises(ValueError):
-        TruthTable(np.eye(3), record_map=(0, 1, 2))      # 0 is the ready level
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="orthonormal"):
         TruthTable(2.0 * np.eye(3))                      # rows not unit
-    with pytest.raises(ValueError):
-        TruthTable(np.eye(3), record_map=(1, 2))         # length mismatch
+    with pytest.raises(ValueError, match="orthonormal"):
+        TruthTable(np.array([[1.0, 0.0], [1.0, 1.0] / np.sqrt(2)]))  # not orthogonal
     with pytest.raises(ValueError):
         TruthTable(np.ones(3))                           # not one vector per row
 
@@ -106,10 +101,8 @@ def test_premeasure_is_isometry(rng):
 def test_premeasure_apparatus_too_small():
     table = coordinate_table(3)
     phi = StateVector.basis((3,), (0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="apparatus too small"):
         premeasure(phi, table, 3)  # 3 outcomes + ready need 4 levels
-    with pytest.raises(ValueError):
-        premeasure(phi, TruthTable(np.eye(3), record_map=(1, 2, 5)), 4)
 
 
 def test_premeasure_requires_span():
@@ -123,9 +116,10 @@ def test_premeasure_requires_span():
 
 
 def test_premeasure_rejects_nonorthonormal_basis():
+    # a non-orthogonal basis has no truth table, so there is nothing to record
     rows = np.array([[1.0, 0.0], [1.0, 1.0] / np.sqrt(2)])
     phi = StateVector.basis((2,), (0,))
-    with pytest.raises(ValueError, match="premeasure_branches"):
+    with pytest.raises(ValueError, match="orthonormal"):
         premeasure(phi, TruthTable(rows), 3)
 
 
@@ -139,35 +133,6 @@ def test_premeasure_leaves_the_system_in_the_recorded_state():
               + np.kron(np.eye(3)[2], np.eye(3)[2])) / np.sqrt(2)
     assert np.allclose(out.amps, expect, atol=1e-14)
     assert schmidt(out, Bipartition((0,))).n_terms == 2
-
-
-def test_premeasure_branches_nonorthogonal_states(rng):
-    s1 = np.array([1.0, 0.0], dtype=complex)
-    s2 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    table = TruthTable(np.stack([s1, s2]))
-    assert not table.is_orthonormal()
-    c = np.array([1.0, 1.0j]) / np.sqrt(2)
-    out = premeasure_branches(c, table, 3)
-    assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
-    env = StateVector.basis((2,), (0,))
-    full = tensor_product([out, env])
-    # each record level still holds its branch as a clean product
-    for k, vec in ((0, s1), (1, s2)):
-        level = np.eye(3)[table.record_map[k]]
-        weight, residual = conditional_state(full, 0, level)
-        assert abs(weight - abs(c[k])) < 1e-12
-        target = np.kron(vec, env.amps)
-        assert abs(abs(np.vdot(residual.amps, target)) - 1.0) < 1e-12
-    score = pointer_score(full, 0, np.eye(3))
-    assert score.max_score <= 1e-12
-
-
-def test_premeasure_branches_validation():
-    table = coordinate_table(2)
-    with pytest.raises(ValueError):
-        premeasure_branches(np.array([1.0]), table, 3)
-    with pytest.raises(ValueError):
-        premeasure_branches(np.array([1.0, 1.0]), table, 3)
 
 
 # ----- coupling evolution and the decoherence factor -----
