@@ -132,6 +132,13 @@ def _unit_vector(text: str, flag: str, size: int, dtype) -> np.ndarray:
     return raw / nrm
 
 
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"not a finite non-negative number: {text!r}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
@@ -337,6 +344,8 @@ def _cmd_protocol(args) -> tuple:
     state = load_state(args.state)
     cut = Bipartition(_ints(args.cut))
     k, l = _ints(args.pair)
+    if k == l:
+        raise ValueError(f"--pair needs two distinct Schmidt terms, got {k},{l}")
     transcript = protocol_run(state, cut, SwapSpec(k=k, l=l, phase=args.phase))
     threshold = 1.0 - (args.tol if args.tol is not None else 1e-12)
     failed = transcript.restoration_failed or transcript.final_fidelity < threshold
@@ -561,6 +570,16 @@ def _cmd_freq(args) -> tuple:
     if args.m is None or args.big_m is None:
         raise ValueError("need --m and --M (or --cells for the multinomial table)")
     spec = ExperimentSpec(m=args.m, M=args.big_m, runs=args.runs_n)
+    if args.register and args.pairs is not None:
+        raise ValueError("--pairs does not apply to --register, whose build "
+                         "runs no swap check")
+    # the report prints M^N and fractions over it as exact integers; a limit
+    # of 0, or none before Python 3.10.7, lets any integer print
+    digits = math.floor(spec.runs * math.log10(spec.M)) + 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise ValueError(f"M^N = {spec.M}^{spec.runs} has {digits} digits, above "
+                         f"the {limit}-digit limit for printing an integer")
     tally = history_counts(spec)
     dist = frequency_distribution(spec)
     rows = tuple(
@@ -582,8 +601,8 @@ def _cmd_freq(args) -> tuple:
         scalars.append(("maverick_mass", maverick_mass(spec, args.delta_r)))
 
     phases = _floats(args.phases) if args.phases else (0.0, 0.0)
-    route, report = superensemble(spec, phases, args.pairs, args.seed,
-                                  args.register)
+    pairs = 2 if args.pairs is None else args.pairs
+    route, report = superensemble(spec, phases, pairs, args.seed, args.register)
     scalars.append(("superensemble", route))
     tables = [table]
     code = 0
@@ -735,7 +754,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Schmidt spectrum, reconstruction, reduced purity")
     p.add_argument("--state", required=True)
     p.add_argument("--cut", required=True)
-    p.add_argument("--zero-tol", type=float, default=1e-12)
+    p.add_argument("--zero-tol", type=_nonnegative_float, default=1e-12)
     p.add_argument("--canonical", action="store_true")
 
     p = sub.add_parser("envcheck", parents=[common],
@@ -798,7 +817,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-r", type=_fraction_text, default=None,
                    help="maverick threshold, exact decimal like 0.1")
     p.add_argument("--phases", default=None)
-    p.add_argument("--pairs", type=_nonnegative_int, default=2)
+    p.add_argument("--pairs", type=_nonnegative_int, default=None,
+                   help="history swaps to check (default 2)")
     p.add_argument("--register", action="store_true")
     p.add_argument("--cells", default=None,
                    help="multinomial mode: fine cells per outcome")

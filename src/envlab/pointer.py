@@ -117,10 +117,11 @@ class PointerScore:
     """Entanglement scores of the conditionals behind each candidate level.
 
     ``per_outcome[l]`` is 1 minus the squared largest Schmidt coefficient of
-    the conditional state picked out by candidate vector l: zero means the
-    conditional is a product (the record is intact), 1 - 1/N is the ceiling
-    for N evenly entangled branches.  Levels whose projection weight falls
-    below the 1e-12 floor carry no conditional and are reported as 0.
+    the conditional state picked out by candidate vector l, read off as the
+    top Gram eigenvalue of that conditional: zero means the conditional is a
+    product (the record is intact), 1 - 1/N is the ceiling for N evenly
+    entangled branches.  Levels whose projection weight falls below the
+    1e-12 floor carry no conditional and are reported as 0.
     ``degenerate_minimum`` is set by the basis search when the score
     landscape is flat and the reported minimizer is not unique.
     """
@@ -255,15 +256,22 @@ def _require_orthonormal(bases: np.ndarray, d: int) -> None:
 
 def _vector_scores(psi: np.ndarray, first: int, vectors: np.ndarray) -> np.ndarray:
     # scores of a stack of candidate vectors (..., d) on a state of three or
-    # more subsystems: every conditional from one product and one SVD call
-    cond = vectors.conj() @ psi
-    weights = np.linalg.norm(cond, axis=-1)
+    # more subsystems.  s_max^2 of a normalized conditional C is the top
+    # eigenvalue of its first x first Gram matrix C C^dagger, so no SVD is
+    # needed: two rows have a closed form, more go to one eigvalsh call
+    cond = vectors.reshape(-1, psi.shape[0]).conj() @ psi  # one product for the stack
+    weights = np.linalg.norm(cond, axis=1)
     live = weights >= ZERO_PROJECTION_TOL
-    rows = cond[live] / weights[live][:, None]
-    top = np.linalg.svd(rows.reshape(len(rows), first, -1), compute_uv=False)[:, 0]
-    scores = np.zeros(weights.shape)
-    scores[live] = np.clip(1.0 - top * top, 0.0, 1.0)
-    return scores
+    rows = (cond[live] / weights[live][:, None]).reshape(-1, first, psi.shape[1] // first)
+    gram = rows @ rows.conj().swapaxes(1, 2)
+    if first == 2:
+        a, b, d = gram[:, 0, 0].real, gram[:, 0, 1], gram[:, 1, 1].real
+        top = 0.5 * (a + d) + np.sqrt((0.5 * (a - d)) ** 2 + b.real ** 2 + b.imag ** 2)
+    else:
+        top = np.linalg.eigvalsh(gram)[:, -1]
+    scores = np.zeros(len(cond))
+    scores[live] = np.clip(1.0 - top, 0.0, 1.0)
+    return scores.reshape(vectors.shape[:-1])
 
 
 def _scores(state: StateVector, apparatus: int, bases: np.ndarray) -> np.ndarray:
@@ -283,8 +291,9 @@ def pointer_score(state: StateVector, apparatus: int, candidate_basis) -> Pointe
     """Score a candidate record basis by the entanglement of its conditionals.
 
     Each basis vector conditions the remaining subsystems; the normalized
-    conditional is cut into (first remaining subsystem | rest) and scores
-    1 - s_max^2, from its largest singular value alone.  Zero means a product;
+    conditional C is cut into (first remaining subsystem | rest) and scores
+    1 - s_max^2, where s_max^2 is the top Gram eigenvalue, the largest
+    eigenvalue of C C^dagger; no SVD is taken.  Zero means a product;
     entanglement between the leftover subsystems pushes the score up.  Vectors
     with projection weight below the 1e-12 floor score 0, as does every
     vector of a two-subsystem state, whose conditionals have no cut.
@@ -303,8 +312,9 @@ def _haar_basis(rng, d: int) -> np.ndarray:
 def _descend(state, apparatus, bases, scores, iterations):
     # greedy descent of every start at once; a start leaves the stack once
     # its value is at most 1e-14.  A two-level rotation changes rows i and j
-    # only, so just their conditionals go through the SVD, and the other
-    # rows keep the scores cached for the current basis of each start
+    # only, so just their conditionals are rescored from their top Gram
+    # eigenvalue, and the other rows keep the scores cached for the current
+    # basis of each start
     psi, first = _conditionals(state, apparatus)
     d = bases.shape[1]
     bases, scores = bases.copy(), scores.copy()

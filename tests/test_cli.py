@@ -757,6 +757,88 @@ def test_zero_pairs_runs_no_swap_checks(capsys):
     assert "swap_checks" not in out
 
 
+@pytest.mark.parametrize("pairs", ["8", "2", "0"])
+def test_pairs_with_register_exits_two(pairs, capsys):
+    # a register build runs no swap check, so an explicit count would pass
+    # after checking nothing
+    one_error_line(*run_cli(["freq", "--m", "1", "--M", "2", "--N", "2", "--register",
+                             "--pairs", pairs], capsys),
+                   "--pairs does not apply to --register")
+
+
+def test_pairs_defaults_to_two(capsys):
+    argv = ["freq", "--m", "1", "--M", "2", "--N", "3", "--seed", "4"]
+    default = run_cli(argv, capsys)
+    assert default[0] == 0 and len(table_rows(default[1], "swap_checks")) == 2
+    assert run_cli(argv + ["--pairs", "2"], capsys) == default
+
+
+@pytest.mark.parametrize("pair", ["0,0", "1,1"])
+def test_protocol_pair_needs_two_distinct_terms(pair, even_state, capsys):
+    # swapping a term with itself restores trivially and checks nothing
+    one_error_line(*run_cli(["protocol", "--state", even_state, "--cut", "0",
+                             "--pair", pair], capsys),
+                   f"--pair needs two distinct Schmidt terms, got {pair}")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300", "tiny"])
+def test_bad_zero_tol_exits_two(value, even_state, capsys):
+    message = (f"argument --zero-tol: invalid _nonnegative_float value: '{value}'"
+               if value == "tiny" else
+               f"argument --zero-tol: not a finite non-negative number: '{value}'")
+    one_error_line(*run_cli(["schmidt", "--state", even_state, "--cut", "0",
+                             f"--zero-tol={value}"], capsys), message)
+
+
+def test_zero_tol_zero_still_runs(even_state, capsys):
+    code, out, _ = run_cli(["schmidt", "--state", even_state, "--cut", "0",
+                            "--zero-tol", "0"], capsys)
+    assert code == 0 and scalar(out, "rank") == "2"
+
+
+def test_no_option_is_a_plain_float():
+    # a plain float takes nan, inf and negative values without a word
+    assert [f"{command} {action.option_strings[0]}" for command, action
+            in _parser_actions() if action.type is float] == []
+
+
+@contextlib.contextmanager
+def int_max_str_digits(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_freq_refuses_unprintable_totals_before_any_history_work(monkeypatch, capsys):
+    # 3^9013 has 4301 digits (10^4300 <= 3^9013 < 10^4301), one above the
+    # default limit for printing an int; 3^9012 has 4300 and still prints
+    assert 10 ** 4300 <= 3 ** 9013 < 10 ** 4301 and 3 ** 9012 < 10 ** 4300
+    assert sys.get_int_max_str_digits() == 4300  # premise: the default limit
+
+    def no_history(*args, **kwargs):
+        raise AssertionError("history work ran")
+
+    monkeypatch.setattr(cli_module, "history_counts", no_history)
+    one_error_line(*run_cli(["freq", "--m", "1", "--M", "3", "--N", "9013"], capsys),
+                   "M^N = 3^9013 has 4301 digits, above the 4300-digit limit")
+    with pytest.raises(AssertionError, match="history work ran"):
+        main(["freq", "--m", "1", "--M", "3", "--N", "9012"])
+
+
+def test_freq_prints_totals_at_the_digit_limit(capsys):
+    # at the smallest limit Python allows, 1000^213 (640 digits) still
+    # prints and 1000^214 is refused
+    with int_max_str_digits(640):
+        code, out, _ = run_cli(["freq", "--m", "1", "--M", "1000", "--N", "213"], capsys)
+        assert code == 0 and scalar(out, "total") == str(10 ** 639)
+        one_error_line(*run_cli(["freq", "--m", "1", "--M", "1000", "--N", "214"],
+                                capsys),
+                       "M^N = 1000^214 has 643 digits, above the 640-digit limit")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["records", "--universe", "6", "--trials", "-1"],
      "argument --trials: not a positive integer: '-1'"),

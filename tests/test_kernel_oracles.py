@@ -4,12 +4,16 @@ pointer-search, decoherence-sweep and structured-output kernels.
 Each oracle is the earlier, slower implementation of a kernel, kept here
 verbatim.  The current kernels must reproduce it exactly (``==`` on floats
 and arrays, never closeness), because the CLI prints their results and its
-output is pinned byte for byte.  Two exceptions compare within a few ulps:
-the unitarity deviation of a monomial matrix, which sums the same products
-in a different order, and the Schmidt values of a partial-permutation cut
-whose nonzeros differ in modulus, where the SVD rounds the exact singular
-values (the moduli) a few more times.  There the verdict and the route must
-agree as well.
+output is pinned byte for byte.  Three exceptions compare within a
+tolerance: the unitarity deviation of a monomial matrix, which sums the
+same products in a different order, and the Schmidt values of a
+partial-permutation cut whose nonzeros differ in modulus, where the SVD
+rounds the exact singular values (the moduli) a few more times, both
+within a few ulps; there the verdict and the route must agree as well.
+And the pointer scores, which now come from the top Gram eigenvalue of
+each conditional instead of its top singular value, within 1e-12 of the
+SVD scores.  The pointer-search oracles still compare the batched descent
+with the per-start descent exactly, both scored by the shipped kernel.
 """
 
 import contextlib
@@ -903,9 +907,83 @@ def test_chunked_axiom_stacks_match_per_trial_oracle(per_chunk, monkeypatch):
 
 # ----- pointer search, decoherence sweep and structured output -----
 
+def oracle_vector_scores(psi, first, vectors):
+    # the SVD scoring kernel: 1 - s_max^2 of every normalized conditional
+    cond = vectors.conj() @ psi
+    weights = np.linalg.norm(cond, axis=-1)
+    live = weights >= hilbert.ZERO_PROJECTION_TOL
+    rows = cond[live] / weights[live][:, None]
+    top = np.linalg.svd(rows.reshape(len(rows), first, -1), compute_uv=False)[:, 0]
+    scores = np.zeros(weights.shape)
+    scores[live] = np.clip(1.0 - top * top, 0.0, 1.0)
+    return scores
+
+
+@st.composite
+def conditional_stacks(draw, first):
+    # a (d, first * rest) state matrix whose rows are product, maximally
+    # entangled or generic conditionals, some but not all of them zero (the
+    # SVD kernel cannot reshape an empty stack), and a (n, d, d) stack of
+    # candidate vectors: the coordinate vectors (each picks one row, so zero
+    # rows give zero-weight vectors) and random unit vectors
+    rest, d = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["product", "maximal", "generic", "zero"]),
+                          min_size=d, max_size=d).filter(lambda ks: set(ks) != {"zero"}))
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    rows = []
+    for kind in kinds:
+        if kind == "product":
+            row = np.outer(cplx(first), cplx(rest))
+        elif kind == "maximal":
+            k = min(first, rest)
+            left = np.linalg.qr(cplx(first, first))[0][:, :k]
+            right = np.linalg.qr(cplx(rest, rest))[0][:k]
+            row = left @ right
+        elif kind == "generic":
+            row = cplx(first, rest)
+        else:
+            row = np.zeros((first, rest))
+        rows.append(rng.uniform(0.1, 3.0) * row.reshape(-1))
+    vectors = cplx(draw(st.integers(1, 4)), d, d)
+    vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
+    vectors[0] = np.eye(d)
+    return np.array(rows, dtype=complex), vectors
+
+
+@pytest.mark.parametrize("first", range(1, 8))  # 2 is the closed form
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_gram_scores_match_the_svd_scores(first, data):
+    psi, vectors = data.draw(conditional_stacks(first))
+    got = pointer._vector_scores(psi, first, vectors)
+    want = oracle_vector_scores(psi, first, vectors)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12)
+    zero = np.linalg.norm(vectors.conj() @ psi, axis=-1) < hilbert.ZERO_PROJECTION_TOL
+    assert np.all(got[zero] == 0.0)
+
+
+def test_gram_scores_of_product_and_maximally_entangled_conditionals():
+    # exact landmarks: a product scores 0, k evenly entangled terms 1 - 1/k
+    rng = np.random.default_rng(5)
+    for first, rest in [(1, 3), (2, 2), (2, 5), (3, 3), (4, 2), (7, 8)]:
+        k = min(first, rest)
+        u = np.linalg.qr(rng.normal(size=(first, first)))[0][:, :k]
+        v = np.linalg.qr(rng.normal(size=(rest, rest)))[0][:k]
+        psi = np.stack([np.outer(rng.normal(size=first), rng.normal(size=rest)).reshape(-1),
+                        (u @ v).reshape(-1)])
+        got = pointer._vector_scores(psi, first, np.eye(2, dtype=complex))
+        assert abs(got[0]) <= 1e-15 and abs(got[1] - (1 - 1 / k)) <= 1e-14
+
+
 def oracle_scores(state, apparatus, bases):
     # scores (n, d) of a stack of candidate bases (n, d, d): every
-    # conditional of every basis comes from one product and one SVD call
+    # conditional of every basis comes from one product and one call of the
+    # shipped scoring kernel
     dims = state.dims
     if len(dims) < 2 or not 0 <= apparatus < len(dims):
         raise ValueError(f"cannot condition subsystem {apparatus} of dims {dims}")
@@ -918,14 +996,8 @@ def oracle_scores(state, apparatus, bases):
     scores = np.zeros(bases.shape[:2])
     if len(dims) == 2:
         return scores  # each conditional is a single-subsystem state
-    cond = bases.conj() @ np.moveaxis(state.tensor(), apparatus, 0).reshape(d, -1)
-    weights = np.linalg.norm(cond, axis=2)
-    live = weights >= hilbert.ZERO_PROJECTION_TOL
-    rows = cond[live] / weights[live][:, None]
-    first = dims[1] if apparatus == 0 else dims[0]
-    top = np.linalg.svd(rows.reshape(len(rows), first, -1), compute_uv=False)[:, 0]
-    scores[live] = np.clip(1.0 - top * top, 0.0, 1.0)
-    return scores
+    psi = np.moveaxis(state.tensor(), apparatus, 0).reshape(d, -1)
+    return pointer._vector_scores(psi, dims[1] if apparatus == 0 else dims[0], bases)
 
 
 def oracle_descend(state, apparatus, basis, value, iterations):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import envlab.pointer as pointer
 from envlab.hilbert import (
     Bipartition,
     OrthogonalOutcomeError,
@@ -437,22 +438,31 @@ def test_find_pointer_basis_flat_when_branches_share_environment():
     assert score.max_score <= 1e-12
 
 
-def test_find_pointer_basis_svd_call_budget(monkeypatch):
-    # each (i, j) rotation bracket is one stacked SVD for every start at
-    # once, so neither a per-trial nor a per-start loop can come back
-    # unnoticed: bound 3 + iterations * d(d-1)/2
-    state = cli_evolved_state(101, 1.5)
-    calls = []
-    svd = np.linalg.svd
+def test_find_pointer_basis_svd_call_budget(monkeypatch, rng):
+    # scores come from Gram eigenvalues, so no SVD runs; and each (i, j)
+    # rotation bracket is one kernel call for every start at once, so neither
+    # a per-trial nor a per-start loop can come back unnoticed: bound
+    # 3 + iterations * d(d-1)/2
+    calls = {"svd": 0, "eigvalsh": 0, "kernel": 0}
 
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+    def counted(name, real):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    _, score = find_pointer_basis(state, 0, iterations=48)
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(pointer, "_vector_scores",
+                        counted("kernel", pointer._vector_scores))
+    _, score = find_pointer_basis(cli_evolved_state(101, 1.5), 0, iterations=48)
     assert not score.degenerate_minimum  # premise: the descent actually runs
-    assert 0 < len(calls) <= 3 + 48 * (3 * 2 // 2)
+    assert 0 < calls["kernel"] <= 3 + 48 * (3 * 2 // 2)
+    assert calls["svd"] == calls["eigvalsh"] == 0  # two-row cuts: closed form
+    state = random_state(rng, (3, 3, 2))  # three-row cuts: eigvalsh
+    pointer_score(state, 0, random_unitary(rng, 3).T)
+    find_pointer_basis(state, 0, iterations=2)
+    assert calls["svd"] == 0 and calls["eigvalsh"] > 0
 
 
 def test_find_pointer_basis_dimension_cap():
