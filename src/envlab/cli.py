@@ -511,14 +511,18 @@ def _cmd_records(args) -> tuple:
         table = Table("axioms", ("axiom", "passed"), tuple(rep.passes))
         return Report("records", scalars, (table,)), 0 if rep.clean else 1
 
-    weights = _ints(args.weights) if args.weights else (1,) * n
-    if len(weights) != n:
+    weights = _ints(args.weights) if args.weights else None
+    if weights is not None and len(weights) != n:
         raise ValueError(f"need {n} weights for universe of size {n}")
+    # parsing an event checks the universe size before n uniform weights are built
+    kappa = None if args.event is None else parse_event(args.event, n)
+    cells = None if args.partition is None else tuple(
+        parse_event(part, n) for part in args.partition.split(";"))
+    weights = weights or (1,) * n
     uniform = len(set(weights)) == 1
     scalars = []
     tables = []
-    if args.event is not None:
-        kappa = parse_event(args.event, n)
+    if kappa is not None:
         scalars.append(("event", args.event))
         scalars.append(("p_event", event_probability(weights, kappa)))
         scalars.append(
@@ -535,9 +539,7 @@ def _cmd_records(args) -> tuple:
         if args.given is not None:
             scalars.append(
                 ("p_given_outcome", conditional_probability(kappa, args.given)))
-    if args.partition is not None:
-        cells = tuple(
-            parse_event(part, n) for part in args.partition.split(";"))
+    if cells is not None:
         upsilon = build_upsilon(weights, cells)
         scalars.append(("upsilon_dims",
                         "x".join(str(d) for d in upsilon.dims)))
@@ -552,15 +554,29 @@ def _cmd_records(args) -> tuple:
     return Report("records", tuple(scalars), tuple(tables)), 0
 
 
+def _require_printable(name: str, base: int, runs: int) -> None:
+    # the report prints base^runs and counts up to it as exact integers; a
+    # limit of 0, or none before Python 3.10.7, lets any integer print
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or base < 2 or runs < 1:  # 1^N prints; the engine refuses the rest
+        return
+    digits = math.floor(runs * math.log10(base)) + 1
+    if digits > limit:
+        raise ValueError(f"{name} = {base}^{runs} has {digits} digits, above "
+                         f"the {limit}-digit limit for printing an integer")
+
+
 def _cmd_freq(args) -> tuple:
     if args.cells is not None:
-        counts = multinomial_history_counts(_ints(args.cells), args.runs_n)
+        cells = _ints(args.cells)
+        _require_printable("(sum of cells)^N", sum(cells), args.runs_n)
+        counts = multinomial_history_counts(cells, args.runs_n)
         rows = tuple(
             ("-".join(str(x) for x in comp), counts[comp])
             for comp in sorted(counts)
         )
         scalars = (
-            ("outcomes", len(_ints(args.cells))),
+            ("outcomes", len(cells)),
             ("runs", args.runs_n),
             ("total", sum(counts.values())),
         )
@@ -573,15 +589,9 @@ def _cmd_freq(args) -> tuple:
     if args.register and args.pairs is not None:
         raise ValueError("--pairs does not apply to --register, whose build "
                          "runs no swap check")
-    # the report prints M^N and fractions over it as exact integers; a limit
-    # of 0, or none before Python 3.10.7, lets any integer print
-    digits = math.floor(spec.runs * math.log10(spec.M)) + 1
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and digits > limit:
-        raise ValueError(f"M^N = {spec.M}^{spec.runs} has {digits} digits, above "
-                         f"the {limit}-digit limit for printing an integer")
+    _require_printable("M^N", spec.M, spec.runs)
     tally = history_counts(spec)
-    dist = frequency_distribution(spec)
+    dist = frequency_distribution(tally)
     rows = tuple(
         (n, tally.counts[n], dist[n], float(dist[n]),
          gaussian_approx(spec, n), gaussian_reference(spec, n))
@@ -598,7 +608,7 @@ def _cmd_freq(args) -> tuple:
     ]
     if args.delta_r is not None:
         scalars.append(("delta_r", args.delta_r))
-        scalars.append(("maverick_mass", maverick_mass(spec, args.delta_r)))
+        scalars.append(("maverick_mass", maverick_mass(tally, args.delta_r)))
 
     phases = _floats(args.phases) if args.phases else (0.0, 0.0)
     pairs = 2 if args.pairs is None else args.pairs
@@ -859,7 +869,8 @@ def main(argv=None) -> int:
         if args.out:
             Path(args.out).write_text(text)
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # an exception without a message (a bare MemoryError) is named instead
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     if not args.out:
         sys.stdout.write(text)

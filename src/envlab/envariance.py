@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .born import require_dense
 from .hilbert import (
     Bipartition,
     LocalUnitary,
@@ -187,11 +188,19 @@ def _spanned_indices(dec: SchmidtDecomposition, new_basis):
 
 
 def _block_operator(u: LocalUnitary, left, left_dims) -> np.ndarray:
-    """Matrix of u on the full ordered left block (identity off its targets)."""
+    """Matrix of u on the full ordered left block (identity off its targets).
+
+    When u covers the whole block its matrix is used as it is, reordered
+    only if its target order differs from the block's; the result may then
+    be a read-only view of u.matrix.
+    """
     pos = [left.index(t) for t in u.targets]
     rest = [p for p in range(len(left_dims)) if p not in pos]
     d = math.prod(left_dims)
-    kron = np.kron(u.matrix, np.eye(math.prod(left_dims[p] for p in rest)))
+    require_dense(d * d, "block operator")
+    kron = u.matrix
+    if rest:
+        kron = np.kron(kron, np.eye(math.prod(left_dims[p] for p in rest)))
     shuffled = [left_dims[p] for p in pos + rest]
     inv = list(np.argsort(pos + rest))
     out = kron.reshape(shuffled * 2).transpose(inv + [len(inv) + i for i in inv])

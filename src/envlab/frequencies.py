@@ -28,7 +28,8 @@ from .envariance import _envariance_verdict
 from .hilbert import Bipartition, LocalUnitary, StateVector, apply_local, fidelity, schmidt
 
 SPARSE_TERM_CAP = 4096
-SWAP_BLOCK_CAP = 1400  # dense envariance check needs a (2M)^N square operator
+COMPOSITION_CAP = 2**16  # rows of a multinomial table; cells 1,1,1 near it: ~1 s, ~100 MB
+SWAP_BLOCK_CAP = 1400  # a dense swap check holds one (2M)^N square complex operator
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,8 @@ def multinomial_history_counts(cells, runs: int) -> dict:
     ``cells`` lists the fine cells per outcome; the count of histories with
     n_i detections of outcome i is the multinomial coefficient times
     prod(cells_i^n_i).  The two-outcome case reduces to history_counts.
+    The C(runs + K - 1, K - 1) compositions are counted before any is
+    enumerated, against COMPOSITION_CAP.
     """
     cells = tuple(int(c) for c in cells)
     if not cells or any(c < 1 for c in cells):
@@ -102,6 +105,9 @@ def multinomial_history_counts(cells, runs: int) -> dict:
     n_runs = int(runs)
     if n_runs < 1:
         raise ValueError("need at least one run")
+    if math.comb(n_runs + len(cells) - 1, len(cells) - 1) > COMPOSITION_CAP:
+        raise ValueError(f"{len(cells)} outcomes over {n_runs} runs give more than "
+                         f"{COMPOSITION_CAP} compositions")
     out = {}
     for comp in _compositions(n_runs, len(cells)):
         coeff, remaining = 1, n_runs
@@ -121,9 +127,8 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def frequency_distribution(spec: ExperimentSpec) -> tuple:
+def frequency_distribution(tally: HistoryTally) -> tuple:
     """p(n) = counts(n) / M^runs as exact Fractions; sums to 1 exactly."""
-    tally = history_counts(spec)
     total = tally.total
     return tuple(Fraction(c, total) for c in tally.counts)
 
@@ -154,7 +159,7 @@ def deviation(spec: ExperimentSpec) -> float:
     return math.sqrt(spec.runs) * spec.alpha_beta
 
 
-def maverick_mass(spec: ExperimentSpec, delta_r) -> Fraction:
+def maverick_mass(tally: HistoryTally, delta_r) -> Fraction:
     """Exact weight of histories with |n/N - |beta|^2| > delta_r.
 
     Pass delta_r as a Fraction or string for exact decimal thresholds; a
@@ -163,10 +168,11 @@ def maverick_mass(spec: ExperimentSpec, delta_r) -> Fraction:
     dr = Fraction(delta_r)
     if not 0 < dr < 1:
         raise ValueError("delta_r must lie strictly between 0 and 1")
-    beta_sq = spec.beta_sq
-    tally = history_counts(spec)
+    # |n/N - (M-m)/M| > p/q  <=>  |n M - N (M-m)| q > p N M, in integers
+    n_runs, m, big_m = tally.spec.runs, tally.spec.m, tally.spec.M
+    centre, bound = n_runs * (big_m - m), dr.numerator * n_runs * big_m
     total = sum(c for n, c in enumerate(tally.counts)
-                if abs(Fraction(n, spec.runs) - beta_sq) > dr)
+                if abs(n * big_m - centre) * dr.denominator > bound)
     return Fraction(total, tally.total)
 
 
@@ -298,9 +304,9 @@ def _dense_swap_check(spec, state, dec, keys, pair):
     block = math.prod(sc_dims)
     sc_digits = keys[np.ix_(_rows(spec, pair), _sc_targets(spec))]
     flat_a, flat_b = (int(f) for f in np.ravel_multi_index(sc_digits.T, sc_dims))
-    u = np.eye(block, dtype=complex)
-    u[flat_a, flat_a] = u[flat_b, flat_b] = 0.0
-    u[flat_a, flat_b] = u[flat_b, flat_a] = 1.0
+    # a 0/1 permutation: LocalUnitary makes the check's one complex copy
+    u = np.eye(block, dtype=np.uint8)
+    u[[flat_a, flat_b]] = u[[flat_b, flat_a]]
     swap = LocalUnitary(_sc_targets(spec), u)
     verdict = _envariance_verdict(dec, swap)
     if not verdict.envariant:

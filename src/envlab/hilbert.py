@@ -140,7 +140,7 @@ class LocalUnitary:
         targets = tuple(int(i) for i in self.targets)
         if len(set(targets)) != len(targets):
             raise ValueError("duplicate target subsystem")
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)  # the one copy; callers keep theirs
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("unitary matrix must be square")
         if not np.isfinite(mat).all():
@@ -148,7 +148,6 @@ class LocalUnitary:
         dev = _unitarity_deviation(mat)
         if dev > UNITARY_TOL:
             raise ValueError(f"matrix deviates from unitarity by {dev:g}")
-        mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "matrix", mat)
@@ -224,11 +223,16 @@ def _canonical_group_basis(block: np.ndarray) -> np.ndarray:
     # vectors in index order and Gram-Schmidt, so degenerate groups never
     # inherit backend-dependent rotations.  A projection of norm <= 1e-9
     # cannot leave a residual above the 1e-8 acceptance threshold, so only
-    # the others are visited.
+    # the others are visited.  The column norms are summed row by row, in
+    # the order np.linalg.norm(proj, axis=0) sums them, so the projector is
+    # the only d x d array alive.
     g = block.shape[1]
     proj = block @ block.conj().T
+    sq = np.zeros(proj.shape[1])
+    for row in proj:
+        sq += row.real ** 2 + row.imag ** 2
     cols = []
-    for i in np.flatnonzero(np.linalg.norm(proj, axis=0) > 1e-9):
+    for i in np.flatnonzero(np.sqrt(sq) > 1e-9):
         v = proj[:, i].copy()
         for c in cols:
             v -= c * (c.conj() @ v)

@@ -20,6 +20,7 @@ from .born import _chunk_rows
 from .hilbert import StateVector
 
 PROJECTOR_TOL = 1e-12
+UNIVERSE_CAP = 2**17  # records in a universe; an event query at the cap takes ~1 s
 
 AXIOM_NAMES = (
     "commutativity",
@@ -28,6 +29,14 @@ AXIOM_NAMES = (
     "distributivity",
     "orthocompleteness",
 )
+
+
+def _universe(size) -> frozenset:
+    """Record indices 0..size-1, checked against UNIVERSE_CAP before any is built."""
+    n = int(size)
+    if n > UNIVERSE_CAP:
+        raise ValueError(f"universe of {n} records is above the cap of {UNIVERSE_CAP}")
+    return frozenset(range(n))
 
 
 @dataclass(frozen=True)
@@ -188,7 +197,7 @@ def verify_axioms(universe_size: int, trials: int = 500, seed: int = 0) -> Axiom
     n = int(universe_size)
     if n < 1:
         raise ValueError("universe_size must be >= 1")
-    universe = frozenset(range(n))
+    universe = _universe(n)
     top_event = RecordEvent(universe, universe)
     top_matrix = np.eye(n)
     rng = np.random.default_rng(seed)
@@ -240,7 +249,7 @@ def _weights_of(tally) -> tuple:
 def event_probability(tally, event: RecordEvent) -> Fraction:
     """Exact probability of a coarse event: member weights over the total."""
     weights = _weights_of(tally)
-    if event.universe != frozenset(range(len(weights))):
+    if event.universe != _universe(len(weights)):
         raise ValueError(
             f"event universe does not match the {len(weights)} outcome indices"
         )
@@ -267,7 +276,7 @@ def build_upsilon(tally, partition) -> StateVector:
     cells = list(partition)
     if not cells:
         raise ValueError("partition needs at least one cell")
-    universe = frozenset(range(n))
+    universe = _universe(n)
     for cell in cells:
         if cell.universe != universe:
             raise ValueError("partition cell universe does not match the outcomes")
@@ -299,7 +308,7 @@ def lemma5_recursion(universe_size: int, members) -> Fraction:
     if n < 1:
         raise ValueError("universe_size must be >= 1")
     mem = frozenset(int(k) for k in members)
-    if not mem <= frozenset(range(n)):
+    if not mem <= _universe(n):
         raise ValueError("members outside the universe")
     p = Fraction(1)
     for j in range(n - len(mem)):
@@ -314,4 +323,4 @@ def parse_event(text: str, universe_size: int) -> RecordEvent:
         members = frozenset(int(tok) for tok in body.split(",") if tok.strip())
     else:
         members = frozenset()
-    return RecordEvent(frozenset(range(int(universe_size))), members)
+    return RecordEvent(_universe(universe_size), members)

@@ -233,7 +233,7 @@ def test_criterion_07_history_counting():
 
 
 def test_criterion_08_maverick_concentration():
-    masses = [maverick_mass(ExperimentSpec(m=1, M=2, runs=n), "0.1")
+    masses = [maverick_mass(history_counts(ExperimentSpec(m=1, M=2, runs=n)), "0.1")
               for n in (25, 100, 400)]
     assert all(isinstance(mass, Fraction) for mass in masses)
     assert masses[0] > masses[1] > masses[2]

@@ -839,6 +839,69 @@ def test_freq_prints_totals_at_the_digit_limit(capsys):
                        "M^N = 1000^214 has 643 digits, above the 640-digit limit")
 
 
+def test_freq_cells_refuses_unprintable_totals_before_counting(monkeypatch, capsys):
+    # 2^14284 has 4300 digits and still prints; 2^15000 has 4516
+    assert 10 ** 4299 <= 2 ** 14284 < 10 ** 4300 <= 2 ** 15000
+
+    def no_counting(*args, **kwargs):
+        raise AssertionError("counting ran")
+
+    monkeypatch.setattr(cli_module, "multinomial_history_counts", no_counting)
+    one_error_line(*run_cli(["freq", "--cells", "1,1", "--N", "15000"], capsys),
+                   "(sum of cells)^N = 2^15000 has 4516 digits, above the "
+                   "4300-digit limit for printing an integer")
+    with pytest.raises(AssertionError, match="counting ran"):
+        main(["freq", "--cells", "1,1", "--N", "14284"])
+
+
+def test_freq_cells_refuses_too_many_compositions_at_once(monkeypatch, capsys):
+    # C(67, 7) = 869,648,208 compositions; the patch stops an enumeration
+    def no_enumeration(*args):
+        raise AssertionError("enumeration ran")
+
+    monkeypatch.setattr(envlab.frequencies, "_compositions", no_enumeration)
+    one_error_line(*run_cli(["freq", "--cells", "1,1,1,1,1,1,1,1", "--N", "60"],
+                            capsys),
+                   "8 outcomes over 60 runs give more than 65536 compositions")
+
+
+def test_freq_computes_its_tally_once(monkeypatch, capsys):
+    calls = []
+    counted = envlab.frequencies.history_counts
+
+    def counting(spec):
+        calls.append(spec)
+        return counted(spec)
+
+    monkeypatch.setattr(envlab.frequencies, "history_counts", counting)
+    monkeypatch.setattr(cli_module, "history_counts", counting)
+    code, out, _ = run_cli(["freq", "--m", "1", "--M", "3", "--N", "2000",
+                            "--delta-r", "0.1"], capsys)
+    assert code == 0 and scalar(out, "superensemble") == "skipped-beyond-desk-scale"
+    assert len(calls) == 1
+
+
+def test_records_universe_is_checked_before_its_set_is_built(capsys):
+    cap = envlab.records.UNIVERSE_CAP
+    one_error_line(*run_cli(["records", "--universe", str(cap + 1), "--event", "0"],
+                            capsys),
+                   f"universe of {cap + 1} records is above the cap of {cap}")
+    # 10^8 records would take gigabytes of Python objects; the child runs
+    # under the benchmark's address-space cap in case the check is missing
+    proc = run_under_memory_cap(["records", "--universe", "100000000", "--event", "0"])
+    one_error_line(proc.returncode, proc.stdout, proc.stderr,
+                   f"universe of 100000000 records is above the cap of {cap}")
+
+
+def test_error_without_a_message_names_its_type(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli_module, "verify_axioms", out_of_memory)
+    code, out, err = run_cli(["records", "--universe", "4"], capsys)
+    assert (code, out, err) == (2, "", "error: MemoryError\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["records", "--universe", "6", "--trials", "-1"],
      "argument --trials: not a positive integer: '-1'"),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -121,9 +122,9 @@ def test_tally_validation():
 
 
 def test_frequency_distribution_examples():
-    probs = frequency_distribution(ExperimentSpec(m=1, M=2, runs=2))
+    probs = frequency_distribution(history_counts(ExperimentSpec(m=1, M=2, runs=2)))
     assert probs == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
-    probs = frequency_distribution(ExperimentSpec(m=1, M=3, runs=3))
+    probs = frequency_distribution(history_counts(ExperimentSpec(m=1, M=3, runs=3)))
     assert probs == (Fraction(1, 27), Fraction(2, 9), Fraction(4, 9), Fraction(8, 27))
     assert sum(probs) == 1
 
@@ -138,7 +139,7 @@ def test_mode_tracks_squared_amplitude(m, big_m, runs):
     if m >= big_m:
         m = big_m - 1
     spec = ExperimentSpec(m=m, M=big_m, runs=runs)
-    probs = frequency_distribution(spec)
+    probs = frequency_distribution(history_counts(spec))
     assert sum(probs) == 1
     mode = max(range(len(probs)), key=probs.__getitem__)
     assert abs(Fraction(mode) - spec.runs * spec.beta_sq) <= 1
@@ -165,6 +166,21 @@ def test_multinomial_three_outcomes():
         multinomial_history_counts((1, 2), runs=0)
 
 
+def test_multinomial_counts_compositions_before_enumerating(monkeypatch):
+    # C(N + K - 1, K - 1) is checked by arithmetic: at the cap the
+    # enumeration is reached (and stopped by the patch), one above it not
+    def no_enumeration(*args):
+        raise AssertionError("enumeration ran")
+
+    monkeypatch.setattr(frequencies, "_compositions", no_enumeration)
+    cap = frequencies.COMPOSITION_CAP
+    with pytest.raises(AssertionError, match="enumeration ran"):
+        multinomial_history_counts((1, 1), runs=cap - 1)
+    with pytest.raises(ValueError, match=f"2 outcomes over {cap} runs give more "
+                                         f"than {cap} compositions"):
+        multinomial_history_counts((1, 1), runs=cap)
+
+
 def test_gaussian_peak_and_deviation():
     spec = ExperimentSpec(m=2, M=4, runs=100)
     assert deviation(spec) == pytest.approx(5.0, abs=1e-12)
@@ -181,7 +197,7 @@ def test_gaussian_peak_and_deviation():
 def test_gaussian_sup_norm_gap_shrinks():
     def gaps(runs):
         spec = ExperimentSpec(m=1, M=2, runs=runs)
-        probs = [float(p) for p in frequency_distribution(spec)]
+        probs = [float(p) for p in frequency_distribution(history_counts(spec))]
         printed = max(abs(p - gaussian_approx(spec, n)) for n, p in enumerate(probs))
         standard = max(abs(p - gaussian_reference(spec, n)) for n, p in enumerate(probs))
         return printed, standard
@@ -200,19 +216,19 @@ def test_gaussian_sup_norm_gap_shrinks():
 def test_maverick_window_examples():
     # single run, 1/4 : 3/4 split: n=0 deviates by 3/4, n=1 by 1/4
     spec = ExperimentSpec(m=1, M=4, runs=1)
-    assert maverick_mass(spec, Fraction(3, 10)) == Fraction(1, 4)
-    assert maverick_mass(spec, Fraction(1, 5)) == 1
-    assert maverick_mass(spec, Fraction(4, 5)) == 0
+    assert maverick_mass(history_counts(spec), Fraction(3, 10)) == Fraction(1, 4)
+    assert maverick_mass(history_counts(spec), Fraction(1, 5)) == 1
+    assert maverick_mass(history_counts(spec), Fraction(4, 5)) == 0
     # boundary is exclusive: deviation exactly delta_r stays in the window
     sym = ExperimentSpec(m=1, M=2, runs=2)
-    assert maverick_mass(sym, Fraction(1, 2)) == 0
-    assert maverick_mass(sym, Fraction(49, 100)) == Fraction(1, 2)
+    assert maverick_mass(history_counts(sym), Fraction(1, 2)) == 0
+    assert maverick_mass(history_counts(sym), Fraction(49, 100)) == Fraction(1, 2)
 
 
 def test_maverick_matches_enumeration():
     spec = ExperimentSpec(m=1, M=3, runs=5)
     for dr in (Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)):
-        assert maverick_mass(spec, dr) == enumerated_maverick(1, 3, 5, dr)
+        assert maverick_mass(history_counts(spec), dr) == enumerated_maverick(1, 3, 5, dr)
 
 
 def test_maverick_exact_tail_hundred_runs():
@@ -221,14 +237,14 @@ def test_maverick_exact_tail_hundred_runs():
         (Fraction(math.comb(100, n), 2 ** 100) for n in range(40, 61)),
         Fraction(0),
     )
-    mass = maverick_mass(spec, "0.1")
+    mass = maverick_mass(history_counts(spec), "0.1")
     assert mass == 1 - window
     assert 0 < mass < Fraction(1, 20)
 
 
 def test_maverick_strictly_decreasing():
     masses = [
-        maverick_mass(ExperimentSpec(m=1, M=2, runs=n), "0.1")
+        maverick_mass(history_counts(ExperimentSpec(m=1, M=2, runs=n)), "0.1")
         for n in (25, 100, 400)
     ]
     assert masses[0] > masses[1] > masses[2] > 0
@@ -237,9 +253,9 @@ def test_maverick_strictly_decreasing():
 def test_maverick_validation():
     spec = ExperimentSpec(m=1, M=2, runs=4)
     with pytest.raises(ValueError):
-        maverick_mass(spec, 0)
+        maverick_mass(history_counts(spec), 0)
     with pytest.raises(ValueError):
-        maverick_mass(spec, 1)
+        maverick_mass(history_counts(spec), 1)
 
 
 def _tensor(spec, phases=(0.0, 0.0), with_register=False):
@@ -346,6 +362,23 @@ def test_swap_restoration_all_pairs():
         assert fid >= 1 - 1e-12
 
 
+def test_dense_swap_checks_hold_one_block_operator():
+    # each of the 8 checks builds a 1024 x 1024 swap (16 MiB complex); the
+    # projector of the degenerate Schmidt group is another such array, taken
+    # once per report, and no two of them may be alive at the same time
+    spec = ExperimentSpec(m=1, M=2, runs=5)
+    superensemble(ExperimentSpec(m=1, M=2, runs=2), swap_pairs=1)  # warm caches
+    tracemalloc.start()
+    try:
+        route, report = superensemble(spec, swap_pairs=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert route == "explicit" and len(report.swap_checks) == 8
+    assert all(c.envariant is True for c in report.swap_checks)
+    assert peak <= 24 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
 def test_register_counts_detections():
     spec = ExperimentSpec(m=1, M=2, runs=2)
     route, report = superensemble(spec, with_register=True)
@@ -354,7 +387,7 @@ def test_register_counts_detections():
     assert report.swap_checks == ()
     state = _tensor(spec, with_register=True)
     assert state.dims == (3, 2, 2, 2, 2, 2, 2)
-    probs = frequency_distribution(spec)
+    probs = frequency_distribution(history_counts(spec))
     for n in range(3):
         weight, _ = conditional_state(state, 0, np.eye(3)[n])
         assert weight ** 2 == pytest.approx(float(probs[n]), abs=1e-12)

@@ -100,6 +100,23 @@ def test_local_unitary_rejects_nonunitary():
         LocalUnitary((0,), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("caller", [
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[0, 1j], [1j, 0]]),
+    np.array([[0, 1], [1, 0]], dtype=np.uint8),
+], ids=["real", "complex", "uint8"])
+def test_local_unitary_keeps_its_own_read_only_matrix(caller):
+    expected = caller.astype(complex)
+    u = LocalUnitary((0,), caller)
+    assert u.matrix.dtype == complex and np.array_equal(u.matrix, expected)
+    assert not np.shares_memory(u.matrix, caller)
+    assert caller.flags.writeable  # the caller's array is not frozen
+    caller[0, 0] = 7
+    assert np.array_equal(u.matrix, expected)
+    with pytest.raises(ValueError, match="read-only"):
+        u.matrix[0, 0] = 1
+
+
 def test_schmidt_bell():
     dec = schmidt(bell_pair(), Bipartition((0,)))
     assert np.allclose(np.abs(dec.coeffs), [1 / np.sqrt(2)] * 2)

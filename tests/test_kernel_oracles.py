@@ -21,6 +21,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -402,6 +403,23 @@ def test_block_operator_target_orders(left_dims, left, targets):
     _check_block_operator(11, left_dims, left, targets)
 
 
+def test_block_operator_is_checked_against_the_budget():
+    # a 2x2 unitary on a (2, 1100) left block would need a 2200 x 2200
+    # operator, above the amplitude cap; it is refused before any allocation
+    assert born.DENSE_AMPLITUDE_CAP == 2048 ** 2 < 2200 ** 2
+    state = StateVector.normalized((2, 1100, 2), np.ones(4400))
+    u = LocalUnitary((0,), np.array([[0, 1], [1, 0]]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(born.DenseBudgetError,
+                           match="block operator needs 4840000 amplitudes"):
+            check_envariance(state, Bipartition((0, 1)), u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # the operator alone would be 74 MiB
+
+
 # ----- history expansion and sparse swap restoration -----
 
 SMALL_SPECS = [(m, big_m, runs) for big_m in (2, 3, 4) for m in range(1, big_m)
@@ -455,7 +473,17 @@ def test_history_counts_match_comb_formula(m, big_m):
 def test_maverick_mass_matches_fraction_sum(delta_r):
     for m, big_m, runs in [(1, 3, 200), (2, 5, 97), (1, 2, 150)]:
         spec = ExperimentSpec(m=m, M=big_m, runs=runs)
-        assert maverick_mass(spec, delta_r) == oracle_maverick_mass(spec, delta_r)
+        assert maverick_mass(history_counts(spec), delta_r) == oracle_maverick_mass(spec, delta_r)
+
+
+@pytest.mark.parametrize("m, big_m, runs", [(1, 3, 30), (2, 5, 17), (3, 7, 12)])
+def test_maverick_mass_matches_fraction_sum_at_every_tie(m, big_m, runs):
+    # a threshold equal to some |n/N - |beta|^2| puts that n on the boundary
+    spec = ExperimentSpec(m=m, M=big_m, runs=runs)
+    tally = history_counts(spec)
+    ties = {abs(Fraction(n, runs) - spec.beta_sq) for n in range(runs + 1)}
+    for delta_r in sorted(t for t in ties if 0 < t < 1):
+        assert maverick_mass(tally, delta_r) == oracle_maverick_mass(spec, delta_r)
 
 
 # ----- one history expansion per report -----

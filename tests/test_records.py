@@ -9,6 +9,7 @@ from envlab.born import WeightVector, born_probabilities, coarse_probability
 from envlab.hilbert import Bipartition, StateVector
 from envlab.records import (
     AXIOM_NAMES,
+    UNIVERSE_CAP,
     RecordEvent,
     build_upsilon,
     complement,
@@ -243,3 +244,12 @@ def test_parse_event_cli_syntax():
         parse_event("9", 4)
     with pytest.raises(ValueError):
         parse_event("a,b", 4)
+
+
+def test_universe_size_is_checked_before_its_set_is_built():
+    assert parse_event("0", UNIVERSE_CAP).universe == frozenset(range(UNIVERSE_CAP))
+    message = f"universe of {UNIVERSE_CAP + 1} records is above the cap of {UNIVERSE_CAP}"
+    with pytest.raises(ValueError, match=message):
+        parse_event("0", UNIVERSE_CAP + 1)
+    with pytest.raises(ValueError, match=message):
+        lemma5_recursion(UNIVERSE_CAP + 1, {0})
