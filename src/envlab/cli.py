@@ -18,87 +18,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .born import (
-    BornResult,
-    DenseBudgetError,
-    WeightVector,
-    born_probabilities,
-    coarse_probability,
-    even_cut,
-    fine_grain,
-    require_dense,
-)
-from .continuum import (
-    CoefficientSequence,
-    Mesh,
-    WaveFunction,
-    born_continuum,
-    discretize,
-    equal_mass_mesh,
-    interval_probability,
-    orthogonality_defect,
-    truncate,
-)
-from .envariance import (
-    SwapSpec,
-    check_envariance,
-    is_even,
-    phase_counter,
-    phase_unitary,
-    partial_swap_counter,
-    partial_swap_unitary,
-    protocol_run,
-)
-from .frequencies import (
-    ExperimentSpec,
-    deviation,
-    frequency_distribution,
-    gaussian_approx,
-    gaussian_reference,
-    history_counts,
-    maverick_mass,
-    multinomial_history_counts,
-    superensemble,
-)
-from .hilbert import (
-    Bipartition,
-    LocalUnitary,
-    OrthogonalOutcomeError,
-    StateVector,
-    _load_matrix,
-    apply_local,
-    conditional_state,
-    load_state,
-    reconstruct,
-    reduced_probe,
-    save_state,
-    schmidt,
-    schmidt_values,
-    tensor_product,
-)
-from .pointer import (
-    EnvSpectrum,
-    TruthTable,
-    commutator_norm,
-    decoherence_factor,
-    environment_state,
-    evolve,
-    find_pointer_basis,
-    load_couplings,
-    pointer_score,
-    premeasure,
-)
-from .records import (
-    build_upsilon,
-    complement,
-    conditional_probability,
-    event_probability,
-    join,
-    lemma5_recursion,
-    meet,
-    parse_event,
-    verify_axioms,
-)
+from .born import (BornResult, DenseBudgetError, WeightVector, born_probabilities,
+                   coarse_probability, even_cut, fine_grain)
+from .continuum import CoefficientSequence, WaveFunction, mesh_run, truncate
+from .envariance import (SwapSpec, check_envariance, is_even, phase_counter, phase_unitary,
+                         partial_swap_counter, partial_swap_unitary, protocol_run)
+from .frequencies import (ExperimentSpec, _require_digits, multinomial_history_counts,
+                          repeated_runs)
+from .hilbert import (Bipartition, LocalUnitary, StateVector, _load_matrix, apply_local,
+                      fidelity, load_state, reconstruct, reduced_probe, save_state, schmidt,
+                      schmidt_values, tensor_product)
+from .pointer import EnvSpectrum, einselection_run, load_couplings
+from .records import (build_upsilon, complement, conditional_probability, event_probability,
+                      join, lemma5_recursion, meet, parse_event, verify_axioms)
 from .report import FORMATS, Report, Table, emit_report
 
 MAX_TABLE_ROWS = 4096
@@ -193,13 +125,8 @@ def _matrix_table(name: str, mat: np.ndarray) -> Table:
     return Table(name, ("row", "col", "re", "im"), tuple(rows))
 
 
-def _amplitude_rows(state: StateVector, cap: int = 256):
-    shown = min(state.amps.size, cap)
-    rows = tuple(
-        (i, float(state.amps[i].real), float(state.amps[i].imag))
-        for i in range(shown)
-    )
-    return rows, shown
+def _state_and_cut(args) -> tuple:
+    return load_state(args.state), Bipartition(_ints(args.cut))
 
 
 # ----- subcommand handlers: each returns (Report, exit_code) -----
@@ -216,11 +143,8 @@ def _cmd_state(args) -> tuple:
         phases = _floats(args.phases) if args.phases else (0.0,) * len(w.m)
         if len(phases) != len(w.m):
             raise ValueError("one phase per weight")
-        n = len(w.m)
-        amps = np.zeros((n, n), dtype=complex)
-        for k, (m_k, ph) in enumerate(zip(w.m, phases)):
-            amps[k, k] = math.sqrt(m_k / w.M) * np.exp(1j * ph)
-        state = StateVector((n, n), amps.reshape(-1))
+        diagonal = [math.sqrt(m_k / w.M) * np.exp(1j * ph) for m_k, ph in zip(w.m, phases)]
+        state = StateVector((len(w.m),) * 2, np.diag(diagonal).reshape(-1))
         origin = f"weights {args.weights}"
     elif args.product:
         parts = [load_state(p) for p in args.product.split(",")]
@@ -242,15 +166,15 @@ def _cmd_state(args) -> tuple:
     if args.save:
         save_state(state, args.save)
         scalars.append(("saved", args.save))
-    rows, shown = _amplitude_rows(state)
-    scalars.append(("amplitudes_shown", shown))
-    table = Table("amplitudes", ("index", "re", "im"), rows)
+    shown = state.amps[:256].tolist()
+    scalars.append(("amplitudes_shown", len(shown)))
+    table = Table("amplitudes", ("index", "re", "im"),
+                  tuple((i, a.real, a.imag) for i, a in enumerate(shown)))
     return Report("state", tuple(scalars), (table,)), 0
 
 
 def _cmd_schmidt(args) -> tuple:
-    state = load_state(args.state)
-    cut = Bipartition(_ints(args.cut))
+    state, cut = _state_and_cut(args)
     dec = schmidt(state, cut, zero_tol=args.zero_tol,
                   canonicalize=args.canonical)
     recon = reconstruct(dec)
@@ -292,8 +216,7 @@ def _parse_block_unitary(spec_text: str, block_dim: int) -> np.ndarray:
 
 
 def _cmd_envcheck(args) -> tuple:
-    state = load_state(args.state)
-    cut = Bipartition(_ints(args.cut))
+    state, cut = _state_and_cut(args)
     block_dim = int(np.prod([state.dims[i] for i in cut.left]))
     modes = [args.unitary, args.term_phases, args.partial]
     if sum(m is not None for m in modes) != 1:
@@ -320,12 +243,8 @@ def _cmd_envcheck(args) -> tuple:
         source = "partial-swap"
 
     moved = apply_local(state, u_s)
-    overlap = float(abs(np.vdot(state.amps, moved.amps)))
-    if counter is not None:
-        restored = apply_local(moved, counter)
-        restoration = float(abs(np.vdot(state.amps, restored.amps)))
-    else:
-        restoration = 0.0
+    overlap = fidelity(state, moved)
+    restoration = fidelity(state, apply_local(moved, counter)) if counter is not None else 0.0
     scalars = (
         ("envariant", verdict.envariant),
         ("gram_deviation", verdict.gram_deviation),
@@ -341,8 +260,7 @@ def _cmd_envcheck(args) -> tuple:
 
 
 def _cmd_protocol(args) -> tuple:
-    state = load_state(args.state)
-    cut = Bipartition(_ints(args.cut))
+    state, cut = _state_and_cut(args)
     k, l = _ints(args.pair)
     if k == l:
         raise ValueError(f"--pair needs two distinct Schmidt terms, got {k},{l}")
@@ -376,9 +294,7 @@ def _born_result_report(result: BornResult, args) -> tuple:
              coarse_probability(result, _ints(args.subset)))
         )
     table = Table("outcomes", ("k", "m_k", "p", "p_float"), rows)
-    code = 0
-    if args.tol is not None and result.rationalization_error > args.tol:
-        code = 1
+    code = 1 if args.tol is not None and result.rationalization_error > args.tol else 0
     return Report("born", tuple(scalars), (table,)), code
 
 
@@ -396,102 +312,50 @@ def _cmd_born(args) -> tuple:
             weights=w,
         )
         report, code = _born_result_report(result, args)
-        scalars = list(report.scalars)
         phases = _floats(args.phases) if args.phases else (0.0,) * len(w.m)
         try:
             fine = fine_grain(w, phases)
         except DenseBudgetError:
-            pass  # the counting report above does not need the dense state
-        else:
-            values = schmidt_values(fine, even_cut())
-            scalars.append(("fine_terms", len(values)))
-            scalars.append(("fine_even", is_even(values)))
-        return Report("born", tuple(scalars), report.tables), code
-    state = load_state(args.state)
-    cut = Bipartition(_ints(args.cut))
+            return report, code  # the counting report does not need the dense state
+        values = schmidt_values(fine, even_cut())
+        scalars = (("fine_terms", len(values)), ("fine_even", is_even(values)))
+        return Report("born", report.scalars + scalars, report.tables), code
+    state, cut = _state_and_cut(args)
     m_max = 1024 if args.m_max is None else args.m_max
     result = born_probabilities(state, cut, m_max)
     return _born_result_report(result, args)
 
 
 def _cmd_pointer(args) -> tuple:
-    # coupling rows span the whole apparatus: row 0 is the ready level,
-    # rows 1..K couple the K record levels
     g = load_couplings(args.couplings)
-    apparatus_dim, n_lev = g.n_records, g.n_levels
-    n_rec = apparatus_dim - 1
-    if n_rec < 1:
-        raise ValueError("couplings need at least two rows: ready level plus records")
-    spectrum = (EnvSpectrum(_unit_vector(args.gamma, "--gamma", n_lev, float))
-                if args.gamma else EnvSpectrum.uniform(n_lev))
-    env = environment_state(spectrum)
-    amps = (_unit_vector(args.amps, "--amps", n_rec, complex) if args.amps
-            else np.full(n_rec, 1.0 / math.sqrt(n_rec), dtype=complex))
-    premeasured = premeasure(StateVector((n_rec,), amps), TruthTable(np.eye(n_rec)),
-                             apparatus_dim)
-
-    branch_rows = []
-    for k in range(n_rec):
-        record = k + 1
-        try:
-            weight, _ = conditional_state(
-                premeasured, 0, np.eye(apparatus_dim)[record])
-            prob = weight ** 2
-        except OrthogonalOutcomeError:
-            prob = 0.0
-        branch_rows.append((k, record, prob))
-
-    full = tensor_product([premeasured, env])
+    spectrum = (EnvSpectrum(_unit_vector(args.gamma, "--gamma", g.n_levels, float))
+                if args.gamma else EnvSpectrum.uniform(g.n_levels))
+    amps = _unit_vector(args.amps, "--amps", g.n_records - 1, complex) if args.amps else None
     t_final = args.time if args.time is not None else args.t1
-    evolved = evolve(full, 0, 2, g, t_final)
-
-    pairs = [(k, l) for k in range(1, apparatus_dim)
-             for l in range(k + 1, apparatus_dim)]
-    require_dense(args.steps * (1 + 3 * len(pairs)), "decoherence table")
-    ts = np.linspace(args.t0, args.t1, args.steps)
-    zeta_cols = ["t"]
-    for k, l in pairs:
-        zeta_cols += [f"re_{k}_{l}", f"im_{k}_{l}", f"abs_{k}_{l}"]
-    try:
-        zetas = [decoherence_factor(g, spectrum, k, l, ts) for k, l in pairs]
-    except ValueError:
-        # a refused phase is reported at its first time in sweep order
-        for t in ts:
-            for k, l in pairs:
-                decoherence_factor(g, spectrum, k, l, t)
-        raise
-    columns = [ts.tolist()]
-    for z in zetas:
-        # hypot rounds as abs(complex) does; np.abs can differ by an ulp
-        columns += [z.real.tolist(), z.imag.tolist(), np.hypot(z.real, z.imag).tolist()]
-    zeta_rows = tuple(zip(*columns))
-
-    truth_basis = np.eye(apparatus_dim)
-    score = pointer_score(evolved, 0, truth_basis)
-    observable = np.diag(np.arange(apparatus_dim, dtype=float))
-    comm = commutator_norm(observable, g)
-
+    run = einselection_run(g, spectrum, t_final, args.t0, args.t1, args.steps, amps,
+                           args.search, args.iterations)
+    zeta_cols = ("t",) + tuple(f"{part}_{k}_{l}" for k, l in run.pairs
+                               for part in ("re", "im", "abs"))
     scalars = [
-        ("records", n_rec),
-        ("levels", n_lev),
+        ("records", g.n_records - 1),
+        ("levels", g.n_levels),
         ("time", float(t_final)),
-        ("truth_max_score", score.max_score),
-        ("commutator_norm", comm),
+        ("truth_max_score", run.truth.max_score),
+        ("commutator_norm", run.commutator),
     ]
     tables = [
-        Table("branches", ("outcome", "record", "prob"), tuple(branch_rows)),
+        Table("branches", ("outcome", "record", "prob"),
+              tuple((k, k + 1, p) for k, p in enumerate(run.branch_probs))),
         Table("score_per_vector", ("vector", "score"),
-              tuple((i, s) for i, s in enumerate(score.per_outcome))),
-        Table("decoherence", tuple(zeta_cols), zeta_rows),
+              tuple(enumerate(run.truth.per_outcome))),
+        Table("decoherence", zeta_cols, run.sweep),
     ]
-    if args.search:
-        basis, found = find_pointer_basis(evolved, 0, iterations=args.iterations)
-        scalars.append(("found_score", found.max_score))
-        scalars.append(("degenerate_minimum", found.degenerate_minimum))
+    if run.search is not None:
+        basis, found = run.search
+        scalars += [("found_score", found.max_score),
+                    ("degenerate_minimum", found.degenerate_minimum)]
         tables.append(_matrix_table("found_basis", basis))
-    code = 0
-    if args.tol is not None and score.max_score > args.tol:
-        code = 1
+    code = 1 if args.tol is not None and run.truth.max_score > args.tol else 0
     return Report("pointer", tuple(scalars), tuple(tables)), code
 
 
@@ -554,34 +418,16 @@ def _cmd_records(args) -> tuple:
     return Report("records", tuple(scalars), tuple(tables)), 0
 
 
-def _require_printable(name: str, base: int, runs: int) -> None:
-    # the report prints base^runs and counts up to it as exact integers; a
-    # limit of 0, or none before Python 3.10.7, lets any integer print
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or base < 2 or runs < 1:  # 1^N prints; the engine refuses the rest
-        return
-    digits = math.floor(runs * math.log10(base)) + 1
-    if digits > limit:
-        raise ValueError(f"{name} = {base}^{runs} has {digits} digits, above "
-                         f"the {limit}-digit limit for printing an integer")
-
-
 def _cmd_freq(args) -> tuple:
     if args.cells is not None:
         cells = _ints(args.cells)
-        _require_printable("(sum of cells)^N", sum(cells), args.runs_n)
+        _require_digits("(sum of cells)^N", sum(cells), args.runs_n)
         counts = multinomial_history_counts(cells, args.runs_n)
-        rows = tuple(
-            ("-".join(str(x) for x in comp), counts[comp])
-            for comp in sorted(counts)
-        )
-        scalars = (
-            ("outcomes", len(cells)),
-            ("runs", args.runs_n),
-            ("total", sum(counts.values())),
-        )
-        return Report("freq", scalars,
-                      (Table("compositions", ("composition", "count"), rows),)), 0
+        rows = tuple(("-".join(str(x) for x in comp), counts[comp]) for comp in sorted(counts))
+        scalars = (("outcomes", len(cells)), ("runs", args.runs_n),
+                   ("total", sum(counts.values())))
+        table = Table("compositions", ("composition", "count"), rows)
+        return Report("freq", scalars, (table,)), 0
 
     if args.m is None or args.big_m is None:
         raise ValueError("need --m and --M (or --cells for the multinomial table)")
@@ -589,47 +435,30 @@ def _cmd_freq(args) -> tuple:
     if args.register and args.pairs is not None:
         raise ValueError("--pairs does not apply to --register, whose build "
                          "runs no swap check")
-    _require_printable("M^N", spec.M, spec.runs)
-    tally = history_counts(spec)
-    dist = frequency_distribution(tally)
-    rows = tuple(
-        (n, tally.counts[n], dist[n], float(dist[n]),
-         gaussian_approx(spec, n), gaussian_reference(spec, n))
-        for n in range(spec.runs + 1)
-    )
-    table = Table(
-        "frequencies",
-        ("n", "count", "p", "p_float", "gaussian_approx", "gaussian_reference"),
-        rows,
-    )
-    scalars = [
-        ("total", tally.total),
-        ("deviation", deviation(spec)),
-    ]
-    if args.delta_r is not None:
-        scalars.append(("delta_r", args.delta_r))
-        scalars.append(("maverick_mass", maverick_mass(tally, args.delta_r)))
-
     phases = _floats(args.phases) if args.phases else (0.0, 0.0)
     pairs = 2 if args.pairs is None else args.pairs
-    route, report = superensemble(spec, phases, pairs, args.seed, args.register)
-    scalars.append(("superensemble", route))
-    tables = [table]
+    run = repeated_runs(spec, args.delta_r, phases, pairs, args.seed, args.register)
+    rows = tuple(zip(range(spec.runs + 1), run.tally.counts, run.distribution,
+                     map(float, run.distribution), run.gaussian_approx,
+                     run.gaussian_reference))
+    tables = [Table("frequencies", ("n", "count", "p", "p_float", "gaussian_approx",
+                                    "gaussian_reference"), rows)]
+    scalars = [("total", run.tally.total), ("deviation", run.deviation)]
+    if args.delta_r is not None:
+        scalars += [("delta_r", args.delta_r), ("maverick_mass", run.maverick)]
+    scalars.append(("superensemble", run.route))
     code = 0
+    report = run.report
     if report is not None:
-        scalars.append(("census_matches", report.census_matches))
-        scalars.append(("max_modulus_dev", report.max_modulus_dev))
-        swap_rows = []
-        for check in report.swap_checks:
-            a = ".".join(str(j) for j in check.pair[0])
-            b = ".".join(str(j) for j in check.pair[1])
-            swap_rows.append((f"{a}|{b}", check.restoration,
-                              check.envariant, check.counter_fidelity))
+        scalars += [("census_matches", report.census_matches),
+                    ("max_modulus_dev", report.max_modulus_dev)]
+        swap_rows = tuple(
+            ("|".join(".".join(str(j) for j in history) for history in check.pair),
+             check.restoration, check.envariant, check.counter_fidelity)
+            for check in report.swap_checks)
         if swap_rows:
-            tables.append(Table(
-                "swap_checks",
-                ("pair", "restoration", "envariant", "counter_fidelity"),
-                tuple(swap_rows)))
+            tables.append(Table("swap_checks", ("pair", "restoration", "envariant",
+                                                "counter_fidelity"), swap_rows))
         code = 1 if report.failed else 0
     return Report("freq", tuple(scalars), tuple(tables)), code
 
@@ -667,52 +496,37 @@ def _cmd_continuum(args) -> tuple:
         return Report("continuum", scalars, (table,)), 0
 
     psi = _build_wavefunction(args)
-    span = args.x1 - args.x0
     if args.adaptive:
         if args.cells is None:
             raise ValueError("--adaptive needs --cells")
-        mesh = equal_mass_mesh(psi, args.x0, args.x1, args.cells)
-    else:
-        if args.dx is None:
-            raise ValueError("need --dx (or --adaptive with --cells)")
-        cells = int(round(span / args.dx)) if args.dx > 0 else 0
-        if cells < 1 or abs(cells * args.dx - span) > 1e-9 * max(1.0, abs(span)):
-            raise ValueError("--dx must tile [x0, x1] evenly")
-        mesh = Mesh.uniform(args.x0, args.dx, cells)
-    d = discretize(psi, mesh, quad_points=args.quad)
-    defect = orthogonality_defect(psi, d)
+    elif args.dx is None:
+        raise ValueError("need --dx (or --adaptive with --cells)")
+    interval = _floats(args.interval) if args.interval else None
+    run = mesh_run(psi, args.x0, args.x1, dx=None if args.adaptive else args.dx,
+                   cells=args.cells if args.adaptive else None, quad_points=args.quad,
+                   interval=interval, m_max=args.m_max)
+    d, mesh = run.state, run.state.mesh
     scalars = [
         ("family", psi.label),
         ("cells", mesh.cells),
         ("adaptive", bool(args.adaptive)),
         ("quad_points", d.quad_points),
         ("remainder_sq", d.remainder_sq),
-        ("orthogonality_defect", defect),
+        ("orthogonality_defect", run.defect),
     ]
+    if interval is not None:
+        scalars += [("interval", "[" + "|".join(f"{x:.12g}" for x in interval) + ")"),
+                    ("interval_probability", run.interval_probability)]
     code = 0
-    if args.interval:
-        x1, x2 = _floats(args.interval)
-        scalars.append(("interval", f"[{x1:.12g}|{x2:.12g})"))
-        scalars.append(("interval_probability",
-                        interval_probability(d, x1, x2)))
-    if args.m_max is not None:
-        res = born_continuum(d, m_max=args.m_max)
-        gap = float(np.max(np.abs(np.array(res.cell_probs) - d.cell_probs())))
-        scalars.append(("pipeline_max_gap", gap))
-        scalars.append(("rationalization_error",
-                        res.born.rationalization_error))
-        if gap > res.born.rationalization_error + 1e-9:
-            code = 1
+    if run.counting is not None:
+        error = run.counting.born.rationalization_error
+        scalars += [("pipeline_max_gap", run.max_gap), ("rationalization_error", error)]
+        code = 1 if run.max_gap > error + 1e-9 else 0
     tables = ()
     if mesh.cells <= 512:
-        edges = mesh.edges()
-        widths = mesh.cell_widths()
-        probs = d.cell_probs()
-        rows = tuple(
-            (k, float(edges[k]), float(widths[k]),
-             float(d.psi_k[k].real), float(d.psi_k[k].imag), float(probs[k]))
-            for k in range(mesh.cells)
-        )
+        rows = tuple(zip(range(mesh.cells), mesh.edges().tolist(), mesh.cell_widths().tolist(),
+                         [a.real for a in d.psi_k], [a.imag for a in d.psi_k],
+                         d.cell_probs().tolist()))
         tables = (Table("cells", ("k", "left", "width", "re", "im", "p"), rows),)
     else:
         scalars.append(("cells_table_omitted", True))
@@ -864,11 +678,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        report, code = HANDLERS[args.command](args)
+        # an overflow or invalid value would leave inf or nan in the report
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report, code = HANDLERS[args.command](args)
         text = emit_report(report, args.format)
         if args.out:
             Path(args.out).write_text(text)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, FloatingPointError) as exc:
         # an exception without a message (a bare MemoryError) is named instead
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

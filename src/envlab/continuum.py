@@ -185,6 +185,8 @@ class WaveFunction:
         """(pi w^2)^(-1/4) exp(-(x-c)^2 / (2 w^2)); unit norm on the line."""
         if not width > 0:
             raise ValueError("width must be positive")
+        if not math.pi * width * width > 0:
+            raise ValueError(f"width {width!r} is too small: its square underflows")
         norm = (math.pi * width * width) ** -0.25
 
         def fn(x):
@@ -364,3 +366,47 @@ def born_continuum(d: DiscretizedState, m_max: int = 10 ** 4) -> CellCountResult
         cell_probs=tuple(by_cell * captured),
         remainder_sq=d.remainder_sq,
     )
+
+
+@dataclass(frozen=True)
+class MeshRun:
+    """What mesh_run found: the cell averages, their orthogonality_defect,
+    the interval probability (None without an interval) and, with m_max,
+    the counting route's result and its largest gap from |psi_k|^2 dx_k."""
+
+    state: DiscretizedState
+    defect: float
+    interval_probability: float = None
+    counting: CellCountResult = None
+    max_gap: float = None
+
+
+def mesh_run(psi: WaveFunction, x0: float, x1: float, dx: float = None,
+             cells: int = None, quad_points: int = 16, interval=None,
+             m_max: int = None) -> MeshRun:
+    """Discretize psi on [x0, x1] and check the cells against the counting route.
+
+    The mesh is uniform with width ``dx``, which must tile [x0, x1] evenly,
+    or equal_mass_mesh's with ``cells`` cells.  ``interval`` is an (x1, x2)
+    pair for interval_probability; ``m_max`` runs born_continuum.
+    """
+    if cells is not None:
+        mesh = equal_mass_mesh(psi, x0, x1, cells)
+    else:
+        span = x1 - x0
+        count = span / dx if dx > 0 else 0.0
+        n = int(round(count)) if math.isfinite(count) else 0
+        if n < 1 or abs(n * dx - span) > 1e-9 * max(1.0, abs(span)):
+            raise ValueError("--dx must tile [x0, x1] evenly")
+        mesh = Mesh.uniform(x0, dx, n)
+    d = discretize(psi, mesh, quad_points=quad_points)
+    defect = orthogonality_defect(psi, d)
+    p_interval = None
+    if interval is not None:
+        lo, hi = interval
+        p_interval = interval_probability(d, lo, hi)
+    if m_max is None:
+        return MeshRun(d, defect, p_interval)
+    counting = born_continuum(d, m_max=m_max)
+    gap = float(np.max(np.abs(np.array(counting.cell_probs) - d.cell_probs())))
+    return MeshRun(d, defect, p_interval, counting, gap)

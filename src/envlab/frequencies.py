@@ -17,8 +17,10 @@ it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -50,11 +52,11 @@ class ExperimentSpec:
         object.__setattr__(self, "M", big_m)
         object.__setattr__(self, "runs", runs)
 
-    @property
+    @cached_property
     def beta_sq(self) -> Fraction:
         return Fraction(self.M - self.m, self.M)
 
-    @property
+    @cached_property
     def alpha_beta(self) -> float:
         """|alpha * beta| = sqrt(m (M - m)) / M."""
         return math.sqrt(self.m * (self.M - self.m)) / self.M
@@ -88,6 +90,19 @@ def history_counts(spec: ExperimentSpec) -> HistoryTally:
         counts.append(binom * m ** (n_runs - n) * (big_m - m) ** n)
         binom = binom * (n_runs - n) // (n + 1)
     return HistoryTally(spec, counts)
+
+
+def _require_digits(name: str, base: int, runs: int) -> None:
+    # a tally totals base^runs and counts up to it as exact integers, which a
+    # report prints; a limit of 0, or none before Python 3.10.7, prints any.
+    # A caller that prints calls this before counting
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or base < 2 or runs < 1:  # 1^N prints; the counting refuses the rest
+        return
+    digits = math.floor(runs * math.log10(base)) + 1
+    if digits > limit:
+        raise ValueError(f"{name} = {base}^{runs} has {digits} digits, above "
+                         f"the {limit}-digit limit for printing an integer")
 
 
 def multinomial_history_counts(cells, runs: int) -> dict:
@@ -387,3 +402,39 @@ def superensemble(spec: ExperimentSpec, phases=(0.0, 0.0), swap_pairs: int = 2,
         swap_checks=checks,
     )
     return ("explicit" if explicit else "sparse-census"), report
+
+
+@dataclass(frozen=True)
+class RepeatedRuns:
+    """What repeated_runs found: one tally, its exact distribution p(n) with
+    both Gaussian profiles per n, the maverick mass at delta_r (None without
+    one), and superensemble's route and report."""
+
+    tally: HistoryTally
+    distribution: tuple
+    gaussian_approx: tuple
+    gaussian_reference: tuple
+    deviation: float
+    maverick: Fraction
+    route: str
+    report: SuperensembleReport
+
+
+def repeated_runs(spec: ExperimentSpec, delta_r=None, phases=(0.0, 0.0),
+                  swap_pairs: int = 2, seed: int = 0,
+                  with_register: bool = False) -> RepeatedRuns:
+    """Exact statistics of N runs, checked against their superensemble.
+
+    M^N is checked against the interpreter's limit for printing an integer
+    before any history is counted; the last four arguments go to
+    superensemble.
+    """
+    _require_digits("M^N", spec.M, spec.runs)
+    tally = history_counts(spec)
+    runs = range(spec.runs + 1)
+    maverick = None if delta_r is None else maverick_mass(tally, delta_r)
+    route, report = superensemble(spec, phases, swap_pairs, seed, with_register)
+    return RepeatedRuns(tally, frequency_distribution(tally),
+                        tuple(gaussian_approx(spec, n) for n in runs),
+                        tuple(gaussian_reference(spec, n) for n in runs),
+                        deviation(spec), maverick, route, report)

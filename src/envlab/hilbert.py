@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,6 +27,8 @@ NORM_TOL = 1e-9
 UNITARY_TOL = 1e-10
 ZERO_PROJECTION_TOL = 1e-12
 FILE_NORM_TOL = 1e-6
+FILE_AMPLITUDE_BYTES = 54  # "[re, im], " in save_state's format, with 24-character reprs
+FILE_HEADER_BYTES = 4096   # the dims, keys and braces around the amplitudes
 
 
 class OrthogonalOutcomeError(ValueError):
@@ -416,12 +419,27 @@ def _load_matrix(path, dtype) -> np.ndarray:
 
 
 def load_state(state_file) -> StateVector:
-    """Read a state file; rejects norm deviations beyond FILE_NORM_TOL."""
+    """Read a state file; rejects norm deviations beyond FILE_NORM_TOL.
+
+    A file longer than the dense budget's amplitudes take in save_state's
+    format is refused unread, and the amplitude count is checked against the
+    budget before any amplitude is built.
+    """
+    from .born import DENSE_AMPLITUDE_CAP, DenseBudgetError, require_dense  # born imports us
+
     with open(state_file) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        bound = FILE_AMPLITUDE_BYTES * DENSE_AMPLITUDE_CAP + FILE_HEADER_BYTES
+        if size > bound:
+            raise ValueError(f"state file {state_file} has {size} bytes, above the "
+                             f"{bound} that {DENSE_AMPLITUDE_CAP} amplitudes take")
         doc = json.load(fh)
     try:
         dims = tuple(int(d) for d in doc["dims"])
+        require_dense(len(doc["amps"]), "state file")
         amps = np.array([complex(re, im) for re, im in doc["amps"]])
+    except DenseBudgetError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file: {exc}") from exc
     nrm = float(np.linalg.norm(amps))

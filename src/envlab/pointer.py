@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .born import _chunk_rows
-from .hilbert import NORM_TOL, ZERO_PROJECTION_TOL, StateVector, _load_matrix
+from .born import _chunk_rows, require_dense
+from .hilbert import (NORM_TOL, ZERO_PROJECTION_TOL, OrthogonalOutcomeError, StateVector,
+                      _load_matrix, conditional_state, tensor_product)
 
 SPECTRUM_NORM_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
@@ -396,3 +397,69 @@ def commutator_norm(pointer_observable, couplings: CouplingMatrix) -> float:
     # (k', n) and zeros elsewhere, so its norm needs no (K L)^2 operator
     diff = g[None, :, :] - g[:, None, :]
     return float(np.linalg.norm(lam[:, :, None] * diff))
+
+
+@dataclass(frozen=True)
+class EinselectionRun:
+    """What einselection_run found: each record level's weight, the sweep
+    (per time: t, then re, im and |zeta| of each pair in ``pairs``), the
+    record basis's score and commutator_norm, and the search's (basis rows,
+    PointerScore) when one ran."""
+
+    branch_probs: tuple
+    pairs: tuple
+    sweep: tuple
+    truth: PointerScore
+    commutator: float
+    search: tuple = None
+
+
+def einselection_run(couplings: CouplingMatrix, spectrum: EnvSpectrum, time: float,
+                     t0: float, t1: float, steps: int, amps=None, search: bool = False,
+                     iterations: int = 48) -> EinselectionRun:
+    """Premeasure, couple to the environment, sweep decoherence, score records.
+
+    Row 0 of ``couplings`` is the ready level, rows 1..K the K records.  The
+    system state ``amps`` (K unit-norm amplitudes, even when None) is
+    premeasured, joined by the environment of ``spectrum`` and evolved for
+    ``time``.  The sweep of every record pair over ``steps`` times from t0 to
+    t1 is checked against the amplitude budget first, and an overflowing
+    phase is named at its first time in sweep order.
+    """
+    apparatus_dim, n_rec = couplings.n_records, couplings.n_records - 1
+    if n_rec < 1:
+        raise ValueError("couplings need at least two rows: ready level plus records")
+    if amps is None:
+        amps = np.full(n_rec, 1.0 / math.sqrt(n_rec), dtype=complex)
+    premeasured = premeasure(StateVector((n_rec,), amps), TruthTable(np.eye(n_rec)),
+                             apparatus_dim)
+    records = np.eye(apparatus_dim)
+    branch_probs = []
+    for record in records[1:]:
+        try:
+            branch_probs.append(conditional_state(premeasured, 0, record)[0] ** 2)
+        except OrthogonalOutcomeError:
+            branch_probs.append(0.0)
+    evolved = evolve(tensor_product([premeasured, environment_state(spectrum)]), 0, 2,
+                     couplings, time)
+
+    pairs = tuple((k, l) for k in range(1, apparatus_dim) for l in range(k + 1, apparatus_dim))
+    require_dense(steps * (1 + 3 * len(pairs)), "decoherence table")
+    ts = np.linspace(t0, t1, steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = couplings.g[[l for _, l in pairs]] - couplings.g[[k for k, _ in pairs]]
+        # rates * t overflows exactly where the largest |rate| * |t| does
+        overflow = ~np.isfinite(np.max(np.abs(rates), initial=0.0) * np.abs(ts))
+    if overflow.any():
+        _require_finite_phase(rates, ts[np.argmax(overflow)])
+    columns = [ts.tolist()]
+    for k, l in pairs:
+        z = decoherence_factor(couplings, spectrum, k, l, ts)
+        # hypot rounds as abs(complex) does; np.abs can differ by an ulp
+        columns += [z.real.tolist(), z.imag.tolist(), np.hypot(z.real, z.imag).tolist()]
+
+    truth = pointer_score(evolved, 0, records)
+    commutator = commutator_norm(np.diag(np.arange(apparatus_dim, dtype=float)), couplings)
+    found = find_pointer_basis(evolved, 0, iterations=iterations) if search else None
+    return EinselectionRun(tuple(branch_probs), pairs, tuple(zip(*columns)), truth,
+                           commutator, found)

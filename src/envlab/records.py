@@ -285,9 +285,9 @@ def build_upsilon(tally, partition) -> StateVector:
         if covered & cell.members:
             raise ValueError("partition cells overlap")
         covered |= cell.members
-    support = {k for k in range(n) if weights[k] > 0}
-    if not support <= covered:
-        raise ValueError(f"partition misses outcomes {sorted(support - covered)}")
+    missing = sorted({k for k in range(n) if weights[k] > 0} - covered)
+    if missing:
+        raise ValueError(f"partition misses {len(missing)} outcomes, first {missing[:8]}")
     total = sum(weights)
     amp = np.zeros((len(cells), n), dtype=complex)
     for c, cell in enumerate(cells):

@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import inspect
 import io
+import itertools
 import json
 import math
 import resource
@@ -18,6 +19,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import envlab.born
 import envlab.cli as cli_module
@@ -106,6 +108,12 @@ def public_operations(mod):
     return names
 
 
+def public_codes() -> dict:
+    """Code object -> "module.function" for every public engine function."""
+    return {vars(mod)[op.split(".")[1]].__code__: op
+            for mod in ENGINES for op in public_operations(mod)}
+
+
 # One in-process run per flag route.  Braced names are fixture files.
 AUDIT_RUNS = (
     ["state", "--dims", "2,2", "--save", "{saved}"],
@@ -145,10 +153,7 @@ def audit_reached(tmp_path_factory):
     np.savetxt(files["swap"], [[0.0, 1.0], [1.0, 0.0]])
     np.savetxt(files["basis"], np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2))
     np.savetxt(files["couplings"], 0.37 * np.arange(12.0).reshape(3, 4))
-    names = {}
-    for mod in ENGINES:
-        for op in public_operations(mod):
-            names[vars(mod)[op.split(".")[1]].__code__] = op
+    names = public_codes()
 
     results = []
     for argv in AUDIT_RUNS:
@@ -646,8 +651,8 @@ def test_decoherence_table_is_checked_against_the_budget(couplings_file, monkeyp
     # two records give one pair: a step is t plus re, im and abs, 4 cells, so
     # 10 steps need 40; an unchecked --steps used to fill memory before failing
     sweeps = []
-    real = cli_module.decoherence_factor
-    monkeypatch.setattr(cli_module, "decoherence_factor",
+    real = envlab.pointer.decoherence_factor
+    monkeypatch.setattr(envlab.pointer, "decoherence_factor",
                         lambda *args: sweeps.append(args) or real(*args))
     argv = ["pointer", "--couplings", couplings_file, "--steps", "10"]
     monkeypatch.setattr(envlab.born, "DENSE_AMPLITUDE_CAP", 40)
@@ -821,7 +826,7 @@ def test_freq_refuses_unprintable_totals_before_any_history_work(monkeypatch, ca
     def no_history(*args, **kwargs):
         raise AssertionError("history work ran")
 
-    monkeypatch.setattr(cli_module, "history_counts", no_history)
+    monkeypatch.setattr(envlab.frequencies, "history_counts", no_history)
     one_error_line(*run_cli(["freq", "--m", "1", "--M", "3", "--N", "9013"], capsys),
                    "M^N = 3^9013 has 4301 digits, above the 4300-digit limit")
     with pytest.raises(AssertionError, match="history work ran"):
@@ -846,7 +851,7 @@ def test_freq_cells_refuses_unprintable_totals_before_counting(monkeypatch, caps
     def no_counting(*args, **kwargs):
         raise AssertionError("counting ran")
 
-    monkeypatch.setattr(cli_module, "multinomial_history_counts", no_counting)
+    monkeypatch.setattr(envlab.frequencies, "_compositions", no_counting)
     one_error_line(*run_cli(["freq", "--cells", "1,1", "--N", "15000"], capsys),
                    "(sum of cells)^N = 2^15000 has 4516 digits, above the "
                    "4300-digit limit for printing an integer")
@@ -874,7 +879,6 @@ def test_freq_computes_its_tally_once(monkeypatch, capsys):
         return counted(spec)
 
     monkeypatch.setattr(envlab.frequencies, "history_counts", counting)
-    monkeypatch.setattr(cli_module, "history_counts", counting)
     code, out, _ = run_cli(["freq", "--m", "1", "--M", "3", "--N", "2000",
                             "--delta-r", "0.1"], capsys)
     assert code == 0 and scalar(out, "superensemble") == "skipped-beyond-desk-scale"
@@ -1038,3 +1042,230 @@ def test_exit_code_one_on_tolerance_overrun(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_records_partition_error_names_the_count_of_missing_outcomes(capsys):
+    # the message used to list every missing index, 937,494 bytes here
+    code, out, err = run_cli(["records", "--universe", "131072", "--partition", "0;1"],
+                             capsys)
+    one_error_line(code, out, err, "131070")
+    assert len(err.encode()) < 200
+
+
+def test_state_files_are_checked_against_the_budget(tmp_path, monkeypatch, capsys):
+    # a 2x2 state is at a cap of 4 amplitudes: padded with blanks to the
+    # byte bound it loads, and one byte more is refused before parsing
+    monkeypatch.setattr(envlab.born, "DENSE_AMPLITUDE_CAP", 4)
+    bound = 4 * envlab.hilbert.FILE_AMPLITUDE_BYTES + envlab.hilbert.FILE_HEADER_BYTES
+    path = tmp_path / "s.state"
+    save_state(StateVector((2, 2), np.array([1, 0, 0, 1]) / math.sqrt(2)), path)
+    text = path.read_text()
+    argv = ["schmidt", "--state", str(path), "--cut", "0"]
+    path.write_text(text.ljust(bound))
+    assert run_cli(argv, capsys)[0] == 0
+    path.write_text(text.ljust(bound + 1))
+    one_error_line(*run_cli(argv, capsys),
+                   f"state file {path} has {bound + 1} bytes, above the {bound} "
+                   "that 4 amplitudes take")
+    # a short file listing more amplitudes than the cap is refused by count
+    path.write_text('{"dims": [5], "amps": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0]]}')
+    one_error_line(*run_cli(argv, capsys), "state file needs 5 amplitudes (cap 4)")
+
+
+def test_state_file_bound_covers_the_longest_amplitudes():
+    # two 24-character float reprs, the longest Python writes
+    x = -2.2250738585072014e-308
+    assert len(json.dumps([[x, x], [x, x]])) == 2 * envlab.hilbert.FILE_AMPLITUDE_BYTES
+
+
+# ----- thin front end: one scenario call per route -----
+
+SCENARIO_RUNS = (
+    (["pointer", "--couplings", "{couplings}", "--steps", "3"],
+     "pointer.einselection_run", {"pointer.load_couplings"}),
+    (["pointer", "--couplings", "{couplings}", "--steps", "3", "--search",
+      "--iterations", "1", "--amps", "0.6,0.8", "--gamma", "1,2,3,4"],
+     "pointer.einselection_run", {"pointer.load_couplings"}),
+    (["freq", "--m", "1", "--M", "2", "--N", "3", "--delta-r", "0.1"],
+     "frequencies.repeated_runs", set()),
+    (["freq", "--m", "1", "--M", "2", "--N", "2", "--register"],
+     "frequencies.repeated_runs", set()),
+    (["freq", "--cells", "1,2", "--N", "3"], None,
+     {"frequencies.multinomial_history_counts"}),
+    (["continuum", "--dx", "0.5", "--interval=-1,1", "--m-max", "512"],
+     "continuum.mesh_run", set()),
+    (["continuum", "--adaptive", "--cells", "8"], "continuum.mesh_run", set()),
+    (["continuum", "--truncate-ratio", "1/2", "--delta-target", "0.1"], None,
+     {"continuum.truncate"}),
+)
+
+
+@pytest.mark.parametrize("argv, scenario, others", SCENARIO_RUNS,
+                         ids=["pointer", "pointer-search", "freq", "freq-register",
+                              "freq-cells", "continuum", "continuum-adaptive",
+                              "continuum-truncate"])
+def test_handlers_make_one_scenario_call(argv, scenario, others, couplings_file):
+    # the audit's profile hook, narrowed to calls made from cli.py frames
+    names = public_codes()
+    entered, from_cli = [], []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            entered.append(names[frame.f_code])
+            if frame.f_back.f_code.co_filename == cli_module.__file__:
+                from_cli.append(names[frame.f_code])
+
+    argv = [a.format(couplings=couplings_file) for a in argv]
+    previous = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.setprofile(previous)
+    assert code == 0
+    expected = others | ({scenario} if scenario else set())
+    assert sorted(from_cli) == sorted(expected)
+    if scenario:
+        assert entered.count(scenario) == 1
+
+
+# ----- exit-code contract under edge inputs -----
+
+FUZZ_FLOATS = ("0", "-1", "0.5", "2", "1e-300", "1e308", "-1e308", "nan", "inf", "-inf", "1/0",
+               "")
+FUZZ_INTS = ("-1", "0", "1", "2", "3", "4", "13", "1.5", "nan", "1/0", "")
+FUZZ_LISTS = ("", "1", "0,0", "1,2", "nan,1", "inf,1", "1e308,1e308", "-1,1,0,0",
+              "1,2,3,4", "1,1,1,1,1", "1/0", "1,x")
+FUZZ_FRACTIONS = ("0", "1/2", "0.1", "9/10", "-1/2", "2", "1/0", "nan", "tenth", "")
+PAST_CAP = "past-cap"  # resolved against the rest of the draw
+
+# coupling files: ready row plus 2 records, zeros beside one large rate, one
+# row, more levels than the search takes, and huge entries; empty.txt has none
+FUZZ_COUPLINGS = {
+    "g.txt": 0.37 * np.arange(12.0).reshape(3, 4),
+    "gz.txt": np.array([[0.0] * 4, [0.0] * 4, [3.0, 0.0, 0.0, 0.0]]),
+    "one.txt": np.zeros((1, 4)),
+    "wide.txt": np.ones((9, 2)),
+    "huge.txt": np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]]),
+}
+
+# Valid runs of each route, and the edge values a draw puts in their flags.
+# True marks a switch; PAST_CAP a size one past the cap that guards it.
+FUZZ_ROUTES = {
+    "pointer": [{"--couplings": "g.txt", "--steps": "3"},
+                {"--couplings": "g.txt", "--steps": "3", "--search": True,
+                 "--iterations": "1"}],
+    "freq": [{"--m": "1", "--M": "2", "--N": "3"},
+             {"--m": "1", "--M": "2", "--N": "2", "--register": True},
+             {"--cells": "1,2", "--N": "3"}],
+    "continuum": [{"--dx": "0.5"},
+                  {"--dx": "0.5", "--interval": "-1,1", "--m-max": "64"},
+                  {"--adaptive": True, "--cells": "8"},
+                  {"--truncate-ratio": "1/2", "--delta-target": "0.1"}],
+}
+FUZZ_TOL = ("0", "1e-30", "1", "inf", "nan", "-1")
+FUZZ_EDGES = {
+    "pointer": {
+        "--tol": FUZZ_TOL,
+        "--couplings": tuple(FUZZ_COUPLINGS) + ("empty.txt",),
+        "--t0": FUZZ_FLOATS, "--t1": FUZZ_FLOATS, "--time": FUZZ_FLOATS,
+        "--gamma": FUZZ_LISTS, "--amps": FUZZ_LISTS,
+        "--steps": FUZZ_INTS + (PAST_CAP,), "--iterations": FUZZ_INTS,
+        "--search": (True,),
+    },
+    "freq": {
+        "--tol": FUZZ_TOL, "--m": FUZZ_INTS, "--M": FUZZ_INTS, "--N": FUZZ_INTS + (PAST_CAP,),
+        "--cells": FUZZ_LISTS + ("1,1,1,1,1,1,1,1",), "--delta-r": FUZZ_FRACTIONS,
+        "--phases": FUZZ_LISTS, "--pairs": FUZZ_INTS, "--register": (True,),
+    },
+    "continuum": {
+        "--tol": FUZZ_TOL, "--family": ("gaussian", "uniform", "box", "cauchy"),
+        "--center": FUZZ_FLOATS, "--width": FUZZ_FLOATS, "--a": FUZZ_FLOATS,
+        "--b": FUZZ_FLOATS, "--x0": FUZZ_FLOATS, "--x1": FUZZ_FLOATS,
+        "--edges": FUZZ_LISTS + ("0,0.5,1",), "--box-weights": FUZZ_LISTS + ("0.5,0.5",),
+        "--interval": FUZZ_LISTS + ("-1,1",),
+        # widths below 1: every span is at most 16 long, or so long that it
+        # has no finite cell count, so no draw builds a big mesh
+        "--dx": ("0.5", "0.25", "0", "-0.5", "nan", "inf", "1/0", ""),
+        "--adaptive": (True,), "--cells": ("-1", "0", "1", "8", "nan", ""),
+        "--quad": ("-1", "0", "1", "2", "16", "nan", ""),
+        "--m-max": ("-1", "0", "1", "4", "64", "nan", ""),
+        "--truncate-ratio": FUZZ_FRACTIONS, "--delta-target": FUZZ_FRACTIONS,
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, array in FUZZ_COUPLINGS.items():
+        np.savetxt(root / name, array)
+    (root / "empty.txt").write_text("")
+    return root
+
+
+def _past_cap(command, flags) -> str:
+    # one step past the decoherence table's budget, or the fewest runs past
+    # the composition cap or past the digit limit for printing an integer
+    if command == "pointer":
+        rows = len(FUZZ_COUPLINGS.get(flags.get("--couplings"), ()))
+        return str(envlab.born.DENSE_AMPLITUDE_CAP // (1 + 3 * math.comb(max(rows - 1, 0), 2))
+                   + 1)
+    try:
+        cells = [int(c) for c in flags["--cells"].split(",")] if "--cells" in flags else []
+        base = sum(cells) if cells else int(flags.get("--M"))
+    except (TypeError, ValueError):
+        return "1"
+    limit, pasts = sys.get_int_max_str_digits(), []
+    if base >= 2:
+        start = int(limit / math.log10(base)) - 2
+        pasts.append(next(n for n in itertools.count(max(start, 1))
+                          if math.floor(n * math.log10(base)) + 1 > limit))
+    if len(cells) > 1 and min(cells) >= 1:
+        pasts.append(next(n for n in itertools.count(1) if math.comb(n + len(cells) - 1,
+                          len(cells) - 1) > envlab.frequencies.COMPOSITION_CAP))
+    return str(min(pasts, default=1))
+
+
+@st.composite
+def fuzz_argv(draw, root):
+    # a valid run with one to three flags set to edge values or dropped
+    command = draw(st.sampled_from(sorted(FUZZ_ROUTES)))
+    flags = dict(draw(st.sampled_from(FUZZ_ROUTES[command])))
+    edges = FUZZ_EDGES[command]
+    for _ in range(draw(st.integers(1, 3))):
+        flag = draw(st.sampled_from(sorted(edges)))
+        value = draw(st.sampled_from((None,) + edges[flag]))
+        if value is None:
+            flags.pop(flag, None)
+        else:
+            flags[flag] = value
+    argv = [command, "--format=" + draw(st.sampled_from(("table", "csv", "structured")))]
+    for flag, value in flags.items():
+        if value is True:
+            argv.append(flag)
+        elif flag == "--couplings":
+            argv.append(f"--couplings={root / value}")
+        else:
+            argv.append(f"{flag}={_past_cap(command, flags) if value == PAST_CAP else value}")
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_exit_code_contract_holds_on_edge_inputs(data, fuzz_files):
+    argv = data.draw(fuzz_argv(fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "Warning" not in err
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert lines[0][len("error: "):].strip() and out == ""
