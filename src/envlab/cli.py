@@ -365,6 +365,8 @@ def _cmd_records(args) -> tuple:
         if value is not None and args.event is None:
             raise ValueError(f"{flag} needs --event")
     if args.event is None and args.partition is None:
+        if args.weights is not None:
+            raise ValueError("--weights needs --event or --partition")
         rep = verify_axioms(n, trials=args.trials, seed=args.seed)
         scalars = (
             ("universe", rep.universe_size),
@@ -420,6 +422,11 @@ def _cmd_records(args) -> tuple:
 
 def _cmd_freq(args) -> tuple:
     if args.cells is not None:
+        for flag, value in (("--m", args.m), ("--M", args.big_m), ("--delta-r", args.delta_r),
+                            ("--phases", args.phases), ("--pairs", args.pairs),
+                            ("--register", args.register or None)):
+            if value is not None:
+                raise ValueError(f"{flag} does not apply to --cells")
         cells = _ints(args.cells)
         _require_digits("(sum of cells)^N", sum(cells), args.runs_n)
         counts = multinomial_history_counts(cells, args.runs_n)
@@ -495,12 +502,18 @@ def _cmd_continuum(args) -> tuple:
         table = Table("kept_terms", ("k", "p", "conditional_p"), rows)
         return Report("continuum", scalars, (table,)), 0
 
+    if args.delta_target is not None:
+        raise ValueError("--delta-target needs --truncate-ratio")
     psi = _build_wavefunction(args)
     if args.adaptive:
         if args.cells is None:
             raise ValueError("--adaptive needs --cells")
+        if args.dx is not None:
+            raise ValueError("--dx does not apply to --adaptive")
     elif args.dx is None:
         raise ValueError("need --dx (or --adaptive with --cells)")
+    elif args.cells is not None:
+        raise ValueError("--cells needs --adaptive")
     interval = _floats(args.interval) if args.interval else None
     run = mesh_run(psi, args.x0, args.x1, dx=None if args.adaptive else args.dx,
                    cells=args.cells if args.adaptive else None, quad_points=args.quad,

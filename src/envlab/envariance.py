@@ -68,9 +68,9 @@ class ProtocolTranscript:
         return self.steps[-1][1]
 
 
-def _completed(partial: np.ndarray, projector: np.ndarray) -> np.ndarray:
-    """Extend an isometry defined on a subspace by identity on its complement."""
-    return partial + np.eye(projector.shape[0], dtype=complex) - projector
+def _completed(partial: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Extend an isometry defined on the span of ``rows`` by identity on its complement."""
+    return partial + np.eye(rows.shape[1], dtype=complex) - rows.T @ rows.conj()
 
 
 def _schmidt_phases(dec: SchmidtDecomposition, phases, basis, targets,
@@ -80,9 +80,8 @@ def _schmidt_phases(dec: SchmidtDecomposition, phases, basis, targets,
         raise ValueError(
             f"need {dec.n_terms} phases, got {phases.shape}"
         )
-    proj = basis.T @ basis.conj()
     partial = (basis.T * np.exp(sign * 1j * phases)) @ basis.conj()
-    return LocalUnitary(targets, _completed(partial, proj))
+    return LocalUnitary(targets, _completed(partial, basis))
 
 
 def phase_unitary(dec: SchmidtDecomposition, phases) -> LocalUnitary:
@@ -118,10 +117,6 @@ def counterswap(dec: SchmidtDecomposition, spec: SwapSpec) -> LocalUnitary:
     for equal-modulus coefficients the composition restores the state exactly:
     the coefficient carried by |eps_k><eps_l| is e^{-i(phi_kl + arg a_l - arg a_k)}.
     """
-    if spec.k == spec.l:
-        return LocalUnitary(
-            dec.right_targets, np.eye(dec.right_basis.shape[1], dtype=complex)
-        )
     if not (0 <= spec.k < dec.n_terms and 0 <= spec.l < dec.n_terms):
         raise ValueError(
             f"swap indices ({spec.k}, {spec.l}) outside {dec.n_terms} Schmidt terms"
@@ -130,12 +125,7 @@ def counterswap(dec: SchmidtDecomposition, spec: SwapSpec) -> LocalUnitary:
     if abs(ak) == 0 or abs(al) == 0:
         raise ValueError("counterswap needs nonzero coefficients at k and l")
     theta = spec.phase + np.angle(al) - np.angle(ak)
-    ek, el = dec.right_basis[spec.k], dec.right_basis[spec.l]
-    mat = np.eye(dec.right_basis.shape[1], dtype=complex)
-    mat -= np.outer(ek, ek.conj()) + np.outer(el, el.conj())
-    mat += np.exp(-1j * theta) * np.outer(ek, el.conj())
-    mat += np.exp(1j * theta) * np.outer(el, ek.conj())
-    return LocalUnitary(dec.right_targets, mat)
+    return swap_unitary(SwapSpec(spec.k, spec.l, -theta), dec.right_basis, dec.right_targets)
 
 
 def partial_swap_unitary(dec: SchmidtDecomposition, new_basis) -> LocalUnitary:
@@ -144,8 +134,7 @@ def partial_swap_unitary(dec: SchmidtDecomposition, new_basis) -> LocalUnitary:
     nb = np.asarray(new_basis, dtype=complex)
     old = dec.left_basis[spanned]
     partial = nb.T @ old.conj()
-    proj = old.T @ old.conj()
-    return LocalUnitary(dec.left_targets, _completed(partial, proj))
+    return LocalUnitary(dec.left_targets, _completed(partial, old))
 
 
 def partial_swap_counter(dec: SchmidtDecomposition, new_basis) -> LocalUnitary:
@@ -166,8 +155,7 @@ def partial_swap_counter(dec: SchmidtDecomposition, new_basis) -> LocalUnitary:
     eps = dec.right_basis[spanned]
     eps_new = (overlaps * phases[None, :]) @ eps  # row l = |eps~_l>
     partial = eps_new.T @ (eps.conj() * phases.conj()[:, None])
-    proj = eps.T @ eps.conj()
-    return LocalUnitary(dec.right_targets, _completed(partial, proj))
+    return LocalUnitary(dec.right_targets, _completed(partial, eps))
 
 
 def _spanned_indices(dec: SchmidtDecomposition, new_basis):
@@ -239,8 +227,7 @@ def _envariance_verdict(dec: SchmidtDecomposition, u_s: LocalUnitary) -> Envaria
     uw, _, vhw = np.linalg.svd(images, full_matrices=False)
     polished = uw @ vhw
     partial = dec.right_basis.T @ polished.conj()
-    proj = polished.T @ polished.conj()
-    counter = LocalUnitary(dec.right_targets, _completed(partial, proj))
+    counter = LocalUnitary(dec.right_targets, _completed(partial, polished))
     return EnvarianceVerdict(True, counter, residual, gram_dev)
 
 

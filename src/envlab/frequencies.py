@@ -356,10 +356,11 @@ def _swap_checks(spec, keys, amps, pairs, state) -> tuple:
     return tuple(checks)
 
 
-def superensemble(spec: ExperimentSpec, phases=(0.0, 0.0), swap_pairs: int = 2,
+def superensemble(tally: HistoryTally, phases=(0.0, 0.0), swap_pairs: int = 2,
                   seed: int = 0, with_register: bool = False) -> tuple:
     """Census of the N-run history expansion, cross-checked against the tally.
 
+    ``tally`` is history_counts of the experiment; its spec sets the runs.
     Returns (route, report).  The route is "explicit" when the dense tensor
     (after the detection register, if asked for) fits the amplitude budget,
     "sparse-census" when it does not but there is no register and at most
@@ -374,6 +375,7 @@ def superensemble(spec: ExperimentSpec, phases=(0.0, 0.0), swap_pairs: int = 2,
     equal its detection count.  A register build runs no swap checks,
     because the swap is no longer local to (S, C).
     """
+    spec = tally.spec
     phases = _coarse_phases(phases)
     explicit = math.prod(_tensor_dims(spec, with_register)) <= born.DENSE_AMPLITUDE_CAP
     if not explicit and (with_register or spec.M ** spec.runs > SPARSE_TERM_CAP):
@@ -396,7 +398,7 @@ def superensemble(spec: ExperimentSpec, phases=(0.0, 0.0), swap_pairs: int = 2,
                               _dense_state(spec, keys, amps) if dense else None)
     report = SuperensembleReport(
         census=tuple(int(c) for c in np.bincount(detections, minlength=spec.runs + 1)),
-        tally=history_counts(spec).counts,
+        tally=tally.counts,
         total_terms=len(amps),
         max_modulus_dev=float(np.max(np.abs(np.abs(amps) - spec.M ** (-spec.runs / 2.0)))),
         swap_checks=checks,
@@ -433,7 +435,7 @@ def repeated_runs(spec: ExperimentSpec, delta_r=None, phases=(0.0, 0.0),
     tally = history_counts(spec)
     runs = range(spec.runs + 1)
     maverick = None if delta_r is None else maverick_mass(tally, delta_r)
-    route, report = superensemble(spec, phases, swap_pairs, seed, with_register)
+    route, report = superensemble(tally, phases, swap_pairs, seed, with_register)
     return RepeatedRuns(tally, frequency_distribution(tally),
                         tuple(gaussian_approx(spec, n) for n in runs),
                         tuple(gaussian_reference(spec, n) for n in runs),

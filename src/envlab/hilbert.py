@@ -249,11 +249,10 @@ def _canonical_group_basis(block: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate so the largest-magnitude entry is real positive."""
+def _lead_phase(vec: np.ndarray):
+    """The phase of the largest-magnitude entry (the first, on a tie)."""
     idx = int(np.argmax(np.abs(vec)))
-    ph = vec[idx] / abs(vec[idx])
-    return vec * ph.conj()
+    return vec[idx] / abs(vec[idx])
 
 
 def schmidt(state: StateVector, cut: Bipartition, zero_tol: float = 1e-12,
@@ -286,7 +285,7 @@ def schmidt(state: StateVector, cut: Bipartition, zero_tol: float = 1e-12,
         if len(g) > 1:
             u[:, g] = _canonical_group_basis(u[:, g])
     for k in range(u.shape[1]):
-        u[:, k] = _fix_phase(u[:, k])
+        u[:, k] = u[:, k] * _lead_phase(u[:, k]).conj()
 
     partners = u.conj().T @ mat            # row k = relative state of left vector k
     norms = np.linalg.norm(partners, axis=1)
@@ -294,10 +293,7 @@ def schmidt(state: StateVector, cut: Bipartition, zero_tol: float = 1e-12,
         coeffs = norms.astype(complex)
         right_basis = partners / norms[:, None]
     else:
-        phases = np.empty(len(norms), dtype=complex)
-        for k in range(len(norms)):
-            j = int(np.argmax(np.abs(partners[k])))
-            phases[k] = partners[k, j] / abs(partners[k, j])
+        phases = np.array([_lead_phase(row) for row in partners], dtype=complex)
         coeffs = norms * phases
         right_basis = partners * phases.conj()[:, None] / norms[:, None]
 

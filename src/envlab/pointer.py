@@ -65,7 +65,6 @@ class CouplingMatrix:
     """Record-environment coupling strengths g[k, nu] (hbar = 1)."""
 
     g: np.ndarray = field(repr=False)
-    _spread: float = field(init=False, repr=False)  # bounds every |g_k'n - g_kn|
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -76,7 +75,6 @@ class CouplingMatrix:
         g = g.copy()
         g.flags.writeable = False
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "_spread", float(g.max()) - float(g.min()))
 
     @property
     def n_records(self) -> int:
@@ -203,6 +201,7 @@ def decoherence_factor(couplings: CouplingMatrix, spectrum: EnvSpectrum,
     always, and exactly 1 at t = 0 or k = k'.  ``t`` is a time or an array
     of times; an array gives one zeta per time, swept in chunks of time
     points that keep the (times, levels) temporaries within the chunk budget.
+    A phase that overflows is refused, naming the first such time in order.
     """
     g = couplings.g
     for idx in (k, k_other):
@@ -214,12 +213,7 @@ def decoherence_factor(couplings: CouplingMatrix, spectrum: EnvSpectrum,
     flat = times.reshape(-1)
     weights = np.abs(spectrum.gamma) ** 2
     rate = g[k_other] - g[k]
-    if flat.size:
-        # the time of largest modulus decides whether any phase overflows
-        extreme = float(flat[np.argmax(np.abs(flat))])
-        if not couplings._spread * abs(extreme) < math.inf:  # else none can
-            with np.errstate(over="ignore"):
-                _require_finite_phase(rate, extreme)
+    _require_finite_phase(rate, flat)
     zeta = np.empty(flat.size, dtype=complex)
     step = _chunk_rows(g.shape[1])
     for lo in range(0, flat.size, step):
@@ -228,12 +222,18 @@ def decoherence_factor(couplings: CouplingMatrix, spectrum: EnvSpectrum,
     return complex(zeta[0]) if times.ndim == 0 else zeta.reshape(times.shape)
 
 
-def _require_finite_phase(rate: np.ndarray, t: float) -> None:
-    """Refuse coupling phases rate * t that overflow, before an exp sees them."""
+def _require_finite_phase(rates: np.ndarray, times) -> None:
+    """Refuse coupling phases rates * t that overflow, before an exp sees them.
+
+    Names the first of ``times`` (a time or an array) at which one does:
+    rates * t overflows exactly where the largest |rate| * |t| does.
+    """
+    times = np.asarray(times, dtype=float).reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.all(np.isfinite(rate * float(t)))
-    if not finite:
-        raise ValueError(f"coupling phases g*t are not finite at t={float(t)!r}")
+        overflow = ~np.isfinite(np.max(np.abs(rates), initial=0.0) * np.abs(times))
+    if overflow.any():
+        t = float(times[np.argmax(overflow)])
+        raise ValueError(f"coupling phases g*t are not finite at t={t!r}")
 
 
 def _conditionals(state: StateVector, apparatus: int):
@@ -446,12 +446,9 @@ def einselection_run(couplings: CouplingMatrix, spectrum: EnvSpectrum, time: flo
     pairs = tuple((k, l) for k in range(1, apparatus_dim) for l in range(k + 1, apparatus_dim))
     require_dense(steps * (1 + 3 * len(pairs)), "decoherence table")
     ts = np.linspace(t0, t1, steps)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         rates = couplings.g[[l for _, l in pairs]] - couplings.g[[k for k, _ in pairs]]
-        # rates * t overflows exactly where the largest |rate| * |t| does
-        overflow = ~np.isfinite(np.max(np.abs(rates), initial=0.0) * np.abs(ts))
-    if overflow.any():
-        _require_finite_phase(rates, ts[np.argmax(overflow)])
+    _require_finite_phase(rates, ts)  # every pair at once: the first time of any
     columns = [ts.tolist()]
     for k, l in pairs:
         z = decoherence_factor(couplings, spectrum, k, l, ts)

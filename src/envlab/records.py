@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .born import _chunk_rows
+from .born import _chunk_rows, require_dense
 from .hilbert import StateVector
 
 PROJECTOR_TOL = 1e-12
@@ -269,7 +269,9 @@ def build_upsilon(tally, partition) -> StateVector:
     Cell c of the partition contributes sqrt(m_k / M) on |c>|k> for each of
     its outcomes k; an outcome with weight zero contributes no term, since
     there is no record of something that never happened.  Layout: (coarse,
-    fine), coarse register first, cells in the order given.
+    fine), coarse register first, cells in the order given.  The cells x
+    outcomes amplitudes are checked against the dense budget before they
+    are built (2,048 singleton cells fit the default budget).
     """
     weights = _weights_of(tally)
     n = len(weights)
@@ -289,6 +291,7 @@ def build_upsilon(tally, partition) -> StateVector:
     if missing:
         raise ValueError(f"partition misses {len(missing)} outcomes, first {missing[:8]}")
     total = sum(weights)
+    require_dense(len(cells) * n, "upsilon")
     amp = np.zeros((len(cells), n), dtype=complex)
     for c, cell in enumerate(cells):
         for k in cell.members:

@@ -220,7 +220,7 @@ def test_criterion_07_history_counting():
                 spec = ExperimentSpec(m=m, M=big_m, runs=runs)
                 tally = history_counts(spec)
                 assert tally.total == big_m ** runs
-                route, rep = superensemble(spec, swap_pairs=3, seed=700 + runs)
+                route, rep = superensemble(history_counts(spec), swap_pairs=3, seed=700 + runs)
                 assert route == ("explicit"
                                  if (2 * big_m * big_m) ** runs <= DENSE_AMPLITUDE_CAP
                                  else "sparse-census")

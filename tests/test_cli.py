@@ -15,6 +15,7 @@ import math
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -879,10 +880,15 @@ def test_freq_computes_its_tally_once(monkeypatch, capsys):
         return counted(spec)
 
     monkeypatch.setattr(envlab.frequencies, "history_counts", counting)
-    code, out, _ = run_cli(["freq", "--m", "1", "--M", "3", "--N", "2000",
-                            "--delta-r", "0.1"], capsys)
-    assert code == 0 and scalar(out, "superensemble") == "skipped-beyond-desk-scale"
-    assert len(calls) == 1
+    # one report on each superensemble route: skipped, explicit, sparse census
+    for argv, route in ((["--M", "3", "--N", "2000", "--delta-r", "0.1"],
+                         "skipped-beyond-desk-scale"),
+                        (["--M", "2", "--N", "5"], "explicit"),
+                        (["--M", "2", "--N", "12"], "sparse-census")):
+        calls.clear()
+        code, out, _ = run_cli(["freq", "--m", "1", *argv], capsys)
+        assert code == 0 and scalar(out, "superensemble") == route
+        assert len(calls) == 1
 
 
 def test_records_universe_is_checked_before_its_set_is_built(capsys):
@@ -921,9 +927,28 @@ def test_error_without_a_message_names_its_type(monkeypatch, capsys):
      "--given needs --event"),
     (["born", "--weights", "1,2", "--m-max", "-1"], "--m-max needs --state"),
     (["born", "--weights", "1,2", "--m-max", "1024"], "--m-max needs --state"),
+    (["freq", "--cells", "1,2", "--N", "3", "--delta-r", "0.1"],
+     "--delta-r does not apply to --cells"),
+    (["freq", "--cells", "1,2", "--N", "3", "--m", "1"], "--m does not apply to --cells"),
+    (["freq", "--cells", "1,2", "--N", "3", "--M", "2"], "--M does not apply to --cells"),
+    (["freq", "--cells", "1,2", "--N", "3", "--phases", "0,0"],
+     "--phases does not apply to --cells"),
+    (["freq", "--cells", "1,2", "--N", "3", "--pairs", "0"],
+     "--pairs does not apply to --cells"),
+    (["freq", "--cells", "1,2", "--N", "3", "--register"],
+     "--register does not apply to --cells"),
+    (["continuum", "--dx", "0.5", "--delta-target", "0.1"],
+     "--delta-target needs --truncate-ratio"),
+    (["continuum", "--dx", "0.5", "--cells", "8"], "--cells needs --adaptive"),
+    (["continuum", "--adaptive", "--cells", "8", "--dx", "0.5"],
+     "--dx does not apply to --adaptive"),
+    (["records", "--universe", "6", "--weights", "1,1,1,1,1,9"],
+     "--weights needs --event or --partition"),
 ], ids=["trials-negative", "trials-zero", "iterations-negative", "steps-negative",
         "given-alone", "other-alone", "given-with-partition", "m-max-negative-weights",
-        "m-max-weights"])
+        "m-max-weights", "cells-delta-r", "cells-m", "cells-M", "cells-phases",
+        "cells-pairs", "cells-register", "mesh-delta-target", "mesh-cells",
+        "adaptive-dx", "axioms-weights"])
 def test_counts_and_event_flags_are_checked(argv, message, couplings_file, capsys):
     # each used to run: zero trials or descents, numpy's text for --steps,
     # or the flag silently ignored
@@ -1052,6 +1077,25 @@ def test_records_partition_error_names_the_count_of_missing_outcomes(capsys):
     assert len(err.encode()) < 200
 
 
+def test_upsilon_is_checked_against_the_budget(monkeypatch, capsys):
+    # 64 singleton cells of 64 outcomes are 4,096 amplitudes, over a cap of 100
+    monkeypatch.setattr(envlab.born, "DENSE_AMPLITUDE_CAP", 100)
+    partition = ";".join(str(k) for k in range(64))
+    one_error_line(*run_cli(["records", "--universe", "64", "--partition", partition],
+                            capsys),
+                   "upsilon needs 4096 amplitudes (cap 100)")
+    # refused before the array is built: 256 singletons would take 1 MiB
+    cells = [envlab.records.parse_event(str(k), 256) for k in range(256)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(envlab.born.DenseBudgetError):
+            envlab.records.build_upsilon((1,) * 256, cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 256 * 16 // 4
+
+
 def test_state_files_are_checked_against_the_budget(tmp_path, monkeypatch, capsys):
     # a 2x2 state is at a cap of 4 amplitudes: padded with blanks to the
     # byte bound it loads, and one byte more is refused before parsing
@@ -1137,6 +1181,7 @@ FUZZ_FLOATS = ("0", "-1", "0.5", "2", "1e-300", "1e308", "-1e308", "nan", "inf",
 FUZZ_INTS = ("-1", "0", "1", "2", "3", "4", "13", "1.5", "nan", "1/0", "")
 FUZZ_LISTS = ("", "1", "0,0", "1,2", "nan,1", "inf,1", "1e308,1e308", "-1,1,0,0",
               "1,2,3,4", "1,1,1,1,1", "1/0", "1,x")
+FUZZ_EVENTS = ("", "0", "0,0", "0,1", "5", "6", "-1", "0,1,2,3,4,5", "0,,1", "x", "1/0")
 FUZZ_FRACTIONS = ("0", "1/2", "0.1", "9/10", "-1/2", "2", "1/0", "nan", "tenth", "")
 PAST_CAP = "past-cap"  # resolved against the rest of the draw
 
@@ -1163,6 +1208,14 @@ FUZZ_ROUTES = {
                   {"--dx": "0.5", "--interval": "-1,1", "--m-max": "64"},
                   {"--adaptive": True, "--cells": "8"},
                   {"--truncate-ratio": "1/2", "--delta-target": "0.1"}],
+    "records": [{"--universe": "6", "--trials": "3"},
+                {"--universe": "6", "--event": "0,1", "--other": "1,2", "--given": "1"},
+                {"--universe": "6", "--weights": "1,2,3,1,2,1", "--event": "0,1",
+                 "--partition": "0,1;2,3;4,5"}],
+    "born": [{"--weights": "2,3,5", "--subset": "0,1"},
+             {"--weights": "1,1", "--phases": "0.3,0"},
+             {"--state": "s.state", "--cut": "0"},
+             {"--state": "even.state", "--cut": "0", "--m-max": "64", "--subset": "1"}],
 }
 FUZZ_TOL = ("0", "1e-30", "1", "inf", "nan", "-1")
 FUZZ_EDGES = {
@@ -1193,6 +1246,31 @@ FUZZ_EDGES = {
         "--m-max": ("-1", "0", "1", "4", "64", "nan", ""),
         "--truncate-ratio": FUZZ_FRACTIONS, "--delta-target": FUZZ_FRACTIONS,
     },
+    "records": {
+        "--tol": FUZZ_TOL,
+        # one past the cap, refused at once; the cap itself is not drawn, since
+        # the axiom audit would ask for an n x n identity there
+        "--universe": ("-1", "0", "1", "2", "6", "7", "1.5", "nan", "",
+                       str(envlab.records.UNIVERSE_CAP + 1)),
+        "--trials": FUZZ_INTS,
+        "--event": FUZZ_EVENTS, "--other": FUZZ_EVENTS, "--given": FUZZ_INTS + ("5", "6"),
+        "--weights": ("", "1,1,1,1,1,9", "0,0,0,0,0,0", "-1,1,1,1,1,1", "0,1,0,1,0,1",
+                      "1,2", "1,1,1,1,1,1,1", "1.5,1,1,1,1,1", "nan", "x"),
+        # overlapping, uncovered, out-of-range, duplicate and negative members
+        "--partition": ("0,1;2,3;4,5", "0;1;2;3;4;5", "0,1;1,2;3,4,5", "0,1;2,3",
+                        "0,1;2,3;4,5,6", "0,0,1;2,3,4,5", "-1;0,1,2,3,4,5", "", ";",
+                        "x;0"),
+    },
+    "born": {
+        "--tol": FUZZ_TOL,
+        "--weights": FUZZ_LISTS + ("1000,1000,1000", "4096,4096"),
+        "--phases": FUZZ_LISTS, "--subset": FUZZ_EVENTS,
+        "--state": ("s.state", "even.state", "bad.state", "missing.state"),
+        "--cut": ("0", "1", "0,1", "2", "-1", "", "x", "0,0"),
+        # at most 4096: on the even state rationalize apportions every even
+        # denominator, 0.06 s at 4096 but 1.7 s at 200000 on a 2-vCPU host
+        "--m-max": ("-1", "0", "1", "2", "64", "4096", "1.5", "nan", ""),
+    },
 }
 
 
@@ -1202,6 +1280,11 @@ def fuzz_files(tmp_path_factory):
     for name, array in FUZZ_COUPLINGS.items():
         np.savetxt(root / name, array)
     (root / "empty.txt").write_text("")
+    # an uneven 2x3 state, the even two-qubit state and unparsable text;
+    # missing.state is never written
+    save_state(StateVector((2, 3), np.arange(1.0, 7.0) / math.sqrt(91.0)), root / "s.state")
+    save_state(StateVector((2, 2), np.array([1, 0, 0, 1]) / math.sqrt(2)), root / "even.state")
+    (root / "bad.state").write_text("{not json")
     return root
 
 
@@ -1245,14 +1328,14 @@ def fuzz_argv(draw, root):
     for flag, value in flags.items():
         if value is True:
             argv.append(flag)
-        elif flag == "--couplings":
-            argv.append(f"--couplings={root / value}")
+        elif flag in ("--couplings", "--state"):
+            argv.append(f"{flag}={root / value}")
         else:
             argv.append(f"{flag}={_past_cap(command, flags) if value == PAST_CAP else value}")
     return argv
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(data=st.data())
 def test_exit_code_contract_holds_on_edge_inputs(data, fuzz_files):
     argv = data.draw(fuzz_argv(fuzz_files))

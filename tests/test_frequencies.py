@@ -264,7 +264,7 @@ def _tensor(spec, phases=(0.0, 0.0), with_register=False):
 
 def test_superensemble_two_runs_even_coin():
     spec = ExperimentSpec(m=1, M=2, runs=2)
-    route, report = superensemble(spec, swap_pairs=3, seed=11)
+    route, report = superensemble(history_counts(spec), swap_pairs=3, seed=11)
     assert route == "explicit"
     state = _tensor(spec)
     assert state.dims == (2, 2, 2, 2, 2, 2)
@@ -287,7 +287,7 @@ def test_superensemble_phases_enter_amplitudes():
     expected = 0.5 * np.exp(1j * (0.3 - 0.8))
     assert state.amps[idx] == pytest.approx(expected, abs=1e-15)
     # phases never disturb the census, the moduli, or envariance
-    route, report = superensemble(spec, phases=(0.3, -0.8), seed=5)
+    route, report = superensemble(history_counts(spec), phases=(0.3, -0.8), seed=5)
     assert route == "explicit"
     assert report.census == (1, 2, 1)
     assert report.max_modulus_dev <= 1e-15
@@ -318,10 +318,10 @@ def test_routes_agree_on_one_spec(monkeypatch):
     # with the dense budget one amplitude short, on the sparse-census route
     spec = ExperimentSpec(m=1, M=2, runs=4)
     phases = (0.3, -0.8)
-    route, explicit = superensemble(spec, phases, swap_pairs=3, seed=3)
+    route, explicit = superensemble(history_counts(spec), phases, swap_pairs=3, seed=3)
     assert route == "explicit"
     monkeypatch.setattr(born, "DENSE_AMPLITUDE_CAP", 8 ** 4 - 1)
-    route, sparse = superensemble(spec, phases, swap_pairs=3, seed=3)
+    route, sparse = superensemble(history_counts(spec), phases, swap_pairs=3, seed=3)
     assert route == "sparse-census"
     assert sparse.census == explicit.census == explicit.tally
     assert sparse.total_terms == explicit.total_terms == 16
@@ -338,7 +338,7 @@ def test_history_census_beyond_dense_cap():
     spec = ExperimentSpec(m=1, M=3, runs=6)
     with pytest.raises(DenseBudgetError, match="amplitudes"):
         _tensor(spec)
-    route, report = superensemble(spec, swap_pairs=4, seed=9)
+    route, report = superensemble(history_counts(spec), swap_pairs=4, seed=9)
     assert route == "sparse-census"
     assert report.total_terms == 729
     assert report.census == report.tally == history_counts(spec).counts
@@ -349,7 +349,7 @@ def test_history_census_beyond_dense_cap():
 
 def test_history_census_term_cap():
     # 2^13 histories: past the sparse term cap as well as the dense budget
-    assert superensemble(ExperimentSpec(m=1, M=2, runs=13)) == (
+    assert superensemble(history_counts(ExperimentSpec(m=1, M=2, runs=13))) == (
         "skipped-beyond-desk-scale", None)
 
 
@@ -367,10 +367,10 @@ def test_dense_swap_checks_hold_one_block_operator():
     # projector of the degenerate Schmidt group is another such array, taken
     # once per report, and no two of them may be alive at the same time
     spec = ExperimentSpec(m=1, M=2, runs=5)
-    superensemble(ExperimentSpec(m=1, M=2, runs=2), swap_pairs=1)  # warm caches
+    superensemble(history_counts(ExperimentSpec(m=1, M=2, runs=2)), swap_pairs=1)  # warm caches
     tracemalloc.start()
     try:
-        route, report = superensemble(spec, swap_pairs=8)
+        route, report = superensemble(history_counts(spec), swap_pairs=8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -381,7 +381,7 @@ def test_dense_swap_checks_hold_one_block_operator():
 
 def test_register_counts_detections():
     spec = ExperimentSpec(m=1, M=2, runs=2)
-    route, report = superensemble(spec, with_register=True)
+    route, report = superensemble(history_counts(spec), with_register=True)
     assert route == "explicit"
     assert report.census == report.tally
     assert report.swap_checks == ()
@@ -404,18 +404,19 @@ def test_register_check_reads_the_tensor(monkeypatch):
 
     monkeypatch.setattr(frequencies, "_dense_state", shifted)
     with pytest.raises(ValueError, match="register digit disagrees"):
-        superensemble(ExperimentSpec(m=1, M=2, runs=2), with_register=True)
+        superensemble(history_counts(ExperimentSpec(m=1, M=2, runs=2)), with_register=True)
 
 
 def test_register_run_cap():
     with pytest.raises(ValueError, match="runs <= 3"):
-        superensemble(ExperimentSpec(m=1, M=2, runs=4), with_register=True)
+        superensemble(history_counts(ExperimentSpec(m=1, M=2, runs=4)), with_register=True)
 
 
 def test_register_budget_is_checked_before_run_cap():
     # too big to build at all: the budget decides first, so the route is
     # skipped instead of refused by the register limit
-    assert superensemble(ExperimentSpec(m=1, M=10, runs=4), with_register=True) == (
+    tally = history_counts(ExperimentSpec(m=1, M=10, runs=4))
+    assert superensemble(tally, with_register=True) == (
         "skipped-beyond-desk-scale", None)
 
 
@@ -426,7 +427,7 @@ def test_register_budget_is_checked_before_run_cap():
     (ExperimentSpec(m=2, M=10, runs=8), False, "skipped-beyond-desk-scale"),
 ])
 def test_superensemble_routes(spec, register, route):
-    got, report = superensemble(spec, with_register=register)
+    got, report = superensemble(history_counts(spec), with_register=register)
     assert got == route
     if route.startswith("skipped"):
         assert report is None
@@ -437,7 +438,7 @@ def test_superensemble_routes(spec, register, route):
 def test_superensemble_checks_phases_before_routing():
     for spec in (ExperimentSpec(m=1, M=2, runs=2), ExperimentSpec(m=2, M=10, runs=8)):
         with pytest.raises(ValueError, match="one phase per coarse outcome"):
-            superensemble(spec, phases=(1.0, 2.0, 3.0))
+            superensemble(history_counts(spec), phases=(1.0, 2.0, 3.0))
 
 
 def test_superensemble_report_failed_rule():

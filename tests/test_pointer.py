@@ -519,8 +519,8 @@ def test_overflowing_coupling_phases_are_refused(g_value, t):
 
 
 def test_finite_phases_pass_beside_an_overflowing_pair():
-    # a wide coupling spread sends every call to the exact check, which
-    # refuses only the pair whose phases overflow
+    # each pair's own rates decide: only the pair whose phases overflow is
+    # refused
     g = CouplingMatrix(np.array([[0.0, 0.0], [0.0, 0.0], [1e300, 0.0]]))
     spectrum = EnvSpectrum.uniform(2)
     with warnings.catch_warnings():
