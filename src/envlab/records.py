@@ -4,22 +4,23 @@ A record event is a subset of the pointer-basis outcome indices, or
 equivalently the projector onto the subspace those records span.  Because
 all events share one orthonormal record basis, their projectors commute and
 the lattice they generate is Boolean; the axiom checker verifies this both
-in exact set arithmetic and in matrix arithmetic.  Probabilities of coarse
+in exact set arithmetic and in projector arithmetic on the 0/1 diagonals
+that the projectors have in the record basis.  Probabilities of coarse
 events are exact rationals: the sum of the member fine-grained weights over
 the total.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .born import _chunk_rows, require_dense
 from .hilbert import StateVector
 
-PROJECTOR_TOL = 1e-12
 UNIVERSE_CAP = 2**17  # records in a universe; an event query at the cap takes ~1 s
 
 AXIOM_NAMES = (
@@ -31,8 +32,12 @@ AXIOM_NAMES = (
 )
 
 
+@lru_cache(maxsize=1)
 def _universe(size) -> frozenset:
-    """Record indices 0..size-1, checked against UNIVERSE_CAP before any is built."""
+    """Record indices 0..size-1, checked against UNIVERSE_CAP before any is built.
+
+    The last universe is kept, so the events parsed for it share one set.
+    """
     n = int(size)
     if n > UNIVERSE_CAP:
         raise ValueError(f"universe of {n} records is above the cap of {UNIVERSE_CAP}")
@@ -58,39 +63,6 @@ class RecordEvent:
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "members", members)
 
-    def projector(self) -> np.ndarray:
-        """0/1 diagonal matrix over the sorted universe (record basis order)."""
-        return _projectors((self,))[0]
-
-    @classmethod
-    def from_projector(cls, universe, matrix) -> "RecordEvent":
-        """Recover an event from a projector expressed in the record basis.
-
-        Anything that is not a diagonal 0/1 matrix in that basis is rejected:
-        a non-diagonal projector does not commute with the rest of the
-        algebra, and a memory cell cannot be consulted in any other basis.
-        """
-        order = sorted(int(k) for k in universe)
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.shape != (len(order), len(order)):
-            raise ValueError(f"projector must be {len(order)} x {len(order)}")
-        diag = np.diag(mat)
-        if np.max(np.abs(mat - np.diag(diag))) > PROJECTOR_TOL:
-            raise ValueError("projector is not diagonal in the record basis")
-        rounded = np.round(diag.real)
-        if np.max(np.abs(diag - rounded)) > PROJECTOR_TOL or \
-                not set(np.unique(rounded)) <= {0.0, 1.0}:
-            raise ValueError("matrix is not an idempotent 0/1 projector")
-        members = frozenset(order[i] for i in range(len(order)) if rounded[i] == 1.0)
-        return cls(frozenset(order), members)
-
-
-def _projectors(events) -> np.ndarray:
-    """Stacked projectors of events sharing one universe, from their membership."""
-    order = sorted(events[0].universe)
-    members = np.array([[k in e.members for k in order] for e in events])
-    return members[:, :, None] * np.eye(len(order))
-
 
 def _require_shared_universe(a: RecordEvent, b: RecordEvent):
     if a.universe != b.universe:
@@ -107,35 +79,36 @@ def _lattice_result(universe: frozenset, members: frozenset) -> RecordEvent:
 
 
 def meet(a: RecordEvent, b: RecordEvent) -> RecordEvent:
-    """Logical product: intersection of members, P_a P_b on the matrix side."""
+    """Logical product: intersection of members, P_a P_b on the projector side."""
     _require_shared_universe(a, b)
     return _lattice_result(a.universe, a.members & b.members)
 
 
 def join(a: RecordEvent, b: RecordEvent) -> RecordEvent:
-    """Logical sum: union of members, P_a + P_b - P_a P_b on the matrix side."""
+    """Logical sum: union of members, P_a + P_b - P_a P_b on the projector side."""
     _require_shared_universe(a, b)
     return _lattice_result(a.universe, a.members | b.members)
 
 
 def complement(a: RecordEvent) -> RecordEvent:
-    """Negation: universe minus members, P_U - P_a on the matrix side."""
+    """Negation: universe minus members, P_U - P_a on the projector side."""
     return _lattice_result(a.universe, a.universe - a.members)
 
 
-# matrix mirrors of the lattice operations; verify_axioms evaluates every
-# identity once on events and once on raw projectors, or on (trials, n, n)
-# stacks of them, through these
+# projector mirrors of the lattice operations on 0/1 diagonals: every record
+# projector is diagonal in the record basis, so P_a P_b, P_a + P_b - P_a P_b
+# and 1 - P_a act entrywise, exactly; verify_axioms evaluates every identity
+# once on events and once on (trials, n) stacks of diagonals through these
 def _m(a, b):
-    return a @ b if isinstance(a, np.ndarray) else meet(a, b)
+    return a * b if isinstance(a, np.ndarray) else meet(a, b)
 
 
 def _j(a, b):
-    return a + b - a @ b if isinstance(a, np.ndarray) else join(a, b)
+    return a + b - a * b if isinstance(a, np.ndarray) else join(a, b)
 
 
 def _c(a):
-    return np.eye(a.shape[-1]) - a if isinstance(a, np.ndarray) else complement(a)
+    return 1.0 - a if isinstance(a, np.ndarray) else complement(a)
 
 
 _IDENTITIES = (
@@ -170,9 +143,19 @@ class AxiomReport:
 
 
 def _random_event(rng, universe: frozenset) -> RecordEvent:
+    # one vector draw gives the doubles that one draw per record in turn
+    # would; its members index the universe 0..n-1, so they are valid
     density = rng.random()
-    members = frozenset(k for k in universe if rng.random() < density)
-    return RecordEvent(universe, members)
+    members = np.flatnonzero(rng.random(len(universe)) < density)
+    return _lattice_result(universe, frozenset(members.tolist()))
+
+
+def _diagonals(events, n: int) -> np.ndarray:
+    """Stacked 0/1 projector diagonals of events in the universe 0..n-1."""
+    diagonals = np.zeros((len(events), n))
+    for row, event in zip(diagonals, events):
+        row[list(event.members)] = 1.0
+    return diagonals
 
 
 _CHECKS = ("set sides differ", "projector sides differ",
@@ -180,43 +163,45 @@ _CHECKS = ("set sides differ", "projector sides differ",
 
 
 def _split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per stacked trial: do two projector stacks differ beyond tolerance?"""
-    return np.max(np.abs(a - b), axis=(-2, -1)) > PROJECTOR_TOL
+    """Per stacked trial: do two stacks of projector diagonals differ?"""
+    return np.any(a != b, axis=-1)
 
 
 def verify_axioms(universe_size: int, trials: int = 500, seed: int = 0) -> AxiomReport:
     """Check the five lattice axiom families on random event triples.
 
     Every identity is evaluated three ways per trial: exact set arithmetic,
-    raw projector arithmetic (to 1e-12), and the cross-check that the
-    set-side result materializes to the same projector.  A trial passes an
-    axiom family only when all its identities pass all three.  The set side
-    runs trial by trial; the projector side runs on stacks of trials, whose
-    0/1 products are exact, so a stack gives each trial's matrices bit for bit.
+    projector arithmetic on the 0/1 diagonals (exact, compared with ==), and
+    the cross-check that the set-side result materializes to the same
+    diagonal.  A trial passes an axiom family only when all its identities
+    pass all three.  The set side runs trial by trial; the projector side
+    runs on (trials, n) stacks of diagonals.  Trials x records are checked
+    against the dense budget before the first event is drawn.
     """
     n = int(universe_size)
     if n < 1:
         raise ValueError("universe_size must be >= 1")
     universe = _universe(n)
+    trials = int(trials)
+    require_dense(trials * n, "axiom audit")
     top_event = RecordEvent(universe, universe)
-    top_matrix = np.eye(n)
+    top = np.ones(n)
     rng = np.random.default_rng(seed)
     counts = dict.fromkeys(AXIOM_NAMES, 0)
     violations = []
-    trials = int(trials)
-    chunk = _chunk_rows(n * n)
+    chunk = _chunk_rows(n)
     for first in range(0, trials, chunk):
         batch = [tuple(_random_event(rng, universe) for _ in range(3))
                  for _ in range(min(chunk, trials - first))]
-        projs = tuple(_projectors(column) for column in zip(*batch))
+        diags = tuple(_diagonals(column, n) for column in zip(*batch))
         flags = []  # per identity: the three checks, one flag per trial
         for _, identity in _IDENTITIES:
             sides = [identity(*events, top_event) for events in batch]
-            mat_l, mat_r = identity(*projs, top_matrix)
+            diag_l, diag_r = identity(*diags, top)
             flags.append((
                 [ev_l.members != ev_r.members for ev_l, ev_r in sides],
-                _split(mat_l, mat_r),
-                _split(_projectors([ev_l for ev_l, _ in sides]), mat_l),
+                _split(diag_l, diag_r),
+                _split(_diagonals([ev_l for ev_l, _ in sides], n), diag_l),
             ))
         for t in range(len(batch)):
             failed = set()
@@ -321,9 +306,10 @@ def lemma5_recursion(universe_size: int, members) -> Fraction:
 
 def parse_event(text: str, universe_size: int) -> RecordEvent:
     """Parse comma-separated record indices ("1,2,5"; "" is the empty event)."""
-    body = text.strip()
-    if body:
-        members = frozenset(int(tok) for tok in body.split(",") if tok.strip())
-    else:
-        members = frozenset()
-    return RecordEvent(_universe(universe_size), members)
+    members = frozenset(int(tok) for tok in text.strip().split(",") if tok.strip())
+    universe = _universe(universe_size)
+    if not universe:
+        raise ValueError("universe cannot be empty")
+    if not members <= universe:
+        raise ValueError(f"members {sorted(members - universe)} outside the universe")
+    return _lattice_result(universe, members)

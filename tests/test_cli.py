@@ -703,7 +703,6 @@ def test_readme_continuum_example_exits_two_within_memory_cap(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["records", "--universe", "100000", "--trials", "1"],
     ["state", "--dims", "100000,100000"],
     ["continuum", "--dx", "0.5", "--quad", "100000"],
     ["continuum", "--dx", "1e-6"],
@@ -711,10 +710,31 @@ def test_readme_continuum_example_exits_two_within_memory_cap(tmp_path):
 def test_out_of_memory_exits_two_within_memory_cap(argv):
     # each asks numpy for more than the cap in one array; these sizes are
     # not put under the dense amplitude budget, which would refuse inputs
-    # that run today (continuum --dx 2e-5, records --universe 4000)
+    # that run today (continuum --dx 2e-5)
     proc = run_under_memory_cap(argv)
     one_error_line(proc.returncode, proc.stdout, proc.stderr,
                    "error: Unable to allocate")
+
+
+def test_axiom_audit_of_100000_records_runs_within_memory_cap():
+    # the audit used to ask numpy for (n, n) projectors, 74.5 GiB here
+    proc = run_under_memory_cap(["records", "--universe", "100000", "--trials", "1"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert scalar(proc.stdout, "clean") == "true"
+
+
+def test_axiom_audit_is_checked_against_the_budget(monkeypatch, capsys):
+    # 30 trials of 6 records are 180 amplitudes; at the cap the audit runs
+    argv = ["records", "--universe", "6", "--trials", "30"]
+    monkeypatch.setattr(envlab.born, "DENSE_AMPLITUDE_CAP", 180)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and scalar(out, "clean") == "true"
+    monkeypatch.setattr(envlab.born, "DENSE_AMPLITUDE_CAP", 179)
+    draws = []
+    monkeypatch.setattr(envlab.records, "_random_event", lambda *a: draws.append(a))
+    one_error_line(*run_cli(argv, capsys),
+                   "axiom audit needs 180 amplitudes (cap 179)")
+    assert draws == []
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1249,7 +1269,7 @@ FUZZ_EDGES = {
     "records": {
         "--tol": FUZZ_TOL,
         # one past the cap, refused at once; the cap itself is not drawn, since
-        # the axiom audit would ask for an n x n identity there
+        # one audit trial there takes about 0.4 s
         "--universe": ("-1", "0", "1", "2", "6", "7", "1.5", "nan", "",
                        str(envlab.records.UNIVERSE_CAP + 1)),
         "--trials": FUZZ_INTS,
