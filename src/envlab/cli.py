@@ -15,6 +15,7 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,16 +130,13 @@ def _state_and_cut(args) -> tuple:
     return load_state(args.state), Bipartition(_ints(args.cut))
 
 
-# ----- subcommand handlers: each returns (Report, exit_code) -----
+# ----- subcommand handlers: each gets its route's flags, returns (Report, exit_code) -----
 
 def _cmd_state(args) -> tuple:
-    sources = [args.state, args.weights, args.dims, args.product]
-    if sum(s is not None for s in sources) != 1:
-        raise ValueError("give exactly one of --state, --weights, --dims, --product")
-    if args.state:
+    if "state" in args:
         state = load_state(args.state)
         origin = f"loaded {args.state}"
-    elif args.weights:
+    elif "weights" in args:
         w = WeightVector(_ints(args.weights))
         phases = _floats(args.phases) if args.phases else (0.0,) * len(w.m)
         if len(phases) != len(w.m):
@@ -146,7 +144,7 @@ def _cmd_state(args) -> tuple:
         diagonal = [math.sqrt(m_k / w.M) * np.exp(1j * ph) for m_k, ph in zip(w.m, phases)]
         state = StateVector((len(w.m),) * 2, np.diag(diagonal).reshape(-1))
         origin = f"weights {args.weights}"
-    elif args.product:
+    elif "product" in args:
         parts = [load_state(p) for p in args.product.split(",")]
         state = tensor_product(parts)
         origin = f"product of {len(parts)} states"
@@ -217,17 +215,13 @@ def _parse_block_unitary(spec_text: str, block_dim: int) -> np.ndarray:
 
 def _cmd_envcheck(args) -> tuple:
     state, cut = _state_and_cut(args)
-    block_dim = int(np.prod([state.dims[i] for i in cut.left]))
-    modes = [args.unitary, args.term_phases, args.partial]
-    if sum(m is not None for m in modes) != 1:
-        raise ValueError("give exactly one of --unitary, --term-phases, --partial")
-
-    if args.unitary is not None:
+    block_dim = math.prod(state.dims[i] for i in cut.sides(state.n_subsystems)[0])
+    if "unitary" in args:
         u_s = LocalUnitary(cut.left, _parse_block_unitary(args.unitary, block_dim))
         verdict = check_envariance(state, cut, u_s)
         counter = verdict.counter
         source = "polished"
-    elif args.term_phases is not None:
+    elif "term_phases" in args:
         dec = schmidt(state, cut)
         phases = _floats(args.term_phases)
         counter = phase_counter(dec, phases)
@@ -265,8 +259,7 @@ def _cmd_protocol(args) -> tuple:
     if k == l:
         raise ValueError(f"--pair needs two distinct Schmidt terms, got {k},{l}")
     transcript = protocol_run(state, cut, SwapSpec(k=k, l=l, phase=args.phase))
-    threshold = 1.0 - (args.tol if args.tol is not None else 1e-12)
-    failed = transcript.restoration_failed or transcript.final_fidelity < threshold
+    failed = transcript.final_fidelity < 1.0 - args.tol or transcript.restoration_failed
     scalars = (
         ("pair", f"{k}|{l}"),
         ("phase", args.phase),
@@ -299,31 +292,25 @@ def _born_result_report(result: BornResult, args) -> tuple:
 
 
 def _cmd_born(args) -> tuple:
-    if (args.weights is None) == (args.state is None):
-        raise ValueError("give exactly one of --weights or --state")
-    if args.weights is not None:
-        if args.m_max is not None:
-            raise ValueError("--m-max needs --state")
-        w = WeightVector(_ints(args.weights))
-        result = BornResult(
-            probs_exact=tuple(Fraction(m_k, w.M) for m_k in w.m),
-            probs_float=tuple(m_k / w.M for m_k in w.m),
-            rationalization_error=0.0,
-            weights=w,
-        )
-        report, code = _born_result_report(result, args)
-        phases = _floats(args.phases) if args.phases else (0.0,) * len(w.m)
-        try:
-            fine = fine_grain(w, phases)
-        except DenseBudgetError:
-            return report, code  # the counting report does not need the dense state
-        values = schmidt_values(fine, even_cut())
-        scalars = (("fine_terms", len(values)), ("fine_even", is_even(values)))
-        return Report("born", report.scalars + scalars, report.tables), code
-    state, cut = _state_and_cut(args)
-    m_max = 1024 if args.m_max is None else args.m_max
-    result = born_probabilities(state, cut, m_max)
-    return _born_result_report(result, args)
+    if "state" in args:
+        state, cut = _state_and_cut(args)
+        return _born_result_report(born_probabilities(state, cut, args.m_max), args)
+    w = WeightVector(_ints(args.weights))
+    result = BornResult(
+        probs_exact=tuple(Fraction(m_k, w.M) for m_k in w.m),
+        probs_float=tuple(m_k / w.M for m_k in w.m),
+        rationalization_error=0.0,
+        weights=w,
+    )
+    report, code = _born_result_report(result, args)
+    phases = _floats(args.phases) if args.phases else (0.0,) * len(w.m)
+    try:
+        fine = fine_grain(w, phases)
+    except DenseBudgetError:
+        return report, code  # the counting report does not need the dense state
+    values = schmidt_values(fine, even_cut())
+    scalars = (("fine_terms", len(values)), ("fine_even", is_even(values)))
+    return Report("born", report.scalars + scalars, report.tables), code
 
 
 def _cmd_pointer(args) -> tuple:
@@ -332,8 +319,8 @@ def _cmd_pointer(args) -> tuple:
                 if args.gamma else EnvSpectrum.uniform(g.n_levels))
     amps = _unit_vector(args.amps, "--amps", g.n_records - 1, complex) if args.amps else None
     t_final = args.time if args.time is not None else args.t1
-    run = einselection_run(g, spectrum, t_final, args.t0, args.t1, args.steps, amps,
-                           args.search, args.iterations)
+    search = {"search": True, "iterations": args.iterations} if "search" in args else {}
+    run = einselection_run(g, spectrum, t_final, args.t0, args.t1, args.steps, amps, **search)
     zeta_cols = ("t",) + tuple(f"{part}_{k}_{l}" for k, l in run.pairs
                                for part in ("re", "im", "abs"))
     scalars = [
@@ -361,12 +348,7 @@ def _cmd_pointer(args) -> tuple:
 
 def _cmd_records(args) -> tuple:
     n = args.universe
-    for flag, value in (("--other", args.other), ("--given", args.given)):
-        if value is not None and args.event is None:
-            raise ValueError(f"{flag} needs --event")
-    if args.event is None and args.partition is None:
-        if args.weights is not None:
-            raise ValueError("--weights needs --event or --partition")
+    if "trials" in args:  # the axiom audit
         rep = verify_axioms(n, trials=args.trials, seed=args.seed)
         scalars = (
             ("universe", rep.universe_size),
@@ -381,7 +363,7 @@ def _cmd_records(args) -> tuple:
     if weights is not None and len(weights) != n:
         raise ValueError(f"need {n} weights for universe of size {n}")
     # parsing an event checks the universe size before n uniform weights are built
-    kappa = None if args.event is None else parse_event(args.event, n)
+    kappa = parse_event(args.event, n) if "event" in args else None
     cells = None if args.partition is None else tuple(
         parse_event(part, n) for part in args.partition.split(";"))
     weights = weights or (1,) * n
@@ -421,30 +403,22 @@ def _cmd_records(args) -> tuple:
 
 
 def _cmd_freq(args) -> tuple:
-    if args.cells is not None:
-        for flag, value in (("--m", args.m), ("--M", args.big_m), ("--delta-r", args.delta_r),
-                            ("--phases", args.phases), ("--pairs", args.pairs),
-                            ("--register", args.register or None)):
-            if value is not None:
-                raise ValueError(f"{flag} does not apply to --cells")
+    if "cells" in args:
         cells = _ints(args.cells)
-        _require_digits("(sum of cells)^N", sum(cells), args.runs_n)
-        counts = multinomial_history_counts(cells, args.runs_n)
+        _require_digits("(sum of cells)^N", sum(cells), args.N)
+        counts = multinomial_history_counts(cells, args.N)
         rows = tuple(("-".join(str(x) for x in comp), counts[comp]) for comp in sorted(counts))
-        scalars = (("outcomes", len(cells)), ("runs", args.runs_n),
+        scalars = (("outcomes", len(cells)), ("runs", args.N),
                    ("total", sum(counts.values())))
         table = Table("compositions", ("composition", "count"), rows)
         return Report("freq", scalars, (table,)), 0
 
-    if args.m is None or args.big_m is None:
-        raise ValueError("need --m and --M (or --cells for the multinomial table)")
-    spec = ExperimentSpec(m=args.m, M=args.big_m, runs=args.runs_n)
-    if args.register and args.pairs is not None:
-        raise ValueError("--pairs does not apply to --register, whose build "
-                         "runs no swap check")
+    spec = ExperimentSpec(m=args.m, M=args.M, runs=args.N)
     phases = _floats(args.phases) if args.phases else (0.0, 0.0)
-    pairs = 2 if args.pairs is None else args.pairs
-    run = repeated_runs(spec, args.delta_r, phases, pairs, args.seed, args.register)
+    if "register" in args:  # a register build samples no swaps
+        run = repeated_runs(spec, args.delta_r, phases, with_register=True)
+    else:
+        run = repeated_runs(spec, args.delta_r, phases, args.pairs, args.seed)
     rows = tuple(zip(range(spec.runs + 1), run.tally.counts, run.distribution,
                      map(float, run.distribution), run.gaussian_approx,
                      run.gaussian_reference))
@@ -475,18 +449,11 @@ def _build_wavefunction(args) -> WaveFunction:
         return WaveFunction.gaussian(center=args.center, width=args.width)
     if args.family == "uniform":
         return WaveFunction.uniform(args.a, args.b)
-    if args.family == "box":
-        if not args.edges or not args.box_weights:
-            raise ValueError("box family needs --edges and --box-weights")
-        return WaveFunction.box_mixture(_floats(args.edges),
-                                        _floats(args.box_weights))
-    raise ValueError(f"unknown family {args.family!r}")
+    return WaveFunction.box_mixture(_floats(args.edges), _floats(args.box_weights))
 
 
 def _cmd_continuum(args) -> tuple:
-    if args.truncate_ratio is not None:
-        if args.delta_target is None:
-            raise ValueError("--truncate-ratio needs --delta-target")
+    if "truncate_ratio" in args:
         seq = CoefficientSequence.geometric(Fraction(args.truncate_ratio))
         cut = truncate(seq, Fraction(args.delta_target))
         rows = tuple(
@@ -502,27 +469,16 @@ def _cmd_continuum(args) -> tuple:
         table = Table("kept_terms", ("k", "p", "conditional_p"), rows)
         return Report("continuum", scalars, (table,)), 0
 
-    if args.delta_target is not None:
-        raise ValueError("--delta-target needs --truncate-ratio")
     psi = _build_wavefunction(args)
-    if args.adaptive:
-        if args.cells is None:
-            raise ValueError("--adaptive needs --cells")
-        if args.dx is not None:
-            raise ValueError("--dx does not apply to --adaptive")
-    elif args.dx is None:
-        raise ValueError("need --dx (or --adaptive with --cells)")
-    elif args.cells is not None:
-        raise ValueError("--cells needs --adaptive")
+    size = {"cells": args.cells} if "adaptive" in args else {"dx": args.dx}
     interval = _floats(args.interval) if args.interval else None
-    run = mesh_run(psi, args.x0, args.x1, dx=None if args.adaptive else args.dx,
-                   cells=args.cells if args.adaptive else None, quad_points=args.quad,
-                   interval=interval, m_max=args.m_max)
+    run = mesh_run(psi, args.x0, args.x1, quad_points=args.quad, interval=interval,
+                   m_max=args.m_max, **size)
     d, mesh = run.state, run.state.mesh
     scalars = [
         ("family", psi.label),
         ("cells", mesh.cells),
-        ("adaptive", bool(args.adaptive)),
+        ("adaptive", "adaptive" in args),
         ("quad_points", d.quad_points),
         ("remainder_sq", d.remainder_sq),
         ("orthogonality_defect", run.defect),
@@ -559,17 +515,75 @@ HANDLERS = {
 }
 
 
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
+class Route(NamedTuple):
+    """One way to run a subcommand: the flags that pick it and the others it reads."""
+
+    picks: dict     # flag -> the value it must have, or None for any given value
+    defaults: dict  # every other flag the handler reads -> its value when not given
+
+    @property
+    def name(self) -> str:
+        return " ".join(_option(f) + (f"={v}" if v else "") for f, v in self.picks.items())
+
+    def holds(self, given: dict) -> bool:
+        values = {**self.defaults, **given}
+        return all(values.get(flag) is not None and pin in (None, values[flag])
+                   for flag, pin in self.picks.items())
+
+
+def _route(picks: str, **defaults) -> Route:
+    """Route from space-separated pick flags, where "family=box" pins a value."""
+    pins = (pick.partition("=") for pick in picks.split())
+    return Route({flag: value or None for flag, _, value in pins}, defaults)
+
+
+_POINTER = dict(gamma=None, amps=None, t0=0.0, t1=10.0, steps=200, time=None, tol=None)
+_MESH = dict(x0=-8.0, x1=8.0, quad=16, interval=None, m_max=None)
+# each wave function family with its parameters; a box is picked by its edges and weights
+_FAMILIES = (("box edges box_weights", {}), ("uniform", dict(a=0.0, b=1.0)),
+             ("gaussian", dict(family="gaussian", center=0.0, width=1.0)))
+
+# Each subcommand's routes in the order main tries them; flags are parser dests, and
+# --format and --out go with every route.  A pin that is also a default holds if not given.
+ROUTES = {
+    "state": (_route("state", save=None), _route("weights", phases=None, save=None),
+              _route("product", save=None), _route("dims", seed=0, save=None)),
+    "schmidt": (_route("state cut", zero_tol=1e-12, canonical=False),),
+    "envcheck": (_route("unitary state cut"), _route("term_phases state cut"),
+                 _route("partial state cut")),
+    "protocol": (_route("state cut pair", phase=0.0, tol=1e-12),),
+    "born": (_route("weights", phases=None, subset=None, tol=None),
+             _route("state", cut="0", m_max=1024, subset=None, tol=None)),
+    "pointer": (_route("search couplings", iterations=48, **_POINTER),
+                _route("couplings", **_POINTER)),
+    "records": (_route("event universe", other=None, given=None, weights=None, partition=None),
+                _route("partition universe", weights=None),
+                _route("universe", trials=500, seed=0)),
+    "freq": (_route("cells", N=1), _route("register m M", N=1, delta_r=None, phases=None),
+             _route("m M", N=1, delta_r=None, phases=None, pairs=2, seed=0)),
+    "continuum": (_route("truncate_ratio delta_target"),) + tuple(
+        _route(f"{size} family={family}", **params, **_MESH)
+        for size in ("adaptive cells", "dx") for family, params in _FAMILIES),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one "error:" line, like every other input error
         self.exit(2, f"error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # no default but --format's: a flag is given when it is not None, and ROUTES holds the
+    # defaults; --seed and --tol parse on every subcommand, so a bad value is refused first
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="table")
-    common.add_argument("--out", default=None)
-    common.add_argument("--seed", type=_seed, default=0)
-    common.add_argument("--tol", type=_positive_float, default=None)
+    common.add_argument("--out")
+    common.add_argument("--seed", type=_seed)
+    common.add_argument("--tol", type=_positive_float)
 
     parser = _Parser(
         prog="envlab",
@@ -579,108 +593,99 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("state", parents=[common],
                        help="load, build, combine, and save state vectors")
-    p.add_argument("--state", default=None)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--phases", default=None)
-    p.add_argument("--dims", default=None)
-    p.add_argument("--product", default=None,
-                   help="comma-separated state files to tensor together")
-    p.add_argument("--save", default=None)
+    p.add_argument("--state")
+    p.add_argument("--weights")
+    p.add_argument("--phases")
+    p.add_argument("--dims")
+    p.add_argument("--product", help="comma-separated state files to tensor together")
+    p.add_argument("--save")
 
     p = sub.add_parser("schmidt", parents=[common],
                        help="Schmidt spectrum, reconstruction, reduced purity")
     p.add_argument("--state", required=True)
     p.add_argument("--cut", required=True)
-    p.add_argument("--zero-tol", type=_nonnegative_float, default=1e-12)
-    p.add_argument("--canonical", action="store_true")
+    p.add_argument("--zero-tol", type=_nonnegative_float)
+    p.add_argument("--canonical", action="store_true", default=None)
 
     p = sub.add_parser("envcheck", parents=[common],
                        help="test a left-side unitary for envariance")
     p.add_argument("--state", required=True)
     p.add_argument("--cut", required=True)
-    p.add_argument("--unitary", default=None,
-                   help="phase:a,b,... | swap:k,l | matrix:PATH")
-    p.add_argument("--term-phases", default=None,
-                   help="Schmidt-term phases; counter built analytically")
-    p.add_argument("--partial", default=None,
-                   help="file with new basis rows spanning Schmidt vectors")
+    p.add_argument("--unitary", help="phase:a,b,... | swap:k,l | matrix:PATH")
+    p.add_argument("--term-phases", help="Schmidt-term phases; counter built analytically")
+    p.add_argument("--partial", help="file with new basis rows spanning Schmidt vectors")
 
     p = sub.add_parser("protocol", parents=[common],
                        help="swap/counterswap transcript with fidelities")
     p.add_argument("--state", required=True)
     p.add_argument("--cut", required=True)
     p.add_argument("--pair", required=True, help="Schmidt term indices k,l")
-    p.add_argument("--phase", type=_finite_float, default=0.0)
+    p.add_argument("--phase", type=_finite_float)
 
     p = sub.add_parser("born", parents=[common],
                        help="probabilities by rationalize/fine-grain/count")
-    p.add_argument("--weights", default=None)
-    p.add_argument("--phases", default=None)
-    p.add_argument("--state", default=None)
-    p.add_argument("--cut", default="0")
-    p.add_argument("--m-max", type=int, default=None,
-                   help="largest denominator for --state (default 1024)")
-    p.add_argument("--subset", default=None)
+    p.add_argument("--weights")
+    p.add_argument("--phases")
+    p.add_argument("--state")
+    p.add_argument("--cut")
+    p.add_argument("--m-max", type=int, help="largest denominator for --state (default 1024)")
+    p.add_argument("--subset")
 
     p = sub.add_parser("pointer", parents=[common],
                        help="premeasurement, decoherence sweep, basis search")
     p.add_argument("--couplings", required=True,
                    help="text file: one row per record, one column per level")
-    p.add_argument("--gamma", default=None)
-    p.add_argument("--amps", default=None)
-    p.add_argument("--t0", type=_finite_float, default=0.0)
-    p.add_argument("--t1", type=_finite_float, default=10.0)
-    p.add_argument("--steps", type=_nonnegative_int, default=200)
-    p.add_argument("--time", type=_finite_float, default=None)
-    p.add_argument("--search", action="store_true")
-    p.add_argument("--iterations", type=_nonnegative_int, default=48)
+    p.add_argument("--gamma")
+    p.add_argument("--amps")
+    p.add_argument("--t0", type=_finite_float)
+    p.add_argument("--t1", type=_finite_float)
+    p.add_argument("--steps", type=_nonnegative_int)
+    p.add_argument("--time", type=_finite_float)
+    p.add_argument("--search", action="store_true", default=None)
+    p.add_argument("--iterations", type=_nonnegative_int)
 
     p = sub.add_parser("records", parents=[common],
                        help="record-algebra audit and event probabilities")
     p.add_argument("--universe", type=int, required=True)
-    p.add_argument("--trials", type=_positive_int, default=500)
-    p.add_argument("--event", default=None)
-    p.add_argument("--other", default=None)
-    p.add_argument("--given", type=int, default=None)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--partition", default=None,
-                   help="semicolon-separated cells, e.g. 0,1;2,3")
+    p.add_argument("--trials", type=_positive_int)
+    p.add_argument("--event")
+    p.add_argument("--other")
+    p.add_argument("--given", type=int)
+    p.add_argument("--weights")
+    p.add_argument("--partition", help="semicolon-separated cells, e.g. 0,1;2,3")
 
     p = sub.add_parser("freq", parents=[common],
                        help="repeated-run tallies and the explicit superensemble")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--M", dest="big_m", type=int, default=None)
-    p.add_argument("--N", dest="runs_n", type=int, default=1)
-    p.add_argument("--delta-r", type=_fraction_text, default=None,
+    p.add_argument("--m", type=int)
+    p.add_argument("--M", type=int)
+    p.add_argument("--N", type=int)
+    p.add_argument("--delta-r", type=_fraction_text,
                    help="maverick threshold, exact decimal like 0.1")
-    p.add_argument("--phases", default=None)
-    p.add_argument("--pairs", type=_nonnegative_int, default=None,
-                   help="history swaps to check (default 2)")
-    p.add_argument("--register", action="store_true")
-    p.add_argument("--cells", default=None,
-                   help="multinomial mode: fine cells per outcome")
+    p.add_argument("--phases")
+    p.add_argument("--pairs", type=_nonnegative_int, help="history swaps to check (default 2)")
+    p.add_argument("--register", action="store_true", default=None)
+    p.add_argument("--cells", help="multinomial mode: fine cells per outcome")
 
     p = sub.add_parser("continuum", parents=[common],
                        help="discretize wavefunctions; truncate sequences")
-    p.add_argument("--family", choices=("gaussian", "uniform", "box"),
-                   default="gaussian")
-    p.add_argument("--center", type=_finite_float, default=0.0)
-    p.add_argument("--width", type=_finite_float, default=1.0)
-    p.add_argument("--a", type=_finite_float, default=0.0)
-    p.add_argument("--b", type=_finite_float, default=1.0)
-    p.add_argument("--edges", default=None)
-    p.add_argument("--box-weights", default=None)
-    p.add_argument("--x0", type=_finite_float, default=-8.0)
-    p.add_argument("--x1", type=_finite_float, default=8.0)
-    p.add_argument("--dx", type=_finite_float, default=None)
-    p.add_argument("--cells", type=int, default=None)
-    p.add_argument("--adaptive", action="store_true")
-    p.add_argument("--quad", type=int, default=16)
-    p.add_argument("--interval", default=None, help="a,b inside the mesh")
-    p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--truncate-ratio", type=_fraction_text, default=None,
+    p.add_argument("--family", choices=("gaussian", "uniform", "box"))
+    p.add_argument("--center", type=_finite_float)
+    p.add_argument("--width", type=_finite_float)
+    p.add_argument("--a", type=_finite_float)
+    p.add_argument("--b", type=_finite_float)
+    p.add_argument("--edges")
+    p.add_argument("--box-weights")
+    p.add_argument("--x0", type=_finite_float)
+    p.add_argument("--x1", type=_finite_float)
+    p.add_argument("--dx", type=_finite_float)
+    p.add_argument("--cells", type=int)
+    p.add_argument("--adaptive", action="store_true", default=None)
+    p.add_argument("--quad", type=int)
+    p.add_argument("--interval", help="a,b inside the mesh")
+    p.add_argument("--m-max", type=int)
+    p.add_argument("--truncate-ratio", type=_fraction_text,
                    help="geometric ratio; runs truncation instead of a mesh")
-    p.add_argument("--delta-target", type=_fraction_text, default=None)
+    p.add_argument("--delta-target", type=_fraction_text)
     return parser
 
 
@@ -690,10 +695,23 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    given = {flag: value for flag, value in vars(args).items()
+             if value is not None and flag not in ("command", "format", "out")}
+    routes = ROUTES[args.command]
     try:
+        # the one flag rule: the first route whose picks hold runs, and every
+        # other given flag must be one that route reads
+        route = next((r for r in routes if r.holds(given)), None)
+        if route is None:
+            raise ValueError(f"{args.command} needs one of: "
+                             + " | ".join(r.name for r in routes))
+        stray = [flag for flag in given if flag not in {**route.picks, **route.defaults}]
+        if stray:
+            raise ValueError(f"{_option(stray[0])} does not apply to {route.name}")
         # an overflow or invalid value would leave inf or nan in the report
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            report, code = HANDLERS[args.command](args)
+            report, code = HANDLERS[args.command](
+                argparse.Namespace(**{**route.defaults, **given}))
         text = emit_report(report, args.format)
         if args.out:
             Path(args.out).write_text(text)

@@ -68,24 +68,6 @@ class StateVector:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", arr)
 
-    @classmethod
-    def normalized(cls, dims, amps) -> "StateVector":
-        """Construct after rescaling; rejects the zero vector."""
-        arr = _as_complex_vector(amps)
-        nrm = float(np.linalg.norm(arr))
-        if nrm < ZERO_PROJECTION_TOL:
-            raise ValueError("cannot normalize a (near-)zero vector")
-        return cls(tuple(dims), arr / nrm)
-
-    @classmethod
-    def basis(cls, dims, index) -> "StateVector":
-        """Computational basis state |index_0, index_1, ...>."""
-        dims = tuple(int(d) for d in dims)
-        flat = int(np.ravel_multi_index(tuple(index), dims))
-        amps = np.zeros(math.prod(dims), dtype=complex)
-        amps[flat] = 1.0
-        return cls(dims, amps)
-
     @property
     def n_subsystems(self) -> int:
         return len(self.dims)

@@ -4,10 +4,23 @@ import pytest
 from envlab.hilbert import StateVector
 
 
+def unit_state(dims, amps) -> StateVector:
+    """The constructor on amps rescaled to unit norm."""
+    amps = np.asarray(amps, dtype=complex)
+    return StateVector(tuple(dims), amps / np.linalg.norm(amps))
+
+
+def basis_state(dims, index) -> StateVector:
+    """The constructor on the computational basis state |index_0, index_1, ...>."""
+    amps = np.zeros(tuple(dims), dtype=complex)
+    amps[tuple(index)] = 1.0
+    return StateVector(tuple(dims), amps.reshape(-1))
+
+
 def random_state(rng, dims) -> StateVector:
     n = int(np.prod(dims))
     amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return StateVector.normalized(tuple(dims), amps)
+    return unit_state(tuple(dims), amps)
 
 
 def random_unitary(rng, dim) -> np.ndarray:
@@ -37,7 +50,7 @@ def schmidt_form_state(coeffs, left_dim, right_dim, rng=None) -> StateVector:
         lb = random_unitary(rng, left_dim)[:k]
         rb = random_unitary(rng, right_dim)[:k]
     mat = (lb.T * coeffs) @ rb
-    return StateVector.normalized((left_dim, right_dim), mat.reshape(-1))
+    return unit_state((left_dim, right_dim), mat.reshape(-1))
 
 
 @pytest.fixture

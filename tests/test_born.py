@@ -28,7 +28,7 @@ from envlab.hilbert import (
     schmidt,
     schmidt_values,
 )
-from conftest import schmidt_form_state
+from conftest import basis_state, schmidt_form_state
 
 CUT = Bipartition((0,))
 
@@ -335,7 +335,7 @@ def test_schmidt_values_match_schmidt_moduli(rng):
 
 
 def test_schmidt_values_reject_empty_support():
-    state = StateVector.basis((2, 2), (0, 1))
+    state = basis_state((2, 2), (0, 1))
     with pytest.raises(ValueError, match="no support"):
         schmidt_values(state, CUT, zero_tol=1.0)
 

@@ -97,26 +97,38 @@ def couplings_file(tmp_path):
 
 # ----- operation coverage audit -----
 
-def public_operations(mod):
+def _operation_codes(mod):
+    """("module.function", code) for every public function that mod defines, and
+    ("module.Class.method", code) for every public method and classmethod of its
+    classes."""
     short = mod.__name__.split(".")[-1]
-    names = set()
     for name, obj in vars(mod).items():
-        if name.startswith("_") or not inspect.isfunction(obj):
+        if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
             continue
-        if obj.__module__ != mod.__name__:
-            continue
-        names.add(f"{short}.{name}")
-    return names
+        if inspect.isfunction(obj):
+            yield f"{short}.{name}", obj.__code__
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                function = getattr(member, "__func__", member)  # unwraps a classmethod
+                if not attr.startswith("_") and inspect.isfunction(function):
+                    yield f"{short}.{name}.{attr}", function.__code__
 
 
-def public_codes() -> dict:
-    """Code object -> "module.function" for every public engine function."""
-    return {vars(mod)[op.split(".")[1]].__code__: op
-            for mod in ENGINES for op in public_operations(mod)}
+def public_operations(mod):
+    return {name for name, _ in _operation_codes(mod)}
 
 
-# One in-process run per flag route.  Braced names are fixture files.
+def public_codes(methods=False) -> dict:
+    """Code object -> name of every public engine function, and with methods
+    of every public method and classmethod of an engine class."""
+    return {code: name for mod in ENGINES for name, code in _operation_codes(mod)
+            if methods or name.count(".") == 1}
+
+
+# One in-process run per route of cli.ROUTES.  Braced names are fixture files.
 AUDIT_RUNS = (
+    ["state", "--state", "{state}"],
+    ["state", "--weights", "1,2", "--phases", "0.5,0"],
     ["state", "--dims", "2,2", "--save", "{saved}"],
     ["state", "--product", "{state},{state}"],
     ["schmidt", "--state", "{state}", "--cut", "0"],
@@ -132,6 +144,7 @@ AUDIT_RUNS = (
     ["records", "--universe", "4", "--trials", "5"],
     ["records", "--universe", "4", "--event", "0,1", "--other", "1,2",
      "--given", "1", "--partition", "0,1;2,3"],
+    ["records", "--universe", "4", "--weights", "1,2,3,4", "--partition", "0;1,2,3"],
     ["freq", "--m", "1", "--M", "2", "--N", "2", "--delta-r", "0.1"],
     ["freq", "--m", "1", "--M", "2", "--N", "12"],
     ["freq", "--m", "1", "--M", "2", "--N", "2", "--register"],
@@ -139,13 +152,21 @@ AUDIT_RUNS = (
     ["freq", "--cells", "1,2", "--N", "3"],
     ["continuum", "--dx", "0.5", "--interval=-1,1", "--m-max", "512"],
     ["continuum", "--adaptive", "--cells", "8"],
+    ["continuum", "--family", "uniform", "--a", "0", "--b", "1", "--dx", "0.25",
+     "--x0", "0", "--x1", "1"],
+    ["continuum", "--family", "uniform", "--adaptive", "--cells", "4", "--x0", "0",
+     "--x1", "1"],
+    ["continuum", "--family", "box", "--edges", "0,0.5,1", "--box-weights", "0.5,0.5",
+     "--dx", "0.25", "--x0", "0", "--x1", "1"],
+    ["continuum", "--family", "box", "--edges", "0,0.5,1", "--box-weights", "0.5,0.5",
+     "--adaptive", "--cells", "4", "--x0", "0", "--x1", "1"],
     ["continuum", "--truncate-ratio", "1/2", "--delta-target", "0.1"],
 )
 
 
 @pytest.fixture(scope="module")
-def audit_reached(tmp_path_factory):
-    """(argv, exit code, public engine functions the run entered) per run."""
+def audit_argvs(tmp_path_factory):
+    """AUDIT_RUNS with their fixture files written."""
     root = tmp_path_factory.mktemp("audit")
     files = {name: str(root / name)
              for name in ("saved", "state", "swap", "basis", "couplings")}
@@ -154,11 +175,16 @@ def audit_reached(tmp_path_factory):
     np.savetxt(files["swap"], [[0.0, 1.0], [1.0, 0.0]])
     np.savetxt(files["basis"], np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2))
     np.savetxt(files["couplings"], 0.37 * np.arange(12.0).reshape(3, 4))
-    names = public_codes()
+    return [[a.format(**files) for a in argv] for argv in AUDIT_RUNS]
+
+
+@pytest.fixture(scope="module")
+def audit_reached(audit_argvs):
+    """(argv, exit code, public engine operations the run entered) per run."""
+    names = public_codes(methods=True)
 
     results = []
-    for argv in AUDIT_RUNS:
-        argv = [a.format(**files) for a in argv]
+    for argv in audit_argvs:
         reached = set()
 
         def watch(frame, event, arg):
@@ -198,6 +224,85 @@ def test_every_subcommand_reaches_the_engines(audit_reached):
 
 def test_handlers_are_the_parser_subcommands():
     assert set(cli_module.HANDLERS) == {command for command, _ in _parser_actions()}
+
+
+# ----- the route table against the parser and the handlers -----
+
+class ReadRecorder:
+    """Route args that note every flag a handler reads: an attribute it gets,
+    or a flag it finds present with ``in``."""
+
+    def __init__(self, args):
+        self._args, self.reads = args, set()
+
+    def __getattr__(self, flag):
+        value = getattr(self._args, flag)
+        self.reads.add(flag)
+        return value
+
+    def __contains__(self, flag):
+        present = flag in self._args
+        if present:
+            self.reads.add(flag)
+        return present
+
+
+@contextlib.contextmanager
+def recorded_handlers():
+    """Run every handler on a ReadRecorder; yields a list that gets, per
+    handler call, the flags main handed over and the flags the handler read."""
+    calls = []
+
+    def recorded(handler):
+        def run(args):
+            proxy = ReadRecorder(args)
+            calls.append((set(vars(args)), proxy.reads))
+            return handler(proxy)
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        for command, handler in cli_module.HANDLERS.items():
+            patch.setitem(cli_module.HANDLERS, command, recorded(handler))
+        yield calls
+
+
+def route_flags(route) -> set:
+    return set(route.picks) | set(route.defaults)
+
+
+def test_every_route_reads_exactly_its_flags(audit_argvs):
+    routes = {(command, frozenset(route_flags(r))): r.name
+              for command, rs in cli_module.ROUTES.items() for r in rs}
+    reached = set()
+    for argv in audit_argvs:
+        with recorded_handlers() as calls, contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+        ((handed, reads),) = calls
+        assert (argv[0], frozenset(handed)) in routes, argv
+        assert reads == handed, (argv, sorted(handed - reads), sorted(reads - handed))
+        reached.add(routes[argv[0], frozenset(handed)])
+    # an audit run per route, so no route's flags go unchecked
+    assert sorted(set(routes.values()) - reached) == []
+    assert len(routes) == sum(len(rs) for rs in cli_module.ROUTES.values())
+
+
+def test_routes_and_parser_name_the_same_flags():
+    shared = {"format", "out", "seed", "tol"}  # the parent parser's flags
+    parsed = {}
+    for command, action in _parser_actions():
+        if action.dest != "help":
+            parsed.setdefault(command, set()).add(action.dest)
+            # every flag is "--" plus its dest, with "-" for "_"
+            assert action.option_strings == [cli_module._option(action.dest)]
+    assert set(cli_module.ROUTES) == set(parsed)
+    routed = {}
+    for command, routes in cli_module.ROUTES.items():
+        routed[command] = set().union(*map(route_flags, routes))
+        assert routed[command] <= parsed[command] - {"format", "out"}, command
+        assert parsed[command] - shared <= routed[command], command
+    # --seed and --tol parse everywhere, so a bad value is refused while
+    # parsing; each is read by some route
+    assert {"seed", "tol"} <= set().union(*routed.values())
 
 
 # ----- rendering of exact values -----
@@ -573,9 +678,8 @@ def test_exit_code_two_paths(tmp_path, capsys):
     code, _, err = run_cli(["schmidt", "--state", "/nope", "--cut", "0"], capsys)
     assert code == 2 and "error:" in err
     # conflicting source flags
-    code, _, err = run_cli(
-        ["born", "--weights", "1,1", "--state", "/nope"], capsys)
-    assert code == 2 and "exactly one" in err
+    one_error_line(*run_cli(["born", "--weights", "1,1", "--state", "/nope"], capsys),
+                   "--state does not apply to --weights")
     # malformed unitary spec
     state = tmp_path / "s.state"
     save_state(StateVector((2, 2), np.array([1, 0, 0, 1]) / math.sqrt(2)), state)
@@ -807,6 +911,17 @@ def test_protocol_pair_needs_two_distinct_terms(pair, even_state, capsys):
                    f"--pair needs two distinct Schmidt terms, got {pair}")
 
 
+@pytest.mark.parametrize("argv", [
+    ["envcheck", "--unitary", "swap:0,1"],
+    ["envcheck", "--term-phases", "0,0"],
+    ["schmidt"],
+], ids=["envcheck-unitary", "envcheck-term-phases", "schmidt"])
+def test_cut_out_of_range_exits_two(argv, even_state, capsys):
+    # envcheck used to index the state's dims with the cut: exit 1, IndexError
+    one_error_line(*run_cli([*argv, "--state", even_state, "--cut", "2"], capsys),
+                   "cut (2,) out of range for 2 subsystems")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300", "tiny"])
 def test_bad_zero_tol_exits_two(value, even_state, capsys):
     message = (f"argument --zero-tol: invalid _nonnegative_float value: '{value}'"
@@ -941,12 +1056,12 @@ def test_error_without_a_message_names_its_type(monkeypatch, capsys):
      "argument --iterations: not a non-negative integer: '-2'"),
     (["pointer", "--steps", "-3"],
      "argument --steps: not a non-negative integer: '-3'"),
-    (["records", "--universe", "6", "--given", "1"], "--given needs --event"),
-    (["records", "--universe", "6", "--other", "1"], "--other needs --event"),
+    (["records", "--universe", "6", "--given", "1"], "--given does not apply to --universe"),
+    (["records", "--universe", "6", "--other", "1"], "--other does not apply to --universe"),
     (["records", "--universe", "6", "--partition", "0,1;2,3,4,5", "--given", "1"],
-     "--given needs --event"),
-    (["born", "--weights", "1,2", "--m-max", "-1"], "--m-max needs --state"),
-    (["born", "--weights", "1,2", "--m-max", "1024"], "--m-max needs --state"),
+     "--given does not apply to --partition --universe"),
+    (["born", "--weights", "1,2", "--m-max", "-1"], "--m-max does not apply to --weights"),
+    (["born", "--weights", "1,2", "--m-max", "1024"], "--m-max does not apply to --weights"),
     (["freq", "--cells", "1,2", "--N", "3", "--delta-r", "0.1"],
      "--delta-r does not apply to --cells"),
     (["freq", "--cells", "1,2", "--N", "3", "--m", "1"], "--m does not apply to --cells"),
@@ -958,12 +1073,13 @@ def test_error_without_a_message_names_its_type(monkeypatch, capsys):
     (["freq", "--cells", "1,2", "--N", "3", "--register"],
      "--register does not apply to --cells"),
     (["continuum", "--dx", "0.5", "--delta-target", "0.1"],
-     "--delta-target needs --truncate-ratio"),
-    (["continuum", "--dx", "0.5", "--cells", "8"], "--cells needs --adaptive"),
+     "--delta-target does not apply to --dx --family=gaussian"),
+    (["continuum", "--dx", "0.5", "--cells", "8"],
+     "--cells does not apply to --dx --family=gaussian"),
     (["continuum", "--adaptive", "--cells", "8", "--dx", "0.5"],
      "--dx does not apply to --adaptive"),
     (["records", "--universe", "6", "--weights", "1,1,1,1,1,9"],
-     "--weights needs --event or --partition"),
+     "--weights does not apply to --universe"),
 ], ids=["trials-negative", "trials-zero", "iterations-negative", "steps-negative",
         "given-alone", "other-alone", "given-with-partition", "m-max-negative-weights",
         "m-max-weights", "cells-delta-r", "cells-m", "cells-M", "cells-phases",
@@ -1215,9 +1331,24 @@ FUZZ_COUPLINGS = {
     "huge.txt": np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]]),
 }
 
+FUZZ_STATES = ("s.state", "even.state", "bad.state", "missing.state")
+FUZZ_CUTS = ("0", "1", "0,1", "2", "-1", "", "x", "0,0")
+
 # Valid runs of each route, and the edge values a draw puts in their flags.
 # True marks a switch; PAST_CAP a size one past the cap that guards it.
+# File names are relative to the fuzz directory.
 FUZZ_ROUTES = {
+    "state": [{"--state": "s.state"},
+              {"--weights": "2,3,5", "--phases": "0,1,2"},
+              {"--dims": "2,3", "--seed": "3"},
+              {"--product": "s.state,even.state", "--save": "saved.state"}],
+    "schmidt": [{"--state": "s.state", "--cut": "0"},
+                {"--state": "even.state", "--cut": "1", "--canonical": True}],
+    "envcheck": [{"--state": "even.state", "--cut": "0", "--unitary": "swap:0,1"},
+                 {"--state": "s.state", "--cut": "0", "--term-phases": "0.3,0.9"},
+                 {"--state": "even.state", "--cut": "0", "--partial": "basis.txt"}],
+    "protocol": [{"--state": "even.state", "--cut": "0", "--pair": "0,1"},
+                 {"--state": "s.state", "--cut": "0", "--pair": "1,0", "--phase": "0.5"}],
     "pointer": [{"--couplings": "g.txt", "--steps": "3"},
                 {"--couplings": "g.txt", "--steps": "3", "--search": True,
                  "--iterations": "1"}],
@@ -1238,9 +1369,38 @@ FUZZ_ROUTES = {
              {"--state": "even.state", "--cut": "0", "--m-max": "64", "--subset": "1"}],
 }
 FUZZ_TOL = ("0", "1e-30", "1", "inf", "nan", "-1")
+# the flags of the parent parser, which every subcommand takes
+FUZZ_COMMON = {
+    "--format": ("table", "csv", "structured", "yaml"),
+    # a file, the fuzz directory itself, and a file in a missing directory
+    "--out": ("out.txt", "", "missing/out.txt"),
+    "--seed": FUZZ_INTS, "--tol": FUZZ_TOL,
+}
 FUZZ_EDGES = {
+    "state": {
+        "--state": FUZZ_STATES, "--weights": FUZZ_LISTS + ("1000,1000,1000",),
+        "--phases": FUZZ_LISTS, "--dims": FUZZ_LISTS + ("2,3", "0,2"),
+        "--product": ("s.state,even.state", "s.state", "bad.state,s.state", "missing.state", ""),
+        "--save": ("saved.state", "", "missing/saved.state"),
+    },
+    "schmidt": {
+        "--state": FUZZ_STATES, "--cut": FUZZ_CUTS, "--zero-tol": FUZZ_FLOATS,
+        "--canonical": (True,),
+    },
+    "envcheck": {
+        "--state": FUZZ_STATES, "--cut": FUZZ_CUTS,
+        "--unitary": ("phase:0.4,1.1", "phase:nan,0", "phase:1", "swap:0,1", "swap:0,5",
+                      "swap:1", "matrix:swap.txt", "matrix:empty.txt", "matrix:missing.txt",
+                      "spin:1", ""),
+        "--term-phases": FUZZ_LISTS,
+        "--partial": ("basis.txt", "swap.txt", "empty.txt", "huge.txt", "missing.txt"),
+    },
+    "protocol": {
+        "--state": FUZZ_STATES, "--cut": FUZZ_CUTS,
+        "--pair": ("0,1", "1,0", "0,0", "0,5", "-1,0", "0", "0,1,2", "x", ""),
+        "--phase": FUZZ_FLOATS,
+    },
     "pointer": {
-        "--tol": FUZZ_TOL,
         "--couplings": tuple(FUZZ_COUPLINGS) + ("empty.txt",),
         "--t0": FUZZ_FLOATS, "--t1": FUZZ_FLOATS, "--time": FUZZ_FLOATS,
         "--gamma": FUZZ_LISTS, "--amps": FUZZ_LISTS,
@@ -1248,12 +1408,12 @@ FUZZ_EDGES = {
         "--search": (True,),
     },
     "freq": {
-        "--tol": FUZZ_TOL, "--m": FUZZ_INTS, "--M": FUZZ_INTS, "--N": FUZZ_INTS + (PAST_CAP,),
+        "--m": FUZZ_INTS, "--M": FUZZ_INTS, "--N": FUZZ_INTS + (PAST_CAP,),
         "--cells": FUZZ_LISTS + ("1,1,1,1,1,1,1,1",), "--delta-r": FUZZ_FRACTIONS,
         "--phases": FUZZ_LISTS, "--pairs": FUZZ_INTS, "--register": (True,),
     },
     "continuum": {
-        "--tol": FUZZ_TOL, "--family": ("gaussian", "uniform", "box", "cauchy"),
+        "--family": ("gaussian", "uniform", "box", "cauchy"),
         "--center": FUZZ_FLOATS, "--width": FUZZ_FLOATS, "--a": FUZZ_FLOATS,
         "--b": FUZZ_FLOATS, "--x0": FUZZ_FLOATS, "--x1": FUZZ_FLOATS,
         "--edges": FUZZ_LISTS + ("0,0.5,1",), "--box-weights": FUZZ_LISTS + ("0.5,0.5",),
@@ -1267,7 +1427,6 @@ FUZZ_EDGES = {
         "--truncate-ratio": FUZZ_FRACTIONS, "--delta-target": FUZZ_FRACTIONS,
     },
     "records": {
-        "--tol": FUZZ_TOL,
         # one past the cap, refused at once; the cap itself is not drawn, since
         # one audit trial there takes about 0.4 s
         "--universe": ("-1", "0", "1", "2", "6", "7", "1.5", "nan", "",
@@ -1282,16 +1441,19 @@ FUZZ_EDGES = {
                         "x;0"),
     },
     "born": {
-        "--tol": FUZZ_TOL,
         "--weights": FUZZ_LISTS + ("1000,1000,1000", "4096,4096"),
         "--phases": FUZZ_LISTS, "--subset": FUZZ_EVENTS,
-        "--state": ("s.state", "even.state", "bad.state", "missing.state"),
-        "--cut": ("0", "1", "0,1", "2", "-1", "", "x", "0,0"),
+        "--state": FUZZ_STATES, "--cut": FUZZ_CUTS,
         # at most 4096: on the even state rationalize apportions every even
         # denominator, 0.06 s at 4096 but 1.7 s at 200000 on a 2-vCPU host
         "--m-max": ("-1", "0", "1", "2", "64", "4096", "1.5", "nan", ""),
     },
 }
+# the flags a draw may set: every option of the subcommand's parser
+FUZZ_FLAGS = {}
+for _command, _action in _parser_actions():
+    if _action.dest != "help":
+        FUZZ_FLAGS.setdefault(_command, []).append(_action.option_strings[0])
 
 
 @pytest.fixture(scope="module")
@@ -1305,7 +1467,21 @@ def fuzz_files(tmp_path_factory):
     save_state(StateVector((2, 3), np.arange(1.0, 7.0) / math.sqrt(91.0)), root / "s.state")
     save_state(StateVector((2, 2), np.array([1, 0, 0, 1]) / math.sqrt(2)), root / "even.state")
     (root / "bad.state").write_text("{not json")
+    # a swap of two levels and a rotated basis of them, for envcheck
+    np.savetxt(root / "swap.txt", [[0.0, 1.0], [1.0, 0.0]])
+    np.savetxt(root / "basis.txt", np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2))
     return root
+
+
+def _in_root(flag, value, root) -> str:
+    # file names in a draw are relative to the fuzz directory
+    if flag in ("--couplings", "--state", "--partial", "--save", "--out"):
+        return str(root / value)
+    if flag == "--product":
+        return ",".join(str(root / part) for part in value.split(","))
+    if flag == "--unitary" and value.startswith("matrix:"):
+        return "matrix:" + str(root / value[len("matrix:"):])
+    return value
 
 
 def _past_cap(command, flags) -> str:
@@ -1333,12 +1509,13 @@ def _past_cap(command, flags) -> str:
 
 @st.composite
 def fuzz_argv(draw, root):
-    # a valid run with one to three flags set to edge values or dropped
+    # a valid run with one to three of the subcommand's flags set to edge
+    # values or dropped
     command = draw(st.sampled_from(sorted(FUZZ_ROUTES)))
     flags = dict(draw(st.sampled_from(FUZZ_ROUTES[command])))
-    edges = FUZZ_EDGES[command]
+    edges = {**FUZZ_COMMON, **FUZZ_EDGES[command]}
     for _ in range(draw(st.integers(1, 3))):
-        flag = draw(st.sampled_from(sorted(edges)))
+        flag = draw(st.sampled_from(FUZZ_FLAGS[command]))
         value = draw(st.sampled_from((None,) + edges[flag]))
         if value is None:
             flags.pop(flag, None)
@@ -1348,11 +1525,17 @@ def fuzz_argv(draw, root):
     for flag, value in flags.items():
         if value is True:
             argv.append(flag)
-        elif flag in ("--couplings", "--state"):
-            argv.append(f"{flag}={root / value}")
+        elif value == PAST_CAP:
+            argv.append(f"{flag}={_past_cap(command, flags)}")
         else:
-            argv.append(f"{flag}={_past_cap(command, flags) if value == PAST_CAP else value}")
+            argv.append(f"{flag}={_in_root(flag, value, root)}")
     return argv
+
+
+def test_fuzzer_has_edges_for_every_flag():
+    for command, flags in FUZZ_FLAGS.items():
+        assert sorted(FUZZ_COMMON.keys() | FUZZ_EDGES[command].keys()) == sorted(flags), command
+    assert set(FUZZ_ROUTES) == set(FUZZ_FLAGS) == set(cli_module.HANDLERS)
 
 
 @settings(max_examples=600, deadline=None)
@@ -1360,11 +1543,16 @@ def fuzz_argv(draw, root):
 def test_exit_code_contract_holds_on_edge_inputs(data, fuzz_files):
     argv = data.draw(fuzz_argv(fuzz_files))
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
+    with warnings.catch_warnings(record=True) as caught, recorded_handlers() as calls, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()
+    if code in (0, 1):
+        # a run that reports read every flag it was given, whatever ROUTES says
+        given = {arg[2:].partition("=")[0].replace("-", "_") for arg in argv[1:]}
+        ((_, reads),) = calls
+        assert sorted(given - {"format", "out"} - reads) == [], argv
     assert [str(w.message) for w in caught] == []
     assert code in (0, 1, 2)
     assert "Traceback" not in err and "Warning" not in err

@@ -17,7 +17,7 @@ from envlab.hilbert import (
     schmidt,
     tensor_product,
 )
-from conftest import bell_pair, random_state, random_unitary
+from conftest import bell_pair, random_state, random_unitary, unit_state
 
 KET0 = StateVector((2,), np.array([1.0, 0.0]))
 KET1 = StateVector((2,), np.array([0.0, 1.0]))
@@ -193,7 +193,7 @@ def test_conditional_state_record_projection(rng):
     amps = np.zeros((3, 3, 4), dtype=complex)
     for k in range(3):
         amps[k] += c[k] * np.multiply.outer(s[k], eps[k])
-    psi = StateVector.normalized((3, 3, 4), amps.reshape(-1))
+    psi = unit_state((3, 3, 4), amps.reshape(-1))
     w, residual = conditional_state(psi, 0, [0, 1, 0])
     assert np.isclose(w, abs(c[1]))
     expect = np.multiply.outer(s[1], eps[1]).reshape(-1)

@@ -76,7 +76,7 @@ from envlab.records import (
     verify_axioms,
 )
 from envlab.report import Report, Table, emit_report, format_value
-from conftest import random_unitary
+from conftest import random_unitary, unit_state
 
 
 # ----- oracles: the earlier implementations -----
@@ -450,7 +450,7 @@ def test_block_operator_is_checked_against_the_budget():
     # a 2x2 unitary on a (2, 1100) left block would need a 2200 x 2200
     # operator, above the amplitude cap; it is refused before any allocation
     assert born.DENSE_AMPLITUDE_CAP == 2048 ** 2 < 2200 ** 2
-    state = StateVector.normalized((2, 1100, 2), np.ones(4400))
+    state = unit_state((2, 1100, 2), np.ones(4400))
     u = LocalUnitary((0,), np.array([[0, 1], [1, 0]]))
     tracemalloc.start()
     try:
@@ -886,7 +886,7 @@ def partial_permutations(draw):
 @settings(max_examples=200, deadline=None)
 def test_partial_permutation_values_match_the_svd(mat):
     # zero rows and columns wherever k < rows or cols
-    state = StateVector.normalized(mat.shape, mat.reshape(-1))
+    state = unit_state(mat.shape, mat.reshape(-1))
     cut = Bipartition((0,))
     calls = []
     real = np.linalg.svd
@@ -906,7 +906,7 @@ def test_near_partial_permutation_takes_the_svd(extra, svd_calls):
     mat = np.zeros((6, 4), dtype=complex)
     mat[[0, 2, 5], [3, 0, 1]] = [0.6, 0.64j, -0.48]
     mat[extra] = 1e-14
-    state = StateVector.normalized(mat.shape, mat.reshape(-1))
+    state = unit_state(mat.shape, mat.reshape(-1))
     got = schmidt_values(state, Bipartition((0,)))
     assert svd_calls == [(6, 4)]
     assert np.array_equal(got, oracle_schmidt_values(state, Bipartition((0,))))
@@ -1254,7 +1254,7 @@ def test_batched_search_matches_oracle_on_random_states(seed, dims, apparatus, i
     # outcome; on the command's states the coordinate start usually wins
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=math.prod(dims)) + 1j * rng.normal(size=math.prod(dims))
-    state = StateVector.normalized(tuple(dims), amps)
+    state = unit_state(tuple(dims), amps)
     basis, score = pointer.find_pointer_basis(state, apparatus, iterations)
     want_basis, want_score = oracle_find_pointer_basis(state, apparatus, iterations)
     assert np.array_equal(basis, want_basis) and score == want_score

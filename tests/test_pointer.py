@@ -27,7 +27,7 @@ from envlab.pointer import (
     pointer_score,
     premeasure,
 )
-from conftest import random_state, random_unitary
+from conftest import basis_state, random_state, random_unitary, unit_state
 
 
 def coordinate_table(dim):
@@ -66,11 +66,11 @@ def test_truth_table_validation():
 
 def test_premeasure_eigenstate_is_product():
     table = coordinate_table(3)
-    phi = StateVector.basis((3,), (1,))
+    phi = basis_state((3,), (1,))
     out = premeasure(phi, table, 4)
     assert out.dims == (4, 3)
     # |s_1> -> |A_2>|s_1> under the default map k -> k+1
-    assert np.allclose(out.amps, StateVector.basis((4, 3), (2, 1)).amps)
+    assert np.allclose(out.amps, basis_state((4, 3), (2, 1)).amps)
     assert schmidt(out, Bipartition((0,))).n_terms == 1
 
 
@@ -101,17 +101,17 @@ def test_premeasure_is_isometry(rng):
 
 def test_premeasure_apparatus_too_small():
     table = coordinate_table(3)
-    phi = StateVector.basis((3,), (0,))
+    phi = basis_state((3,), (0,))
     with pytest.raises(ValueError, match="apparatus too small"):
         premeasure(phi, table, 3)  # 3 outcomes + ready need 4 levels
 
 
 def test_premeasure_requires_span():
     table = TruthTable(np.eye(3)[:2])
-    inside = StateVector.normalized((3,), [1.0, 1.0, 0.0])
+    inside = unit_state((3,), [1.0, 1.0, 0.0])
     out = premeasure(inside, table, 3)
     assert out.dims == (3, 3)
-    outside = StateVector.normalized((3,), [0.0, 1.0, 1.0])
+    outside = unit_state((3,), [0.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         premeasure(outside, table, 3)
 
@@ -119,7 +119,7 @@ def test_premeasure_requires_span():
 def test_premeasure_rejects_nonorthonormal_basis():
     # a non-orthogonal basis has no truth table, so there is nothing to record
     rows = np.array([[1.0, 0.0], [1.0, 1.0] / np.sqrt(2)])
-    phi = StateVector.basis((2,), (0,))
+    phi = basis_state((2,), (0,))
     with pytest.raises(ValueError, match="orthonormal"):
         premeasure(phi, TruthTable(rows), 3)
 
@@ -128,7 +128,7 @@ def test_premeasure_leaves_the_system_in_the_recorded_state():
     # records of |s_1>, |s_2> live on levels 1, 2: each record level keeps
     # its system vector, so the two branches stay entangled
     table = TruthTable(np.eye(3)[1:3])
-    phi = StateVector.normalized((3,), [0.0, 1.0, 1.0])
+    phi = unit_state((3,), [0.0, 1.0, 1.0])
     out = premeasure(phi, table, 3)
     expect = (np.kron(np.eye(3)[1], np.eye(3)[1])
               + np.kron(np.eye(3)[2], np.eye(3)[2])) / np.sqrt(2)
@@ -263,7 +263,7 @@ def test_pointer_score_fourier_basis_even_state():
 def test_pointer_score_uncorrelated_environment(rng):
     phi = random_state(rng, (3,))
     out = premeasure(phi, coordinate_table(3), 4)
-    full = tensor_product([out, StateVector.normalized((5,), rng.normal(size=5))])
+    full = tensor_product([out, unit_state((5,), rng.normal(size=5))])
     for _ in range(3):
         basis = random_unitary(rng, 4)
         assert pointer_score(full, 0, basis).max_score <= 1e-10
@@ -284,7 +284,7 @@ def test_pointer_score_rejects_bad_basis(rng):
 def test_pointer_score_skips_empty_levels(rng):
     phi = random_state(rng, (3,))
     out = premeasure(phi, coordinate_table(3), 4)
-    full = tensor_product([out, StateVector.basis((2,), (0,))])
+    full = tensor_product([out, basis_state((2,), (0,))])
     score = pointer_score(full, 0, np.eye(4))
     assert score.per_outcome[0] == 0.0  # ready level never fires
     assert len(score.per_outcome) == 4
@@ -466,7 +466,7 @@ def test_find_pointer_basis_svd_call_budget(monkeypatch, rng):
 
 
 def test_find_pointer_basis_dimension_cap():
-    state = StateVector.basis((9, 2), (0, 0))
+    state = basis_state((9, 2), (0, 0))
     with pytest.raises(ValueError):
         find_pointer_basis(state, 0)
 
