@@ -170,58 +170,36 @@ def _apportion(probs: np.ndarray, big_m: int) -> np.ndarray:
     return m
 
 
-def _staircase_terms(weights: WeightVector, phases):
-    """(coarse k, cell j, amplitude) triples of the fine-grained state."""
-    amp = 1.0 / math.sqrt(weights.M)
-    return [(k, j, amp * np.exp(1j * phases[k]))
-            for j, k in enumerate(weights.staircase())]
+def fine_values(weights: WeightVector, phases) -> np.ndarray:
+    """Schmidt values of the fine-grained state across (S, C) | E, falling.
 
-
-def fine_grain(weights: WeightVector, phases) -> StateVector:
-    """Explicit fine-grained state, subsystem layout (S, E, C).
-
-    Outcome k keeps its phase on all of its cells.  Cell j of outcome k
-    carries amplitude e^{i phi_k}/sqrt(M) on |s_k>|e_j>|c_j>; re-cut as
-    (S,C)|E the state is even.
+    Cell j of outcome k carries e^{i phi_k}/sqrt(M) on |s_k, c_j>|e_j>, and
+    no two terms share a (S, C) or an E state, so the M Schmidt values are
+    the moduli of the terms: read off them, with no dense state built.
     """
     n = len(weights.m)
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (n,):
         raise ValueError(f"need {n} phases, got {phases.shape}")
-    big_m = weights.M
-    require_dense(n * big_m * big_m, "dense fine-grained build")
-    amps = np.zeros((n, big_m, big_m), dtype=complex)
-    for k, j, a in _staircase_terms(weights, phases):
-        amps[k, j, j] = a
-    return StateVector((n, big_m, big_m), amps.reshape(-1))
+    require_dense(weights.M, "fine-grained values")
+    terms = np.exp(1j * phases)[list(weights.staircase())] / math.sqrt(weights.M)
+    return np.sort(np.abs(terms))[::-1]
 
 
-def even_cut() -> Bipartition:
-    """The (S, C) | E cut the fine-grained state is even across."""
-    return Bipartition((0, 2))
-
-
-def born_from_coefficients(coeffs, m_max: int) -> BornResult:
-    """Probabilities from Schmidt coefficient moduli, in their order."""
-    weights, error = rationalize(coeffs, m_max)
-    # structural census: every fine term must carry modulus M^{-1/2}, and
-    # the cells per outcome must reproduce the weight vector
-    big_m = weights.M
-    target = 1.0 / math.sqrt(big_m)
-    counts = [0] * len(weights.m)
-    for k, _, a in _staircase_terms(weights, np.zeros(len(weights.m))):
-        if abs(abs(a) - target) > 1e-9 * target:
-            raise ValueError("fine-grained terms are not even")
-        counts[k] += 1
-    if tuple(counts) != weights.m:
-        raise ValueError("cell census disagrees with the weight vector")
-    exact = tuple(Fraction(c, big_m) for c in counts)
+def born_from_weights(weights: WeightVector, error: float = 0.0) -> BornResult:
+    """Probabilities by counting: outcome k owns m_k of the M equal fine cells."""
+    exact = tuple(Fraction(m_k, weights.M) for m_k in weights.m)
     return BornResult(
         probs_exact=exact,
         probs_float=tuple(float(p) for p in exact),
         rationalization_error=error,
         weights=weights,
     )
+
+
+def born_from_coefficients(coeffs, m_max: int) -> BornResult:
+    """Probabilities from Schmidt coefficient moduli, in their order."""
+    return born_from_weights(*rationalize(coeffs, m_max))
 
 
 def born_probabilities(state: StateVector, cut: Bipartition, m_max: int,

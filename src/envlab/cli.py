@@ -19,16 +19,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .born import (BornResult, DenseBudgetError, WeightVector, born_probabilities,
-                   coarse_probability, even_cut, fine_grain)
+from .born import (BornResult, WeightVector, born_from_weights, born_probabilities,
+                   coarse_probability, fine_values)
 from .continuum import CoefficientSequence, WaveFunction, mesh_run, truncate
-from .envariance import (SwapSpec, check_envariance, is_even, phase_counter, phase_unitary,
-                         partial_swap_counter, partial_swap_unitary, protocol_run)
+from .envariance import SwapSpec, envcheck_run, is_even, protocol_run
 from .frequencies import (ExperimentSpec, _require_digits, multinomial_history_counts,
                           repeated_runs)
-from .hilbert import (Bipartition, LocalUnitary, StateVector, _load_matrix, apply_local,
-                      fidelity, load_state, reconstruct, reduced_probe, save_state, schmidt,
-                      schmidt_values, tensor_product)
+from .hilbert import (Bipartition, LocalUnitary, StateVector, _load_matrix, load_state,
+                      reconstruct, reduced_probe, save_state, schmidt, tensor_product)
 from .pointer import EnvSpectrum, einselection_run, load_couplings
 from .records import (build_upsilon, complement, conditional_probability, event_probability,
                       join, lemma5_recursion, meet, parse_event, verify_axioms)
@@ -218,38 +216,25 @@ def _cmd_envcheck(args) -> tuple:
     block_dim = math.prod(state.dims[i] for i in cut.sides(state.n_subsystems)[0])
     if "unitary" in args:
         u_s = LocalUnitary(cut.left, _parse_block_unitary(args.unitary, block_dim))
-        verdict = check_envariance(state, cut, u_s)
-        counter = verdict.counter
+        run = envcheck_run(state, cut, unitary=u_s)
         source = "polished"
     elif "term_phases" in args:
-        dec = schmidt(state, cut)
-        phases = _floats(args.term_phases)
-        counter = phase_counter(dec, phases)
-        u_s = phase_unitary(dec, phases)
-        verdict = check_envariance(state, cut, u_s)
+        run = envcheck_run(state, cut, phases=_floats(args.term_phases))
         source = "schmidt-phase"
     else:
-        dec = schmidt(state, cut)
-        new_basis = _load_matrix(args.partial, complex)
-        u_s = partial_swap_unitary(dec, new_basis)
-        counter = partial_swap_counter(dec, new_basis)
-        verdict = check_envariance(state, cut, u_s)
+        run = envcheck_run(state, cut, basis=_load_matrix(args.partial, complex))
         source = "partial-swap"
-
-    moved = apply_local(state, u_s)
-    overlap = fidelity(state, moved)
-    restoration = fidelity(state, apply_local(moved, counter)) if counter is not None else 0.0
     scalars = (
-        ("envariant", verdict.envariant),
-        ("gram_deviation", verdict.gram_deviation),
-        ("residual_infidelity", verdict.residual_infidelity),
-        ("overlap_after_unitary", overlap),
-        ("restoration", restoration),
+        ("envariant", run.verdict.envariant),
+        ("gram_deviation", run.verdict.gram_deviation),
+        ("residual_infidelity", run.verdict.residual_infidelity),
+        ("overlap_after_unitary", run.overlap),
+        ("restoration", run.restoration),
         ("counter_source", source),
     )
     tables = ()
-    if counter is not None and counter.matrix.size <= MAX_TABLE_ROWS:
-        tables = (_matrix_table("counter", counter.matrix),)
+    if run.counter is not None and run.counter.matrix.size <= MAX_TABLE_ROWS:
+        tables = (_matrix_table("counter", run.counter.matrix),)
     return Report("envcheck", scalars, tables), 0
 
 
@@ -296,19 +281,9 @@ def _cmd_born(args) -> tuple:
         state, cut = _state_and_cut(args)
         return _born_result_report(born_probabilities(state, cut, args.m_max), args)
     w = WeightVector(_ints(args.weights))
-    result = BornResult(
-        probs_exact=tuple(Fraction(m_k, w.M) for m_k in w.m),
-        probs_float=tuple(m_k / w.M for m_k in w.m),
-        rationalization_error=0.0,
-        weights=w,
-    )
-    report, code = _born_result_report(result, args)
+    report, code = _born_result_report(born_from_weights(w), args)
     phases = _floats(args.phases) if args.phases else (0.0,) * len(w.m)
-    try:
-        fine = fine_grain(w, phases)
-    except DenseBudgetError:
-        return report, code  # the counting report does not need the dense state
-    values = schmidt_values(fine, even_cut())
+    values = fine_values(w, phases)
     scalars = (("fine_terms", len(values)), ("fine_even", is_even(values)))
     return Report("born", report.scalars + scalars, report.tables), code
 

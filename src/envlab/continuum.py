@@ -43,24 +43,14 @@ class CoefficientSequence:
             raise ValueError("a sequence needs both term and tail")
 
     @classmethod
-    def analytic(cls, term, tail) -> "CoefficientSequence":
-        return cls(term=term, tail=tail)
-
-    @classmethod
     def geometric(cls, ratio) -> "CoefficientSequence":
         """|a_k|^2 = (1 - r) r^(k-1); exact tail r^n.  0 < r < 1."""
         if not 0 < ratio < 1:
             raise ValueError("ratio must lie strictly between 0 and 1")
-        return cls.analytic(
+        return cls(
             term=lambda k: math.sqrt(float((1 - ratio) * ratio ** (k - 1))),
             tail=lambda n: ratio ** n,
         )
-
-    def tail_weight(self, n: int):
-        return self.tail(n)
-
-    def amplitude(self, k: int) -> complex:
-        return complex(self.term(k))
 
 
 @dataclass(frozen=True)
@@ -79,15 +69,15 @@ def truncate(seq: CoefficientSequence, delta_target) -> Truncation:
         raise ValueError("delta_target must lie strictly between 0 and 1")
     budget = delta_target * delta_target
     n = 0
-    while seq.tail_weight(n) > budget:
+    while seq.tail(n) > budget:
         n += 1
         if n > MAX_TRUNCATION_TERMS:
             raise ValueError(
                 f"tail still above budget after {MAX_TRUNCATION_TERMS} terms; "
                 "sequence converges too slowly for this target"
             )
-    delta_sq = seq.tail_weight(n)
-    probs = np.array([abs(seq.amplitude(k)) ** 2 for k in range(1, n + 1)])
+    delta_sq = seq.tail(n)
+    probs = np.array([abs(complex(seq.term(k))) ** 2 for k in range(1, n + 1)])
     head = float(probs.sum())
     if head <= 0:
         raise ValueError("no weight left after truncation")

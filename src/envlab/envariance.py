@@ -57,6 +57,18 @@ class EnvarianceVerdict:
 
 
 @dataclass(frozen=True)
+class EnvcheckRun:
+    """What envcheck_run found: the verdict on u_s, the counter it applied,
+    and the fidelity with the state after u_s and after the counter too
+    (0 when there is no counter)."""
+
+    verdict: EnvarianceVerdict
+    counter: Optional[LocalUnitary]
+    overlap: float
+    restoration: float
+
+
+@dataclass(frozen=True)
 class ProtocolTranscript:
     """Ordered fidelity checkpoints of the confirm/swap/counterswap sequence."""
 
@@ -229,6 +241,32 @@ def _envariance_verdict(dec: SchmidtDecomposition, u_s: LocalUnitary) -> Envaria
     partial = dec.right_basis.T @ polished.conj()
     counter = LocalUnitary(dec.right_targets, _completed(partial, polished))
     return EnvarianceVerdict(True, counter, residual, gram_dev)
+
+
+def envcheck_run(state: StateVector, cut: Bipartition, *, unitary: LocalUnitary = None,
+                 phases=None, basis=None) -> EnvcheckRun:
+    """Apply one system-side unitary, decide its envariance and undo it.
+
+    Give one of: a ``unitary`` on the left side, countered by its verdict's
+    polished counter; Schmidt-term ``phases``; or the rows of a ``basis`` a
+    Schmidt subspace rotates onto.  The last two build u_s and its analytic
+    counter from one decomposition, which the verdict reads as well.
+    """
+    if unitary is not None:
+        u_s = unitary
+        verdict = check_envariance(state, cut, u_s)
+        counter = verdict.counter
+    else:
+        dec = schmidt(state, cut)
+        if phases is not None:
+            u_s, counter = phase_unitary(dec, phases), phase_counter(dec, phases)
+        else:
+            u_s = partial_swap_unitary(dec, basis)
+            counter = partial_swap_counter(dec, basis)
+        verdict = _envariance_verdict(dec, u_s)
+    moved = apply_local(state, u_s)
+    restoration = fidelity(state, apply_local(moved, counter)) if counter is not None else 0.0
+    return EnvcheckRun(verdict, counter, fidelity(state, moved), restoration)
 
 
 def protocol_run(state: StateVector, cut: Bipartition, spec: SwapSpec) -> ProtocolTranscript:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from envlab.hilbert import StateVector
+from envlab.born import WeightVector, require_dense
+from envlab.hilbert import Bipartition, StateVector
 
 
 def unit_state(dims, amps) -> StateVector:
@@ -51,6 +54,39 @@ def schmidt_form_state(coeffs, left_dim, right_dim, rng=None) -> StateVector:
         rb = random_unitary(rng, right_dim)[:k]
     mat = (lb.T * coeffs) @ rb
     return unit_state((left_dim, right_dim), mat.reshape(-1))
+
+
+# the dense fine-grained build the counting route used to make, kept as the
+# oracle for born.fine_values: an n x M x M array, SVD'd across (S, C) | E
+def _staircase_terms(weights: WeightVector, phases):
+    """(coarse k, cell j, amplitude) triples of the fine-grained state."""
+    amp = 1.0 / math.sqrt(weights.M)
+    return [(k, j, amp * np.exp(1j * phases[k]))
+            for j, k in enumerate(weights.staircase())]
+
+
+def fine_grain(weights: WeightVector, phases) -> StateVector:
+    """Explicit fine-grained state, subsystem layout (S, E, C).
+
+    Outcome k keeps its phase on all of its cells.  Cell j of outcome k
+    carries amplitude e^{i phi_k}/sqrt(M) on |s_k>|e_j>|c_j>; re-cut as
+    (S,C)|E the state is even.
+    """
+    n = len(weights.m)
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (n,):
+        raise ValueError(f"need {n} phases, got {phases.shape}")
+    big_m = weights.M
+    require_dense(n * big_m * big_m, "dense fine-grained build")
+    amps = np.zeros((n, big_m, big_m), dtype=complex)
+    for k, j, a in _staircase_terms(weights, phases):
+        amps[k, j, j] = a
+    return StateVector((n, big_m, big_m), amps.reshape(-1))
+
+
+def even_cut() -> Bipartition:
+    """The (S, C) | E cut the fine-grained state is even across."""
+    return Bipartition((0, 2))
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import envlab.born as born
 from envlab.born import (
     DENSE_AMPLITUDE_CAP,
     BornResult,
@@ -13,8 +14,7 @@ from envlab.born import (
     born_from_coefficients,
     born_probabilities,
     coarse_probability,
-    even_cut,
-    fine_grain,
+    fine_values,
     rationalize,
     require_dense,
 )
@@ -28,7 +28,7 @@ from envlab.hilbert import (
     schmidt,
     schmidt_values,
 )
-from conftest import basis_state, schmidt_form_state
+from conftest import basis_state, even_cut, fine_grain, schmidt_form_state
 
 CUT = Bipartition((0,))
 
@@ -120,6 +120,21 @@ def test_fine_grain_rejects_oversized_build():
 def test_fine_grain_checks_phases_before_the_budget():
     with pytest.raises(ValueError, match=r"need 2 phases, got \(1,\)"):
         fine_grain(WeightVector((1, 4999)), [0.0])
+    with pytest.raises(ValueError, match=r"need 2 phases, got \(1,\)"):
+        fine_values(WeightVector((1, 4999)), [0.0])
+
+
+def test_fine_values_are_checked_against_the_budget(monkeypatch):
+    # M values, one per fine cell: at the cap they are read, one more is
+    # refused after the phases are checked and before the cells are listed
+    monkeypatch.setattr(born, "DENSE_AMPLITUDE_CAP", 100)
+    values = fine_values(WeightVector((40, 60)), [0.0, 0.0])
+    assert values.size == 100 and is_even(values)
+    with pytest.raises(ValueError, match=r"need 2 phases, got \(1,\)"):
+        fine_values(WeightVector((40, 61)), [0.0])
+    with pytest.raises(DenseBudgetError) as info:
+        fine_values(WeightVector((40, 61)), [0.0, 0.0])
+    assert str(info.value) == "fine-grained values needs 101 amplitudes (cap 100)"
 
 
 def test_require_dense_passes_at_cap_and_refuses_one_more():

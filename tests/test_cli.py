@@ -165,8 +165,8 @@ AUDIT_RUNS = (
 
 
 @pytest.fixture(scope="module")
-def audit_argvs(tmp_path_factory):
-    """AUDIT_RUNS with their fixture files written."""
+def audit_files(tmp_path_factory):
+    """Braced name -> path of the fixture files the audit runs read."""
     root = tmp_path_factory.mktemp("audit")
     files = {name: str(root / name)
              for name in ("saved", "state", "swap", "basis", "couplings")}
@@ -175,7 +175,13 @@ def audit_argvs(tmp_path_factory):
     np.savetxt(files["swap"], [[0.0, 1.0], [1.0, 0.0]])
     np.savetxt(files["basis"], np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2))
     np.savetxt(files["couplings"], 0.37 * np.arange(12.0).reshape(3, 4))
-    return [[a.format(**files) for a in argv] for argv in AUDIT_RUNS]
+    return files
+
+
+@pytest.fixture(scope="module")
+def audit_argvs(audit_files):
+    """AUDIT_RUNS with their fixture files written."""
+    return [[a.format(**audit_files) for a in argv] for argv in AUDIT_RUNS]
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +321,27 @@ def test_born_weights_exact_fractions(capsys):
     assert scalar(out, "rationalization_error") == "0"
     assert scalar(out, "M") == "10"
     assert scalar(out, "fine_even") == "true"
+
+
+def test_born_weights_reads_fine_values_past_the_dense_budget(capsys):
+    # 2 x 2000^2 amplitudes would not fit a dense fine-grained build
+    code, out, _ = run_cli(["born", "--weights", "1000,1000"], capsys)
+    assert code == 0
+    assert scalar(out, "fine_terms") == "2000"
+    assert scalar(out, "fine_even") == "true"
+
+
+def test_born_weights_builds_no_dense_state():
+    # the dense build would take 2 x 1448^2 amplitudes, 64 MiB
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["born", "--weights", "700,748"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "fine_terms = 1448" in out.getvalue()
+    assert peak < 8 * 2 ** 20
 
 
 def test_born_subset_probability(capsys):
@@ -1260,7 +1287,18 @@ def test_state_file_bound_covers_the_longest_amplitudes():
 
 # ----- thin front end: one scenario call per route -----
 
-SCENARIO_RUNS = (
+ENVCHECK_RUNS = (
+    ["envcheck", "--state", "{state}", "--cut", "0", "--unitary", "matrix:{swap}"],
+    ["envcheck", "--state", "{state}", "--cut", "0", "--term-phases", "0.3,0.9"],
+    ["envcheck", "--state", "{state}", "--cut", "0", "--partial", "{basis}"],
+)
+
+SCENARIO_RUNS = tuple((argv, "envariance.envcheck_run", {"hilbert.load_state"})
+                      for argv in ENVCHECK_RUNS) + (
+    (["born", "--weights", "2,3,5", "--subset", "0,2"], "born.born_from_weights",
+     {"born.coarse_probability", "born.fine_values", "envariance.is_even"}),
+    (["born", "--state", "{state}", "--cut", "0"], "born.born_probabilities",
+     {"hilbert.load_state"}),
     (["pointer", "--couplings", "{couplings}", "--steps", "3"],
      "pointer.einselection_run", {"pointer.load_couplings"}),
     (["pointer", "--couplings", "{couplings}", "--steps", "3", "--search",
@@ -1281,10 +1319,11 @@ SCENARIO_RUNS = (
 
 
 @pytest.mark.parametrize("argv, scenario, others", SCENARIO_RUNS,
-                         ids=["pointer", "pointer-search", "freq", "freq-register",
-                              "freq-cells", "continuum", "continuum-adaptive",
-                              "continuum-truncate"])
-def test_handlers_make_one_scenario_call(argv, scenario, others, couplings_file):
+                         ids=["envcheck-unitary", "envcheck-term-phases", "envcheck-partial",
+                              "born-weights", "born-state", "pointer", "pointer-search",
+                              "freq", "freq-register", "freq-cells", "continuum",
+                              "continuum-adaptive", "continuum-truncate"])
+def test_handlers_make_one_scenario_call(argv, scenario, others, audit_files):
     # the audit's profile hook, narrowed to calls made from cli.py frames
     names = public_codes()
     entered, from_cli = [], []
@@ -1295,7 +1334,7 @@ def test_handlers_make_one_scenario_call(argv, scenario, others, couplings_file)
             if frame.f_back.f_code.co_filename == cli_module.__file__:
                 from_cli.append(names[frame.f_code])
 
-    argv = [a.format(couplings=couplings_file) for a in argv]
+    argv = [a.format(**audit_files) for a in argv]
     previous = sys.getprofile()
     sys.setprofile(watch)
     try:
@@ -1308,6 +1347,27 @@ def test_handlers_make_one_scenario_call(argv, scenario, others, couplings_file)
     assert sorted(from_cli) == sorted(expected)
     if scenario:
         assert entered.count(scenario) == 1
+
+
+@pytest.mark.parametrize("argv", ENVCHECK_RUNS, ids=["unitary", "term-phases", "partial"])
+def test_envcheck_decomposes_once(argv, audit_files):
+    # the verdict reads the decomposition u_s and the counter were built from
+    names = public_codes()
+    entered = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            entered.append(names[frame.f_code])
+
+    previous = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([a.format(**audit_files) for a in argv])
+    finally:
+        sys.setprofile(previous)
+    assert code == 0
+    assert entered.count("hilbert.schmidt") == 1
 
 
 # ----- exit-code contract under edge inputs -----

@@ -61,7 +61,7 @@ def test_truncate_geometric_half():
 def test_truncate_finite_list():
     # three coefficients given as term and exact tail, zero beyond k = 3
     weights = (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
-    seq = CoefficientSequence.analytic(
+    seq = CoefficientSequence(
         term=lambda k: math.sqrt(weights[k - 1]) if k <= 3 else 0.0,
         tail=lambda n: sum(weights[n:], Fraction(0)))
     cut = truncate(seq, 1e-8)
@@ -82,7 +82,7 @@ def test_truncate_validation():
         truncate(seq, 0)
     with pytest.raises(ValueError, match="strictly between"):
         truncate(seq, 1)
-    stuck = CoefficientSequence.analytic(
+    stuck = CoefficientSequence(
         term=lambda k: 0.0, tail=lambda n: 0.5)
     with pytest.raises(ValueError, match="converges too slowly"):
         truncate(stuck, 0.1)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import envlab.born as born
 import envlab.frequencies as frequencies
-from envlab.born import DenseBudgetError, WeightVector, fine_grain
+from envlab.born import DenseBudgetError, WeightVector
 from envlab.frequencies import (
     ExperimentSpec,
     HistoryTally,
@@ -29,6 +29,7 @@ from envlab.frequencies import (
     superensemble,
 )
 from envlab.hilbert import StateVector, conditional_state
+from conftest import fine_grain
 
 
 # Oracles: brute-force history enumeration, written before the module and

@@ -4,11 +4,12 @@ pointer-search, decoherence-sweep and structured-output kernels.
 Each oracle is the earlier, slower implementation of a kernel, kept here
 verbatim.  The current kernels must reproduce it exactly (``==`` on floats
 and arrays, never closeness), because the CLI prints their results and its
-output is pinned byte for byte.  Three exceptions compare within a
+output is pinned byte for byte.  Four exceptions compare within a
 tolerance: the unitarity deviation of a monomial matrix, which sums the
 same products in a different order, and the Schmidt values of a
-partial-permutation cut whose nonzeros differ in modulus, where the SVD
-rounds the exact singular values (the moduli) a few more times, both
+partial-permutation cut whose nonzeros differ in modulus, or of the
+fine-grained state (whose dense build lives in conftest.py), where the SVD
+rounds the exact singular values (the moduli) a few more times, all
 within a few ulps; there the verdict and the route must agree as well.
 And the pointer scores, which now come from the top Gram eigenvalue of
 each conditional instead of its top singular value, within 1e-12 of the
@@ -36,7 +37,7 @@ import envlab.frequencies as frequencies
 import envlab.hilbert as hilbert
 import envlab.pointer as pointer
 import envlab.records as records
-from envlab.born import WeightVector, _apportion, _chunk_rows, even_cut, fine_grain
+from envlab.born import WeightVector, _apportion, _chunk_rows, fine_values
 from envlab.envariance import _block_operator, check_envariance
 from envlab.frequencies import (
     SWAP_BLOCK_CAP,
@@ -76,7 +77,7 @@ from envlab.records import (
     verify_axioms,
 )
 from envlab.report import Report, Table, emit_report, format_value
-from conftest import random_unitary, unit_state
+from conftest import even_cut, fine_grain, random_unitary, unit_state
 
 
 # ----- oracles: the earlier implementations -----
@@ -867,6 +868,19 @@ def test_fine_grained_values_equal_the_svd(weights, svd_calls):
     got = schmidt_values(fine, even_cut())
     assert svd_calls == []
     assert np.array_equal(got, oracle_schmidt_values(fine, even_cut()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=5).filter(lambda m: sum(m) <= 40),
+       st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5))
+def test_fine_values_equal_the_dense_svd(weights, phases):
+    # the dense oracle builds the n x M x M state and takes its singular values
+    w, phases = WeightVector(weights), phases[:len(weights)]
+    got = fine_values(w, phases)
+    expected = oracle_schmidt_values(fine_grain(w, phases), even_cut())
+    assert got.shape == expected.shape == (w.M,)
+    assert np.all(np.abs(got - expected) <= 8 * np.spacing(expected))
+    assert envariance.is_even(got) == envariance.is_even(expected)
 
 
 @st.composite
