@@ -58,13 +58,6 @@ class WeightVector:
     def M(self) -> int:
         return sum(self.m)
 
-    def staircase(self) -> tuple:
-        """Coarse outcome index for each fine cell."""
-        out = []
-        for k, x in enumerate(self.m):
-            out.extend([k] * x)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class BornResult:
@@ -182,7 +175,7 @@ def fine_values(weights: WeightVector, phases) -> np.ndarray:
     if phases.shape != (n,):
         raise ValueError(f"need {n} phases, got {phases.shape}")
     require_dense(weights.M, "fine-grained values")
-    terms = np.exp(1j * phases)[list(weights.staircase())] / math.sqrt(weights.M)
+    terms = np.repeat(np.exp(1j * phases), weights.m) / math.sqrt(weights.M)
     return np.sort(np.abs(terms))[::-1]
 
 

@@ -353,7 +353,7 @@ def _cmd_records(args) -> tuple:
         if uniform:
             scalars.append(
                 ("uniform_recursion_probability",
-                 lemma5_recursion(n, kappa.members)))
+                 lemma5_recursion(kappa)))
         if args.other is not None:
             lam = parse_event(args.other, n)
             scalars.append(("p_other", event_probability(weights, lam)))

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .born import BornResult, born_from_coefficients
+from .born import BornResult, born_from_coefficients, require_dense
 
 MAX_TRUNCATION_TERMS = 10_000
 CONSERVATION_TOL = 1e-8
@@ -91,43 +91,29 @@ def truncate(seq: CoefficientSequence, delta_target) -> Truncation:
 
 @dataclass(frozen=True)
 class Mesh:
-    """cells boxes starting at x0; uniform width dx unless widths is given."""
+    """Boxes of the given widths laid end to end from x0."""
 
     x0: float
-    dx: float
-    cells: int
-    widths: tuple = None
+    widths: tuple
 
     def __post_init__(self):
-        if self.cells < 1:
+        widths = tuple(float(w) for w in self.widths)
+        if not widths:
             raise ValueError("need at least one cell")
-        if not self.dx > 0:
-            raise ValueError("dx must be positive")
-        if self.widths is not None:
-            widths = tuple(float(w) for w in self.widths)
-            if len(widths) != self.cells:
-                raise ValueError("one width per cell")
-            if any(not w > 0 for w in widths):
-                raise ValueError("widths must be positive")
-            object.__setattr__(self, "widths", widths)
+        if any(not w > 0 for w in widths):
+            raise ValueError("widths must be positive")
+        object.__setattr__(self, "widths", widths)
+
+    @property
+    def cells(self) -> int:
+        return len(self.widths)
 
     @classmethod
     def uniform(cls, x0, dx, cells: int) -> "Mesh":
-        return cls(x0=float(x0), dx=float(dx), cells=int(cells))
-
-    @classmethod
-    def adaptive(cls, x0, widths) -> "Mesh":
-        widths = tuple(float(w) for w in widths)
-        if not widths:
-            raise ValueError("need at least one cell")
-        # nominal dx kept as the mean width; per-cell widths govern everything
-        return cls(x0=float(x0), dx=float(np.mean(widths)), cells=len(widths),
-                   widths=widths)
+        return cls(x0, (float(dx),) * int(cells))
 
     def cell_widths(self) -> np.ndarray:
-        if self.widths is not None:
-            return np.array(self.widths)
-        return np.full(self.cells, self.dx)
+        return np.array(self.widths)
 
     def edges(self) -> np.ndarray:
         return self.x0 + np.concatenate(([0.0], np.cumsum(self.cell_widths())))
@@ -160,12 +146,10 @@ class DiscretizedState:
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Vectorized amplitude x -> psi(x); smooth=False marks inputs we refuse
-    to discretize (fractal or otherwise irregular profiles)."""
+    """Vectorized amplitude x -> psi(x)."""
 
     fn: object
     label: str
-    smooth: bool = True
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=complex)
@@ -216,6 +200,7 @@ class WaveFunction:
 
 @lru_cache(maxsize=None)
 def _gauss(points: int):
+    require_dense(points * points, "quadrature rule")  # leggauss builds a points^2 matrix
     nodes, weights = np.polynomial.legendre.leggauss(int(points))
     return nodes, weights
 
@@ -236,8 +221,6 @@ def discretize(psi: WaveFunction, mesh: Mesh, quad_points: int = 16) -> Discreti
     carries the weight the boxes cannot represent.  Raises when the declared
     mesh misses more than COVERAGE_TOL of the density outright.
     """
-    if not psi.smooth:
-        raise ValueError("input declared non-smooth; refusing to discretize")
     if quad_points < 2:
         raise ValueError("need at least two quadrature points per cell")
     xs, weights = _cell_nodes(mesh, quad_points)
@@ -320,7 +303,7 @@ def equal_mass_mesh(psi: WaveFunction, x0: float, x1: float, cells: int) -> Mesh
     widths = np.diff(edges)
     if np.any(widths <= 0):
         raise ValueError("density too concentrated for this many cells")
-    return Mesh.adaptive(x0, widths)
+    return Mesh(x0, widths)
 
 
 @dataclass(frozen=True)
@@ -378,17 +361,19 @@ def mesh_run(psi: WaveFunction, x0: float, x1: float, dx: float = None,
 
     The mesh is uniform with width ``dx``, which must tile [x0, x1] evenly,
     or equal_mass_mesh's with ``cells`` cells.  ``interval`` is an (x1, x2)
-    pair for interval_probability; ``m_max`` runs born_continuum.
+    pair for interval_probability; ``m_max`` runs born_continuum.  Cells
+    times quadrature points per cell are checked against the dense budget
+    before the mesh is built.
     """
-    if cells is not None:
-        mesh = equal_mass_mesh(psi, x0, x1, cells)
-    else:
+    adaptive = cells is not None
+    if not adaptive:
         span = x1 - x0
         count = span / dx if dx > 0 else 0.0
-        n = int(round(count)) if math.isfinite(count) else 0
-        if n < 1 or abs(n * dx - span) > 1e-9 * max(1.0, abs(span)):
+        cells = int(round(count)) if math.isfinite(count) else 0
+        if cells < 1 or abs(cells * dx - span) > 1e-9 * max(1.0, abs(span)):
             raise ValueError("--dx must tile [x0, x1] evenly")
-        mesh = Mesh.uniform(x0, dx, n)
+    require_dense(cells * max(quad_points, DEFECT_QUAD_POINTS), "mesh quadrature")
+    mesh = equal_mass_mesh(psi, x0, x1, cells) if adaptive else Mesh.uniform(x0, dx, cells)
     d = discretize(psi, mesh, quad_points=quad_points)
     defect = orthogonality_defect(psi, d)
     p_interval = None

@@ -1,6 +1,6 @@
 """Boolean algebra of measurement records.
 
-A record event is a subset of the pointer-basis outcome indices, or
+A record event is a subset of the pointer-basis outcome indices 0..n-1, or
 equivalently the projector onto the subspace those records span.  Because
 all events share one orthonormal record basis, their projectors commute and
 the lattice they generate is Boolean; the axiom checker verifies this both
@@ -32,48 +32,37 @@ AXIOM_NAMES = (
 )
 
 
-@lru_cache(maxsize=1)
-def _universe(size) -> frozenset:
-    """Record indices 0..size-1, checked against UNIVERSE_CAP before any is built.
-
-    The last universe is kept, so the events parsed for it share one set.
-    """
-    n = int(size)
-    if n > UNIVERSE_CAP:
-        raise ValueError(f"universe of {n} records is above the cap of {UNIVERSE_CAP}")
-    return frozenset(range(n))
-
-
 @dataclass(frozen=True)
 class RecordEvent:
-    """Coarse-grained event: a set of record indices inside a fixed universe."""
+    """Coarse-grained event: a set of the records 0..size-1."""
 
-    universe: frozenset
+    size: int
     members: frozenset
 
     def __post_init__(self):
-        universe = frozenset(int(k) for k in self.universe)
-        members = frozenset(int(k) for k in self.members)
-        if not universe:
+        size = int(self.size)
+        if size > UNIVERSE_CAP:
+            raise ValueError(f"universe of {size} records is above the cap of {UNIVERSE_CAP}")
+        if size < 1:
             raise ValueError("universe cannot be empty")
-        if any(k < 0 for k in universe):
-            raise ValueError("record indices must be nonnegative")
-        if not members <= universe:
-            raise ValueError(f"members {sorted(members - universe)} outside the universe")
-        object.__setattr__(self, "universe", universe)
+        members = frozenset(int(k) for k in self.members)
+        outside = sorted(k for k in members if not 0 <= k < size)
+        if outside:
+            raise ValueError(f"members {outside} outside the universe")
+        object.__setattr__(self, "size", size)
         object.__setattr__(self, "members", members)
 
 
 def _require_shared_universe(a: RecordEvent, b: RecordEvent):
-    if a.universe is not b.universe and a.universe != b.universe:  # skips an O(n) compare
+    if a.size != b.size:
         raise ValueError("events live in different universes")
 
 
-def _lattice_result(universe: frozenset, members: frozenset) -> RecordEvent:
+def _lattice_result(size: int, members: frozenset) -> RecordEvent:
     # meet, join and complement of valid events in one universe are valid
     # by construction, so their results skip the constructor's checks
     event = object.__new__(RecordEvent)
-    object.__setattr__(event, "universe", universe)
+    object.__setattr__(event, "size", size)
     object.__setattr__(event, "members", members)
     return event
 
@@ -81,18 +70,23 @@ def _lattice_result(universe: frozenset, members: frozenset) -> RecordEvent:
 def meet(a: RecordEvent, b: RecordEvent) -> RecordEvent:
     """Logical product: intersection of members, P_a P_b on the projector side."""
     _require_shared_universe(a, b)
-    return _lattice_result(a.universe, a.members & b.members)
+    return _lattice_result(a.size, a.members & b.members)
 
 
 def join(a: RecordEvent, b: RecordEvent) -> RecordEvent:
     """Logical sum: union of members, P_a + P_b - P_a P_b on the projector side."""
     _require_shared_universe(a, b)
-    return _lattice_result(a.universe, a.members | b.members)
+    return _lattice_result(a.size, a.members | b.members)
+
+
+@lru_cache(maxsize=1)
+def _all_records(size: int) -> frozenset:
+    return frozenset(range(size))  # kept for the next complement in the same universe
 
 
 def complement(a: RecordEvent) -> RecordEvent:
     """Negation: universe minus members, P_U - P_a on the projector side."""
-    return _lattice_result(a.universe, a.universe - a.members)
+    return _lattice_result(a.size, _all_records(a.size) - a.members)
 
 
 # projector mirrors of the lattice operations on 0/1 diagonals: every record
@@ -142,12 +136,12 @@ class AxiomReport:
         return not self.violations
 
 
-def _random_event(rng, universe: frozenset) -> RecordEvent:
+def _random_event(rng, n: int) -> RecordEvent:
     # one vector draw gives the doubles that one draw per record in turn
     # would; its members index the universe 0..n-1, so they are valid
     density = rng.random()
-    members = np.flatnonzero(rng.random(len(universe)) < density)
-    return _lattice_result(universe, frozenset(members.tolist()))
+    members = np.flatnonzero(rng.random(n) < density)
+    return _lattice_result(n, frozenset(members.tolist()))
 
 
 def _diagonals(events, n: int) -> np.ndarray:
@@ -160,11 +154,6 @@ def _diagonals(events, n: int) -> np.ndarray:
 
 _CHECKS = ("set sides differ", "projector sides differ",
            "set and projector semantics split")
-
-
-def _split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per stacked trial: do two stacks of projector diagonals differ?"""
-    return np.any(a != b, axis=-1)
 
 
 def verify_axioms(universe_size: int, trials: int = 500, seed: int = 0) -> AxiomReport:
@@ -181,17 +170,16 @@ def verify_axioms(universe_size: int, trials: int = 500, seed: int = 0) -> Axiom
     n = int(universe_size)
     if n < 1:
         raise ValueError("universe_size must be >= 1")
-    universe = _universe(n)
+    top_event = RecordEvent(n, range(n))
     trials = int(trials)
     require_dense(trials * n, "axiom audit")
-    top_event = RecordEvent(universe, universe)
     top = np.ones(n)
     rng = np.random.default_rng(seed)
     counts = dict.fromkeys(AXIOM_NAMES, 0)
     violations = []
     chunk = _chunk_rows(n)
     for first in range(0, trials, chunk):
-        batch = [tuple(_random_event(rng, universe) for _ in range(3))
+        batch = [tuple(_random_event(rng, n) for _ in range(3))
                  for _ in range(min(chunk, trials - first))]
         diags = tuple(_diagonals(column, n) for column in zip(*batch))
         flags = []  # per identity: the three checks, one flag per trial
@@ -200,8 +188,8 @@ def verify_axioms(universe_size: int, trials: int = 500, seed: int = 0) -> Axiom
             diag_l, diag_r = identity(*diags, top)
             flags.append((
                 [ev_l.members != ev_r.members for ev_l, ev_r in sides],
-                _split(diag_l, diag_r),
-                _split(_diagonals([ev_l for ev_l, _ in sides], n), diag_l),
+                np.any(diag_l != diag_r, axis=-1),
+                np.any(_diagonals([ev_l for ev_l, _ in sides], n) != diag_l, axis=-1),
             ))
         for t in range(len(batch)):
             failed = set()
@@ -234,7 +222,7 @@ def _weights_of(tally) -> tuple:
 def event_probability(tally, event: RecordEvent) -> Fraction:
     """Exact probability of a coarse event: member weights over the total."""
     weights = _weights_of(tally)
-    if event.universe != _universe(len(weights)):
+    if event.size != len(weights):
         raise ValueError(
             f"event universe does not match the {len(weights)} outcome indices"
         )
@@ -243,7 +231,7 @@ def event_probability(tally, event: RecordEvent) -> Fraction:
 
 def conditional_probability(event: RecordEvent, outcome: int) -> Fraction:
     """p(event | fine outcome): 1 when the outcome is a member, else 0."""
-    if int(outcome) not in event.universe:
+    if not 0 <= int(outcome) < event.size:
         raise ValueError(f"outcome {outcome} outside the universe")
     return Fraction(1 if int(outcome) in event.members else 0)
 
@@ -263,10 +251,8 @@ def build_upsilon(tally, partition) -> StateVector:
     cells = list(partition)
     if not cells:
         raise ValueError("partition needs at least one cell")
-    universe = _universe(n)
-    for cell in cells:
-        if cell.universe != universe:
-            raise ValueError("partition cell universe does not match the outcomes")
+    if any(cell.size != n for cell in cells):
+        raise ValueError("partition cell universe does not match the outcomes")
     covered = set()
     for cell in cells:
         if covered & cell.members:
@@ -285,21 +271,16 @@ def build_upsilon(tally, partition) -> StateVector:
     return StateVector((len(cells), n), amp.reshape(-1))
 
 
-def lemma5_recursion(universe_size: int, members) -> Fraction:
+def lemma5_recursion(event: RecordEvent) -> Fraction:
     """Peel-one-off product for the probability of an even coarse event.
 
     Removing one non-member outcome at a time from an even universe of size
     N multiplies the probability by (1 - 1/N); the product telescopes to
     n_members / N and is computed here in exact rationals.
     """
-    n = int(universe_size)
-    if n < 1:
-        raise ValueError("universe_size must be >= 1")
-    mem = frozenset(int(k) for k in members)
-    if not mem <= _universe(n):
-        raise ValueError("members outside the universe")
+    n = event.size
     p = Fraction(1)
-    for j in range(n - len(mem)):
+    for j in range(n - len(event.members)):
         p *= 1 - Fraction(1, n - j)
     return p
 
@@ -307,9 +288,4 @@ def lemma5_recursion(universe_size: int, members) -> Fraction:
 def parse_event(text: str, universe_size: int) -> RecordEvent:
     """Parse comma-separated record indices ("1,2,5"; "" is the empty event)."""
     members = frozenset(int(tok) for tok in text.strip().split(",") if tok.strip())
-    universe = _universe(universe_size)
-    if not universe:
-        raise ValueError("universe cannot be empty")
-    if not members <= universe:
-        raise ValueError(f"members {sorted(members - universe)} outside the universe")
-    return _lattice_result(universe, members)
+    return RecordEvent(universe_size, members)

@@ -56,13 +56,18 @@ def schmidt_form_state(coeffs, left_dim, right_dim, rng=None) -> StateVector:
     return unit_state((left_dim, right_dim), mat.reshape(-1))
 
 
+def staircase(weights: WeightVector) -> tuple:
+    """Coarse outcome index for each fine cell."""
+    return tuple(k for k, m_k in enumerate(weights.m) for _ in range(m_k))
+
+
 # the dense fine-grained build the counting route used to make, kept as the
 # oracle for born.fine_values: an n x M x M array, SVD'd across (S, C) | E
 def _staircase_terms(weights: WeightVector, phases):
     """(coarse k, cell j, amplitude) triples of the fine-grained state."""
     amp = 1.0 / math.sqrt(weights.M)
     return [(k, j, amp * np.exp(1j * phases[k]))
-            for j, k in enumerate(weights.staircase())]
+            for j, k in enumerate(staircase(weights))]
 
 
 def fine_grain(weights: WeightVector, phases) -> StateVector:

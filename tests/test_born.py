@@ -28,7 +28,7 @@ from envlab.hilbert import (
     schmidt,
     schmidt_values,
 )
-from conftest import basis_state, even_cut, fine_grain, schmidt_form_state
+from conftest import basis_state, even_cut, fine_grain, schmidt_form_state, staircase
 
 CUT = Bipartition((0,))
 
@@ -36,7 +36,7 @@ CUT = Bipartition((0,))
 def test_weight_vector_validation():
     w = WeightVector((2, 3, 5))
     assert w.M == 10
-    assert w.staircase() == (0, 0, 1, 1, 1, 2, 2, 2, 2, 2)
+    assert staircase(w) == (0, 0, 1, 1, 1, 2, 2, 2, 2, 2)
     with pytest.raises(ValueError):
         WeightVector((0, 1))
 
@@ -221,7 +221,7 @@ def test_born_sparse_route_matches_dense(rng):
 
 def test_fine_cell_swaps_are_envariant(rng):
     fg = fine_grain(WeightVector((2, 3, 5)), [0.4, 1.2, 2.1])
-    owners = WeightVector((2, 3, 5)).staircase()
+    owners = staircase(WeightVector((2, 3, 5)))
     cut = even_cut()
     pairs = [(0, 4), (1, 9), (3, 5)]
     for j, jp in pairs:

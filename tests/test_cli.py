@@ -835,16 +835,38 @@ def test_readme_continuum_example_exits_two_within_memory_cap(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["state", "--dims", "100000,100000"],
-    ["continuum", "--dx", "0.5", "--quad", "100000"],
-    ["continuum", "--dx", "1e-6"],
 ])
 def test_out_of_memory_exits_two_within_memory_cap(argv):
-    # each asks numpy for more than the cap in one array; these sizes are
-    # not put under the dense amplitude budget, which would refuse inputs
-    # that run today (continuum --dx 2e-5)
+    # asks numpy for more than the cap in one array
     proc = run_under_memory_cap(argv)
     one_error_line(proc.returncode, proc.stdout, proc.stderr,
                    "error: Unable to allocate")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["continuum", "--dx", "0.5", "--quad", "2049"],
+     "quadrature rule needs 4198401 amplitudes (cap 4194304)"),
+    (["continuum", "--dx", "0.5", "--quad", "8192"],
+     "quadrature rule needs 67108864 amplitudes (cap 4194304)"),
+    (["continuum", "--dx", "0.5", "--quad", "100000"],
+     "quadrature rule needs 10000000000 amplitudes (cap 4194304)"),
+    (["continuum", "--dx", "0.0002"], "mesh quadrature needs 5120000 amplitudes (cap 4194304)"),
+    (["continuum", "--adaptive", "--cells", "70000"],
+     "mesh quadrature needs 4480000 amplitudes (cap 4194304)"),
+    (["continuum", "--dx", "1e-6"], "mesh quadrature needs 1024000000 amplitudes (cap 4194304)"),
+], ids=["quad-2049", "quad-8192", "quad-100000", "dx-2e-4", "cells-70000", "dx-1e-6"])
+def test_continuum_quadrature_is_checked_against_the_budget(argv, message):
+    # refused before the rule or the cell nodes are built: --quad 8192 ran
+    # for 48 s, and --dx 1e-6 asked numpy for 1.9 GiB; the child runs under
+    # the benchmark's address-space cap in case a check is missing
+    proc = run_under_memory_cap(argv)
+    one_error_line(proc.returncode, proc.stdout, proc.stderr, message)
+
+
+def test_continuum_mesh_at_the_quadrature_budget_runs(capsys):
+    # 65,536 cells of 64 defect nodes each are the 2^22 budget itself
+    code, out, _ = run_cli(["continuum", "--adaptive", "--cells", "65536"], capsys)
+    assert code == 0 and scalar(out, "cells") == "65536"
 
 
 def test_axiom_audit_of_100000_records_runs_within_memory_cap():
@@ -1478,11 +1500,11 @@ FUZZ_EDGES = {
         "--b": FUZZ_FLOATS, "--x0": FUZZ_FLOATS, "--x1": FUZZ_FLOATS,
         "--edges": FUZZ_LISTS + ("0,0.5,1",), "--box-weights": FUZZ_LISTS + ("0.5,0.5",),
         "--interval": FUZZ_LISTS + ("-1,1",),
-        # widths below 1: every span is at most 16 long, or so long that it
-        # has no finite cell count, so no draw builds a big mesh
-        "--dx": ("0.5", "0.25", "0", "-0.5", "nan", "inf", "1/0", ""),
-        "--adaptive": (True,), "--cells": ("-1", "0", "1", "8", "nan", ""),
-        "--quad": ("-1", "0", "1", "2", "16", "nan", ""),
+        # a mesh or rule past the quadrature budget is refused at once, like
+        # records' UNIVERSE_CAP + 1, so widths, cells and points past it are drawn
+        "--dx": ("0.5", "0.25", "0", "-0.5", "nan", "inf", "1/0", "1e-7", ""),
+        "--adaptive": (True,), "--cells": ("-1", "0", "1", "8", "nan", "100000000", ""),
+        "--quad": ("-1", "0", "1", "2", "16", "nan", "2049", "100000000", ""),
         "--m-max": ("-1", "0", "1", "4", "64", "nan", ""),
         "--truncate-ratio": FUZZ_FRACTIONS, "--delta-target": FUZZ_FRACTIONS,
     },

@@ -91,17 +91,14 @@ def test_truncate_validation():
 def test_mesh_validation():
     with pytest.raises(ValueError, match="cell"):
         Mesh.uniform(0.0, 0.5, 0)
-    with pytest.raises(ValueError, match="dx"):
-        Mesh(x0=0.0, dx=0.0, cells=4)
-    with pytest.raises(ValueError, match="width per cell"):
-        Mesh(x0=0.0, dx=1.0, cells=3, widths=(1.0, 1.0))
     with pytest.raises(ValueError, match="positive"):
-        Mesh.adaptive(0.0, (1.0, 0.0))
+        Mesh.uniform(0.0, 0.0, 4)
+    with pytest.raises(ValueError, match="positive"):
+        Mesh(0.0, (1.0, 0.0))
     mesh = Mesh.uniform(-1.0, 0.5, 4)
     assert np.allclose(mesh.edges(), [-1.0, -0.5, 0.0, 0.5, 1.0])
-    adaptive = Mesh.adaptive(0.0, (0.5, 1.5))
+    adaptive = Mesh(0.0, (0.5, 1.5))
     assert np.allclose(adaptive.edges(), [0.0, 0.5, 2.0])
-    assert adaptive.dx == pytest.approx(1.0)
 
 
 def test_discretize_uniform_density_is_exact():
@@ -127,10 +124,6 @@ def test_discretize_remainder_shrinks_as_cells_halve():
 def test_discretize_coverage_and_smoothness_errors():
     with pytest.raises(ValueError, match="covers only"):
         discretize(GAUSS, Mesh.uniform(0.0, 0.25, 8))
-    rough = WaveFunction(fn=lambda x: np.ones_like(x), label="rough",
-                         smooth=False)
-    with pytest.raises(ValueError, match="non-smooth"):
-        discretize(rough, Mesh.uniform(0.0, 0.25, 4))
     with pytest.raises(ValueError, match="quadrature points"):
         discretize(GAUSS, Mesh.uniform(-8.0, 0.5, 32), quad_points=1)
 

@@ -210,21 +210,20 @@ def oracle_swap_checks(spec, state, terms, swap_pairs, seed):
 
 def oracle_meet(a, b):
     records._require_shared_universe(a, b)
-    return RecordEvent(a.universe, a.members & b.members)
+    return RecordEvent(a.size, a.members & b.members)
 
 
 def oracle_join(a, b):
     records._require_shared_universe(a, b)
-    return RecordEvent(a.universe, a.members | b.members)
+    return RecordEvent(a.size, a.members | b.members)
 
 
 def oracle_complement(a):
-    return RecordEvent(a.universe, a.universe - a.members)
+    return RecordEvent(a.size, frozenset(range(a.size)) - a.members)
 
 
 def oracle_projector(event):
-    order = sorted(event.universe)
-    return np.diag([1.0 if k in event.members else 0.0 for k in order])
+    return np.diag([1.0 if k in event.members else 0.0 for k in range(event.size)])
 
 
 def oracle_rationalize(amplitudes, m_max: int) -> tuple:
@@ -292,25 +291,24 @@ _DENSE_IDENTITIES = (
 )
 
 
-def oracle_random_event(rng, universe):
-    # one draw per record, in the universe's iteration order
+def oracle_random_event(rng, n):
+    # one draw per record, in record order
     density = rng.random()
-    members = frozenset(k for k in universe if rng.random() < density)
-    return RecordEvent(universe, members)
+    members = frozenset(k for k in range(n) if rng.random() < density)
+    return RecordEvent(n, members)
 
 
 def oracle_verify_axioms(universe_size, trials=500, seed=0):
     n = int(universe_size)
     if n < 1:
         raise ValueError("universe_size must be >= 1")
-    universe = frozenset(range(n))
-    top_event = RecordEvent(universe, universe)
+    top_event = RecordEvent(n, range(n))
     top_matrix = np.eye(n)
     rng = np.random.default_rng(seed)
     counts = dict.fromkeys(AXIOM_NAMES, 0)
     violations = []
     for trial in range(int(trials)):
-        events = tuple(oracle_random_event(rng, universe) for _ in range(3))
+        events = tuple(oracle_random_event(rng, n) for _ in range(3))
         projs = tuple(oracle_projector(e) for e in events)
         failed = set()
         for name, identity in _DENSE_IDENTITIES:
@@ -693,10 +691,10 @@ def test_swap_checks_match_per_pair_decomposition_oracle(m, big_m, runs, phases)
 
 @st.composite
 def event_pairs(draw):
-    universe = draw(st.frozensets(st.integers(0, 40), min_size=1, max_size=16))
-    members = st.frozensets(st.sampled_from(sorted(universe)))
-    return (RecordEvent(universe, draw(members)),
-            RecordEvent(universe, draw(members)))
+    size = draw(st.integers(1, 41))
+    members = st.frozensets(st.integers(0, size - 1))
+    return (RecordEvent(size, draw(members)),
+            RecordEvent(size, draw(members)))
 
 
 def _same_event(got, expected):
@@ -715,8 +713,8 @@ def test_lattice_results_equal_validated_events(events):
 
 
 def test_lattice_results_still_require_one_universe():
-    a = RecordEvent(frozenset({0, 1}), frozenset({0}))
-    b = RecordEvent(frozenset({0, 1, 2}), frozenset({0}))
+    a = RecordEvent(2, frozenset({0}))
+    b = RecordEvent(3, frozenset({0}))
     for op in (meet, join):
         with pytest.raises(ValueError, match="different universes"):
             op(a, b)
@@ -937,8 +935,7 @@ def test_born_weights_takes_no_svd(svd_calls):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_projectors_from_masks_match_list_oracle(n):
-    universe = frozenset(range(n))
-    events = [RecordEvent(universe, frozenset(k for k in range(n) if bits >> k & 1))
+    events = [RecordEvent(n, frozenset(k for k in range(n) if bits >> k & 1))
               for bits in range(2 ** n)]
     expected = np.stack([np.diag(oracle_projector(e)) for e in events])
     assert np.array_equal(_diagonals(events, n), expected)
@@ -948,9 +945,8 @@ def test_projectors_from_masks_match_list_oracle(n):
 @example(UNIVERSE_CAP, 5)
 @settings(max_examples=60, deadline=None)
 def test_vector_draw_matches_per_record_draw(n, seed):
-    universe = frozenset(range(n))
     drawn, expected = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert _random_event(drawn, universe) == oracle_random_event(expected, universe)
+    assert _random_event(drawn, n) == oracle_random_event(expected, n)
     # the generator is left where the per-record draw leaves it
     assert drawn.random() == expected.random()
 
@@ -962,7 +958,7 @@ def test_verify_axioms_matches_per_trial_oracle(universe, seed):
 
 
 def _faulty_meet(a, b):
-    return records._lattice_result(a.universe, a.members | b.members)
+    return records._lattice_result(a.size, a.members | b.members)
 
 
 def _faulty_matrix_meet(a, b):

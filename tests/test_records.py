@@ -26,16 +26,14 @@ from test_kernel_oracles import oracle_projector
 
 
 def event(universe_size, *members):
-    return RecordEvent(frozenset(range(universe_size)), frozenset(members))
+    return RecordEvent(universe_size, frozenset(members))
 
 
 def test_record_event_validation():
     with pytest.raises(ValueError):
-        RecordEvent(frozenset(), frozenset())
+        RecordEvent(0, frozenset())
     with pytest.raises(ValueError):
-        RecordEvent(frozenset({0, 1}), frozenset({2}))
-    with pytest.raises(ValueError):
-        RecordEvent(frozenset({-1, 0}), frozenset())
+        RecordEvent(2, frozenset({2}))
     ev = event(4, 1, 3)
     assert np.array_equal(oracle_projector(ev), np.diag([0.0, 1.0, 0.0, 1.0]))
 
@@ -136,10 +134,10 @@ def test_additivity_and_monotonicity_exhaustive():
     subsets = [frozenset(k for k in range(n) if mask >> k & 1)
                for mask in range(2**n)]
     for sa in subsets:
-        a = RecordEvent(frozenset(range(n)), sa)
+        a = RecordEvent(n, sa)
         pa = event_probability(weights, a)
         for sb in subsets:
-            b = RecordEvent(frozenset(range(n)), sb)
+            b = RecordEvent(n, sb)
             pb = event_probability(weights, b)
             if not sa & sb:
                 assert event_probability(weights, join(a, b)) == pa + pb
@@ -201,28 +199,28 @@ def test_build_upsilon_rejects_bad_partitions():
 
 
 def test_lemma5_recursion_examples():
-    got = lemma5_recursion(4, {1, 2})
+    got = lemma5_recursion(event(4, 1, 2))
     assert got == Fraction(3, 4) * Fraction(2, 3)
     assert got == Fraction(1, 2)
-    assert lemma5_recursion(6, range(6)) == 1
-    assert lemma5_recursion(5, ()) == 0
+    assert lemma5_recursion(event(6, *range(6))) == 1
+    assert lemma5_recursion(event(5)) == 0
 
 
 def test_lemma5_recursion_matches_counting_exhaustively():
     for n in range(1, 9):
         for size in range(n + 1):
             members = range(size)
-            assert lemma5_recursion(n, members) == Fraction(size, n)
+            assert lemma5_recursion(event(n, *members)) == Fraction(size, n)
     with pytest.raises(ValueError):
-        lemma5_recursion(3, {5})
+        lemma5_recursion(event(3, 5))
     with pytest.raises(ValueError):
-        lemma5_recursion(0, ())
+        lemma5_recursion(event(0))
 
 
 def test_parse_event_cli_syntax():
     ev = parse_event("1,2,5", 8)
     assert ev.members == frozenset({1, 2, 5})
-    assert ev.universe == frozenset(range(8))
+    assert ev.size == 8
     assert parse_event("", 4).members == frozenset()
     assert parse_event(" 3 , 1 ", 4).members == frozenset({1, 3})
     with pytest.raises(ValueError):
@@ -241,7 +239,7 @@ def test_parsed_cells_share_one_universe():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
-    assert all(cell.universe == frozenset(range(2049)) for cell in cells)
+    assert all(cell.size == 2049 for cell in cells)
     with pytest.raises(ValueError, match=r"members \[-1, 9\] outside the universe"):
         parse_event("9,-1,2", 4)
     with pytest.raises(ValueError, match="universe cannot be empty"):
@@ -249,9 +247,9 @@ def test_parsed_cells_share_one_universe():
 
 
 def test_universe_size_is_checked_before_its_set_is_built():
-    assert parse_event("0", UNIVERSE_CAP).universe == frozenset(range(UNIVERSE_CAP))
+    assert parse_event("0", UNIVERSE_CAP).size == UNIVERSE_CAP
     message = f"universe of {UNIVERSE_CAP + 1} records is above the cap of {UNIVERSE_CAP}"
     with pytest.raises(ValueError, match=message):
         parse_event("0", UNIVERSE_CAP + 1)
     with pytest.raises(ValueError, match=message):
-        lemma5_recursion(UNIVERSE_CAP + 1, {0})
+        lemma5_recursion(event(UNIVERSE_CAP + 1, 0))
