@@ -20,16 +20,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .born import (BornResult, WeightVector, born_from_weights, born_probabilities,
-                   coarse_probability, fine_values)
+                   coarse_probability, fine_values, require_dense)
 from .continuum import CoefficientSequence, WaveFunction, mesh_run, truncate
 from .envariance import SwapSpec, envcheck_run, is_even, protocol_run
-from .frequencies import (ExperimentSpec, _require_digits, multinomial_history_counts,
-                          repeated_runs)
+from .frequencies import ExperimentSpec, multinomial_history_counts, repeated_runs
 from .hilbert import (Bipartition, LocalUnitary, StateVector, _load_matrix, load_state,
                       reconstruct, reduced_probe, save_state, schmidt, tensor_product)
 from .pointer import EnvSpectrum, einselection_run, load_couplings
-from .records import (build_upsilon, complement, conditional_probability, event_probability,
-                      join, lemma5_recursion, meet, parse_event, verify_axioms)
+from .records import (complement, conditional_probability, event_probabilities, join,
+                      lemma5_recursion, meet, parse_event, partition_support, verify_axioms)
 from .report import FORMATS, Report, Table, emit_report
 
 MAX_TABLE_ROWS = 4096
@@ -139,17 +138,20 @@ def _cmd_state(args) -> tuple:
         phases = _floats(args.phases) if args.phases else (0.0,) * len(w.m)
         if len(phases) != len(w.m):
             raise ValueError("one phase per weight")
+        require_dense(len(w.m) ** 2, "diagonal state")
         diagonal = [math.sqrt(m_k / w.M) * np.exp(1j * ph) for m_k, ph in zip(w.m, phases)]
         state = StateVector((len(w.m),) * 2, np.diag(diagonal).reshape(-1))
         origin = f"weights {args.weights}"
     elif "product" in args:
         parts = [load_state(p) for p in args.product.split(",")]
+        require_dense(math.prod(p.amps.size for p in parts), "product state")
         state = tensor_product(parts)
         origin = f"product of {len(parts)} states"
     else:
         dims = _ints(args.dims)
         rng = np.random.default_rng(args.seed)
-        size = int(np.prod(dims))
+        size = math.prod(dims)
+        require_dense(size, "random state")
         raw = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         state = StateVector(dims, raw / np.linalg.norm(raw))
         origin = f"random dims {args.dims} seed {args.seed}"
@@ -339,40 +341,31 @@ def _cmd_records(args) -> tuple:
         raise ValueError(f"need {n} weights for universe of size {n}")
     # parsing an event checks the universe size before n uniform weights are built
     kappa = parse_event(args.event, n) if "event" in args else None
-    cells = None if args.partition is None else tuple(
+    cells = () if args.partition is None else tuple(
         parse_event(part, n) for part in args.partition.split(";"))
     weights = weights or (1,) * n
-    uniform = len(set(weights)) == 1
+    # one tally check prices the event, its complement and every cell
+    pair = () if kappa is None else (kappa, complement(kappa))
+    probs = event_probabilities(weights, pair + cells)
     scalars = []
     tables = []
     if kappa is not None:
-        scalars.append(("event", args.event))
-        scalars.append(("p_event", event_probability(weights, kappa)))
-        scalars.append(
-            ("p_complement", event_probability(weights, complement(kappa))))
-        if uniform:
-            scalars.append(
-                ("uniform_recursion_probability",
-                 lemma5_recursion(kappa)))
+        scalars += [("event", args.event), ("p_event", probs[0]),
+                    ("p_complement", probs[1])]
+        if len(set(weights)) == 1:
+            scalars.append(("uniform_recursion_probability", lemma5_recursion(kappa)))
         if args.other is not None:
             lam = parse_event(args.other, n)
-            scalars.append(("p_other", event_probability(weights, lam)))
-            scalars.append(("p_meet", event_probability(weights, meet(kappa, lam))))
-            scalars.append(("p_join", event_probability(weights, join(kappa, lam))))
+            scalars += zip(("p_other", "p_meet", "p_join"), event_probabilities(
+                weights, (lam, meet(kappa, lam), join(kappa, lam))))
         if args.given is not None:
             scalars.append(
                 ("p_given_outcome", conditional_probability(kappa, args.given)))
-    if cells is not None:
-        upsilon = build_upsilon(weights, cells)
-        scalars.append(("upsilon_dims",
-                        "x".join(str(d) for d in upsilon.dims)))
-        scalars.append(
-            ("upsilon_support", int(np.count_nonzero(upsilon.amps))))
-        rows = tuple(
-            (i, "|".join(str(m) for m in sorted(cell.members)),
-             event_probability(weights, cell))
-            for i, cell in enumerate(cells)
-        )
+    if cells:
+        scalars.append(("upsilon_dims", f"{len(cells)}x{n}"))
+        scalars.append(("upsilon_support", partition_support(weights, cells)))
+        rows = tuple((i, "|".join(str(m) for m in sorted(cell.members)), p)
+                     for i, (cell, p) in enumerate(zip(cells, probs[len(pair):])))
         tables.append(Table("partition", ("cell", "members", "p"), rows))
     return Report("records", tuple(scalars), tuple(tables)), 0
 
@@ -380,7 +373,6 @@ def _cmd_records(args) -> tuple:
 def _cmd_freq(args) -> tuple:
     if "cells" in args:
         cells = _ints(args.cells)
-        _require_digits("(sum of cells)^N", sum(cells), args.N)
         counts = multinomial_history_counts(cells, args.N)
         rows = tuple(("-".join(str(x) for x in comp), counts[comp]) for comp in sorted(counts))
         scalars = (("outcomes", len(cells)), ("runs", args.N),

@@ -111,13 +111,15 @@ def multinomial_history_counts(cells, runs: int) -> dict:
     ``cells`` lists the fine cells per outcome; the count of histories with
     n_i detections of outcome i is the multinomial coefficient times
     prod(cells_i^n_i).  The two-outcome case reduces to history_counts.
-    The C(runs + K - 1, K - 1) compositions are counted before any is
-    enumerated, against COMPOSITION_CAP.
+    (sum of cells)^runs is checked against the interpreter's limit for
+    printing an integer first, and the C(runs + K - 1, K - 1) compositions
+    are counted before any is enumerated, against COMPOSITION_CAP.
     """
     cells = tuple(int(c) for c in cells)
+    n_runs = int(runs)
+    _require_digits("(sum of cells)^N", sum(cells), n_runs)
     if not cells or any(c < 1 for c in cells):
         raise ValueError("every outcome needs at least one fine cell")
-    n_runs = int(runs)
     if n_runs < 1:
         raise ValueError("need at least one run")
     if math.comb(n_runs + len(cells) - 1, len(cells) - 1) > COMPOSITION_CAP:

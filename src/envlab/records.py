@@ -19,9 +19,9 @@ from functools import lru_cache
 import numpy as np
 
 from .born import _chunk_rows, require_dense
-from .hilbert import StateVector
 
-UNIVERSE_CAP = 2**17  # records in a universe; an event query at the cap takes ~1 s
+UNIVERSE_CAP = 2**17  # records in a universe; at the cap an event query with --other
+# takes 0.85-1.06 s on a 2-vCPU Xeon, most of it in lemma5_recursion
 
 AXIOM_NAMES = (
     "commutativity",
@@ -219,14 +219,18 @@ def _weights_of(tally) -> tuple:
     return tally
 
 
-def event_probability(tally, event: RecordEvent) -> Fraction:
-    """Exact probability of a coarse event: member weights over the total."""
+def event_probabilities(tally, events) -> tuple:
+    """Exact probability of each event, in order: member weights over the total."""
     weights = _weights_of(tally)
-    if event.size != len(weights):
-        raise ValueError(
-            f"event universe does not match the {len(weights)} outcome indices"
-        )
-    return Fraction(sum(weights[k] for k in event.members), sum(weights))
+    total = sum(weights)
+    probs = []
+    for event in events:
+        if event.size != len(weights):
+            raise ValueError(
+                f"event universe does not match the {len(weights)} outcome indices"
+            )
+        probs.append(Fraction(sum(weights[k] for k in event.members), total))
+    return tuple(probs)
 
 
 def conditional_probability(event: RecordEvent, outcome: int) -> Fraction:
@@ -236,15 +240,14 @@ def conditional_probability(event: RecordEvent, outcome: int) -> Fraction:
     return Fraction(1 if int(outcome) in event.members else 0)
 
 
-def build_upsilon(tally, partition) -> StateVector:
-    """Two-register state correlating coarse cells with fine outcomes.
+def partition_support(tally, partition) -> int:
+    """Check a partition of the outcomes; return the term count of upsilon.
 
-    Cell c of the partition contributes sqrt(m_k / M) on |c>|k> for each of
-    its outcomes k; an outcome with weight zero contributes no term, since
-    there is no record of something that never happened.  Layout: (coarse,
-    fine), coarse register first, cells in the order given.  The cells x
-    outcomes amplitudes are checked against the dense budget before they
-    are built (2,048 singleton cells fit the default budget).
+    Upsilon correlates coarse cells with fine outcomes: cell c contributes
+    sqrt(m_k / M) on |c>|k> for each of its outcomes k of weight m_k > 0, as
+    nothing records an outcome that never happened.  The cells share the
+    tally's universe, do not overlap and cover every outcome of positive
+    weight, so upsilon has one term per such outcome; it is counted, not built.
     """
     weights = _weights_of(tally)
     n = len(weights)
@@ -258,17 +261,11 @@ def build_upsilon(tally, partition) -> StateVector:
         if covered & cell.members:
             raise ValueError("partition cells overlap")
         covered |= cell.members
-    missing = sorted({k for k in range(n) if weights[k] > 0} - covered)
+    support = {k for k in range(n) if weights[k] > 0}
+    missing = sorted(support - covered)
     if missing:
         raise ValueError(f"partition misses {len(missing)} outcomes, first {missing[:8]}")
-    total = sum(weights)
-    require_dense(len(cells) * n, "upsilon")
-    amp = np.zeros((len(cells), n), dtype=complex)
-    for c, cell in enumerate(cells):
-        for k in cell.members:
-            if weights[k] > 0:
-                amp[c, k] = np.sqrt(weights[k] / total)
-    return StateVector((len(cells), n), amp.reshape(-1))
+    return len(support)
 
 
 def lemma5_recursion(event: RecordEvent) -> Fraction:

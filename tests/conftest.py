@@ -5,6 +5,7 @@ import pytest
 
 from envlab.born import WeightVector, require_dense
 from envlab.hilbert import Bipartition, StateVector
+from envlab.records import _weights_of
 
 
 def unit_state(dims, amps) -> StateVector:
@@ -87,6 +88,43 @@ def fine_grain(weights: WeightVector, phases) -> StateVector:
     for k, j, a in _staircase_terms(weights, phases):
         amps[k, j, j] = a
     return StateVector((n, big_m, big_m), amps.reshape(-1))
+
+
+# the dense two-register state the records route used to build, kept as the
+# oracle for records.partition_support and the coarse marginals it stands for
+def build_upsilon(tally, partition) -> StateVector:
+    """Two-register state correlating coarse cells with fine outcomes.
+
+    Cell c of the partition contributes sqrt(m_k / M) on |c>|k> for each of
+    its outcomes k; an outcome with weight zero contributes no term, since
+    there is no record of something that never happened.  Layout: (coarse,
+    fine), coarse register first, cells in the order given.  The cells x
+    outcomes amplitudes are checked against the dense budget before they
+    are built (2,048 singleton cells fit the default budget).
+    """
+    weights = _weights_of(tally)
+    n = len(weights)
+    cells = list(partition)
+    if not cells:
+        raise ValueError("partition needs at least one cell")
+    if any(cell.size != n for cell in cells):
+        raise ValueError("partition cell universe does not match the outcomes")
+    covered = set()
+    for cell in cells:
+        if covered & cell.members:
+            raise ValueError("partition cells overlap")
+        covered |= cell.members
+    missing = sorted({k for k in range(n) if weights[k] > 0} - covered)
+    if missing:
+        raise ValueError(f"partition misses {len(missing)} outcomes, first {missing[:8]}")
+    total = sum(weights)
+    require_dense(len(cells) * n, "upsilon")
+    amp = np.zeros((len(cells), n), dtype=complex)
+    for c, cell in enumerate(cells):
+        for k in cell.members:
+            if weights[k] > 0:
+                amp[c, k] = np.sqrt(weights[k] / total)
+    return StateVector((len(cells), n), amp.reshape(-1))
 
 
 def even_cut() -> Bipartition:

@@ -17,6 +17,8 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ import envlab.frequencies
 import envlab.hilbert
 import envlab.pointer
 import envlab.records
+from conftest import build_upsilon
 from envlab.cli import main
 from envlab.hilbert import StateVector, load_state, save_state
 
@@ -837,10 +840,53 @@ def test_readme_continuum_example_exits_two_within_memory_cap(tmp_path):
     ["state", "--dims", "100000,100000"],
 ])
 def test_out_of_memory_exits_two_within_memory_cap(argv):
-    # asks numpy for more than the cap in one array
+    # asked numpy for more than the cap in one array; the budget now refuses
+    # it before the draw
     proc = run_under_memory_cap(argv)
     one_error_line(proc.returncode, proc.stdout, proc.stderr,
-                   "error: Unable to allocate")
+                   "error: random state needs 10000000000 amplitudes (cap 4194304)")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["state", "--dims", "3000,3000"], "random state needs 9000000 amplitudes"),
+    (["state", "--dims", "65536,65536"], "random state needs 4294967296 amplitudes"),
+    # products past 2^63 used to wrap in int64, to 0 and to a negative size
+    (["state", "--dims", "4294967296,4294967296"],
+     "random state needs 18446744073709551616 amplitudes"),
+    (["state", "--dims", "3037000500,3037000500"],
+     "random state needs 9223372037000250000 amplitudes"),
+    (["state", "--weights", ",".join(["1"] * 3000)], "diagonal state needs 9000000 amplitudes"),
+    (["state", "--weights", ",".join(["1"] * 2049)], "diagonal state needs 4198401 amplitudes"),
+    (["state", "--dims", "0,3"], "dims must be a nonempty list of positive integers"),
+    (["state", "--dims=-1,3"], "negative dimensions are not allowed"),
+], ids=["dims-3000", "dims-65536", "dims-2^32", "dims-past-2^63", "weights-3000",
+        "weights-2049", "dims-zero", "dims-negative"])
+def test_state_builds_are_checked_against_the_budget(argv, message, tmp_path, capsys):
+    # refused before the draw or np.diag, so nothing is saved either
+    saved = tmp_path / "big.state"
+    one_error_line(*run_cli(argv + ["--save", str(saved)], capsys), message)
+    assert not saved.exists()
+
+
+def test_state_product_is_checked_against_the_budget(tmp_path, capsys):
+    # nine 2x3 states are 6^9 = 10,077,696 amplitudes; eight fit the budget
+    path = tmp_path / "s.state"
+    save_state(StateVector((2, 3), np.arange(1.0, 7.0) / math.sqrt(91.0)), path)
+    one_error_line(*run_cli(["state", "--product", ",".join([str(path)] * 9)], capsys),
+                   "product state needs 10077696 amplitudes (cap 4194304)")
+    code, out, _ = run_cli(["state", "--product", ",".join([str(path)] * 8)], capsys)
+    assert code == 0 and scalar(out, "subsystems") == "16"
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "--dims", "2048,2048"],
+    ["state", "--weights", ",".join(["1"] * 2048)],
+], ids=["dims", "weights"])
+def test_state_builds_at_the_budget_run_within_memory_cap(argv):
+    # 2048 x 2048 amplitudes are the 2^22 budget itself
+    proc = run_under_memory_cap(argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert scalar(proc.stdout, "dims") == "2048x2048"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1262,23 +1308,50 @@ def test_records_partition_error_names_the_count_of_missing_outcomes(capsys):
     assert len(err.encode()) < 200
 
 
-def test_upsilon_is_checked_against_the_budget(monkeypatch, capsys):
-    # 64 singleton cells of 64 outcomes are 4,096 amplitudes, over a cap of 100
+def test_partition_past_the_dense_budget_matches_the_upsilon_oracle(monkeypatch, capsys):
+    # 64 singleton cells of 64 outcomes are 4,096 amplitudes, over a cap of
+    # 100; upsilon is counted, not built, so the cap no longer applies
+    weights = [k % 5 for k in range(64)]
+    cells = [envlab.records.parse_event(str(k), 64) for k in range(64)]
+    upsilon = build_upsilon(weights, cells)
+    coarse = np.sum(np.abs(upsilon.tensor()) ** 2, axis=1)
     monkeypatch.setattr(envlab.born, "DENSE_AMPLITUDE_CAP", 100)
-    partition = ";".join(str(k) for k in range(64))
-    one_error_line(*run_cli(["records", "--universe", "64", "--partition", partition],
-                            capsys),
-                   "upsilon needs 4096 amplitudes (cap 100)")
-    # refused before the array is built: 256 singletons would take 1 MiB
-    cells = [envlab.records.parse_event(str(k), 256) for k in range(256)]
+    code, out, err = run_cli(["records", "--universe", "64",
+                              "--weights", ",".join(map(str, weights)),
+                              "--partition", ";".join(str(k) for k in range(64))], capsys)
+    assert (code, err) == (0, "")
+    assert scalar(out, "upsilon_dims") == "x".join(map(str, upsilon.dims)) == "64x64"
+    assert scalar(out, "upsilon_support") == str(np.count_nonzero(upsilon.amps)) == "51"
+    rows = table_rows(out, "partition")
+    assert [(int(i), members) for i, members, _ in rows] == [(k, str(k)) for k in range(64)]
+    assert np.allclose([float(Fraction(p)) for *_, p in rows], coarse, rtol=0, atol=1e-15)
+
+
+def test_partition_checks_its_tally_a_fixed_number_of_times(monkeypatch, capsys):
+    # one tally check per cell made the table quadratic in n, and the dense
+    # cells x n build of 4,096 singletons took 4096 * 4096 * 16 bytes, 268 MB
+    checks = []
+    weights_of = envlab.records._weights_of
+    monkeypatch.setattr(envlab.records, "_weights_of",
+                        lambda tally: checks.append(tally) or weights_of(tally))
+    argv = ["records", "--universe", "4096", "--partition", ";".join(map(str, range(4096)))]
     tracemalloc.start()
     try:
-        with pytest.raises(envlab.born.DenseBudgetError):
-            envlab.records.build_upsilon((1,) * 256, cells)
+        code, out, _ = run_cli(argv, capsys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 256 * 256 * 16 // 4
+    assert code == 0 and scalar(out, "upsilon_dims") == "4096x4096"
+    assert scalar(out, "upsilon_support") == "4096"
+    assert len(table_rows(out, "partition")) == 4096
+    assert len(checks) <= 3 and peak < 32 << 20
+    # every probability of the fullest route: event, complement, other, meet,
+    # join and each cell
+    checks.clear()
+    code, out, _ = run_cli(["records", "--universe", "8", "--event", "0,1", "--other", "1,2",
+                            "--given", "1", "--partition", "0,1;2,3;4,5,6,7"], capsys)
+    assert code == 0 and scalar(out, "p_join") == "3/8"
+    assert len(checks) <= 3
 
 
 def test_state_files_are_checked_against_the_budget(tmp_path, monkeypatch, capsys):
@@ -1337,6 +1410,16 @@ SCENARIO_RUNS = tuple((argv, "envariance.envcheck_run", {"hilbert.load_state"})
     (["continuum", "--adaptive", "--cells", "8"], "continuum.mesh_run", set()),
     (["continuum", "--truncate-ratio", "1/2", "--delta-target", "0.1"], None,
      {"continuum.truncate"}),
+    # records parses every event and cell, and prices them all in two calls
+    (["records", "--universe", "4", "--event", "0,1", "--other", "1,2", "--given", "1",
+      "--partition", "0,1;2,3"], None,
+     Counter({"records.parse_event": 4, "records.event_probabilities": 2,
+              "records.partition_support": 1, "records.complement": 1, "records.meet": 1,
+              "records.join": 1, "records.lemma5_recursion": 1,
+              "records.conditional_probability": 1})),
+    (["records", "--universe", "64", "--partition", ";".join(map(str, range(64)))], None,
+     Counter({"records.parse_event": 64, "records.event_probabilities": 1,
+              "records.partition_support": 1})),
 )
 
 
@@ -1344,7 +1427,8 @@ SCENARIO_RUNS = tuple((argv, "envariance.envcheck_run", {"hilbert.load_state"})
                          ids=["envcheck-unitary", "envcheck-term-phases", "envcheck-partial",
                               "born-weights", "born-state", "pointer", "pointer-search",
                               "freq", "freq-register", "freq-cells", "continuum",
-                              "continuum-adaptive", "continuum-truncate"])
+                              "continuum-adaptive", "continuum-truncate", "records-event",
+                              "records-partition"])
 def test_handlers_make_one_scenario_call(argv, scenario, others, audit_files):
     # the audit's profile hook, narrowed to calls made from cli.py frames
     names = public_codes()
@@ -1365,8 +1449,8 @@ def test_handlers_make_one_scenario_call(argv, scenario, others, audit_files):
     finally:
         sys.setprofile(previous)
     assert code == 0
-    expected = others | ({scenario} if scenario else set())
-    assert sorted(from_cli) == sorted(expected)
+    # others is a multiset: a handler may call a helper more than once
+    assert Counter(from_cli) == Counter(others) + Counter([scenario] if scenario else [])
     if scenario:
         assert entered.count(scenario) == 1
 
@@ -1460,9 +1544,15 @@ FUZZ_COMMON = {
 }
 FUZZ_EDGES = {
     "state": {
-        "--state": FUZZ_STATES, "--weights": FUZZ_LISTS + ("1000,1000,1000",),
-        "--phases": FUZZ_LISTS, "--dims": FUZZ_LISTS + ("2,3", "0,2"),
-        "--product": ("s.state,even.state", "s.state", "bad.state,s.state", "missing.state", ""),
+        # past the dense budget, refused at once: 2,049 weights, wide or int64-wrapping
+        # dims, and nine 2x3 states
+        "--state": FUZZ_STATES,
+        "--weights": FUZZ_LISTS + ("1000,1000,1000", ",".join(["1"] * 2049)),
+        "--phases": FUZZ_LISTS,
+        "--dims": FUZZ_LISTS + ("2,3", "0,2", "3000,3000", "65536,65536",
+                                "3037000500,3037000500", "4294967296,4294967296"),
+        "--product": ("s.state,even.state", "s.state", "bad.state,s.state", "missing.state", "",
+                      ",".join(["s.state"] * 9)),
         "--save": ("saved.state", "", "missing/saved.state"),
     },
     "schmidt": {

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -174,12 +175,29 @@ def test_multinomial_counts_compositions_before_enumerating(monkeypatch):
         raise AssertionError("enumeration ran")
 
     monkeypatch.setattr(frequencies, "_compositions", no_enumeration)
+    # 2^65535 is past the digit limit for printing, checked first; lifting
+    # the limit leaves the composition count alone to decide
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
     cap = frequencies.COMPOSITION_CAP
     with pytest.raises(AssertionError, match="enumeration ran"):
         multinomial_history_counts((1, 1), runs=cap - 1)
     with pytest.raises(ValueError, match=f"2 outcomes over {cap} runs give more "
                                          f"than {cap} compositions"):
         multinomial_history_counts((1, 1), runs=cap)
+
+
+def test_multinomial_checks_the_printable_total_first(monkeypatch):
+    # (sum of cells)^N must print, so 2^15000 (4,516 digits) is refused
+    # before the cells, the runs and the compositions are looked at
+    def no_enumeration(*args):
+        raise AssertionError("enumeration ran")
+
+    monkeypatch.setattr(frequencies, "_compositions", no_enumeration)
+    message = r"\(sum of cells\)\^N = 2\^15000 has 4516 digits, above the 4300-digit"
+    with pytest.raises(ValueError, match=message):
+        multinomial_history_counts((1, 1), runs=15000)
+    with pytest.raises(ValueError, match=message):
+        multinomial_history_counts((2, 0), runs=15000)
 
 
 def test_gaussian_peak_and_deviation():

@@ -12,16 +12,17 @@ from envlab.records import (
     AXIOM_NAMES,
     UNIVERSE_CAP,
     RecordEvent,
-    build_upsilon,
     complement,
     conditional_probability,
-    event_probability,
+    event_probabilities,
     join,
     lemma5_recursion,
     meet,
     parse_event,
+    partition_support,
     verify_axioms,
 )
+from conftest import build_upsilon
 from test_kernel_oracles import oracle_projector
 
 
@@ -101,23 +102,26 @@ def test_set_and_projector_semantics_agree(data, n):
 
 def test_event_probability_even_universe():
     tally = (1, 1, 1, 1)
-    assert event_probability(tally, event(4, 1, 2)) == Fraction(1, 2)
-    assert event_probability(tally, event(4)) == 0
-    assert event_probability(tally, event(4, 0, 1, 2, 3)) == 1
+    events = (event(4, 1, 2), event(4), event(4, 0, 1, 2, 3))
+    assert event_probabilities(tally, events) == (Fraction(1, 2), 0, 1)
+    assert event_probabilities(tally, ()) == ()
 
 
 def test_event_probability_weighted_inputs():
     w = WeightVector((2, 3, 5))
-    assert event_probability(w.m, event(3, 0, 2)) == Fraction(7, 10)
+    assert event_probabilities(w.m, [event(3, 0, 2)]) == (Fraction(7, 10),)
     amps = np.sqrt([5 / 8, 3 / 8]).astype(complex)
     state = StateVector((2, 2), np.diag(amps).reshape(-1))
     result = born_probabilities(state, Bipartition((0,)), 16)
-    assert event_probability(result.weights.m, event(2, 0)) == result.probs_exact[0]
-    assert event_probability(result.weights.m, event(2, 0)) == Fraction(5, 8)
-    with pytest.raises(ValueError):
-        event_probability(w.m, event(4, 0))
-    with pytest.raises(ValueError):
-        event_probability((0, 0), event(2, 0))
+    assert event_probabilities(result.weights.m, [event(2, 0)]) == result.probs_exact[:1]
+    assert event_probabilities(result.weights.m, [event(2, 0)]) == (Fraction(5, 8),)
+    with pytest.raises(ValueError, match="event universe does not match the 3 outcome"):
+        event_probabilities(w.m, [event(3, 0), event(4, 0)])
+    with pytest.raises(ValueError, match="tally has no support"):
+        event_probabilities((0, 0), [event(2, 0)])
+    # the tally is checked once per call, even with no event to price
+    with pytest.raises(ValueError, match="tally has no support"):
+        event_probabilities((0, 0), ())
 
 
 def test_conditional_probability_is_indicator():
@@ -133,14 +137,12 @@ def test_additivity_and_monotonicity_exhaustive():
     n = len(weights)
     subsets = [frozenset(k for k in range(n) if mask >> k & 1)
                for mask in range(2**n)]
-    for sa in subsets:
-        a = RecordEvent(n, sa)
-        pa = event_probability(weights, a)
-        for sb in subsets:
-            b = RecordEvent(n, sb)
-            pb = event_probability(weights, b)
+    events = [RecordEvent(n, sa) for sa in subsets]
+    probs = event_probabilities(weights, events)
+    for sa, a, pa in zip(subsets, events, probs):
+        for sb, b, pb in zip(subsets, events, probs):
             if not sa & sb:
-                assert event_probability(weights, join(a, b)) == pa + pb
+                assert event_probabilities(weights, [join(a, b)]) == (pa + pb,)
             if sa <= sb:
                 assert pa <= pb
 
@@ -153,9 +155,10 @@ def test_build_upsilon_even_partition():
     tens = ups.tensor()
     coarse = np.sum(np.abs(tens) ** 2, axis=1)
     assert np.allclose(coarse, [0.5, 0.5])
-    for c, cell in enumerate(cells):
-        assert abs(coarse[c] - float(event_probability(tally, cell))) < 1e-12
+    for c, p in enumerate(event_probabilities(tally, cells)):
+        assert abs(coarse[c] - float(p)) < 1e-12
     assert np.allclose(np.abs(tens[0]), [0.5, 0.5, 0.0, 0.0])
+    assert partition_support(tally, cells) == np.count_nonzero(ups.amps) == 4
 
 
 def test_build_upsilon_matches_coarse_probability():
@@ -167,6 +170,9 @@ def test_build_upsilon_matches_coarse_probability():
     coarse = np.sum(np.abs(ups.tensor()) ** 2, axis=1)
     assert abs(coarse[0] - float(coarse_probability(result, (0, 1)))) < 1e-12
     assert abs(coarse[1] - float(coarse_probability(result, (2,)))) < 1e-12
+    assert event_probabilities(result.weights.m, cells) == (
+        coarse_probability(result, (0, 1)), coarse_probability(result, (2,)))
+    assert partition_support(result.weights.m, cells) == np.count_nonzero(ups.amps)
 
 
 def test_build_upsilon_singleton_partition_duplicates_fine():
@@ -175,6 +181,7 @@ def test_build_upsilon_singleton_partition_duplicates_fine():
     ups = build_upsilon(w.m, cells)
     tens = ups.tensor()
     assert np.allclose(tens, np.diag(np.sqrt([0.2, 0.3, 0.5])))
+    assert partition_support(w.m, cells) == np.count_nonzero(ups.amps) == 3
 
 
 def test_build_upsilon_drops_zero_weight_outcomes():
@@ -184,18 +191,33 @@ def test_build_upsilon_drops_zero_weight_outcomes():
     tens = ups.tensor()
     assert np.all(tens[:, 1] == 0)  # nothing ever records outcome 1
     assert np.allclose(np.sum(np.abs(tens) ** 2, axis=1), [0.4, 0.6])
+    assert partition_support(tally, cells) == np.count_nonzero(ups.amps) == 2
+    # a zero-weight outcome may also go uncovered
+    assert partition_support(tally, [event(3, 0), event(3, 2)]) == 2
 
 
 def test_build_upsilon_rejects_bad_partitions():
     tally = (1, 1, 1, 1)
     with pytest.raises(ValueError, match="overlap"):
-        build_upsilon(tally, [event(4, 0, 1), event(4, 1, 2, 3)])
-    with pytest.raises(ValueError, match="misses"):
-        build_upsilon(tally, [event(4, 0, 1)])
-    with pytest.raises(ValueError):
-        build_upsilon(tally, [])
-    with pytest.raises(ValueError):
-        build_upsilon(tally, [event(5, 0, 1), event(5, 2, 3, 4)])
+        partition_support(tally, [event(4, 0, 1), event(4, 1, 2, 3)])
+    with pytest.raises(ValueError, match=r"misses 2 outcomes, first \[2, 3\]"):
+        partition_support(tally, [event(4, 0, 1)])
+    with pytest.raises(ValueError, match="at least one cell"):
+        partition_support(tally, [])
+    with pytest.raises(ValueError, match="universe does not match"):
+        partition_support(tally, [event(5, 0, 1), event(5, 2, 3, 4)])
+    with pytest.raises(ValueError, match="tally has no support"):
+        partition_support((0, 0, 0, 0), [event(4, 0, 1)])
+    # the check refuses what the dense oracle refuses, with its message
+    for bad_tally, cells in ((tally, [event(4, 0, 1), event(4, 1, 2, 3)]),
+                             (tally, [event(4, 0, 1)]), (tally, []),
+                             (tally, [event(5, 0, 1), event(5, 2, 3, 4)]),
+                             ((0, 0, 0, 0), [event(4, 0, 1)])):
+        with pytest.raises(ValueError) as new:
+            partition_support(bad_tally, cells)
+        with pytest.raises(ValueError) as oracle:
+            build_upsilon(bad_tally, cells)
+        assert str(new.value) == str(oracle.value)
 
 
 def test_lemma5_recursion_examples():
