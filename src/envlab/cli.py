@@ -25,7 +25,7 @@ from .continuum import CoefficientSequence, WaveFunction, mesh_run, truncate
 from .envariance import SwapSpec, envcheck_run, is_even, protocol_run
 from .frequencies import ExperimentSpec, multinomial_history_counts, repeated_runs
 from .hilbert import (Bipartition, LocalUnitary, StateVector, _load_matrix, load_state,
-                      reconstruct, reduced_probe, save_state, schmidt, tensor_product)
+                      reconstruct, reduced_purity, save_state, schmidt, tensor_product)
 from .pointer import EnvSpectrum, einselection_run, load_couplings
 from .records import (complement, conditional_probability, event_probabilities, join,
                       lemma5_recursion, meet, parse_event, partition_support, verify_axioms)
@@ -177,12 +177,10 @@ def _cmd_schmidt(args) -> tuple:
                   canonicalize=args.canonical)
     recon = reconstruct(dec)
     defect = float(np.linalg.norm(recon.amps - state.amps))
-    rho = reduced_probe(state, cut.left)
-    purity = float(np.trace(rho @ rho).real)
     scalars = (
         ("rank", len(dec.coeffs)),
         ("reconstruction_defect", defect),
-        ("reduced_purity", purity),
+        ("reduced_purity", reduced_purity(state, cut)),
     )
     rows = tuple(
         (k, float(abs(c)), float(np.angle(c))) for k, c in enumerate(dec.coeffs)

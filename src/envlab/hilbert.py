@@ -31,10 +31,6 @@ FILE_AMPLITUDE_BYTES = 54  # "[re, im], " in save_state's format, with 24-charac
 FILE_HEADER_BYTES = 4096   # the dims, keys and braces around the amplitudes
 
 
-class OrthogonalOutcomeError(ValueError):
-    """Projection weight below threshold: the outcome never occurs."""
-
-
 def _as_complex_vector(amps) -> np.ndarray:
     arr = np.asarray(amps, dtype=complex)
     if arr.ndim != 1:
@@ -325,47 +321,16 @@ def reconstruct(dec: SchmidtDecomposition) -> StateVector:
     return StateVector(tuple(dims), tens.reshape(-1))
 
 
-def conditional_state(state: StateVector, subsystem: int, outcome) -> tuple:
-    """Project one subsystem onto an outcome vector.
+def reduced_purity(state: StateVector, cut: Bipartition) -> float:
+    """Purity Tr(rho^2) of either side's reduced state.
 
-    Returns (weight, residual state of the remaining subsystems).  The weight
-    is the projection norm; outcomes with weight below 1e-12 raise
-    OrthogonalOutcomeError.
+    Both sides share the nonzero spectrum of rho, so this is ||G||_F^2 for
+    the Gram matrix G of the cut on its smaller side: at most as many
+    entries as the state has amplitudes, whichever side is kept.
     """
-    n = state.n_subsystems
-    if subsystem < 0 or subsystem >= n:
-        raise ValueError(f"subsystem {subsystem} out of range")
-    if n < 2:
-        raise ValueError("conditioning needs at least two subsystems")
-    out = _as_complex_vector(outcome)
-    if out.size != state.dims[subsystem]:
-        raise ValueError("outcome dimension mismatch")
-    nrm = np.linalg.norm(out)
-    if abs(nrm - 1.0) > NORM_TOL:
-        raise ValueError("outcome vector must be normalized")
-    moved = np.moveaxis(state.tensor(), subsystem, 0)
-    residual = np.tensordot(out.conj(), moved, axes=([0], [0]))
-    weight = float(np.linalg.norm(residual))
-    if weight < ZERO_PROJECTION_TOL:
-        raise OrthogonalOutcomeError(
-            f"projection weight {weight:g} below {ZERO_PROJECTION_TOL:g}"
-        )
-    dims = tuple(d for i, d in enumerate(state.dims) if i != subsystem)
-    return weight, StateVector(dims, residual.reshape(-1) / weight)
-
-
-def reduced_probe(state: StateVector, keep) -> np.ndarray:
-    """Trace out everything but ``keep``.
-
-    Validation-only oracle: results are cross-checked against Schmidt data in
-    tests and never feed a derivation path.
-    """
-    mat, _, _ = _cut_matrix(state, Bipartition(tuple(keep)))
-    rho = mat @ mat.conj().T
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"reduced state trace {tr!r} deviates from 1")
-    return rho
+    mat, _, _ = _cut_matrix(state, cut)
+    gram = mat @ mat.conj().T if mat.shape[0] <= mat.shape[1] else mat.conj().T @ mat
+    return float(np.linalg.norm(gram) ** 2)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -1,14 +1,18 @@
-"""Truth-table records and pointer-basis selection by correlation stability.
+"""Pointer-basis selection by correlation stability, read off the decoherence matrix.
 
 A measurement record is made by conditionally shifting an apparatus out of
-its ready level: |A_0>|s_k> -> |A_r(k)>|s_k>.  Coupling the record to an
+its ready level: |A_0>|s_k> -> |A_k>|s_k>.  Coupling the record to an
 environment through a diagonal interaction multiplies every |A_k>|e_nu>
-amplitude by a phase e^{-i g_kn t}; the pairwise overlap of the resulting
-environment branches is the decoherence factor zeta_kk'(t).  Candidate
-record bases are scored by how far each conditional state of the remaining
-subsystems is from a product.  The distinguished (pointer) basis is the one
-whose conditionals stay products for all t, which singles it out without any
-appeal to probabilities.
+amplitude by a phase e^{-i g_kn t}, so the state becomes
+sum_k a_k |A_k>|s_k>|E_k(t)>, and the pairwise overlap of the environment
+branches is the decoherence factor zeta_kk'(t).  A candidate record vector b
+conditions the rest on sum_k c_k |s_k>|E_k> with c_k = conj(b_k) a_k, whose
+Gram matrix across the system | environment cut is D_c Z D_c^dagger, Z the
+matrix of the zeta_kk'.  Candidate record bases are scored from Z alone, by
+how far each conditional is from a product, so no evolved state is built.
+The distinguished (pointer) basis is the one whose conditionals stay
+products for all t, which singles it out without any appeal to
+probabilities.
 """
 
 from __future__ import annotations
@@ -19,45 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .born import _chunk_rows, require_dense
-from .hilbert import (NORM_TOL, ZERO_PROJECTION_TOL, OrthogonalOutcomeError, StateVector,
-                      _load_matrix, conditional_state, tensor_product)
+from .hilbert import ZERO_PROJECTION_TOL, StateVector, _load_matrix
 
 SPECTRUM_NORM_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
 FLAT_LANDSCAPE_TOL = 1e-9
 SEARCH_DIM_CAP = 8
-
-
-@dataclass(frozen=True)
-class TruthTable:
-    """Record rule: system vector k is written to apparatus level k + 1.
-
-    ``system_basis`` rows must be orthonormal, so the branch amplitudes of a
-    recorded state are its projections <s_k|input>.  Level 0 of the
-    apparatus is the ready state and never holds a record, so records start
-    at level 1.
-    """
-
-    system_basis: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        basis = np.asarray(self.system_basis, dtype=complex)
-        if basis.ndim != 2 or basis.shape[0] < 1:
-            raise ValueError("system_basis must be a 2-d array, one vector per row")
-        gram = basis.conj() @ basis.T
-        if float(np.max(np.abs(gram - np.eye(basis.shape[0])))) > NORM_TOL:
-            raise ValueError("system_basis rows must be orthonormal")
-        basis = basis.copy()
-        basis.flags.writeable = False
-        object.__setattr__(self, "system_basis", basis)
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.system_basis.shape[0]
-
-    @property
-    def dim_system(self) -> int:
-        return self.system_basis.shape[1]
 
 
 @dataclass(frozen=True)
@@ -130,67 +101,9 @@ class PointerScore:
     degenerate_minimum: bool = False
 
 
-def environment_state(spectrum: EnvSpectrum) -> StateVector:
-    """Single-subsystem state sum_nu gamma_nu |e_nu>."""
-    return StateVector((spectrum.n_levels,), spectrum.gamma)
-
-
 def load_couplings(path) -> CouplingMatrix:
     """Read g[k, nu] from whitespace-separated text, one row per record level."""
     return CouplingMatrix(_load_matrix(path, float))
-
-
-def premeasure(system_state: StateVector, table: TruthTable,
-               apparatus_dim: int) -> StateVector:
-    """Record a system state onto a fresh apparatus: |A_0>|s_k> -> |A_k+1>|s_k>.
-
-    The branch amplitudes are the projections <s_k|input>, and the input must
-    lie in the span of the table basis.  Output layout: (apparatus, system),
-    apparatus first.
-    """
-    if system_state.amps.size != table.dim_system:
-        raise ValueError("system state dimension does not match the table")
-    amplitudes = table.system_basis.conj() @ system_state.amps
-    residue = system_state.amps - amplitudes @ table.system_basis
-    if np.linalg.norm(residue) > 1e-9:
-        raise ValueError("input state has weight outside the recorded span")
-    if apparatus_dim < table.n_outcomes + 1:
-        raise ValueError(
-            f"apparatus too small: {table.n_outcomes} outcomes need dimension "
-            f">= {table.n_outcomes + 1} (level 0 stays the ready state)"
-        )
-    out = np.zeros((int(apparatus_dim), table.dim_system), dtype=complex)
-    for k in range(table.n_outcomes):
-        out[k + 1] += amplitudes[k] * table.system_basis[k]
-    return StateVector((int(apparatus_dim),) + tuple(system_state.dims), out.reshape(-1))
-
-
-def evolve(state: StateVector, apparatus: int, env: int,
-           couplings: CouplingMatrix, t: float) -> StateVector:
-    """Diagonal record-environment coupling acting for time t.
-
-    Multiplies the amplitude of every |A_k>|e_nu> component by e^{-i g_kn t};
-    all other subsystems are spectators and the norm is untouched.  The
-    coupling matrix must cover the full apparatus and environment dimensions.
-    """
-    n = state.n_subsystems
-    if apparatus == env:
-        raise ValueError("apparatus and environment must be distinct subsystems")
-    for idx in (apparatus, env):
-        if idx < 0 or idx >= n:
-            raise ValueError(f"subsystem {idx} out of range")
-    g = couplings.g
-    if state.dims[apparatus] != g.shape[0] or state.dims[env] != g.shape[1]:
-        raise ValueError(
-            f"coupling shape {g.shape} does not match apparatus/environment "
-            f"dimensions ({state.dims[apparatus]}, {state.dims[env]})"
-        )
-    _require_finite_phase(g, t)
-    phases = np.exp(-1j * g * float(t))
-    tens = np.moveaxis(state.tensor(), (apparatus, env), (0, 1))
-    tens = tens * phases.reshape(g.shape + (1,) * (n - 2))
-    out = np.moveaxis(tens, (0, 1), (apparatus, env))
-    return StateVector(state.dims, out.reshape(-1))
 
 
 def decoherence_factor(couplings: CouplingMatrix, spectrum: EnvSpectrum,
@@ -236,15 +149,40 @@ def _require_finite_phase(rates: np.ndarray, times) -> None:
         raise ValueError(f"coupling phases g*t are not finite at t={t!r}")
 
 
-def _conditionals(state: StateVector, apparatus: int):
-    # the state as a (d, rest) matrix whose row a is <a| on the apparatus,
-    # and the dimension of the first remaining subsystem, where each
-    # conditional is cut
-    dims = state.dims
-    if len(dims) < 2 or not 0 <= apparatus < len(dims):
-        raise ValueError(f"cannot condition subsystem {apparatus} of dims {dims}")
-    psi = np.moveaxis(state.tensor(), apparatus, 0).reshape(dims[apparatus], -1)
-    return psi, dims[1] if apparatus == 0 else dims[0]
+def decoherence_matrix(couplings: CouplingMatrix, spectrum: EnvSpectrum, t) -> np.ndarray:
+    """The K x K overlaps of the records' environment branches at time t.
+
+    Z[k-1, l-1] = sum_nu |gamma_nu|^2 e^{-i (g_knu - g_lnu) t}, which is
+    decoherence_factor(k, l, t), for the records k, l = 1..K; row 0 of the
+    couplings is the ready level.  Z is built as E E^dagger from the branches
+    E[k-1, nu] = gamma_nu e^{-i g_knu t}, a chunk of levels at a time, after
+    its K^2 amplitudes are checked against the budget.  A phase g*t that
+    overflows in any row is refused.
+    """
+    g = couplings.g
+    if spectrum.n_levels != g.shape[1]:
+        raise ValueError("spectrum level count does not match the couplings")
+    n_rec = g.shape[0] - 1
+    require_dense(n_rec * n_rec, "decoherence matrix")
+    _require_finite_phase(g, t)
+    zeta = np.zeros((n_rec, n_rec), dtype=complex)
+    step = _chunk_rows(n_rec)
+    for lo in range(0, g.shape[1], step):
+        env = spectrum.gamma[lo:lo + step] * np.exp(-1j * g[1:, lo:lo + step] * float(t))
+        zeta += env @ env.conj().T
+    return zeta
+
+
+def _branches(amps, zeta) -> tuple:
+    # the K branch amplitudes and the K x K decoherence matrix, as arrays
+    amps = np.asarray(amps, dtype=complex)
+    zeta = np.asarray(zeta, dtype=complex)
+    if amps.ndim != 1 or amps.size < 1:
+        raise ValueError("branch amplitudes must be a flat nonempty vector")
+    if zeta.shape != (amps.size, amps.size):
+        raise ValueError(f"decoherence matrix must be {amps.size} x {amps.size}, "
+                         f"one row per record")
+    return amps, zeta
 
 
 def _require_orthonormal(bases: np.ndarray, d: int) -> None:
@@ -255,52 +193,54 @@ def _require_orthonormal(bases: np.ndarray, d: int) -> None:
         raise ValueError("candidate basis is not orthonormal")
 
 
-def _vector_scores(psi: np.ndarray, first: int, vectors: np.ndarray) -> np.ndarray:
-    # scores of a stack of candidate vectors (..., d) on a state of three or
-    # more subsystems.  s_max^2 of a normalized conditional C is the top
-    # eigenvalue of its first x first Gram matrix C C^dagger, so no SVD is
-    # needed: two rows have a closed form, more go to one eigvalsh call
-    cond = vectors.reshape(-1, psi.shape[0]).conj() @ psi  # one product for the stack
-    weights = np.linalg.norm(cond, axis=1)
-    live = weights >= ZERO_PROJECTION_TOL
-    rows = (cond[live] / weights[live][:, None]).reshape(-1, first, psi.shape[1] // first)
-    gram = rows @ rows.conj().swapaxes(1, 2)
-    if first == 2:
-        a, b, d = gram[:, 0, 0].real, gram[:, 0, 1], gram[:, 1, 1].real
-        top = 0.5 * (a + d) + np.sqrt((0.5 * (a - d)) ** 2 + b.real ** 2 + b.imag ** 2)
-    else:
-        top = np.linalg.eigvalsh(gram)[:, -1]
-    scores = np.zeros(len(cond))
-    scores[live] = np.clip(1.0 - top, 0.0, 1.0)
+def _zeta_scores(amps: np.ndarray, zeta: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    # scores of a stack of candidate vectors (..., K + 1).  Vector b leaves
+    # the conditional sum_k c_k |s_k>|E_k>, c_k = conj(b_k) a_k, whose Gram
+    # matrix across the system | environment cut is D_c Z D_c^dagger with
+    # trace sum_k |c_k|^2 Z_kk.  s_max^2 of the normalized conditional is the
+    # top eigenvalue of that Gram matrix over its trace, so no SVD is needed:
+    # two records have a closed form, more go to one eigvalsh call per chunk
+    n_rec = amps.size
+    c = vectors.reshape(-1, n_rec + 1)[:, 1:].conj() * amps
+    weights = np.sqrt((c.real ** 2 + c.imag ** 2) @ zeta.diagonal().real)
+    live = np.flatnonzero(weights >= ZERO_PROJECTION_TOL)
+    scores = np.zeros(len(c))
+    step = _chunk_rows(n_rec * n_rec)
+    for lo in range(0, live.size, step):
+        rows = live[lo:lo + step]
+        unit = c[rows] / weights[rows][:, None]
+        gram = unit[:, :, None] * zeta * unit.conj()[:, None, :]
+        if n_rec == 2:
+            a, b, d = gram[:, 0, 0].real, gram[:, 0, 1], gram[:, 1, 1].real
+            top = 0.5 * (a + d) + np.sqrt((0.5 * (a - d)) ** 2 + b.real ** 2 + b.imag ** 2)
+        else:
+            top = np.linalg.eigvalsh(gram)[:, -1]
+        scores[rows] = np.clip(1.0 - top, 0.0, 1.0)
     return scores.reshape(vectors.shape[:-1])
-
-
-def _scores(state: StateVector, apparatus: int, bases: np.ndarray) -> np.ndarray:
-    # scores (n, d) of a stack of candidate bases (n, d, d)
-    psi, first = _conditionals(state, apparatus)
-    _require_orthonormal(bases, psi.shape[0])
-    if len(state.dims) == 2:
-        return np.zeros(bases.shape[:2])  # each conditional is a single-subsystem state
-    return _vector_scores(psi, first, bases)
 
 
 def _as_score(row: np.ndarray, degenerate: bool = False) -> PointerScore:
     return PointerScore(tuple(float(s) for s in row), float(row.max()), degenerate)
 
 
-def pointer_score(state: StateVector, apparatus: int, candidate_basis) -> PointerScore:
+def pointer_score(amps, zeta, candidate_basis) -> PointerScore:
     """Score a candidate record basis by the entanglement of its conditionals.
 
-    Each basis vector conditions the remaining subsystems; the normalized
-    conditional C is cut into (first remaining subsystem | rest) and scores
-    1 - s_max^2, where s_max^2 is the top Gram eigenvalue, the largest
-    eigenvalue of C C^dagger; no SVD is taken.  Zero means a product;
-    entanglement between the leftover subsystems pushes the score up.  Vectors
-    with projection weight below the 1e-12 floor score 0, as does every
-    vector of a two-subsystem state, whose conditionals have no cut.
+    ``amps`` are the K branch amplitudes a_k of sum_k a_k |A_k>|s_k>|E_k>,
+    ``zeta`` the K x K decoherence matrix of the E_k (``decoherence_matrix``)
+    and the basis has K + 1 rows over the apparatus, level 0 the ready
+    level.  Each basis vector b conditions the system and environment on
+    sum_k c_k |s_k>|E_k>, c_k = conj(b_k) a_k; that conditional scores
+    1 - s_max^2, where s_max^2 is the top eigenvalue of its normalized Gram
+    matrix D_c Z D_c^dagger / sum_k |c_k|^2 Z_kk; no SVD is taken.  Zero means
+    a product; reading together branches whose environments have decohered
+    (|zeta| < 1) pushes the score up.  Vectors with projection weight below
+    the 1e-12 floor score 0.
     """
+    amps, zeta = _branches(amps, zeta)
     basis = np.asarray(candidate_basis, dtype=complex)
-    return _as_score(_scores(state, apparatus, basis[None])[0])
+    _require_orthonormal(basis, amps.size + 1)
+    return _as_score(_zeta_scores(amps, zeta, basis))
 
 
 def _haar_basis(rng, d: int) -> np.ndarray:
@@ -310,13 +250,12 @@ def _haar_basis(rng, d: int) -> np.ndarray:
     return (q * (diag / np.abs(diag))).T
 
 
-def _descend(state, apparatus, bases, scores, iterations):
+def _descend(amps, zeta, bases, scores, iterations):
     # greedy descent of every start at once; a start leaves the stack once
     # its value is at most 1e-14.  A two-level rotation changes rows i and j
     # only, so just their conditionals are rescored from their top Gram
     # eigenvalue, and the other rows keep the scores cached for the current
     # basis of each start
-    psi, first = _conditionals(state, apparatus)
     d = bases.shape[1]
     bases, scores = bases.copy(), scores.copy()
     values = scores.max(axis=1).tolist()
@@ -339,7 +278,7 @@ def _descend(state, apparatus, bases, scores, iterations):
                 trials[:, :, j] = -s.conj() * now[:, :, i] + c * now[:, :, j]
                 _require_orthonormal(trials, d)
                 trial_scores = np.repeat(scores[active][:, None], len(grid), axis=1)
-                trial_scores[:, :, [i, j]] = _vector_scores(psi, first, trials[:, :, [i, j]])
+                trial_scores[:, :, [i, j]] = _zeta_scores(amps, zeta, trials[:, :, [i, j]])
                 maxima = trial_scores.max(axis=2).tolist()
                 for a, start in enumerate(active):
                     best, best_val = None, values[start]
@@ -356,27 +295,31 @@ def _descend(state, apparatus, bases, scores, iterations):
     return bases, values
 
 
-def find_pointer_basis(state: StateVector, apparatus: int, iterations: int = 48):
+def find_pointer_basis(amps, zeta, iterations: int = 48):
     """Best-effort search for the record basis with the smallest max score.
 
+    Takes what ``pointer_score`` takes: the K branch amplitudes and the K x K
+    decoherence matrix; candidates are bases of the (K + 1)-level apparatus.
     Greedy coordinate descent over two-level rotations with a halving angle
     bracket, run from the coordinate basis and 5 seeded random starts; no
     global optimality is claimed.  Returns (basis rows, PointerScore).  When
     an initial probe shows the landscape is flat, the coordinate basis comes
     back with ``degenerate_minimum`` set instead of a meaningless winner.
     """
-    d = state.dims[apparatus]
+    amps, zeta = _branches(amps, zeta)
+    d = amps.size + 1
     if d > SEARCH_DIM_CAP:
         raise ValueError(f"apparatus dimension {d} above desk scale ({SEARCH_DIM_CAP})")
     rng = np.random.default_rng(17)  # fixed: the search must be reproducible
     starts = np.stack([np.eye(d, dtype=complex)] + [_haar_basis(rng, d) for _ in range(5)])
-    start_scores = _scores(state, apparatus, starts)
+    _require_orthonormal(starts, d)
+    start_scores = _zeta_scores(amps, zeta, starts)
     maxima = [float(v) for v in start_scores.max(axis=1)]
     if max(maxima) - min(maxima) <= FLAT_LANDSCAPE_TOL:
         return starts[0], _as_score(start_scores[0], True)
-    bases, values = _descend(state, apparatus, starts, start_scores, iterations)
+    bases, values = _descend(amps, zeta, starts, start_scores, iterations)
     best = values.index(min(values))  # the first start to reach the lowest value
-    return bases[best], pointer_score(state, apparatus, bases[best])
+    return bases[best], pointer_score(amps, zeta, bases[best])
 
 
 def commutator_norm(pointer_observable, couplings: CouplingMatrix) -> float:
@@ -417,33 +360,28 @@ class EinselectionRun:
 def einselection_run(couplings: CouplingMatrix, spectrum: EnvSpectrum, time: float,
                      t0: float, t1: float, steps: int, amps=None, search: bool = False,
                      iterations: int = 48) -> EinselectionRun:
-    """Premeasure, couple to the environment, sweep decoherence, score records.
+    """Record, couple to the environment, sweep decoherence, score records.
 
     Row 0 of ``couplings`` is the ready level, rows 1..K the K records.  The
     system state ``amps`` (K unit-norm amplitudes, even when None) is
-    premeasured, joined by the environment of ``spectrum`` and evolved for
-    ``time``.  The sweep of every record pair over ``steps`` times from t0 to
-    t1 is checked against the amplitude budget first, and an overflowing
-    phase is named at its first time in sweep order.
+    recorded as sum_k a_k |A_k>|s_k>|E_k(t)>, so its branch weights are
+    |a_k|^2, and the record basis (and with ``search`` the basis search) is
+    scored from the decoherence matrix Z at ``time``; no K x K x L state is
+    built.  Z and then the sweep of every record pair over ``steps`` times
+    from t0 to t1 are checked against the amplitude budget first, and an
+    overflowing phase is named at its first time in sweep order.
     """
-    apparatus_dim, n_rec = couplings.n_records, couplings.n_records - 1
+    n_rec = couplings.n_records - 1
     if n_rec < 1:
         raise ValueError("couplings need at least two rows: ready level plus records")
     if amps is None:
         amps = np.full(n_rec, 1.0 / math.sqrt(n_rec), dtype=complex)
-    premeasured = premeasure(StateVector((n_rec,), amps), TruthTable(np.eye(n_rec)),
-                             apparatus_dim)
-    records = np.eye(apparatus_dim)
-    branch_probs = []
-    for record in records[1:]:
-        try:
-            branch_probs.append(conditional_state(premeasured, 0, record)[0] ** 2)
-        except OrthogonalOutcomeError:
-            branch_probs.append(0.0)
-    evolved = evolve(tensor_product([premeasured, environment_state(spectrum)]), 0, 2,
-                     couplings, time)
+    amps = StateVector((n_rec,), amps).amps
+    branch_probs = tuple(float(w * w) if w >= ZERO_PROJECTION_TOL else 0.0
+                         for w in np.abs(amps))
+    zeta = decoherence_matrix(couplings, spectrum, time)
 
-    pairs = tuple((k, l) for k in range(1, apparatus_dim) for l in range(k + 1, apparatus_dim))
+    pairs = tuple((k, l) for k in range(1, n_rec + 1) for l in range(k + 1, n_rec + 1))
     require_dense(steps * (1 + 3 * len(pairs)), "decoherence table")
     ts = np.linspace(t0, t1, steps)
     with np.errstate(over="ignore"):
@@ -455,8 +393,8 @@ def einselection_run(couplings: CouplingMatrix, spectrum: EnvSpectrum, time: flo
         # hypot rounds as abs(complex) does; np.abs can differ by an ulp
         columns += [z.real.tolist(), z.imag.tolist(), np.hypot(z.real, z.imag).tolist()]
 
-    truth = pointer_score(evolved, 0, records)
-    commutator = commutator_norm(np.diag(np.arange(apparatus_dim, dtype=float)), couplings)
-    found = find_pointer_basis(evolved, 0, iterations=iterations) if search else None
-    return EinselectionRun(tuple(branch_probs), pairs, tuple(zip(*columns)), truth,
+    truth = pointer_score(amps, zeta, np.eye(n_rec + 1))
+    commutator = commutator_norm(np.diag(np.arange(n_rec + 1, dtype=float)), couplings)
+    found = find_pointer_basis(amps, zeta, iterations=iterations) if search else None
+    return EinselectionRun(branch_probs, pairs, tuple(zip(*columns)), truth,
                            commutator, found)

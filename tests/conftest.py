@@ -1,10 +1,14 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from envlab.born import WeightVector, require_dense
-from envlab.hilbert import Bipartition, StateVector
+from envlab.hilbert import (NORM_TOL, ZERO_PROJECTION_TOL, Bipartition, StateVector,
+                            _as_complex_vector, _cut_matrix, tensor_product)
+from envlab.pointer import (CouplingMatrix, EnvSpectrum, PointerScore, _as_score,
+                            _require_finite_phase, _require_orthonormal)
 from envlab.records import _weights_of
 
 
@@ -125,6 +129,228 @@ def build_upsilon(tally, partition) -> StateVector:
             if weights[k] > 0:
                 amp[c, k] = np.sqrt(weights[k] / total)
     return StateVector((len(cells), n), amp.reshape(-1))
+
+
+# the dense reductions the schmidt and pointer routes used to make, kept as
+# oracles: the reduced state behind hilbert.reduced_purity, and the
+# conditional states behind pointer_score's decoherence-matrix scores
+class OrthogonalOutcomeError(ValueError):
+    """Projection weight below threshold: the outcome never occurs."""
+
+
+def conditional_state(state: StateVector, subsystem: int, outcome) -> tuple:
+    """Project one subsystem onto an outcome vector.
+
+    Returns (weight, residual state of the remaining subsystems).  The weight
+    is the projection norm; outcomes with weight below 1e-12 raise
+    OrthogonalOutcomeError.
+    """
+    n = state.n_subsystems
+    if subsystem < 0 or subsystem >= n:
+        raise ValueError(f"subsystem {subsystem} out of range")
+    if n < 2:
+        raise ValueError("conditioning needs at least two subsystems")
+    out = _as_complex_vector(outcome)
+    if out.size != state.dims[subsystem]:
+        raise ValueError("outcome dimension mismatch")
+    nrm = np.linalg.norm(out)
+    if abs(nrm - 1.0) > NORM_TOL:
+        raise ValueError("outcome vector must be normalized")
+    moved = np.moveaxis(state.tensor(), subsystem, 0)
+    residual = np.tensordot(out.conj(), moved, axes=([0], [0]))
+    weight = float(np.linalg.norm(residual))
+    if weight < ZERO_PROJECTION_TOL:
+        raise OrthogonalOutcomeError(
+            f"projection weight {weight:g} below {ZERO_PROJECTION_TOL:g}"
+        )
+    dims = tuple(d for i, d in enumerate(state.dims) if i != subsystem)
+    return weight, StateVector(dims, residual.reshape(-1) / weight)
+
+
+def reduced_probe(state: StateVector, keep) -> np.ndarray:
+    """Trace out everything but ``keep``.
+
+    Validation-only oracle: results are cross-checked against Schmidt data in
+    tests and never feed a derivation path.
+    """
+    mat, _, _ = _cut_matrix(state, Bipartition(tuple(keep)))
+    rho = mat @ mat.conj().T
+    tr = float(np.trace(rho).real)
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"reduced state trace {tr!r} deviates from 1")
+    return rho
+
+
+# the K x K x L evolved state the pointer route used to build: a truth table
+# records the system, the records couple to the environment, and the
+# conditionals of the whole state are scored
+@dataclass(frozen=True)
+class TruthTable:
+    """Record rule: system vector k is written to apparatus level k + 1.
+
+    ``system_basis`` rows must be orthonormal, so the branch amplitudes of a
+    recorded state are its projections <s_k|input>.  Level 0 of the
+    apparatus is the ready state and never holds a record, so records start
+    at level 1.
+    """
+
+    system_basis: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        basis = np.asarray(self.system_basis, dtype=complex)
+        if basis.ndim != 2 or basis.shape[0] < 1:
+            raise ValueError("system_basis must be a 2-d array, one vector per row")
+        gram = basis.conj() @ basis.T
+        if float(np.max(np.abs(gram - np.eye(basis.shape[0])))) > NORM_TOL:
+            raise ValueError("system_basis rows must be orthonormal")
+        basis = basis.copy()
+        basis.flags.writeable = False
+        object.__setattr__(self, "system_basis", basis)
+
+    @property
+    def n_outcomes(self) -> int:
+        return self.system_basis.shape[0]
+
+    @property
+    def dim_system(self) -> int:
+        return self.system_basis.shape[1]
+
+
+def environment_state(spectrum: EnvSpectrum) -> StateVector:
+    """Single-subsystem state sum_nu gamma_nu |e_nu>."""
+    return StateVector((spectrum.n_levels,), spectrum.gamma)
+
+
+def premeasure(system_state: StateVector, table: TruthTable,
+               apparatus_dim: int) -> StateVector:
+    """Record a system state onto a fresh apparatus: |A_0>|s_k> -> |A_k+1>|s_k>.
+
+    The branch amplitudes are the projections <s_k|input>, and the input must
+    lie in the span of the table basis.  Output layout: (apparatus, system),
+    apparatus first.
+    """
+    if system_state.amps.size != table.dim_system:
+        raise ValueError("system state dimension does not match the table")
+    amplitudes = table.system_basis.conj() @ system_state.amps
+    residue = system_state.amps - amplitudes @ table.system_basis
+    if np.linalg.norm(residue) > 1e-9:
+        raise ValueError("input state has weight outside the recorded span")
+    if apparatus_dim < table.n_outcomes + 1:
+        raise ValueError(
+            f"apparatus too small: {table.n_outcomes} outcomes need dimension "
+            f">= {table.n_outcomes + 1} (level 0 stays the ready state)"
+        )
+    out = np.zeros((int(apparatus_dim), table.dim_system), dtype=complex)
+    for k in range(table.n_outcomes):
+        out[k + 1] += amplitudes[k] * table.system_basis[k]
+    return StateVector((int(apparatus_dim),) + tuple(system_state.dims), out.reshape(-1))
+
+
+def evolve(state: StateVector, apparatus: int, env: int,
+           couplings: CouplingMatrix, t: float) -> StateVector:
+    """Diagonal record-environment coupling acting for time t.
+
+    Multiplies the amplitude of every |A_k>|e_nu> component by e^{-i g_kn t};
+    all other subsystems are spectators and the norm is untouched.  The
+    coupling matrix must cover the full apparatus and environment dimensions.
+    """
+    n = state.n_subsystems
+    if apparatus == env:
+        raise ValueError("apparatus and environment must be distinct subsystems")
+    for idx in (apparatus, env):
+        if idx < 0 or idx >= n:
+            raise ValueError(f"subsystem {idx} out of range")
+    g = couplings.g
+    if state.dims[apparatus] != g.shape[0] or state.dims[env] != g.shape[1]:
+        raise ValueError(
+            f"coupling shape {g.shape} does not match apparatus/environment "
+            f"dimensions ({state.dims[apparatus]}, {state.dims[env]})"
+        )
+    _require_finite_phase(g, t)
+    phases = np.exp(-1j * g * float(t))
+    tens = np.moveaxis(state.tensor(), (apparatus, env), (0, 1))
+    tens = tens * phases.reshape(g.shape + (1,) * (n - 2))
+    out = np.moveaxis(tens, (0, 1), (apparatus, env))
+    return StateVector(state.dims, out.reshape(-1))
+
+
+def einselection_state(couplings: CouplingMatrix, spectrum: EnvSpectrum, amps,
+                       t: float) -> StateVector:
+    """The (K + 1, K, L) state einselection_run scores: ``amps`` premeasured
+    onto the records, joined by the environment and evolved for t."""
+    n_rec = couplings.n_records - 1
+    premeasured = premeasure(StateVector((n_rec,), amps), TruthTable(np.eye(n_rec)),
+                             n_rec + 1)
+    return evolve(tensor_product([premeasured, environment_state(spectrum)]), 0, 2,
+                  couplings, t)
+
+
+def branch_form_state(amps, env_rows) -> StateVector:
+    """sum_k a_k |A_k>|s_k>|E_k>, layout (apparatus, system, environment).
+
+    Record k sits on apparatus level k (level 0 is the ready level), the
+    system vectors are coordinate vectors and row k - 1 of ``env_rows`` is
+    E_k; its decoherence matrix is env_rows env_rows^dagger.
+    """
+    amps = np.asarray(amps, dtype=complex)
+    env = np.asarray(env_rows, dtype=complex)
+    tens = np.zeros((amps.size + 1, amps.size, env.shape[1]), dtype=complex)
+    for k in range(amps.size):
+        tens[k + 1, k] = amps[k] * env[k]
+    return StateVector(tens.shape, tens.reshape(-1))
+
+
+def conditionals(state: StateVector, apparatus: int):
+    # the state as a (d, rest) matrix whose row a is <a| on the apparatus,
+    # and the dimension of the first remaining subsystem, where each
+    # conditional is cut
+    dims = state.dims
+    if len(dims) < 2 or not 0 <= apparatus < len(dims):
+        raise ValueError(f"cannot condition subsystem {apparatus} of dims {dims}")
+    psi = np.moveaxis(state.tensor(), apparatus, 0).reshape(dims[apparatus], -1)
+    return psi, dims[1] if apparatus == 0 else dims[0]
+
+
+def vector_scores(psi: np.ndarray, first: int, vectors: np.ndarray) -> np.ndarray:
+    # scores of a stack of candidate vectors (..., d) on a state of three or
+    # more subsystems.  s_max^2 of a normalized conditional C is the top
+    # eigenvalue of its first x first Gram matrix C C^dagger, so no SVD is
+    # needed: two rows have a closed form, more go to one eigvalsh call
+    cond = vectors.reshape(-1, psi.shape[0]).conj() @ psi  # one product for the stack
+    weights = np.linalg.norm(cond, axis=1)
+    live = weights >= ZERO_PROJECTION_TOL
+    rows = (cond[live] / weights[live][:, None]).reshape(-1, first, psi.shape[1] // first)
+    gram = rows @ rows.conj().swapaxes(1, 2)
+    if first == 2:
+        a, b, d = gram[:, 0, 0].real, gram[:, 0, 1], gram[:, 1, 1].real
+        top = 0.5 * (a + d) + np.sqrt((0.5 * (a - d)) ** 2 + b.real ** 2 + b.imag ** 2)
+    else:
+        top = np.linalg.eigvalsh(gram)[:, -1]
+    scores = np.zeros(len(cond))
+    scores[live] = np.clip(1.0 - top, 0.0, 1.0)
+    return scores.reshape(vectors.shape[:-1])
+
+
+def state_scores(state: StateVector, apparatus: int, bases: np.ndarray) -> np.ndarray:
+    # scores (n, d) of a stack of candidate bases (n, d, d)
+    psi, first = conditionals(state, apparatus)
+    _require_orthonormal(bases, psi.shape[0])
+    if len(state.dims) == 2:
+        return np.zeros(bases.shape[:2])  # each conditional is a single-subsystem state
+    return vector_scores(psi, first, bases)
+
+
+def state_pointer_score(state: StateVector, apparatus: int, candidate_basis) -> PointerScore:
+    """pointer_score read off the conditionals of a whole state.
+
+    Each basis vector conditions the remaining subsystems; the normalized
+    conditional is cut into (first remaining subsystem | rest) and scores
+    1 - s_max^2.  Vectors with projection weight below the 1e-12 floor score
+    0, as does every vector of a two-subsystem state, whose conditionals
+    have no cut.
+    """
+    basis = np.asarray(candidate_basis, dtype=complex)
+    return _as_score(state_scores(state, apparatus, basis[None])[0])
 
 
 def even_cut() -> Bipartition:

@@ -24,11 +24,11 @@ from envlab.hilbert import (
     Bipartition,
     LocalUnitary,
     StateVector,
-    reduced_probe,
     schmidt,
     schmidt_values,
 )
-from conftest import basis_state, even_cut, fine_grain, schmidt_form_state, staircase
+from conftest import (basis_state, even_cut, fine_grain, reduced_probe, schmidt_form_state,
+                      staircase)
 
 CUT = Bipartition((0,))
 

@@ -800,6 +800,41 @@ def test_decoherence_table_is_checked_against_the_budget(couplings_file, monkeyp
     assert len(sweeps) == 1
 
 
+def test_pointer_scores_300_records_within_memory_cap(tmp_path):
+    # 299 records of 100 levels: the evolved state the route used to build
+    # was 8,970,000 amplitudes, unchecked, and ran for 92 s; the records are
+    # scored from their 299 x 299 decoherence matrix
+    path = tmp_path / "g.txt"
+    np.savetxt(path, np.zeros((300, 100)))
+    proc = run_under_memory_cap(["pointer", "--couplings", str(path), "--steps", "2"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert scalar(proc.stdout, "truth_max_score") == "0"
+
+
+def test_decoherence_matrix_is_checked_against_the_budget(tmp_path):
+    # 2,049 records give a 2,049 x 2,049 matrix, past the 2^22 budget, refused
+    # before the K(K-1)/2 pairs of an empty sweep are made
+    path = tmp_path / "g.txt"
+    np.savetxt(path, np.zeros((2050, 1)))
+    proc = run_under_memory_cap(["pointer", "--couplings", str(path), "--steps", "0"])
+    one_error_line(proc.returncode, proc.stdout, proc.stderr,
+                   "error: decoherence matrix needs 4198401 amplitudes (cap 4194304)")
+
+
+@pytest.mark.parametrize("dims, cut", [((65536, 1), "0"), ((1, 65536), "1")],
+                         ids=["65536x1-cut-0", "1x65536-cut-1"])
+def test_schmidt_purity_of_a_long_cut_runs_within_memory_cap(dims, cut, tmp_path):
+    # the purity used to come from the kept side's 65,536 x 65,536 reduced
+    # state, a 64 GiB allocation; it now comes from the smaller side's Gram
+    path = tmp_path / "long.state"
+    amps = np.random.default_rng(3).normal(size=65536)
+    save_state(StateVector(dims, amps / np.linalg.norm(amps)), path)
+    proc = run_under_memory_cap(["schmidt", "--state", str(path), "--cut", cut])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert scalar(proc.stdout, "rank") == "1"
+    assert scalar(proc.stdout, "reduced_purity") == "1"
+
+
 @pytest.mark.parametrize("argv", [
     ["pointer", "--couplings", "{empty}"],
     ["envcheck", "--state", "{state}", "--cut", "0", "--unitary", "matrix:{empty}"],
@@ -1488,13 +1523,16 @@ FUZZ_FRACTIONS = ("0", "1/2", "0.1", "9/10", "-1/2", "2", "1/0", "nan", "tenth",
 PAST_CAP = "past-cap"  # resolved against the rest of the draw
 
 # coupling files: ready row plus 2 records, zeros beside one large rate, one
-# row, more levels than the search takes, and huge entries; empty.txt has none
+# row, more levels than the search takes, huge entries, and 39 records of
+# 3,000 levels, whose evolved state (4.68M amplitudes) would be past the
+# dense budget while their decoherence matrix is 1,521; empty.txt has none
 FUZZ_COUPLINGS = {
     "g.txt": 0.37 * np.arange(12.0).reshape(3, 4),
     "gz.txt": np.array([[0.0] * 4, [0.0] * 4, [3.0, 0.0, 0.0, 0.0]]),
     "one.txt": np.zeros((1, 4)),
     "wide.txt": np.ones((9, 2)),
     "huge.txt": np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]]),
+    "long.txt": np.zeros((40, 3000)),
 }
 
 FUZZ_STATES = ("s.state", "even.state", "bad.state", "missing.state")

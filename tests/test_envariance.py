@@ -19,11 +19,11 @@ from envlab.hilbert import (
     LocalUnitary,
     StateVector,
     apply_local,
-    conditional_state,
     fidelity,
     schmidt,
 )
-from conftest import bell_pair, random_state, random_unitary, schmidt_form_state
+from conftest import (bell_pair, conditional_state, random_state, random_unitary,
+                      schmidt_form_state)
 
 CUT = Bipartition((0,))
 

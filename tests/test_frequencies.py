@@ -29,8 +29,8 @@ from envlab.frequencies import (
     multinomial_history_counts,
     superensemble,
 )
-from envlab.hilbert import StateVector, conditional_state
-from conftest import fine_grain
+from envlab.hilbert import StateVector
+from conftest import conditional_state, fine_grain
 
 
 # Oracles: brute-force history enumeration, written before the module and

@@ -5,19 +5,18 @@ import pytest
 from envlab.hilbert import (
     Bipartition,
     LocalUnitary,
-    OrthogonalOutcomeError,
     StateVector,
     apply_local,
-    conditional_state,
     fidelity,
     load_state,
     reconstruct,
-    reduced_probe,
+    reduced_purity,
     save_state,
     schmidt,
     tensor_product,
 )
-from conftest import bell_pair, random_state, random_unitary, unit_state
+from conftest import (OrthogonalOutcomeError, bell_pair, conditional_state, random_state,
+                      random_unitary, reduced_probe, unit_state)
 
 KET0 = StateVector((2,), np.array([1.0, 0.0]))
 KET1 = StateVector((2,), np.array([0.0, 1.0]))
@@ -251,6 +250,21 @@ def test_reduced_probe_matches_schmidt_squares(rng):
         ev = np.sort(np.linalg.eigvalsh(reduced_probe(psi, (0,))))[::-1]
         probs = np.sort(np.abs(dec.coeffs) ** 2)[::-1]
         assert np.allclose(ev[: len(probs)], probs, atol=1e-9)
+
+
+def test_reduced_purity_matches_the_reduced_probe_on_either_side(rng):
+    # Tr(rho^2) of the oracle's reduced state, whichever side is kept and
+    # whichever side of the cut is smaller
+    for dims, keep in [((2, 3), (0,)), ((3, 7), (1,)), ((6, 2), (0,)), ((2, 2, 3), (0, 2)),
+                       ((2, 2, 3), (1,)), ((4, 1), (0,)), ((1, 4), (0,))]:
+        psi = random_state(rng, dims)
+        rho = reduced_probe(psi, keep)
+        want = float(np.trace(rho @ rho).real)
+        got = reduced_purity(psi, Bipartition(keep))
+        assert abs(got - want) <= 1e-14
+        assert abs(got - float(np.sum(np.abs(schmidt(psi, Bipartition(keep)).coeffs) ** 4))) \
+            <= 1e-12
+    assert abs(reduced_purity(bell_pair(), Bipartition((1,))) - 0.5) <= 1e-15
 
 
 def test_fidelity_basic(rng):

@@ -11,9 +11,11 @@ partial-permutation cut whose nonzeros differ in modulus, or of the
 fine-grained state (whose dense build lives in conftest.py), where the SVD
 rounds the exact singular values (the moduli) a few more times, all
 within a few ulps; there the verdict and the route must agree as well.
-And the pointer scores, which now come from the top Gram eigenvalue of
-each conditional instead of its top singular value, within 1e-12 of the
-SVD scores.  The pointer-search oracles still compare the batched descent
+And the pointer scores: the dense state kernel (now in conftest.py) takes
+the top Gram eigenvalue of each conditional instead of its top singular
+value, within 1e-12 of the SVD scores, and the shipped kernel reads the
+same Gram matrices off the decoherence matrix, within 1e-12 of the dense
+state kernel.  The pointer-search oracles still compare the batched descent
 with the per-start descent exactly, both scored by the shipped kernel.
 """
 
@@ -56,7 +58,6 @@ from envlab.hilbert import (
     UNITARY_TOL,
     Bipartition,
     LocalUnitary,
-    StateVector,
     _canonical_group_basis,
     _cut_matrix,
     _unitarity_deviation,
@@ -77,7 +78,8 @@ from envlab.records import (
     verify_axioms,
 )
 from envlab.report import Report, Table, emit_report, format_value
-from conftest import even_cut, fine_grain, random_unitary, unit_state
+from conftest import (einselection_state, even_cut, fine_grain, random_unitary, state_scores,
+                      unit_state, vector_scores)
 
 
 # ----- oracles: the earlier implementations -----
@@ -1047,12 +1049,14 @@ def conditional_stacks(draw, first):
     return np.array(rows, dtype=complex), vectors
 
 
+# the dense state kernel is the oracle of the decoherence-matrix kernel
+# below, so it is checked against the SVD scores first
 @pytest.mark.parametrize("first", range(1, 8))  # 2 is the closed form
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_gram_scores_match_the_svd_scores(first, data):
     psi, vectors = data.draw(conditional_stacks(first))
-    got = pointer._vector_scores(psi, first, vectors)
+    got = vector_scores(psi, first, vectors)
     want = oracle_vector_scores(psi, first, vectors)
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-12)
@@ -1069,31 +1073,92 @@ def test_gram_scores_of_product_and_maximally_entangled_conditionals():
         v = np.linalg.qr(rng.normal(size=(rest, rest)))[0][:k]
         psi = np.stack([np.outer(rng.normal(size=first), rng.normal(size=rest)).reshape(-1),
                         (u @ v).reshape(-1)])
-        got = pointer._vector_scores(psi, first, np.eye(2, dtype=complex))
+        got = vector_scores(psi, first, np.eye(2, dtype=complex))
         assert abs(got[0]) <= 1e-15 and abs(got[1] - (1 - 1 / k)) <= 1e-14
 
 
-def oracle_scores(state, apparatus, bases):
-    # scores (n, d) of a stack of candidate bases (n, d, d): every
-    # conditional of every basis comes from one product and one call of the
-    # shipped scoring kernel
-    dims = state.dims
-    if len(dims) < 2 or not 0 <= apparatus < len(dims):
-        raise ValueError(f"cannot condition subsystem {apparatus} of dims {dims}")
-    d = dims[apparatus]
+@st.composite
+def einselection_draws(draw):
+    # couplings (ready row plus K records), a spectrum, a time and K branch
+    # amplitudes, some of them zero, and a stack of candidate bases: the
+    # coordinate basis, one mixing the ready level into the records, and
+    # Haar-random bases
+    n_rec, levels = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = pointer.CouplingMatrix(rng.uniform(-8.0, 8.0, (n_rec + 1, levels)))
+    gamma = rng.normal(size=levels) + 1j * rng.normal(size=levels)
+    spectrum = pointer.EnvSpectrum(gamma / np.linalg.norm(gamma))
+    amps = rng.normal(size=n_rec) + 1j * rng.normal(size=n_rec)
+    amps[draw(st.lists(st.integers(0, n_rec - 1), max_size=n_rec - 1))] = 0.0
+    d = n_rec + 1
+    mixed = np.eye(d, dtype=complex)
+    mixed[[0, 0, -1, -1], [0, -1, 0, -1]] = np.array([1.0, 1.0, 1.0, -1.0]) / math.sqrt(2)
+    bases = np.stack([np.eye(d, dtype=complex), mixed]
+                     + [random_unitary(rng, d) for _ in range(draw(st.integers(0, 3)))])
+    return g, spectrum, draw(st.floats(0.0, 20.0)), amps / np.linalg.norm(amps), bases
+
+
+@given(einselection_draws())
+@settings(max_examples=100, deadline=None)
+def test_decoherence_matrix_scores_match_the_dense_state_scores(run):
+    # scoring D_c Z D_c^dagger against scoring the conditionals of the whole
+    # evolved state, which the pointer route used to build
+    g, spectrum, t, amps, bases = run
+    zeta = pointer.decoherence_matrix(g, spectrum, t)
+    got = np.stack([pointer.pointer_score(amps, zeta, basis).per_outcome for basis in bases])
+    want = state_scores(einselection_state(g, spectrum, amps, t), 0, bases)
+    assert np.all(np.abs(got - want) <= 1e-12)
+    zero = np.abs(bases[:, :, 1:].conj() * amps).max(axis=2) == 0.0
+    assert np.all(got[zero] == 0.0) and np.all(want[zero] == 0.0)
+
+
+@given(einselection_draws())
+@settings(max_examples=60, deadline=None)
+def test_decoherence_matrix_matches_the_decoherence_factors(run):
+    # Z multiplies e^{-i g_k t} by e^{i g_l t} where the factor takes one
+    # e^{i (g_l - g_k) t}; each phase carries its own rounding of about
+    # 1e-16 per radian, so the two agree to 1e-15 per radian of the largest
+    # |g t|, and to 1e-15 below one radian
+    g, spectrum, t, _, _ = run
+    zeta = pointer.decoherence_matrix(g, spectrum, t)
+    n_rec = g.n_records - 1
+    assert zeta.shape == (n_rec, n_rec)
+    tol = 1e-15 * max(1.0, float(np.max(np.abs(g.g))) * t)
+    for k in range(1, n_rec + 1):
+        for l in range(1, n_rec + 1):
+            assert abs(zeta[k - 1, l - 1] - pointer.decoherence_factor(g, spectrum, k, l, t)) \
+                <= tol
+
+
+def test_chunked_decoherence_matrix_and_scores_match_whole(monkeypatch):
+    # a chunk of one level for Z and of one vector for the scores
+    g = pointer.CouplingMatrix(np.random.default_rng(4).uniform(0.0, 7.0, (4, 16)))
+    spectrum = pointer.EnvSpectrum.uniform(16)
+    amps = np.array([0.6, 0.0, 0.8], dtype=complex)
+    bases = np.stack([random_unitary(np.random.default_rng(s), 4) for s in range(5)])
+    whole = pointer.decoherence_matrix(g, spectrum, 2.5)
+    scores = pointer._zeta_scores(amps, whole, bases)
+    assert _chunk_rows(3) >= 16 and _chunk_rows(9) >= 5 * 4  # premise: one chunk each
+    monkeypatch.setattr(born, "DENSE_AMPLITUDE_CAP", 512 * 3)
+    assert _chunk_rows(3) == 1 and _chunk_rows(9) == 1
+    assert np.max(np.abs(pointer.decoherence_matrix(g, spectrum, 2.5) - whole)) <= 1e-15
+    assert np.array_equal(pointer._zeta_scores(amps, whole, bases), scores)
+
+
+def oracle_scores(amps, zeta, bases):
+    # scores (n, K + 1) of a stack of candidate bases (n, K + 1, K + 1): every
+    # conditional of every basis comes from one call of the shipped scoring
+    # kernel
+    d = amps.size + 1
     if bases.shape[1:] != (d, d):
         raise ValueError(f"candidate basis must be {d} x {d}, one vector per row")
     gram = bases.conj() @ bases.transpose(0, 2, 1)
     if np.max(np.abs(gram - np.eye(d))) > 1e-9:
         raise ValueError("candidate basis is not orthonormal")
-    scores = np.zeros(bases.shape[:2])
-    if len(dims) == 2:
-        return scores  # each conditional is a single-subsystem state
-    psi = np.moveaxis(state.tensor(), apparatus, 0).reshape(d, -1)
-    return pointer._vector_scores(psi, dims[1] if apparatus == 0 else dims[0], bases)
+    return pointer._zeta_scores(amps, zeta, bases)
 
 
-def oracle_descend(state, apparatus, basis, value, iterations):
+def oracle_descend(amps, zeta, basis, value, iterations):
     d = basis.shape[0]
     span = math.pi / 2
     phis = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
@@ -1111,7 +1176,7 @@ def oracle_descend(state, apparatus, basis, value, iterations):
                 trials[:, i] = c * basis[i] + s * basis[j]
                 trials[:, j] = -s.conj() * basis[i] + c * basis[j]
                 best, best_val = None, value
-                for k, v in enumerate(oracle_scores(state, apparatus, trials).max(axis=1)):
+                for k, v in enumerate(oracle_scores(amps, zeta, trials).max(axis=1)):
                     if v < best_val - 1e-15:
                         best, best_val = k, float(v)
                 if best is not None:
@@ -1122,24 +1187,24 @@ def oracle_descend(state, apparatus, basis, value, iterations):
     return basis, value
 
 
-def oracle_find_pointer_basis(state, apparatus, iterations=48):
-    d = state.dims[apparatus]
+def oracle_find_pointer_basis(amps, zeta, iterations=48):
+    d = amps.size + 1
     if d > pointer.SEARCH_DIM_CAP:
         raise ValueError(f"apparatus dimension {d} above desk scale ({pointer.SEARCH_DIM_CAP})")
     rng = np.random.default_rng(17)  # fixed: the search must be reproducible
     starts = np.stack([np.eye(d, dtype=complex)]
                       + [pointer._haar_basis(rng, d) for _ in range(5)])
-    start_scores = oracle_scores(state, apparatus, starts)
+    start_scores = oracle_scores(amps, zeta, starts)
     maxima = [float(v) for v in start_scores.max(axis=1)]
     if max(maxima) - min(maxima) <= pointer.FLAT_LANDSCAPE_TOL:
         return starts[0], pointer._as_score(start_scores[0], True)
     best_basis, best_val = starts[0], maxima[0]
     for basis, val in zip(starts, maxima):
-        got_basis, got_val = oracle_descend(state, apparatus, basis, val, iterations)
+        got_basis, got_val = oracle_descend(amps, zeta, basis, val, iterations)
         if got_val < best_val:
             best_basis, best_val = got_basis, got_val
     return best_basis, pointer._as_score(
-        oracle_scores(state, apparatus, best_basis[None])[0])
+        oracle_scores(amps, zeta, best_basis[None])[0])
 
 
 def oracle_decoherence_factor(couplings, spectrum, k, k_other, t):
@@ -1201,16 +1266,15 @@ def oracle_emit_structured(rep):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _search_state(g, t, amps):
-    # the state `pointer --search` scores, built as the command builds it
+def _search_branches(g, t, amps):
+    # the amplitudes and decoherence matrix `pointer --search` scores, made
+    # as the command makes them
     n_rec = g.shape[0] - 1
     if amps is None:
         amps = np.full(n_rec, 1.0 / math.sqrt(n_rec), dtype=complex)
-    premeasured = pointer.premeasure(StateVector((n_rec,), amps),
-                                     pointer.TruthTable(np.eye(n_rec)), g.shape[0])
-    env = pointer.environment_state(pointer.EnvSpectrum.uniform(g.shape[1]))
-    return pointer.evolve(hilbert.tensor_product([premeasured, env]), 0, 2,
-                          pointer.CouplingMatrix(g), t)
+    zeta = pointer.decoherence_matrix(pointer.CouplingMatrix(g),
+                                      pointer.EnvSpectrum.uniform(g.shape[1]), t)
+    return np.asarray(amps, dtype=complex), zeta
 
 
 @st.composite
@@ -1250,23 +1314,25 @@ def test_pointer_route_matches_per_time_and_per_start_oracles(run):
     if args.amps:
         raw = np.array(args.amps.split(","), dtype=float).astype(complex)
         amps = tuple(raw / np.linalg.norm(raw))
-    basis, score = oracle_find_pointer_basis(_search_state(g, args.time, amps), 0,
+    basis, score = oracle_find_pointer_basis(*_search_branches(g, args.time, amps),
                                              args.iterations)
     assert repr(tables["found_basis"].rows) == repr(cli._matrix_table("found_basis", basis).rows)
     assert repr(dict(rep.scalars)["found_score"]) == repr(score.max_score)
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(2, 4), min_size=3, max_size=3),
-       st.integers(0, 2), st.integers(1, 3))
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 4), st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
-def test_batched_search_matches_oracle_on_random_states(seed, dims, apparatus, iterations):
-    # on generic states every start and every cached row can decide the
-    # outcome; on the command's states the coordinate start usually wins
+def test_batched_search_matches_oracle_on_random_states(seed, n_rec, levels, iterations):
+    # on random branch forms, amplitudes beside unit-norm environment rows
+    # E_k, every start and every cached row can decide the outcome; on the
+    # command's states the coordinate start usually wins
     rng = np.random.default_rng(seed)
-    amps = rng.normal(size=math.prod(dims)) + 1j * rng.normal(size=math.prod(dims))
-    state = unit_state(tuple(dims), amps)
-    basis, score = pointer.find_pointer_basis(state, apparatus, iterations)
-    want_basis, want_score = oracle_find_pointer_basis(state, apparatus, iterations)
+    amps = rng.normal(size=n_rec) + 1j * rng.normal(size=n_rec)
+    env = rng.normal(size=(n_rec, levels)) + 1j * rng.normal(size=(n_rec, levels))
+    env /= np.linalg.norm(env, axis=1, keepdims=True)
+    amps, zeta = amps / np.linalg.norm(amps), env @ env.conj().T
+    basis, score = pointer.find_pointer_basis(amps, zeta, iterations)
+    want_basis, want_score = oracle_find_pointer_basis(amps, zeta, iterations)
     assert np.array_equal(basis, want_basis) and score == want_score
 
 
@@ -1274,9 +1340,9 @@ def test_batched_search_matches_oracle_on_random_states(seed, dims, apparatus, i
 def test_batched_search_matches_oracle_on_the_search_workload(seed):
     # the benchmark's 3x4 couplings at --time 1.5, full 48 iterations
     g = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, (3, 4))
-    state = _search_state(g, 1.5, None)
-    basis, score = pointer.find_pointer_basis(state, 0)
-    want_basis, want_score = oracle_find_pointer_basis(state, 0)
+    amps, zeta = _search_branches(g, 1.5, None)
+    basis, score = pointer.find_pointer_basis(amps, zeta)
+    want_basis, want_score = oracle_find_pointer_basis(amps, zeta)
     assert not score.degenerate_minimum  # premise: the descent runs
     assert np.array_equal(basis, want_basis) and score == want_score
 

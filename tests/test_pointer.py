@@ -6,47 +6,42 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import envlab.pointer as pointer
-from envlab.hilbert import (
-    Bipartition,
-    OrthogonalOutcomeError,
-    StateVector,
-    conditional_state,
-    schmidt,
-    tensor_product,
-)
+from envlab.hilbert import Bipartition, StateVector, schmidt, tensor_product
 from envlab.pointer import (
     CouplingMatrix,
     EnvSpectrum,
-    TruthTable,
     commutator_norm,
     decoherence_factor,
-    environment_state,
-    evolve,
+    decoherence_matrix,
     find_pointer_basis,
     load_couplings,
     pointer_score,
-    premeasure,
 )
-from conftest import basis_state, random_state, random_unitary, unit_state
+from conftest import (OrthogonalOutcomeError, TruthTable, basis_state, branch_form_state,
+                      conditional_state, einselection_state, environment_state, evolve,
+                      premeasure, random_state, random_unitary, state_pointer_score,
+                      unit_state)
 
 
 def coordinate_table(dim):
     return TruthTable(np.eye(dim))
 
 
-def branch_state(c, app_basis, eps):
-    """sum_k c_k |A_k>|s_k>|eps_k> with coordinate system vectors."""
-    c = np.asarray(c, dtype=complex)
-    n = len(c)
-    app_basis = np.asarray(app_basis, dtype=complex)
-    eps = np.asarray(eps, dtype=complex)
-    tens = np.zeros((app_basis.shape[1], n, eps.shape[1]), dtype=complex)
-    for k in range(n):
-        tens[:, k, :] += c[k] * np.outer(app_basis[k], eps[k])
-    return StateVector(tens.shape, tens.reshape(-1))
+def unit_rows(rng, n, levels):
+    """n random unit-norm environment rows E_k."""
+    rows = rng.normal(size=(n, levels)) + 1j * rng.normal(size=(n, levels))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-# ----- truth tables and premeasurement -----
+def with_ready_level(basis):
+    """A basis of the records alone, put on the apparatus beside its ready level."""
+    basis = np.asarray(basis, dtype=complex)
+    out = np.eye(basis.shape[0] + 1, dtype=complex)
+    out[1:, 1:] = basis
+    return out
+
+
+# ----- truth tables and premeasurement: the dense oracle's recording -----
 
 def test_truth_table_defaults():
     table = coordinate_table(3)
@@ -136,7 +131,7 @@ def test_premeasure_leaves_the_system_in_the_recorded_state():
     assert schmidt(out, Bipartition((0,))).n_terms == 2
 
 
-# ----- coupling evolution and the decoherence factor -----
+# ----- coupling evolution (the dense oracle's) and the decoherence factor -----
 
 def test_evolve_zero_time_is_identity(rng):
     state = random_state(rng, (3, 2, 4))
@@ -174,8 +169,8 @@ def test_evolve_validation_and_norm(rng):
 def test_evolve_single_environment_level(rng):
     # one level: every branch only picks up a global phase, so all the
     # pairwise environment overlaps keep modulus 1 and nothing decoheres
-    c = random_state(rng, (3,)).amps
-    state = branch_state(c, np.eye(3), np.ones((3, 1)))
+    c = random_state(rng, (2,)).amps
+    state = branch_form_state(c, np.ones((2, 1)))
     g = CouplingMatrix(np.array([[0.3], [1.1], [2.0]]))
     out = evolve(state, 0, 2, g, 5.0)
     assert np.allclose(np.abs(out.amps), np.abs(state.amps), atol=1e-14)
@@ -184,7 +179,7 @@ def test_evolve_single_environment_level(rng):
         for l in range(3):
             z = decoherence_factor(g, spectrum, k, l, 5.0)
             assert abs(abs(z) - 1.0) < 1e-12
-    score = pointer_score(out, 0, random_unitary(rng, 3))
+    score = pointer_score(c, decoherence_matrix(g, spectrum, 5.0), random_unitary(rng, 3))
     assert score.max_score <= 1e-10
 
 
@@ -239,54 +234,58 @@ def test_modulus_stays_one_iff_rows_differ_by_offset(rng):
 # ----- pointer scores -----
 
 def test_pointer_score_truth_basis_is_zero(rng):
+    # orthogonal environment branches: Z is the identity
     c = random_state(rng, (4,)).amps
-    state = branch_state(c, np.eye(4), np.eye(4))
-    score = pointer_score(state, 0, np.eye(4))
-    assert len(score.per_outcome) == 4
+    score = pointer_score(c, np.eye(4), np.eye(5))
+    assert len(score.per_outcome) == 5
     assert score.max_score <= 1e-10
 
 
 def test_pointer_score_fourier_basis_even_state():
     n = 4
-    state = branch_state(np.full(n, 0.5), np.eye(n), np.eye(n))
     grid = np.arange(n)
-    fourier = np.exp(2j * np.pi * np.outer(grid, grid) / n) / np.sqrt(n)
-    score = pointer_score(state, 0, fourier)
-    # conditional has n equal Schmidt weights -> score 1 - 1/n on every level
-    for s in score.per_outcome:
+    fourier = with_ready_level(np.exp(2j * np.pi * np.outer(grid, grid) / n) / np.sqrt(n))
+    score = pointer_score(np.full(n, 0.5), np.eye(n), fourier)
+    # the ready level reads no branch; every Fourier vector's conditional has
+    # n equal Schmidt weights -> 1 - 1/n
+    assert score.per_outcome[0] == 0.0
+    for s in score.per_outcome[1:]:
         assert abs(s - (1.0 - 1.0 / n)) < 1e-10
-    _, residual = conditional_state(state, 0, fourier[1])
+    state = branch_form_state(np.full(n, 0.5), np.eye(n))
+    _, residual = conditional_state(state, 0, fourier[2])
     svals = np.linalg.svd(residual.amps.reshape(n, n), compute_uv=False)
     assert abs(max(svals) ** 2 - 1.0 / n) < 1e-12
 
 
 def test_pointer_score_uncorrelated_environment(rng):
+    # every branch meets the same environment state, so every entry of Z is
+    # 1 and every conditional is a product
     phi = random_state(rng, (3,))
-    out = premeasure(phi, coordinate_table(3), 4)
-    full = tensor_product([out, unit_state((5,), rng.normal(size=5))])
+    env = np.repeat(unit_rows(rng, 1, 5), 3, axis=0)
+    zeta = env @ env.conj().T
     for _ in range(3):
         basis = random_unitary(rng, 4)
-        assert pointer_score(full, 0, basis).max_score <= 1e-10
+        assert pointer_score(phi.amps, zeta, basis).max_score <= 1e-10
 
 
 def test_pointer_score_rejects_bad_basis(rng):
-    state = random_state(rng, (3, 2, 2))
+    amps = random_state(rng, (2,)).amps
     with pytest.raises(ValueError):
-        pointer_score(state, 0, 0.9 * np.eye(3))
+        pointer_score(amps, np.eye(2), 0.9 * np.eye(3))
     with pytest.raises(ValueError):
-        pointer_score(state, 0, np.eye(4))
+        pointer_score(amps, np.eye(2), np.eye(4))
     nearly = random_unitary(rng, 3).T
     nearly[2] *= 1.0 + 1e-6
     with pytest.raises(ValueError, match="not orthonormal"):
-        pointer_score(state, 0, nearly)
+        pointer_score(amps, np.eye(2), nearly)
+    with pytest.raises(ValueError, match="decoherence matrix must be 2 x 2"):
+        pointer_score(amps, np.eye(3), np.eye(3))
 
 
-def test_pointer_score_skips_empty_levels(rng):
-    phi = random_state(rng, (3,))
-    out = premeasure(phi, coordinate_table(3), 4)
-    full = tensor_product([out, basis_state((2,), (0,))])
-    score = pointer_score(full, 0, np.eye(4))
-    assert score.per_outcome[0] == 0.0  # ready level never fires
+def test_pointer_score_skips_empty_levels():
+    # the ready level and the record of a zero amplitude read no branch
+    score = pointer_score([0.6, 0.0, 0.8], np.ones((3, 3)), np.eye(4))
+    assert score.per_outcome[0] == score.per_outcome[2] == 0.0
     assert len(score.per_outcome) == 4
 
 
@@ -297,25 +296,24 @@ def test_pointer_score_two_branch_dichotomy(seed, t):
     # inside the branch pair scores positive exactly when |zeta| < 1, and the
     # value matches the closed form from the 2x2 conditional Gram matrix
     rng = np.random.default_rng(seed)
-    g = rng.uniform(0.0, 2.0 * np.pi, size=(2, 8))
+    g = CouplingMatrix(rng.uniform(0.0, 2.0 * np.pi, size=(3, 8)))
     gamma = rng.normal(size=8) + 1j * rng.normal(size=8)
-    gamma = gamma / np.linalg.norm(gamma)
+    spectrum = EnvSpectrum(gamma / np.linalg.norm(gamma))
     c = np.array([0.35, 0.0]) + 0.0j
     c[1] = math.sqrt(1.0 - abs(c[0]) ** 2)
-    eps = gamma * np.exp(-1j * g * t)
-    state = branch_state(c, np.eye(2), eps)
+    zeta_matrix = decoherence_matrix(g, spectrum, t)
 
-    truth = pointer_score(state, 0, np.eye(2))
+    truth = pointer_score(c, zeta_matrix, np.eye(3))
     assert truth.max_score <= 1e-10
 
     theta = 0.3
-    rot = np.array([[math.cos(theta), math.sin(theta)],
-                    [-math.sin(theta), math.cos(theta)]])
-    score = pointer_score(state, 0, rot)
-    zeta = decoherence_factor(CouplingMatrix(g), EnvSpectrum(gamma), 0, 1, t)
-    for l in range(2):
-        w1 = abs(c[0] * rot[l, 0]) ** 2
-        w2 = abs(c[1] * rot[l, 1]) ** 2
+    rot = with_ready_level([[math.cos(theta), math.sin(theta)],
+                            [-math.sin(theta), math.cos(theta)]])
+    score = pointer_score(c, zeta_matrix, rot)
+    zeta = decoherence_factor(g, spectrum, 1, 2, t)
+    for l in (1, 2):
+        w1 = abs(c[0] * rot[l, 1]) ** 2
+        w2 = abs(c[1] * rot[l, 2]) ** 2
         total = w1 + w2
         lam_sq = 0.5 * (1.0 + math.sqrt(max(
             0.0, 1.0 - 4.0 * w1 * w2 * (1.0 - abs(zeta) ** 2) / total ** 2)))
@@ -341,18 +339,16 @@ def reference_scores(state, apparatus, basis):
     return scores
 
 
-def cli_evolved_state(seed, t):
-    """The state `pointer --search` scores: 3x4 seeded couplings, even records."""
+def cli_branches(seed, t):
+    """What `pointer --search` scores: 3x4 seeded couplings, even records, at t;
+    the amplitudes, the decoherence matrix and the dense state they stand for."""
     g = CouplingMatrix(np.random.default_rng(seed).uniform(0.0, 2 * np.pi, (3, 4)))
-    even = StateVector((2,), np.full(2, 1.0 / math.sqrt(2), dtype=complex))
-    premeasured = premeasure(even, coordinate_table(2), 3)
-    env = environment_state(EnvSpectrum.uniform(4))
-    full = StateVector((3, 2, 4), np.kron(premeasured.amps, env.amps))
-    return evolve(full, 0, 2, g, t)
+    spectrum = EnvSpectrum.uniform(4)
+    amps = np.full(2, 1.0 / math.sqrt(2), dtype=complex)
+    return amps, decoherence_matrix(g, spectrum, t), einselection_state(g, spectrum, amps, t)
 
 
-def assert_matches_oracle(state, apparatus, basis):
-    got = pointer_score(state, apparatus, basis)
+def assert_matches_oracle(got, state, apparatus, basis):
     want = reference_scores(state, apparatus, basis)
     assert np.allclose(got.per_outcome, want, rtol=0.0, atol=1e-12)
     assert abs(got.max_score - max(want)) <= 1e-12
@@ -360,26 +356,34 @@ def assert_matches_oracle(state, apparatus, basis):
 
 
 def test_pointer_score_matches_oracle_on_cli_state(rng):
-    state = cli_evolved_state(101, 1.5)
-    assert_matches_oracle(state, 0, np.eye(3))
-    scores = [assert_matches_oracle(state, 0, random_unitary(rng, 3).T).max_score
-              for _ in range(20)]
+    amps, zeta, state = cli_branches(101, 1.5)
+    assert_matches_oracle(pointer_score(amps, zeta, np.eye(3)), state, 0, np.eye(3))
+    scores = []
+    for _ in range(20):
+        basis = random_unitary(rng, 3).T
+        scores.append(assert_matches_oracle(pointer_score(amps, zeta, basis), state, 0,
+                                            basis).max_score)
     assert max(scores) > 0.01  # premise: random bases see entangled conditionals
 
+
+# generic states are outside pointer_score's branch form; the dense oracle
+# that checks it is itself checked on them
 
 def test_pointer_score_matches_oracle_four_subsystems(rng):
     state = random_state(rng, (3, 2, 2, 3))
     for apparatus in range(4):
         for _ in range(5):
             basis = random_unitary(rng, state.dims[apparatus]).T
-            assert assert_matches_oracle(state, apparatus, basis).max_score > 0.0
+            got = state_pointer_score(state, apparatus, basis)
+            assert assert_matches_oracle(got, state, apparatus, basis).max_score > 0.0
 
 
 def test_pointer_score_two_subsystems_scores_zero(rng):
     state = random_state(rng, (3, 4))
     for apparatus in (0, 1):
         basis = random_unitary(rng, state.dims[apparatus]).T
-        got = assert_matches_oracle(state, apparatus, basis)
+        got = assert_matches_oracle(state_pointer_score(state, apparatus, basis), state,
+                                    apparatus, basis)
         assert got.per_outcome == (0.0,) * state.dims[apparatus]
 
 
@@ -387,53 +391,56 @@ def test_pointer_score_row_orthogonal_to_support(rng):
     # apparatus level 0 is never populated, so a basis keeping |0> as a row
     # has one vector below the projection floor
     phi = random_state(rng, (3,))
-    out = premeasure(phi, coordinate_table(3), 4)
-    state = tensor_product([out, random_state(rng, (2,))])
-    state = evolve(state, 0, 2, CouplingMatrix(rng.normal(size=(4, 2))), 2.0)
-    basis = np.eye(4, dtype=complex)
-    basis[1:, 1:] = random_unitary(rng, 3).T
-    got = assert_matches_oracle(state, 0, basis)
+    g = CouplingMatrix(rng.normal(size=(4, 2)))
+    spectrum = EnvSpectrum(random_state(rng, (2,)).amps)
+    state = einselection_state(g, spectrum, phi.amps, 2.0)
+    basis = with_ready_level(random_unitary(rng, 3).T)
+    got = pointer_score(phi.amps, decoherence_matrix(g, spectrum, 2.0), basis)
+    assert_matches_oracle(got, state, 0, basis)
     assert got.per_outcome[0] == 0.0
     assert got.max_score > 0.0
 
 
 # ----- pointer-basis search -----
 
-def test_find_pointer_basis_recovers_rotated_truth(rng):
-    truth = random_unitary(rng, 2)
-    g = rng.uniform(0.0, 2.0 * np.pi, size=(2, 16))
-    gamma = np.full(16, 0.25)
+def test_find_pointer_basis_recovers_rotated_truth():
+    # the coordinate start is the record basis itself, so recovery is checked
+    # from the search's five seeded Haar starts alone, each a rotation away
+    # from the records: the best descent must come back reading one record
+    # per vector
+    g = CouplingMatrix(np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, size=(3, 16)))
+    spectrum = EnvSpectrum(np.full(16, 0.25))
     t = 6.0
-    zeta = decoherence_factor(CouplingMatrix(g), EnvSpectrum(gamma), 0, 1, t)
-    assert abs(zeta) < 0.3  # fixture premise: branches well separated
-    eps = gamma * np.exp(-1j * g * t)
-    state = branch_state([math.sqrt(0.4), math.sqrt(0.6)], truth, eps)
+    assert abs(decoherence_factor(g, spectrum, 1, 2, t)) < 0.3  # premise: well separated
+    amps = np.array([math.sqrt(0.4), math.sqrt(0.6)], dtype=complex)
+    zeta = decoherence_matrix(g, spectrum, t)
+    haar = np.random.default_rng(17)
+    starts = np.stack([pointer._haar_basis(haar, 3) for _ in range(5)])
+    start_scores = pointer._zeta_scores(amps, zeta, starts)
+    assert start_scores.max(axis=1).min() > 0.01  # premise: no start reads records yet
 
-    basis, score = find_pointer_basis(state, 0)
-    assert not score.degenerate_minimum
-    assert score.max_score <= pointer_score(state, 0, truth).max_score + 1e-6
-    overlaps = np.abs(basis.conj() @ truth.T)
-    match = [int(np.argmax(overlaps[i])) for i in range(2)]
-    assert sorted(match) == [0, 1]
-    for i, j in enumerate(match):
-        assert overlaps[i, j] >= 1.0 - 1e-6
+    bases, values = pointer._descend(amps, zeta, starts, start_scores, 48)
+    basis = bases[values.index(min(values))]
+    assert min(values) <= pointer_score(amps, zeta, np.eye(3)).max_score + 1e-6
+    reads = np.abs(basis[:, 1:]) ** 2  # the weight each vector puts on records 1 and 2
+    assert np.all(reads.min(axis=1) <= 1e-6 * reads.sum(axis=1))
+    assert np.allclose(reads.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_find_pointer_basis_product_state_flat(rng):
-    state = tensor_product([
-        random_state(rng, (3,)), random_state(rng, (2,)), random_state(rng, (4,))])
-    basis, score = find_pointer_basis(state, 0)
+    # one record leaves the apparatus in a product with the rest, so every
+    # basis scores zero
+    basis, score = find_pointer_basis(random_state(rng, (1,)).amps, np.eye(1))
     assert score.degenerate_minimum
     assert score.max_score <= 1e-12
-    assert np.allclose(basis, np.eye(3))
+    assert np.allclose(basis, np.eye(2))
 
 
 def test_find_pointer_basis_flat_when_branches_share_environment():
     # |zeta_12| = 1: the two environment branches coincide up to phase, so
     # every basis scores zero and no minimizer is distinguished
     eps = np.stack([np.eye(4)[0], 1j * np.eye(4)[0]])
-    state = branch_state(np.sqrt([0.5, 0.5]), np.eye(2), eps)
-    _, score = find_pointer_basis(state, 0)
+    _, score = find_pointer_basis(np.sqrt([0.5, 0.5]), eps @ eps.conj().T)
     assert score.degenerate_minimum
     assert score.max_score <= 1e-12
 
@@ -453,22 +460,22 @@ def test_find_pointer_basis_svd_call_budget(monkeypatch, rng):
 
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(pointer, "_vector_scores",
-                        counted("kernel", pointer._vector_scores))
-    _, score = find_pointer_basis(cli_evolved_state(101, 1.5), 0, iterations=48)
+    monkeypatch.setattr(pointer, "_zeta_scores", counted("kernel", pointer._zeta_scores))
+    amps, zeta, _ = cli_branches(101, 1.5)
+    _, score = find_pointer_basis(amps, zeta, iterations=48)
     assert not score.degenerate_minimum  # premise: the descent actually runs
     assert 0 < calls["kernel"] <= 3 + 48 * (3 * 2 // 2)
-    assert calls["svd"] == calls["eigvalsh"] == 0  # two-row cuts: closed form
-    state = random_state(rng, (3, 3, 2))  # three-row cuts: eigvalsh
-    pointer_score(state, 0, random_unitary(rng, 3).T)
-    find_pointer_basis(state, 0, iterations=2)
+    assert calls["svd"] == calls["eigvalsh"] == 0  # two records: closed form
+    amps = random_state(rng, (3,)).amps  # three records: eigvalsh
+    env = unit_rows(rng, 3, 2)
+    pointer_score(amps, env @ env.conj().T, random_unitary(rng, 4).T)
+    find_pointer_basis(amps, env @ env.conj().T, iterations=2)
     assert calls["svd"] == 0 and calls["eigvalsh"] > 0
 
 
 def test_find_pointer_basis_dimension_cap():
-    state = basis_state((9, 2), (0, 0))
-    with pytest.raises(ValueError):
-        find_pointer_basis(state, 0)
+    with pytest.raises(ValueError, match="apparatus dimension 9 above desk scale"):
+        find_pointer_basis(np.full(8, 1.0 / math.sqrt(8)), np.eye(8))
 
 
 # ----- commutation with the coupling Hamiltonian -----
@@ -513,7 +520,9 @@ def test_overflowing_coupling_phases_are_refused(g_value, t):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="coupling phases g\\*t are not finite"):
-            evolve(state, 0, 1, g, t)
+            decoherence_matrix(g, spectrum, t)
+        with pytest.raises(ValueError, match="coupling phases g\\*t are not finite"):
+            evolve(state, 0, 1, g, t)  # the dense oracle refuses it alike
         with pytest.raises(ValueError, match="coupling phases g\\*t are not finite"):
             decoherence_factor(g, spectrum, 0, 1, t)
 
