@@ -337,9 +337,10 @@ def commutator_norm(pointer_observable, couplings: CouplingMatrix) -> float:
     if lam.shape[0] != g.shape[0]:
         raise ValueError("observable dimension does not match the coupling rows")
     # [lam (x) 1, H] has entry lam_kk' (g_k'n - g_kn) at row (k, n), column
-    # (k', n) and zeros elsewhere, so its norm needs no (K L)^2 operator
-    diff = g[None, :, :] - g[:, None, :]
-    return float(np.linalg.norm(lam[:, :, None] * diff))
+    # (k', n) and zeros elsewhere, so its norm needs no (K L)^2 operator, and
+    # only the nonzero lam_kk' add to it: L entries each
+    k, k_other = np.nonzero(lam)
+    return float(np.linalg.norm(lam[k, k_other, None] * (g[k_other] - g[k])))
 
 
 @dataclass(frozen=True)
@@ -384,9 +385,11 @@ def einselection_run(couplings: CouplingMatrix, spectrum: EnvSpectrum, time: flo
     pairs = tuple((k, l) for k in range(1, n_rec + 1) for l in range(k + 1, n_rec + 1))
     require_dense(steps * (1 + 3 * len(pairs)), "decoherence table")
     ts = np.linspace(t0, t1, steps)
+    records = couplings.g[1:]
     with np.errstate(over="ignore"):
-        rates = couplings.g[[l for _, l in pairs]] - couplings.g[[k for k, _ in pairs]]
-    _require_finite_phase(rates, ts)  # every pair at once: the first time of any
+        # per level, the largest |g_l - g_k| of any pair, with no pairs x levels array
+        spread = records.max(axis=0) - records.min(axis=0)
+    _require_finite_phase(spread, ts)  # every pair at once: the first time of any
     columns = [ts.tolist()]
     for k, l in pairs:
         z = decoherence_factor(couplings, spectrum, k, l, ts)

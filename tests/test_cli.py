@@ -808,7 +808,7 @@ def test_pointer_scores_300_records_within_memory_cap(tmp_path):
     np.savetxt(path, np.zeros((300, 100)))
     proc = run_under_memory_cap(["pointer", "--couplings", str(path), "--steps", "2"])
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert scalar(proc.stdout, "truth_max_score") == "0"
+    assert float(scalar(proc.stdout, "truth_max_score")) <= 1e-12
 
 
 def test_decoherence_matrix_is_checked_against_the_budget(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -525,6 +526,23 @@ def test_overflowing_coupling_phases_are_refused(g_value, t):
             evolve(state, 0, 1, g, t)  # the dense oracle refuses it alike
         with pytest.raises(ValueError, match="coupling phases g\\*t are not finite"):
             decoherence_factor(g, spectrum, 0, 1, t)
+
+
+def test_einselection_run_holds_no_pairs_by_levels_array():
+    # 99 records of 3,000 levels: the sweep's phase check used to subtract
+    # every record pair's couplings at once, 4,851 x 3,000 floats (111 MiB),
+    # and commutator_norm every pair of rows, 100 x 100 x 3,000 complex
+    # values (458 MiB), both past the dense budget and unchecked; the
+    # decoherence matrix is 9,801 amplitudes
+    g = CouplingMatrix(np.zeros((100, 3000)))
+    tracemalloc.start()
+    try:
+        run = pointer.einselection_run(g, EnvSpectrum.uniform(3000), 1.0, 0.0, 1.0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.truth.max_score <= 1e-12 and len(run.sweep[0]) == 1 + 3 * 4851
+    assert peak < 16 << 20
 
 
 def test_finite_phases_pass_beside_an_overflowing_pair():
