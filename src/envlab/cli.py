@@ -190,6 +190,7 @@ def _cmd_schmidt(args) -> tuple:
 
 
 def _parse_block_unitary(spec_text: str, block_dim: int) -> np.ndarray:
+    require_dense(block_dim ** 2, "block operator")
     kind, _, rest = str(spec_text).partition(":")
     if kind == "phase":
         phases = _floats(rest)
@@ -228,14 +229,20 @@ def _cmd_envcheck(args) -> tuple:
         ("envariant", run.verdict.envariant),
         ("gram_deviation", run.verdict.gram_deviation),
         ("residual_infidelity", run.verdict.residual_infidelity),
-        ("overlap_after_unitary", run.overlap),
+        ("overlap_after_unitary", run.verdict.overlap),
         ("restoration", run.restoration),
         ("counter_source", source),
     )
-    tables = ()
-    if run.counter is not None and run.counter.matrix.size <= MAX_TABLE_ROWS:
-        tables = (_matrix_table("counter", run.counter.matrix),)
-    return Report("envcheck", scalars, tables), 0
+    return Report("envcheck", scalars, _counter_table(run.counter)), 0
+
+
+def _counter_table(counter) -> tuple:
+    # the dense counter 1 + E^T (V - 1) E^*, built only where it is printed
+    if counter is None or counter.basis.shape[1] ** 2 > MAX_TABLE_ROWS:
+        return ()
+    basis, eye = counter.basis, np.eye(len(counter.block))
+    dense = basis.T @ (counter.block - eye) @ basis.conj() + np.eye(basis.shape[1])
+    return (_matrix_table("counter", dense),)
 
 
 def _cmd_protocol(args) -> tuple:

@@ -2,34 +2,39 @@
 
 A transformation u acting on the system half of an entangled state is
 *envariant* when some counter-transformation on the environment half restores
-the original state.  The decision procedure is constructive: expanding
-u|s_k> in the Schmidt basis turns (u x 1)|psi> into sum_j a_j |s_j>|w_j> with
-candidate environment images
+the original state.  Everything is decided in Schmidt coordinates, on two
+r x r blocks (r the Schmidt rank): the system block O_jk = <s_j|u|s_k> and
+the counter block V_jk = <eps_j|v|eps_k>, each operator being the identity
+off the Schmidt span.  Expanding u|s_k> in the Schmidt basis turns
+(u x 1)|psi> into sum_j a_j |s_j>|w_j> with candidate environment images
 
-    |w_j> = sum_k (a_k / a_j) <s_j|u|s_k> |eps_k>,
+    |w_j> = sum_k (a_k / a_j) O_jk |eps_k>,
 
 and u is envariant exactly when {|w_j>} is orthonormal, in which case the
 counter is the unitary sending each |w_j> back to |eps_j>.  The best
 achievable restoration overlap over all environment unitaries equals the
 nuclear norm of sum_j |a_j|^2 |w_j><eps_j|, which is what the reported
-residual infidelity is computed from.
+residual infidelity is computed from.  Fidelities are read off the blocks
+too: <psi|u x v|psi> = sum_jk conj(a_j) a_k O_jk V_jk exactly, because <s_j|
+projects out whatever u moves off the span.  No d x d operator and no
+rotated state is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .born import require_dense
 from .hilbert import (
+    UNITARY_TOL,
     Bipartition,
     LocalUnitary,
     SchmidtDecomposition,
     StateVector,
-    apply_local,
+    _unitarity_deviation,
     schmidt,
     fidelity,
 )
@@ -49,22 +54,37 @@ class SwapSpec:
 
 
 @dataclass(frozen=True)
+class BlockUnitary:
+    """The unitary 1 + basis^T (block - 1) basis^*: the r x r ``block`` on the
+    span of the ``basis`` rows (right Schmidt vectors), the identity off it."""
+
+    basis: np.ndarray = field(repr=False)
+    block: np.ndarray = field(repr=False)
+
+
+@dataclass(frozen=True)
 class EnvarianceVerdict:
+    """Whether u_s is envariant, the counter that undoes it (None when it is
+    not), the best restoration infidelity any environment unitary reaches,
+    how far the candidate images are from orthonormal, and the fidelities
+    |<psi|u_s|psi>| and |<psi|u_s x counter|psi>| (0 without a counter)."""
+
     envariant: bool
-    counter: Optional[LocalUnitary]
+    counter: Optional[BlockUnitary]
     residual_infidelity: float
-    gram_deviation: float = 0.0
+    gram_deviation: float
+    overlap: float
+    restoration: float
 
 
 @dataclass(frozen=True)
 class EnvcheckRun:
     """What envcheck_run found: the verdict on u_s, the counter it applied,
-    and the fidelity with the state after u_s and after the counter too
-    (0 when there is no counter)."""
+    and the fidelity with the state after u_s and the counter (0 when there
+    is no counter); the fidelity after u_s alone is the verdict's."""
 
     verdict: EnvarianceVerdict
-    counter: Optional[LocalUnitary]
-    overlap: float
+    counter: Optional[BlockUnitary]
     restoration: float
 
 
@@ -80,98 +100,26 @@ class ProtocolTranscript:
         return self.steps[-1][1]
 
 
-def _completed(partial: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Extend an isometry defined on the span of ``rows`` by identity on its complement."""
-    return partial + np.eye(rows.shape[1], dtype=complex) - rows.T @ rows.conj()
+def _fidelity(coeffs, system, counter=None) -> float:
+    """|<psi|u x v|psi>| from the system and counter blocks; v = 1 without one."""
+    coeffs = np.asarray(coeffs)
+    if counter is None:
+        return float(abs(np.sum(np.abs(coeffs) ** 2 * np.diag(system))))
+    return float(abs(coeffs.conj() @ (system * counter) @ coeffs))
 
 
-def _schmidt_phases(dec: SchmidtDecomposition, phases, basis, targets,
-                    sign: int) -> LocalUnitary:
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (dec.n_terms,):
-        raise ValueError(
-            f"need {dec.n_terms} phases, got {phases.shape}"
-        )
-    partial = (basis.T * np.exp(sign * 1j * phases)) @ basis.conj()
-    return LocalUnitary(targets, _completed(partial, basis))
-
-
-def phase_unitary(dec: SchmidtDecomposition, phases) -> LocalUnitary:
-    """System-side Schmidt-phase rotation sum e^{i phi_k}|s_k><s_k|."""
-    return _schmidt_phases(dec, phases, dec.left_basis, dec.left_targets, 1)
-
-
-def phase_counter(dec: SchmidtDecomposition, phases) -> LocalUnitary:
-    """Environment unitary undoing the Schmidt-phase rotation sum e^{i phi_k}|s_k><s_k|."""
-    return _schmidt_phases(dec, phases, dec.right_basis, dec.right_targets, -1)
-
-
-def swap_unitary(spec: SwapSpec, basis, targets=(0,)) -> LocalUnitary:
-    """Exchange basis[k] and basis[l] with phase e^{i phi}, identity elsewhere.
-
-    ``basis`` holds one vector per row over the block addressed by ``targets``.
-    """
-    basis = np.asarray(basis, dtype=complex)
-    if spec.k == spec.l:
-        return LocalUnitary(targets, np.eye(basis.shape[1], dtype=complex))
-    bk, bl = basis[spec.k], basis[spec.l]
-    ph = np.exp(1j * spec.phase)
-    mat = np.eye(basis.shape[1], dtype=complex)
-    mat -= np.outer(bk, bk.conj()) + np.outer(bl, bl.conj())
-    mat += ph * np.outer(bk, bl.conj()) + ph.conjugate() * np.outer(bl, bk.conj())
-    return LocalUnitary(targets, mat)
-
-
-def counterswap(dec: SchmidtDecomposition, spec: SwapSpec) -> LocalUnitary:
-    """Environment exchange undoing swap_unitary on Schmidt terms k, l.
-
-    The exchange phase combines phi_kl with the coefficient arguments so that
-    for equal-modulus coefficients the composition restores the state exactly:
-    the coefficient carried by |eps_k><eps_l| is e^{-i(phi_kl + arg a_l - arg a_k)}.
-    """
-    if not (0 <= spec.k < dec.n_terms and 0 <= spec.l < dec.n_terms):
-        raise ValueError(
-            f"swap indices ({spec.k}, {spec.l}) outside {dec.n_terms} Schmidt terms"
-        )
-    ak, al = dec.coeffs[spec.k], dec.coeffs[spec.l]
-    if abs(ak) == 0 or abs(al) == 0:
-        raise ValueError("counterswap needs nonzero coefficients at k and l")
-    theta = spec.phase + np.angle(al) - np.angle(ak)
-    return swap_unitary(SwapSpec(spec.k, spec.l, -theta), dec.right_basis, dec.right_targets)
-
-
-def partial_swap_unitary(dec: SchmidtDecomposition, new_basis) -> LocalUnitary:
-    """System-side rotation sending the spanned Schmidt vectors onto new_basis."""
-    spanned, _ = _spanned_indices(dec, new_basis)
-    nb = np.asarray(new_basis, dtype=complex)
-    old = dec.left_basis[spanned]
-    partial = nb.T @ old.conj()
-    return LocalUnitary(dec.left_targets, _completed(partial, old))
-
-
-def partial_swap_counter(dec: SchmidtDecomposition, new_basis) -> LocalUnitary:
-    """Environment counter for partial_swap_unitary on an even subspace.
-
-    Builds the rotated environment partners
-    |eps~_l> = sum_k e^{i phi_k} <s~_l|s_k> |eps_k> and returns the unitary
-    sending e^{i phi_k}|eps_k> to |eps~_k| over the spanned indices, identity
-    on the complement.  Requires the spanned coefficients to share a modulus.
-    """
-    spanned, overlaps = _spanned_indices(dec, new_basis)
-    mods = np.abs(np.asarray(dec.coeffs)[spanned])
-    if (mods.max() - mods.min()) > EVEN_TOL * mods.max():
-        raise ValueError(
-            f"subspace is not even: modulus spread {mods.max() - mods.min():g}"
-        )
-    phases = np.exp(1j * np.angle(np.asarray(dec.coeffs)[spanned]))
-    eps = dec.right_basis[spanned]
-    eps_new = (overlaps * phases[None, :]) @ eps  # row l = |eps~_l>
-    partial = eps_new.T @ (eps.conj() * phases.conj()[:, None])
-    return LocalUnitary(dec.right_targets, _completed(partial, eps))
+def _exchange(n_terms: int, k: int, l: int, phase: float) -> np.ndarray:
+    """Block of e^{i phase}|k><l| + e^{-i phase}|l><k|, identity elsewhere (k == l: identity)."""
+    block = np.eye(n_terms, dtype=complex)
+    if k != l:
+        block[[k, l], [k, l]] = 0.0
+        block[k, l], block[l, k] = np.exp(1j * phase), np.exp(-1j * phase)
+    return block
 
 
 def _spanned_indices(dec: SchmidtDecomposition, new_basis):
-    """Schmidt indices whose left vectors span the same subspace as new_basis."""
+    """Schmidt indices whose left vectors span the same subspace as new_basis,
+    and the overlaps <nb_i|s_k> with every left Schmidt vector."""
     nb = np.asarray(new_basis, dtype=complex)
     if nb.ndim != 2 or nb.shape[1] != dec.left_basis.shape[1]:
         raise ValueError("new_basis must be rows over the left block")
@@ -184,27 +132,53 @@ def _spanned_indices(dec: SchmidtDecomposition, new_basis):
     outside = [k for k in range(dec.n_terms) if SPAN_TOL < inside[k] <= 1 - SPAN_TOL]
     if outside or len(spanned) != len(nb):
         raise ValueError("new_basis does not align with a subset of Schmidt vectors")
-    return spanned, overlaps[:, spanned]
+    return spanned, overlaps
 
 
-def _block_operator(u: LocalUnitary, left, left_dims) -> np.ndarray:
-    """Matrix of u on the full ordered left block (identity off its targets).
+def _partial_swap_blocks(dec: SchmidtDecomposition, new_basis) -> tuple:
+    """System and counter blocks of the rotation of the spanned left Schmidt
+    vectors onto new_basis, on an even subspace.
 
-    When u covers the whole block its matrix is used as it is, reordered
-    only if its target order differs from the block's; the result may then
-    be a read-only view of u.matrix.
+    The system block's spanned columns are <s_j|nb_i>.  The counter sends
+    e^{i phi_k}|eps_k> to |eps~_k> = sum_l e^{i phi_l} <nb_k|s_l> |eps_l> over
+    the spanned indices, and requires their coefficients to share a modulus.
     """
-    pos = [left.index(t) for t in u.targets]
-    rest = [p for p in range(len(left_dims)) if p not in pos]
-    d = math.prod(left_dims)
-    require_dense(d * d, "block operator")
-    kron = u.matrix
-    if rest:
-        kron = np.kron(kron, np.eye(math.prod(left_dims[p] for p in rest)))
-    shuffled = [left_dims[p] for p in pos + rest]
-    inv = list(np.argsort(pos + rest))
-    out = kron.reshape(shuffled * 2).transpose(inv + [len(inv) + i for i in inv])
-    return out.reshape(d, d)
+    spanned, overlaps = _spanned_indices(dec, new_basis)
+    nb = np.asarray(new_basis, dtype=complex)
+    old = dec.left_basis[spanned]
+    system = np.eye(dec.n_terms, dtype=complex)
+    system[:, spanned] = overlaps.conj().T
+    # the rotation is unitary when new_basis stays in the span and the
+    # system block is unitary
+    dev = max(float(np.max(np.abs(nb - (nb @ old.conj().T) @ old))),
+              float(_unitarity_deviation(system)))
+    if dev > UNITARY_TOL:
+        raise ValueError(f"matrix deviates from unitarity by {dev:g}")
+    coeffs = np.asarray(dec.coeffs)[spanned]
+    mods = np.abs(coeffs)
+    if (mods.max() - mods.min()) > EVEN_TOL * mods.max():
+        raise ValueError(
+            f"subspace is not even: modulus spread {mods.max() - mods.min():g}"
+        )
+    phases = np.exp(1j * np.angle(coeffs))
+    counter = np.eye(dec.n_terms, dtype=complex)
+    counter[np.ix_(spanned, spanned)] = (overlaps[:, spanned].T * phases[:, None]
+                                         * phases.conj()[None, :])
+    return system, counter
+
+
+def _system_block(dec: SchmidtDecomposition, u: LocalUnitary) -> np.ndarray:
+    """O_jk = <s_j|u|s_k>, u applied on its targets to the r left Schmidt vectors."""
+    pos = [1 + list(dec.left_targets).index(t) for t in u.targets]
+    front = range(1, len(pos) + 1)
+    tens = np.moveaxis(dec.left_basis.reshape((dec.n_terms, *dec.left_dims)), pos, front)
+    shape = tens.shape
+    td = u.matrix.shape[0]
+    if math.prod(shape[1:len(pos) + 1]) != td:
+        raise ValueError(f"matrix dimension {td} does not match targets {list(u.targets)}")
+    moved = (u.matrix @ tens.reshape(dec.n_terms, td, -1)).reshape(shape)
+    moved = np.moveaxis(moved, front, pos).reshape(dec.n_terms, -1)
+    return dec.left_basis.conj() @ moved.T
 
 
 def check_envariance(state: StateVector, cut: Bipartition,
@@ -213,34 +187,32 @@ def check_envariance(state: StateVector, cut: Bipartition,
     left, right = cut.sides(state.n_subsystems)
     if not set(u_s.targets) <= set(left):
         raise ValueError(f"unitary targets {u_s.targets} not on the left side {left}")
-    return _envariance_verdict(schmidt(state, cut), u_s)
+    dec = schmidt(state, cut)
+    return _envariance_verdict(dec, _system_block(dec, u_s))
 
 
-def _envariance_verdict(dec: SchmidtDecomposition, u_s: LocalUnitary) -> EnvarianceVerdict:
-    """check_envariance on a decomposition already taken across u_s's cut."""
+def _envariance_verdict(dec: SchmidtDecomposition, system: np.ndarray) -> EnvarianceVerdict:
+    """The verdict on u_s from dec's coefficients and u_s's system block."""
     coeffs = np.asarray(dec.coeffs)
-    block = _block_operator(u_s, list(dec.left_targets), dec.left_dims)
-    overlap = dec.left_basis.conj() @ block @ dec.left_basis.T  # <s_j|u|s_k>
-    ratios = coeffs[None, :] / coeffs[:, None]
-    images = (overlap * ratios) @ dec.right_basis  # row j = |w_j>
+    images = system * (coeffs[None, :] / coeffs[:, None])  # row j = |w_j> on the |eps_k>
 
     gram = images.conj() @ images.T
     gram_dev = float(np.max(np.abs(gram - np.eye(dec.n_terms))))
 
     weights = np.abs(coeffs) ** 2
-    best_op = (images.T * weights) @ dec.right_basis.conj()
-    best_overlap = float(np.sum(np.linalg.svd(best_op, compute_uv=False)))
+    best_overlap = float(np.sum(np.linalg.svd(images.T * weights, compute_uv=False)))
     residual = max(0.0, 1.0 - best_overlap)
+    overlap = _fidelity(coeffs, system)
 
     if gram_dev > GRAM_TOL:
-        return EnvarianceVerdict(False, None, residual, gram_dev)
+        return EnvarianceVerdict(False, None, residual, gram_dev, overlap, 0.0)
 
-    # polish candidate images to exact orthonormality before completing
-    uw, _, vhw = np.linalg.svd(images, full_matrices=False)
-    polished = uw @ vhw
-    partial = dec.right_basis.T @ polished.conj()
-    counter = LocalUnitary(dec.right_targets, _completed(partial, polished))
-    return EnvarianceVerdict(True, counter, residual, gram_dev)
+    # the polar factor of the images is exactly unitary; its conjugate is the
+    # block of the counter sending each |w_j> back to |eps_j>
+    uw, _, vhw = np.linalg.svd(images)
+    counter = (uw @ vhw).conj()
+    return EnvarianceVerdict(True, BlockUnitary(dec.right_basis, counter), residual, gram_dev,
+                             overlap, _fidelity(coeffs, system, counter))
 
 
 def envcheck_run(state: StateVector, cut: Bipartition, *, unitary: LocalUnitary = None,
@@ -249,42 +221,45 @@ def envcheck_run(state: StateVector, cut: Bipartition, *, unitary: LocalUnitary 
 
     Give one of: a ``unitary`` on the left side, countered by its verdict's
     polished counter; Schmidt-term ``phases``; or the rows of a ``basis`` a
-    Schmidt subspace rotates onto.  The last two build u_s and its analytic
-    counter from one decomposition, which the verdict reads as well.
+    Schmidt subspace rotates onto.  The last two build the system block and
+    its analytic counter block from one decomposition, which the verdict
+    reads as well.
     """
     if unitary is not None:
-        u_s = unitary
-        verdict = check_envariance(state, cut, u_s)
-        counter = verdict.counter
+        verdict = check_envariance(state, cut, unitary)
+        return EnvcheckRun(verdict, verdict.counter, verdict.restoration)
+    dec = schmidt(state, cut)
+    if phases is not None:
+        phases = np.asarray(phases, dtype=float)
+        if phases.shape != (dec.n_terms,):
+            raise ValueError(f"need {dec.n_terms} phases, got {phases.shape}")
+        system = np.diag(np.exp(1j * phases))
+        counter = system.conj()
     else:
-        dec = schmidt(state, cut)
-        if phases is not None:
-            u_s, counter = phase_unitary(dec, phases), phase_counter(dec, phases)
-        else:
-            u_s = partial_swap_unitary(dec, basis)
-            counter = partial_swap_counter(dec, basis)
-        verdict = _envariance_verdict(dec, u_s)
-    moved = apply_local(state, u_s)
-    restoration = fidelity(state, apply_local(moved, counter)) if counter is not None else 0.0
-    return EnvcheckRun(verdict, counter, fidelity(state, moved), restoration)
+        system, counter = _partial_swap_blocks(dec, basis)
+    return EnvcheckRun(_envariance_verdict(dec, system), BlockUnitary(dec.right_basis, counter),
+                       _fidelity(dec.coeffs, system, counter))
 
 
 def protocol_run(state: StateVector, cut: Bipartition, spec: SwapSpec) -> ProtocolTranscript:
-    """Confirm, swap two Schmidt terms, counterswap, and record fidelities."""
+    """Confirm, swap two Schmidt terms, counterswap, and record fidelities.
+
+    The counterswap exchanges |eps_k>, |eps_l> with the phase
+    theta = phi_kl + arg a_l - arg a_k, so that for equal-modulus
+    coefficients the composition restores the state exactly.
+    """
     dec = schmidt(state, cut)
     if not (0 <= spec.k < dec.n_terms and 0 <= spec.l < dec.n_terms):
         raise ValueError(
             f"swap indices ({spec.k}, {spec.l}) outside {dec.n_terms} Schmidt terms"
         )
-    steps = [("confirm", fidelity(state, state))]
-    swapped = apply_local(
-        state, swap_unitary(spec, dec.left_basis, targets=dec.left_targets)
-    )
-    steps.append(("swap", fidelity(state, swapped)))
-    restored = apply_local(swapped, counterswap(dec, spec))
-    final = fidelity(state, restored)
-    steps.append(("counterswap", final))
-    return ProtocolTranscript(tuple(steps), restoration_failed=final < 1 - 1e-12)
+    theta = spec.phase + np.angle(dec.coeffs[spec.l]) - np.angle(dec.coeffs[spec.k])
+    swap = _exchange(dec.n_terms, spec.k, spec.l, spec.phase)
+    counter = _exchange(dec.n_terms, spec.k, spec.l, -theta)
+    final = _fidelity(dec.coeffs, swap, counter)
+    steps = (("confirm", fidelity(state, state)), ("swap", _fidelity(dec.coeffs, swap)),
+             ("counterswap", final))
+    return ProtocolTranscript(steps, restoration_failed=final < 1 - 1e-12)
 
 
 def is_even(dec) -> bool:

@@ -27,11 +27,14 @@ import numpy as np
 from . import born
 from .born import require_dense
 from .envariance import _envariance_verdict
-from .hilbert import Bipartition, LocalUnitary, StateVector, apply_local, fidelity, schmidt
+from .hilbert import Bipartition, StateVector, schmidt
 
 SPARSE_TERM_CAP = 4096
 COMPOSITION_CAP = 2**16  # rows of a multinomial table; cells 1,1,1 near it: ~1 s, ~100 MB
-SWAP_BLOCK_CAP = 1400  # a dense swap check holds one (2M)^N square complex operator
+# (2M)^N rows of the (S, C)|E cut the dense swap checks decompose: its SVD and
+# the projector of its degenerate Schmidt group grow with them (M=30, N=2,
+# 3,600 rows, spends 12 s in schmidt)
+SWAP_BLOCK_CAP = 1400
 
 
 @dataclass(frozen=True)
@@ -311,25 +314,21 @@ def _restoration(spec: ExperimentSpec, keys, amps, pair) -> float:
     return float(abs(overlap))
 
 
-def _dense_swap_check(spec, state, dec, keys, pair):
+def _dense_swap_check(spec, dec, keys, pair):
     """Full envariance verdict for a history swap via the generic machinery.
 
     ``dec`` is the state's Schmidt decomposition across the (S, C) cut; every
-    sampled swap acts on that one cut, so a report decomposes once.
+    sampled swap acts on that one cut, so a report decomposes once.  The swap
+    exchanges the two histories' (S, C) entries of each left Schmidt vector,
+    which gives its system block with no operator built.
     """
     sc_dims = (2, spec.M) * spec.runs
-    block = math.prod(sc_dims)
     sc_digits = keys[np.ix_(_rows(spec, pair), _sc_targets(spec))]
     flat_a, flat_b = (int(f) for f in np.ravel_multi_index(sc_digits.T, sc_dims))
-    # a 0/1 permutation: LocalUnitary makes the check's one complex copy
-    u = np.eye(block, dtype=np.uint8)
-    u[[flat_a, flat_b]] = u[[flat_b, flat_a]]
-    swap = LocalUnitary(_sc_targets(spec), u)
-    verdict = _envariance_verdict(dec, swap)
-    if not verdict.envariant:
-        return False, 0.0
-    restored = apply_local(apply_local(state, swap), verdict.counter)
-    return True, fidelity(state, restored)
+    swapped = dec.left_basis.copy()
+    swapped[:, [flat_a, flat_b]] = swapped[:, [flat_b, flat_a]]
+    verdict = _envariance_verdict(dec, dec.left_basis.conj() @ swapped.T)
+    return verdict.envariant, verdict.restoration
 
 
 def _sample_pairs(spec: ExperimentSpec, swap_pairs: int, seed: int) -> list:
@@ -351,7 +350,7 @@ def _swap_checks(spec, keys, amps, pairs, state) -> tuple:
     for pair in pairs:
         sparse_fid = _restoration(spec, keys, amps, pair)
         if dec is not None:
-            envariant, counter_fid = _dense_swap_check(spec, state, dec, keys, pair)
+            envariant, counter_fid = _dense_swap_check(spec, dec, keys, pair)
             checks.append(SwapCheck(pair, sparse_fid, envariant, counter_fid))
         else:
             checks.append(SwapCheck(pair, sparse_fid))

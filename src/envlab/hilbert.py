@@ -169,28 +169,6 @@ def tensor_product(parts) -> StateVector:
     return StateVector(tuple(dims), amps)
 
 
-def apply_local(state: StateVector, u: LocalUnitary) -> StateVector:
-    """Apply a unitary on its target subsystems, identity elsewhere."""
-    dims = state.dims
-    n = len(dims)
-    targets = list(u.targets)
-    if any(t < 0 or t >= n for t in targets):
-        raise ValueError(f"targets {targets} out of range for {n} subsystems")
-    tdims = [dims[t] for t in targets]
-    if math.prod(tdims) != u.matrix.shape[0]:
-        raise ValueError(
-            f"matrix dimension {u.matrix.shape[0]} does not match targets {targets}"
-        )
-    rest = [i for i in range(n) if i not in targets]
-    perm = targets + rest
-    tens = np.transpose(state.tensor(), perm).reshape(math.prod(tdims), -1)
-    tens = u.matrix @ tens
-    shuffled_dims = [dims[i] for i in perm]
-    inv = np.argsort(perm)
-    out = np.transpose(tens.reshape(shuffled_dims), inv).reshape(-1)
-    return StateVector(dims, out)
-
-
 def _cut_matrix(state: StateVector, cut: Bipartition):
     """Amplitudes reshaped to (left block, right block)."""
     left, right = cut.sides(state.n_subsystems)

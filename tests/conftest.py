@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from envlab.born import WeightVector, require_dense
-from envlab.hilbert import (NORM_TOL, ZERO_PROJECTION_TOL, Bipartition, StateVector,
-                            _as_complex_vector, _cut_matrix, tensor_product)
+from envlab.envariance import EVEN_TOL, GRAM_TOL, SwapSpec, _spanned_indices
+from envlab.hilbert import (NORM_TOL, ZERO_PROJECTION_TOL, Bipartition, LocalUnitary,
+                            SchmidtDecomposition, StateVector, _as_complex_vector, _cut_matrix,
+                            fidelity, schmidt, tensor_product)
 from envlab.pointer import (CouplingMatrix, EnvSpectrum, PointerScore, _as_score,
                             _require_finite_phase, _require_orthonormal)
 from envlab.records import _weights_of
@@ -351,6 +353,212 @@ def state_pointer_score(state: StateVector, apparatus: int, candidate_basis) -> 
     """
     basis = np.asarray(candidate_basis, dtype=complex)
     return _as_score(state_scores(state, apparatus, basis[None])[0])
+
+
+# the dense envariance machinery envlab.envariance used to run, kept as the
+# oracle of its Schmidt-coordinate blocks: every u_s and counter is a d x d
+# identity completion, applied to the whole state
+def apply_local(state: StateVector, u: LocalUnitary) -> StateVector:
+    """Apply a unitary on its target subsystems, identity elsewhere."""
+    dims = state.dims
+    n = len(dims)
+    targets = list(u.targets)
+    if any(t < 0 or t >= n for t in targets):
+        raise ValueError(f"targets {targets} out of range for {n} subsystems")
+    tdims = [dims[t] for t in targets]
+    if math.prod(tdims) != u.matrix.shape[0]:
+        raise ValueError(
+            f"matrix dimension {u.matrix.shape[0]} does not match targets {targets}"
+        )
+    rest = [i for i in range(n) if i not in targets]
+    perm = targets + rest
+    tens = np.transpose(state.tensor(), perm).reshape(math.prod(tdims), -1)
+    tens = u.matrix @ tens
+    shuffled_dims = [dims[i] for i in perm]
+    inv = np.argsort(perm)
+    out = np.transpose(tens.reshape(shuffled_dims), inv).reshape(-1)
+    return StateVector(dims, out)
+
+
+def _completed(partial: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Extend an isometry defined on the span of ``rows`` by identity on its complement."""
+    return partial + np.eye(rows.shape[1], dtype=complex) - rows.T @ rows.conj()
+
+
+def _schmidt_phases(dec: SchmidtDecomposition, phases, basis, targets,
+                    sign: int) -> LocalUnitary:
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (dec.n_terms,):
+        raise ValueError(
+            f"need {dec.n_terms} phases, got {phases.shape}"
+        )
+    partial = (basis.T * np.exp(sign * 1j * phases)) @ basis.conj()
+    return LocalUnitary(targets, _completed(partial, basis))
+
+
+def phase_unitary(dec: SchmidtDecomposition, phases) -> LocalUnitary:
+    """System-side Schmidt-phase rotation sum e^{i phi_k}|s_k><s_k|."""
+    return _schmidt_phases(dec, phases, dec.left_basis, dec.left_targets, 1)
+
+
+def phase_counter(dec: SchmidtDecomposition, phases) -> LocalUnitary:
+    """Environment unitary undoing the Schmidt-phase rotation sum e^{i phi_k}|s_k><s_k|."""
+    return _schmidt_phases(dec, phases, dec.right_basis, dec.right_targets, -1)
+
+
+def swap_unitary(spec: SwapSpec, basis, targets=(0,)) -> LocalUnitary:
+    """Exchange basis[k] and basis[l] with phase e^{i phi}, identity elsewhere.
+
+    ``basis`` holds one vector per row over the block addressed by ``targets``.
+    """
+    basis = np.asarray(basis, dtype=complex)
+    if spec.k == spec.l:
+        return LocalUnitary(targets, np.eye(basis.shape[1], dtype=complex))
+    bk, bl = basis[spec.k], basis[spec.l]
+    ph = np.exp(1j * spec.phase)
+    mat = np.eye(basis.shape[1], dtype=complex)
+    mat -= np.outer(bk, bk.conj()) + np.outer(bl, bl.conj())
+    mat += ph * np.outer(bk, bl.conj()) + ph.conjugate() * np.outer(bl, bk.conj())
+    return LocalUnitary(targets, mat)
+
+
+def counterswap(dec: SchmidtDecomposition, spec: SwapSpec) -> LocalUnitary:
+    """Environment exchange undoing swap_unitary on Schmidt terms k, l.
+
+    The exchange phase combines phi_kl with the coefficient arguments so that
+    for equal-modulus coefficients the composition restores the state exactly:
+    the coefficient carried by |eps_k><eps_l| is e^{-i(phi_kl + arg a_l - arg a_k)}.
+    """
+    if not (0 <= spec.k < dec.n_terms and 0 <= spec.l < dec.n_terms):
+        raise ValueError(
+            f"swap indices ({spec.k}, {spec.l}) outside {dec.n_terms} Schmidt terms"
+        )
+    ak, al = dec.coeffs[spec.k], dec.coeffs[spec.l]
+    if abs(ak) == 0 or abs(al) == 0:
+        raise ValueError("counterswap needs nonzero coefficients at k and l")
+    theta = spec.phase + np.angle(al) - np.angle(ak)
+    return swap_unitary(SwapSpec(spec.k, spec.l, -theta), dec.right_basis, dec.right_targets)
+
+
+def partial_swap_unitary(dec: SchmidtDecomposition, new_basis) -> LocalUnitary:
+    """System-side rotation sending the spanned Schmidt vectors onto new_basis."""
+    spanned, _ = _spanned_indices(dec, new_basis)
+    nb = np.asarray(new_basis, dtype=complex)
+    old = dec.left_basis[spanned]
+    partial = nb.T @ old.conj()
+    return LocalUnitary(dec.left_targets, _completed(partial, old))
+
+
+def partial_swap_counter(dec: SchmidtDecomposition, new_basis) -> LocalUnitary:
+    """Environment counter for partial_swap_unitary on an even subspace.
+
+    Builds the rotated environment partners
+    |eps~_l> = sum_k e^{i phi_k} <s~_l|s_k> |eps_k> and returns the unitary
+    sending e^{i phi_k}|eps_k> to |eps~_k| over the spanned indices, identity
+    on the complement.  Requires the spanned coefficients to share a modulus.
+    """
+    spanned, overlaps = _spanned_indices(dec, new_basis)
+    overlaps = overlaps[:, spanned]
+    mods = np.abs(np.asarray(dec.coeffs)[spanned])
+    if (mods.max() - mods.min()) > EVEN_TOL * mods.max():
+        raise ValueError(
+            f"subspace is not even: modulus spread {mods.max() - mods.min():g}"
+        )
+    phases = np.exp(1j * np.angle(np.asarray(dec.coeffs)[spanned]))
+    eps = dec.right_basis[spanned]
+    eps_new = (overlaps * phases[None, :]) @ eps  # row l = |eps~_l>
+    partial = eps_new.T @ (eps.conj() * phases.conj()[:, None])
+    return LocalUnitary(dec.right_targets, _completed(partial, eps))
+
+
+def _block_operator(u: LocalUnitary, left, left_dims) -> np.ndarray:
+    """Matrix of u on the full ordered left block (identity off its targets).
+
+    When u covers the whole block its matrix is used as it is, reordered
+    only if its target order differs from the block's; the result may then
+    be a read-only view of u.matrix.
+    """
+    pos = [left.index(t) for t in u.targets]
+    rest = [p for p in range(len(left_dims)) if p not in pos]
+    d = math.prod(left_dims)
+    require_dense(d * d, "block operator")
+    kron = u.matrix
+    if rest:
+        kron = np.kron(kron, np.eye(math.prod(left_dims[p] for p in rest)))
+    shuffled = [left_dims[p] for p in pos + rest]
+    inv = list(np.argsort(pos + rest))
+    out = kron.reshape(shuffled * 2).transpose(inv + [len(inv) + i for i in inv])
+    return out.reshape(d, d)
+
+
+@dataclass(frozen=True)
+class DenseVerdict:
+    envariant: bool
+    counter: object  # LocalUnitary or None
+    residual_infidelity: float
+    gram_deviation: float
+
+
+def dense_verdict(dec: SchmidtDecomposition, u_s: LocalUnitary) -> DenseVerdict:
+    """The envariance verdict read off the d x d block operator of u_s."""
+    coeffs = np.asarray(dec.coeffs)
+    block = _block_operator(u_s, list(dec.left_targets), dec.left_dims)
+    overlap = dec.left_basis.conj() @ block @ dec.left_basis.T  # <s_j|u|s_k>
+    ratios = coeffs[None, :] / coeffs[:, None]
+    images = (overlap * ratios) @ dec.right_basis  # row j = |w_j>
+
+    gram = images.conj() @ images.T
+    gram_dev = float(np.max(np.abs(gram - np.eye(dec.n_terms))))
+
+    weights = np.abs(coeffs) ** 2
+    best_op = (images.T * weights) @ dec.right_basis.conj()
+    best_overlap = float(np.sum(np.linalg.svd(best_op, compute_uv=False)))
+    residual = max(0.0, 1.0 - best_overlap)
+
+    if gram_dev > GRAM_TOL:
+        return DenseVerdict(False, None, residual, gram_dev)
+
+    # polish candidate images to exact orthonormality before completing
+    uw, _, vhw = np.linalg.svd(images, full_matrices=False)
+    polished = uw @ vhw
+    partial = dec.right_basis.T @ polished.conj()
+    counter = LocalUnitary(dec.right_targets, _completed(partial, polished))
+    return DenseVerdict(True, counter, residual, gram_dev)
+
+
+def dense_envcheck(state: StateVector, cut: Bipartition, *, unitary=None, phases=None,
+                   basis=None) -> tuple:
+    """(verdict, counter, overlap, restoration) with every operator dense."""
+    dec = schmidt(state, cut)
+    if unitary is not None:
+        u_s = unitary
+        verdict = dense_verdict(dec, u_s)
+        counter = verdict.counter
+    else:
+        if phases is not None:
+            u_s, counter = phase_unitary(dec, phases), phase_counter(dec, phases)
+        else:
+            u_s = partial_swap_unitary(dec, basis)
+            counter = partial_swap_counter(dec, basis)
+        verdict = dense_verdict(dec, u_s)
+    moved = apply_local(state, u_s)
+    restoration = fidelity(state, apply_local(moved, counter)) if counter is not None else 0.0
+    return verdict, counter, fidelity(state, moved), restoration
+
+
+def dense_protocol(state: StateVector, cut: Bipartition, spec: SwapSpec) -> tuple:
+    """The confirm, swap and counterswap fidelities of the whole rotated states."""
+    dec = schmidt(state, cut)
+    swapped = apply_local(state, swap_unitary(spec, dec.left_basis, dec.left_targets))
+    restored = apply_local(swapped, counterswap(dec, spec))
+    return (("confirm", fidelity(state, state)), ("swap", fidelity(state, swapped)),
+            ("counterswap", fidelity(state, restored)))
+
+
+def dense_counter(counter, targets) -> LocalUnitary:
+    """A BlockUnitary counter as the d x d LocalUnitary it stands for."""
+    basis = counter.basis
+    return LocalUnitary(targets, _completed(basis.T @ counter.block @ basis.conj(), basis))
 
 
 def even_cut() -> Bipartition:

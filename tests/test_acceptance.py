@@ -25,10 +25,8 @@ from envlab.continuum import (
 from envlab.envariance import (
     SwapSpec,
     check_envariance,
-    phase_counter,
-    phase_unitary,
+    envcheck_run,
     protocol_run,
-    swap_unitary,
 )
 from envlab.frequencies import (
     ExperimentSpec,
@@ -40,7 +38,6 @@ from envlab.hilbert import (
     Bipartition,
     LocalUnitary,
     StateVector,
-    apply_local,
     fidelity,
     save_state,
     schmidt,
@@ -54,8 +51,9 @@ from envlab.pointer import (
     pointer_score,
 )
 from envlab.records import verify_axioms
-from conftest import (conditional_state, random_state, random_unitary, schmidt_form_state,
-                      state_pointer_score)
+from conftest import (apply_local, conditional_state, phase_counter, phase_unitary,
+                      random_state, random_unitary, schmidt_form_state, state_pointer_score,
+                      swap_unitary)
 
 CUT = Bipartition((0,))
 
@@ -177,12 +175,19 @@ def test_criterion_04_phase_redecoration_invariance():
 def test_phase_unitary_matches_criterion_04_oracle():
     rng = np.random.default_rng(405)
     for dims in ((2, 3), (3, 2, 2), (4, 4)):
-        dec = schmidt(random_state(rng, dims), CUT)
+        state = random_state(rng, dims)
+        dec = schmidt(state, CUT)
         phases = rng.uniform(0, 2 * np.pi, len(dec.coeffs))
         got = phase_unitary(dec, phases)
         want = schmidt_phase_unitary(dec, phases)
         assert got.targets == want.targets
         assert np.array_equal(got.matrix, want.matrix)
+        # the shipped route reads the same rotation off its Schmidt block
+        run = envcheck_run(state, CUT, phases=phases)
+        moved = apply_local(state, want)
+        assert abs(run.verdict.overlap - fidelity(state, moved)) <= 1e-12
+        restored = apply_local(moved, phase_counter(dec, phases))
+        assert abs(run.restoration - fidelity(state, restored)) <= 1e-12
 
 
 def test_criterion_05_pointer_dichotomy():

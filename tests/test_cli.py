@@ -835,6 +835,67 @@ def test_schmidt_purity_of_a_long_cut_runs_within_memory_cap(dims, cut, tmp_path
     assert scalar(proc.stdout, "reduced_purity") == "1"
 
 
+def bell_like(rows: int) -> StateVector:
+    # (|0, 0> + |1, 1>)/sqrt(2) in a rows x 2 grid: two equal Schmidt terms
+    amps = np.zeros(2 * rows)
+    amps[0] = amps[3] = math.sqrt(0.5)
+    return StateVector((rows, 2), amps)
+
+
+@pytest.fixture(scope="module")
+def bell_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bell")
+    for rows in (4096, 65536):
+        save_state(bell_like(rows), root / f"bell{rows}.state")
+    np.savetxt(root / "hadamard.txt", np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2))
+    return root
+
+
+@pytest.mark.parametrize("route", [
+    ["envcheck", "--term-phases", "0.3,0.9"],
+    ["envcheck", "--unitary", "swap:0,1"],
+    ["envcheck", "--partial", "{hadamard}"],
+    ["protocol", "--pair", "0,1"],
+], ids=["term-phases", "unitary", "partial", "protocol"])
+def test_envariance_on_a_long_environment_holds_no_dense_operator(route, bell_files):
+    # the environment side of --cut 1 is 4,096-dimensional: every counter
+    # used to be a 4,096 x 4,096 identity completion, and the peak was
+    # 1,024-1,297 MiB; the r x r Schmidt blocks are 2 x 2
+    argv = [route[0], "--state", str(bell_files / "bell4096.state"), "--cut", "1",
+            *(a.format(hadamard=bell_files / "hadamard.txt") for a in route[1:])]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "restoration = 1" in out.getvalue() or "final_fidelity = 1" in out.getvalue()
+    assert "[counter]" not in out.getvalue()  # 4,096^2 entries, past MAX_TABLE_ROWS
+    assert peak <= 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("route", [
+    ["envcheck", "--term-phases", "0.3,0.9"],
+    ["protocol", "--pair", "0,1"],
+], ids=["term-phases", "protocol"])
+def test_envariance_on_a_65536_level_environment_runs_within_memory_cap(route, bell_files):
+    # a dense counter on this cut would be a 64 GiB allocation
+    proc = run_under_memory_cap([route[0], "--state", str(bell_files / "bell65536.state"),
+                                 "--cut", "1", *route[1:]])
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_block_unitary_is_checked_against_the_budget(bell_files, capsys):
+    # --unitary on the 65,536-dimensional side is a 65,536^2 matrix, refused
+    # before np.eye builds it
+    argv = ["envcheck", "--state", str(bell_files / "bell65536.state"), "--cut", "0",
+            "--unitary", "swap:0,1"]
+    one_error_line(*run_cli(argv, capsys),
+                   "error: block operator needs 4294967296 amplitudes (cap 4194304)")
+
+
 @pytest.mark.parametrize("argv", [
     ["pointer", "--couplings", "{empty}"],
     ["envcheck", "--state", "{state}", "--cut", "0", "--unitary", "matrix:{empty}"],
@@ -1423,8 +1484,10 @@ ENVCHECK_RUNS = (
     ["envcheck", "--state", "{state}", "--cut", "0", "--partial", "{basis}"],
 )
 
-SCENARIO_RUNS = tuple((argv, "envariance.envcheck_run", {"hilbert.load_state"})
-                      for argv in ENVCHECK_RUNS) + (
+# --unitary checks its d x d matrix against the budget before parsing it
+SCENARIO_RUNS = tuple((argv, "envariance.envcheck_run",
+                       {"hilbert.load_state"} | ({"born.require_dense"} if i == 0 else set()))
+                      for i, argv in enumerate(ENVCHECK_RUNS)) + (
     (["born", "--weights", "2,3,5", "--subset", "0,2"], "born.born_from_weights",
      {"born.coarse_probability", "born.fine_values", "envariance.is_even"}),
     (["born", "--state", "{state}", "--cut", "0"], "born.born_probabilities",
@@ -1535,7 +1598,7 @@ FUZZ_COUPLINGS = {
     "long.txt": np.zeros((40, 3000)),
 }
 
-FUZZ_STATES = ("s.state", "even.state", "bad.state", "missing.state")
+FUZZ_STATES = ("s.state", "even.state", "wide.state", "bad.state", "missing.state")
 FUZZ_CUTS = ("0", "1", "0,1", "2", "-1", "", "x", "0,0")
 
 # Valid runs of each route, and the edge values a draw puts in their flags.
@@ -1672,10 +1735,13 @@ def fuzz_files(tmp_path_factory):
     for name, array in FUZZ_COUPLINGS.items():
         np.savetxt(root / name, array)
     (root / "empty.txt").write_text("")
-    # an uneven 2x3 state, the even two-qubit state and unparsable text;
-    # missing.state is never written
+    # an uneven 2x3 state, the even two-qubit state, a 128 x 2 Bell-like
+    # state and unparsable text; missing.state is never written.  At --cut 1
+    # the wide state's counter has 128^2 = 16,384 entries, past
+    # MAX_TABLE_ROWS, so envcheck prints no counter table for it
     save_state(StateVector((2, 3), np.arange(1.0, 7.0) / math.sqrt(91.0)), root / "s.state")
     save_state(StateVector((2, 2), np.array([1, 0, 0, 1]) / math.sqrt(2)), root / "even.state")
+    save_state(bell_like(128), root / "wide.state")
     (root / "bad.state").write_text("{not json")
     # a swap of two levels and a rotated basis of them, for envcheck
     np.savetxt(root / "swap.txt", [[0.0, 1.0], [1.0, 0.0]])

@@ -3,29 +3,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from envlab.envariance import (
-    EnvarianceVerdict,
     SwapSpec,
     check_envariance,
-    counterswap,
     is_even,
-    partial_swap_counter,
-    partial_swap_unitary,
-    phase_counter,
     protocol_run,
-    swap_unitary,
 )
 from envlab.hilbert import (
     Bipartition,
     LocalUnitary,
     StateVector,
-    apply_local,
     fidelity,
     schmidt,
 )
-from conftest import (bell_pair, conditional_state, random_state, random_unitary,
-                      schmidt_form_state)
+from conftest import (apply_local, bell_pair, conditional_state, counterswap, dense_counter,
+                      partial_swap_counter, partial_swap_unitary, phase_counter, random_state,
+                      random_unitary, schmidt_form_state, swap_unitary)
 
 CUT = Bipartition((0,))
+
+
+def restored_by(psi, u, verdict, right=(1,)):
+    """psi after u and the verdict's counter, both applied as dense operators."""
+    return apply_local(apply_local(psi, u), dense_counter(verdict.counter, right))
 
 
 def schmidt_phase_unitary(dec, phases):
@@ -212,8 +211,8 @@ def test_check_envariance_phase_unitary(rng):
     verdict = check_envariance(psi, CUT, u)
     assert verdict.envariant
     assert verdict.residual_infidelity <= 1e-10
-    restored = apply_local(apply_local(psi, u), verdict.counter)
-    assert fidelity(psi, restored) >= 1 - 1e-10
+    assert fidelity(psi, restored_by(psi, u, verdict)) >= 1 - 1e-10
+    assert abs(verdict.restoration - fidelity(psi, restored_by(psi, u, verdict))) < 1e-12
 
 
 def test_check_envariance_uneven_swap_rejected():
@@ -265,7 +264,7 @@ def test_check_envariance_kernel_only_component(rng):
     mat += np.outer(kvecs[0], kvecs[1].conj()) + np.outer(kvecs[1], kvecs[0].conj())
     verdict = check_envariance(psi, CUT, LocalUnitary((0,), mat))
     assert verdict.envariant
-    restored = apply_local(apply_local(psi, LocalUnitary((0,), mat)), verdict.counter)
+    restored = restored_by(psi, LocalUnitary((0,), mat), verdict)
     assert fidelity(psi, restored) >= 1 - 1e-10
 
 
@@ -291,8 +290,8 @@ def test_check_envariance_soundness_random(rng):
         verdict = check_envariance(psi, CUT, u)
         if verdict.envariant:
             hits += 1
-            restored = apply_local(apply_local(psi, u), verdict.counter)
-            assert fidelity(psi, restored) >= 1 - 1e-10
+            assert fidelity(psi, restored_by(psi, u, verdict)) >= 1 - 1e-10
+            assert verdict.restoration >= 1 - 1e-10
     assert hits > 0
 
 

@@ -382,9 +382,10 @@ def test_swap_restoration_all_pairs():
 
 
 def test_dense_swap_checks_hold_one_block_operator():
-    # each of the 8 checks builds a 1024 x 1024 swap (16 MiB complex); the
-    # projector of the degenerate Schmidt group is another such array, taken
-    # once per report, and no two of them may be alive at the same time
+    # the checks build no swap operator: each reads its 32 x 32 system block
+    # off the left Schmidt vectors with two (S, C) entries exchanged; the
+    # projector of the degenerate Schmidt group, 1024 x 1024 (16 MiB
+    # complex) and taken once per report, is the one large array left
     spec = ExperimentSpec(m=1, M=2, runs=5)
     superensemble(history_counts(ExperimentSpec(m=1, M=2, runs=2)), swap_pairs=1)  # warm caches
     tracemalloc.start()

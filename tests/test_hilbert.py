@@ -6,7 +6,6 @@ from envlab.hilbert import (
     Bipartition,
     LocalUnitary,
     StateVector,
-    apply_local,
     fidelity,
     load_state,
     reconstruct,
@@ -15,8 +14,8 @@ from envlab.hilbert import (
     schmidt,
     tensor_product,
 )
-from conftest import (OrthogonalOutcomeError, bell_pair, conditional_state, random_state,
-                      random_unitary, reduced_probe, unit_state)
+from conftest import (OrthogonalOutcomeError, apply_local, bell_pair, conditional_state,
+                      random_state, random_unitary, reduced_probe, unit_state)
 
 KET0 = StateVector((2,), np.array([1.0, 0.0]))
 KET1 = StateVector((2,), np.array([0.0, 1.0]))

@@ -16,7 +16,10 @@ the top Gram eigenvalue of each conditional instead of its top singular
 value, within 1e-12 of the SVD scores, and the shipped kernel reads the
 same Gram matrices off the decoherence matrix, within 1e-12 of the dense
 state kernel.  The pointer-search oracles still compare the batched descent
-with the per-start descent exactly, both scored by the shipped kernel.
+with the per-start descent exactly, both scored by the shipped kernel.  And
+the envariance verdicts, counters and fidelities, which the shipped code
+reads off r x r Schmidt-coordinate blocks: the dense d x d operators applied
+to the whole state (in conftest.py) agree within 1e-12.
 """
 
 import contextlib
@@ -40,7 +43,8 @@ import envlab.hilbert as hilbert
 import envlab.pointer as pointer
 import envlab.records as records
 from envlab.born import WeightVector, _apportion, _chunk_rows, fine_values
-from envlab.envariance import _block_operator, check_envariance
+from envlab.envariance import (SwapSpec, _envariance_verdict, check_envariance, envcheck_run,
+                               protocol_run)
 from envlab.frequencies import (
     SWAP_BLOCK_CAP,
     ExperimentSpec,
@@ -61,8 +65,8 @@ from envlab.hilbert import (
     _canonical_group_basis,
     _cut_matrix,
     _unitarity_deviation,
-    apply_local,
     fidelity,
+    schmidt,
     schmidt_values,
 )
 from envlab.records import (
@@ -78,8 +82,9 @@ from envlab.records import (
     verify_axioms,
 )
 from envlab.report import Report, Table, emit_report, format_value
-from conftest import (einselection_state, even_cut, fine_grain, random_unitary, state_scores,
-                      unit_state, vector_scores)
+from conftest import (_block_operator, apply_local, dense_counter, dense_envcheck,
+                      dense_protocol, dense_verdict, einselection_state, even_cut, fine_grain,
+                      phase_unitary, random_unitary, state_scores, unit_state, vector_scores)
 
 
 # ----- oracles: the earlier implementations -----
@@ -182,19 +187,18 @@ def oracle_unitarity_deviation(mat):
 
 
 def oracle_dense_swap_check(spec, state, pair):
+    # a decomposition per pair, then the shipped block check on the swap's
+    # exchanged (S, C) entries
     sc_dims = (2, spec.M) * spec.runs
-    block = math.prod(sc_dims)
     flat_a = int(np.ravel_multi_index(_sc_part(_full_index(spec, pair[0])), sc_dims))
     flat_b = int(np.ravel_multi_index(_sc_part(_full_index(spec, pair[1])), sc_dims))
-    u = np.eye(block, dtype=complex)
-    u[flat_a, flat_a] = u[flat_b, flat_b] = 0.0
-    u[flat_a, flat_b] = u[flat_b, flat_a] = 1.0
-    swap = LocalUnitary(_sc_targets(spec), u)
-    verdict = check_envariance(state, Bipartition(_sc_targets(spec)), swap)
+    dec = schmidt(state, Bipartition(_sc_targets(spec)))
+    swapped = dec.left_basis.copy()
+    swapped[:, [flat_a, flat_b]] = swapped[:, [flat_b, flat_a]]
+    verdict = _envariance_verdict(dec, dec.left_basis.conj() @ swapped.T)
     if not verdict.envariant:
         return False, 0.0
-    restored = apply_local(apply_local(state, swap), verdict.counter)
-    return True, fidelity(state, restored)
+    return True, verdict.restoration
 
 
 def oracle_swap_checks(spec, state, terms, swap_pairs, seed):
@@ -436,32 +440,169 @@ def test_block_operator_matches_oracle_bit_for_bit(seed, data):
     _check_block_operator(seed, left_dims, left, targets)
 
 
-@pytest.mark.parametrize("left_dims, left, targets", [
+# left block dims, its subsystem labels in block order, and a unitary's targets
+TARGET_ORDERS = [
     ((2, 3, 2, 2), (0, 1, 2, 3), (0, 2)),        # non-contiguous
     ((2, 3, 2, 2), (0, 1, 2, 3), (3, 1)),        # reversed, non-contiguous
     ((2, 3, 4), (0, 1, 2), (2, 1, 0)),           # every axis, reversed
     ((3, 2, 2), (7, 4, 5), (5, 7)),              # unsorted subsystem labels
     ((2, 2) * 3, (0, 1, 3, 4, 6, 7), (0, 1, 3, 4, 6, 7)),  # freq's (S, C) block
-])
+]
+
+
+@pytest.mark.parametrize("left_dims, left, targets", TARGET_ORDERS)
 def test_block_operator_target_orders(left_dims, left, targets):
     _check_block_operator(11, left_dims, left, targets)
 
 
 def test_block_operator_is_checked_against_the_budget():
     # a 2x2 unitary on a (2, 1100) left block would need a 2200 x 2200
-    # operator, above the amplitude cap; it is refused before any allocation
+    # operator, above the amplitude cap, which the budget used to refuse;
+    # the unitary now acts on the r left Schmidt vectors alone, so the
+    # verdict comes back in a fraction of that operator's 74 MiB
     assert born.DENSE_AMPLITUDE_CAP == 2048 ** 2 < 2200 ** 2
     state = unit_state((2, 1100, 2), np.ones(4400))
     u = LocalUnitary((0,), np.array([[0, 1], [1, 0]]))
     tracemalloc.start()
     try:
-        with pytest.raises(born.DenseBudgetError,
-                           match="block operator needs 4840000 amplitudes"):
-            check_envariance(state, Bipartition((0, 1)), u)
+        verdict = check_envariance(state, Bipartition((0, 1)), u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 ** 20  # the operator alone would be 74 MiB
+    # rank one: the swap moves |s_0> = |+>|1100-uniform> onto itself
+    assert verdict.envariant and verdict.restoration >= 1 - 1e-12
+    assert peak <= 2 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+# ----- Schmidt-coordinate envariance against the dense operators -----
+
+def _labelled_state(rng, kind, left_dims, left, right_dim):
+    """A state whose subsystems ``left`` (in block order) have ``left_dims``;
+    the first other label has ``right_dim`` levels and the rest one.
+
+    ``kind`` is "random", "rank-deficient" (Schmidt rank one below full) or
+    "degenerate" (a leading group of equal coefficients, random phases).
+    """
+    n = max(left) + 2
+    dims = [1] * n
+    for label, d in zip(left, left_dims):
+        dims[label] = d
+    right = [i for i in range(n) if i not in left]
+    dims[right[0]] = right_dim
+    order = sorted(left) + right
+    dl, dr = math.prod(left_dims), right_dim
+    rank = min(dl, dr)
+    if kind == "random":
+        mat = rng.standard_normal((dl, dr)) + 1j * rng.standard_normal((dl, dr))
+    else:
+        k = max(rank - 1, 1) if kind == "rank-deficient" else rank
+        mods = rng.uniform(0.2, 1.0, k)
+        if kind == "degenerate":
+            mods[:max(2, k - 1)] = mods.max()
+        coeffs = mods * np.exp(1j * rng.uniform(0, 2 * np.pi, k))
+        mat = (random_unitary(rng, dl)[:, :k] * coeffs) @ random_unitary(rng, dr)[:k]
+    tens = mat.reshape([dims[i] for i in order])
+    tens = np.transpose(tens, np.argsort(order))
+    return unit_state(dims, tens.reshape(-1)), Bipartition(tuple(left))
+
+
+def _same_verdict(got, want, state, cut, u):
+    assert got.envariant == want.envariant
+    assert abs(got.gram_deviation - want.gram_deviation) <= 1e-12
+    assert abs(got.residual_infidelity - want.residual_infidelity) <= 1e-12
+    moved = apply_local(state, u)
+    assert abs(got.overlap - fidelity(state, moved)) <= 1e-12
+    if want.counter is None:
+        assert got.counter is None and got.restoration == 0.0
+        return
+    right = cut.sides(state.n_subsystems)[1]
+    lifted = dense_counter(got.counter, right)
+    assert np.max(np.abs(lifted.matrix - want.counter.matrix)) <= 1e-12
+    restored = fidelity(state, apply_local(moved, want.counter))
+    assert abs(got.restoration - restored) <= 1e-12
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(TARGET_ORDERS),
+       st.sampled_from(["random", "rank-deficient", "degenerate"]), st.integers(2, 5))
+@settings(max_examples=60, deadline=None)
+def test_schmidt_blocks_match_the_dense_oracle(seed, order, kind, right_dim):
+    rng = np.random.default_rng(seed)
+    left_dims, left, targets = order
+    state, cut = _labelled_state(rng, kind, left_dims, left, right_dim)
+    dec = schmidt(state, cut)
+    r = dec.n_terms
+
+    # a random unitary on the targets, and a Schmidt-phase rotation of the
+    # whole block, which is envariant and gets the polished counter
+    td = math.prod(left_dims[left.index(t)] for t in targets)
+    u = LocalUnitary(targets, random_unitary(rng, td))
+    _same_verdict(check_envariance(state, cut, u), dense_verdict(dec, u), state, cut, u)
+    phases = rng.uniform(0, 2 * np.pi, r)
+    u = phase_unitary(dec, phases)
+    _same_verdict(check_envariance(state, cut, u), dense_verdict(dec, u), state, cut, u)
+
+    # Schmidt-term phases with their analytic counter
+    run = envcheck_run(state, cut, phases=phases)
+    want, counter, overlap, restoration = dense_envcheck(state, cut, phases=phases)
+    assert run.verdict.envariant == want.envariant
+    assert abs(run.verdict.overlap - overlap) <= 1e-12
+    assert abs(run.restoration - restoration) <= 1e-12
+    right = cut.sides(state.n_subsystems)[1]
+    assert np.max(np.abs(dense_counter(run.counter, right).matrix - counter.matrix)) <= 1e-12
+
+    # a phased swap of two terms and its counterswap
+    k, l = (int(i) for i in rng.integers(0, r, 2))
+    spec = SwapSpec(k, l, float(rng.uniform(0, 2 * np.pi)))
+    got = protocol_run(state, cut, spec).steps
+    for (label, fid), (want_label, want_fid) in zip(got, dense_protocol(state, cut, spec)):
+        assert label == want_label and abs(fid - want_fid) <= 1e-12
+
+    # a rotation of the degenerate group onto a random basis of its span
+    if kind == "degenerate" and r >= 2:
+        mods = np.abs(dec.coeffs)
+        group = [i for i in range(r) if abs(mods[i] - mods[0]) <= 1e-9 * mods[0]]
+        basis = random_unitary(rng, len(group)) @ dec.left_basis[group]
+        run = envcheck_run(state, cut, basis=basis)
+        want, counter, overlap, restoration = dense_envcheck(state, cut, basis=basis)
+        assert run.verdict.envariant == want.envariant
+        assert abs(run.verdict.gram_deviation - want.gram_deviation) <= 1e-12
+        assert abs(run.verdict.overlap - overlap) <= 1e-12
+        assert abs(run.restoration - restoration) <= 1e-12
+        lifted = dense_counter(run.counter, right)
+        assert np.max(np.abs(lifted.matrix - counter.matrix)) <= 1e-12
+
+
+def _partial_on_an_even_pair(rows, tmp_path, capsys):
+    # --partial on the even pair |0>, |1> of a 3 x 3 state
+    state, basis = tmp_path / "even.state", tmp_path / "basis.txt"
+    amps = np.zeros(9)
+    amps[0] = amps[4] = math.sqrt(0.5)
+    hilbert.save_state(hilbert.StateVector((3, 3), amps), state)
+    np.savetxt(basis, rows)
+    code = cli.main(["envcheck", "--state", str(state), "--cut", "0", "--partial", str(basis)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("tilt, shown", [(1e-6, "1e-06"), (1e-9, "1e-09")])
+def test_partial_basis_tilted_out_of_the_span_exits_two(tilt, shown, tmp_path, capsys):
+    # a Hadamard with one row tilted toward |2>, off the Schmidt span: the
+    # rotation could not be unitary
+    half = math.cos(tilt) / math.sqrt(2)
+    rows = [[half, half, math.sin(tilt)], [1 / math.sqrt(2), -1 / math.sqrt(2), 0.0]]
+    assert _partial_on_an_even_pair(rows, tmp_path, capsys) == (
+        2, "", f"error: matrix deviates from unitarity by {shown}\n")
+
+
+@pytest.mark.parametrize("stretch, code", [(1e-10, 2), (4e-11, 0)])
+def test_partial_basis_stretched_in_the_span_is_checked(stretch, code, tmp_path, capsys):
+    # a Hadamard row 1 + stretch long stays in the span, and passes the 1e-9
+    # orthonormality check; the system block's unitarity guards it
+    rows = np.diag([1 + stretch, 1.0]) @ np.array([[1, 1, 0], [1, -1, 0]]) / math.sqrt(2)
+    got = _partial_on_an_even_pair(rows, tmp_path, capsys)
+    assert got[0] == code
+    if code == 2:
+        assert got[1:] == ("", "error: matrix deviates from unitarity by 2e-10\n")
 
 
 # ----- history expansion and sparse swap restoration -----
@@ -667,10 +808,10 @@ def test_one_schmidt_decomposition_per_report(pairs, decompositions, kernel_call
     route, report = superensemble(history_counts(spec), swap_pairs=pairs, seed=1)
     assert route == "explicit" and len(report.swap_checks) == pairs
     assert all(c.envariant is True for c in report.swap_checks)
-    # every pair still gets a dense verdict, and every swap and counter
-    # still passes the unitarity guard
+    # every pair still gets a dense verdict; no swap or counter is built as
+    # a LocalUnitary, so none passes the unitarity guard
     assert kernel_calls == {"schmidt": decompositions, "verdict": pairs,
-                            "unitarity": 2 * pairs}
+                            "unitarity": 0}
 
 
 @pytest.mark.parametrize("m, big_m, runs, phases", [
