@@ -180,29 +180,24 @@ def _cut_matrix(state: StateVector, cut: Bipartition):
 def _canonical_group_basis(block: np.ndarray) -> np.ndarray:
     # Deterministic orthonormal basis of span(columns): project coordinate
     # vectors in index order and Gram-Schmidt, so degenerate groups never
-    # inherit backend-dependent rotations.  A projection of norm <= 1e-9
-    # cannot leave a residual above the 1e-8 acceptance threshold, so only
-    # the others are visited.  The column norms are summed row by row, in
-    # the order np.linalg.norm(proj, axis=0) sums them, so the projector is
-    # the only d x d array alive.
+    # inherit backend-dependent rotations.  The projection of e_i is
+    # block @ conj(block[i]), so the work runs on the g-vectors
+    # conj(block[i]) and only block @ q is d long: no d x d projector.  Each
+    # is orthogonalized twice, so a nearly dependent one still leaves q
+    # orthonormal.  A projection of norm <= 1e-9 cannot leave a residual
+    # above the 1e-8 acceptance threshold, so only the others are visited.
     g = block.shape[1]
-    proj = block @ block.conj().T
-    sq = np.zeros(proj.shape[1])
-    for row in proj:
-        sq += row.real ** 2 + row.imag ** 2
-    cols = []
-    for i in np.flatnonzero(np.sqrt(sq) > 1e-9):
-        v = proj[:, i].copy()
-        for c in cols:
-            v -= c * (c.conj() @ v)
+    q, k = np.zeros((g, g), dtype=block.dtype), 0
+    for i in np.flatnonzero(np.linalg.norm(block, axis=1) > 1e-9):
+        v = block[i].conj()
+        for _ in range(2):
+            v = v - q[:, :k] @ (q[:, :k].conj().T @ v)
         nrm = np.linalg.norm(v)
         if nrm > 1e-8:
-            cols.append(v / nrm)
-        if len(cols) == g:
-            break
-    if len(cols) != g:
-        raise ValueError("failed to span a degenerate coefficient group")
-    return np.stack(cols, axis=1)
+            q[:, k], k = v / nrm, k + 1
+            if k == g:
+                return block @ q
+    raise ValueError("failed to span a degenerate coefficient group")
 
 
 def _lead_phase(vec: np.ndarray):

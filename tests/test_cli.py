@@ -181,6 +181,26 @@ def audit_files(tmp_path_factory):
     return files
 
 
+# The budget audit shrinks the amplitude budget, and every cap that sizes a
+# route alongside it by the same factor, then runs AUDIT_RUNS on fixture
+# files sized to that budget.
+AUDIT_BUDGET = 2 ** 12
+AUDIT_PEAK_RATIO = 24  # traced peak per byte of the budget's complex amplitudes
+AUDIT_FLOOR = 2 ** 18  # argparse, the report and the interpreter, whatever the budget
+
+
+@pytest.fixture(scope="module")
+def budget_files(tmp_path_factory, audit_files):
+    """audit_files with a Bell-like state of AUDIT_BUDGET amplitudes, whose
+    long side holds a degenerate Schmidt group, and a basis rotating it."""
+    root = tmp_path_factory.mktemp("budget")
+    files = dict(audit_files, **{name: str(root / name) for name in ("saved", "state", "basis")})
+    rows = AUDIT_BUDGET // 2
+    save_state(bell_like(rows), files["state"])
+    np.savetxt(files["basis"], hadamard_rows(rows))
+    return files
+
+
 @pytest.fixture(scope="module")
 def audit_argvs(audit_files):
     """AUDIT_RUNS with their fixture files written."""
@@ -214,6 +234,33 @@ def audit_reached(audit_argvs):
 
 def test_every_audit_run_exits_zero(audit_reached):
     assert [argv for argv, code, _ in audit_reached if code != 0] == []
+
+
+def test_every_audit_run_stays_within_the_budget(budget_files, monkeypatch):
+    # each run exits 0, or 2 with the budget's refusal, and its traced peak
+    # stays within AUDIT_PEAK_RATIO times the budget's bytes plus the floor;
+    # the d x d projector of the degenerate Schmidt group on the 2,048-level
+    # side used to take schmidt and envcheck/protocol on --cut 0 to 1,031 times
+    scale = AUDIT_BUDGET / envlab.born.DENSE_AMPLITUDE_CAP
+    monkeypatch.setattr(envlab.born, "DENSE_AMPLITUDE_CAP", AUDIT_BUDGET)
+    for mod, cap in ((envlab.frequencies, "SPARSE_TERM_CAP"),
+                     (envlab.frequencies, "COMPOSITION_CAP"), (envlab.records, "UNIVERSE_CAP")):
+        monkeypatch.setattr(mod, cap, int(getattr(mod, cap) * scale))
+    bound = AUDIT_PEAK_RATIO * 16 * AUDIT_BUDGET + AUDIT_FLOOR
+    over = []
+    for argv in AUDIT_RUNS:
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([a.format(**budget_files) for a in argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        refused = code == 2 and f"(cap {AUDIT_BUDGET})" in err.getvalue()
+        if peak > bound or not (code == 0 or refused):
+            over.append((" ".join(argv), code, f"{peak / (16 * AUDIT_BUDGET):.0f}x"))
+    assert over == []
 
 
 def test_every_public_operation_is_reached_by_a_cli_run(audit_reached):
@@ -842,27 +889,45 @@ def bell_like(rows: int) -> StateVector:
     return StateVector((rows, 2), amps)
 
 
+def hadamard_rows(rows: int) -> np.ndarray:
+    # (|0> + |1>)/sqrt(2) and (|0> - |1>)/sqrt(2) on a rows-level side: a
+    # --partial basis rotating the Schmidt span bell_like holds on that side
+    return np.pad(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2), ((0, 0), (0, rows - 2)))
+
+
 @pytest.fixture(scope="module")
 def bell_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("bell")
     for rows in (4096, 65536):
         save_state(bell_like(rows), root / f"bell{rows}.state")
-    np.savetxt(root / "hadamard.txt", np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2))
+    np.savetxt(root / "hadamard.txt", hadamard_rows(2))
+    np.savetxt(root / "hadamard4096.txt", hadamard_rows(4096))
     return root
 
 
 @pytest.mark.parametrize("route", [
-    ["envcheck", "--term-phases", "0.3,0.9"],
-    ["envcheck", "--unitary", "swap:0,1"],
-    ["envcheck", "--partial", "{hadamard}"],
-    ["protocol", "--pair", "0,1"],
-], ids=["term-phases", "unitary", "partial", "protocol"])
+    ["envcheck", "--cut", "1", "--term-phases", "0.3,0.9"],
+    ["envcheck", "--cut", "1", "--unitary", "swap:0,1"],
+    ["envcheck", "--cut", "1", "--partial", "{hadamard}"],
+    ["protocol", "--cut", "1", "--pair", "0,1"],
+    ["schmidt", "--cut", "1"],
+    ["envcheck", "--cut", "0", "--term-phases", "0.3,0.9"],
+    ["envcheck", "--cut", "0", "--partial", "{hadamard4096}"],
+    ["protocol", "--cut", "0", "--pair", "0,1"],
+    ["schmidt", "--cut", "0"],
+], ids=["term-phases", "unitary", "partial", "protocol", "schmidt",
+        "term-phases-cut-0", "partial-cut-0", "protocol-cut-0", "schmidt-cut-0"])
 def test_envariance_on_a_long_environment_holds_no_dense_operator(route, bell_files):
     # the environment side of --cut 1 is 4,096-dimensional: every counter
     # used to be a 4,096 x 4,096 identity completion, and the peak was
-    # 1,024-1,297 MiB; the r x r Schmidt blocks are 2 x 2
-    argv = [route[0], "--state", str(bell_files / "bell4096.state"), "--cut", "1",
-            *(a.format(hadamard=bell_files / "hadamard.txt") for a in route[1:])]
+    # 1,024-1,297 MiB; the r x r Schmidt blocks are 2 x 2.  On --cut 0 the
+    # long side is the system's, and the basis of its degenerate Schmidt
+    # group used to come from a 4,096 x 4,096 projector (257 MiB); it is
+    # built from the group's two columns.  (--unitary there is a 4,096^2
+    # block operator, which the budget refuses.)
+    argv = [route[0], "--state", str(bell_files / "bell4096.state"),
+            *(a.format(hadamard=bell_files / "hadamard.txt",
+                       hadamard4096=bell_files / "hadamard4096.txt") for a in route[1:])]
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -871,19 +936,30 @@ def test_envariance_on_a_long_environment_holds_no_dense_operator(route, bell_fi
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert "restoration = 1" in out.getvalue() or "final_fidelity = 1" in out.getvalue()
-    assert "[counter]" not in out.getvalue()  # 4,096^2 entries, past MAX_TABLE_ROWS
+    if route[0] == "schmidt":
+        assert scalar(out.getvalue(), "rank") == "2"
+    else:
+        assert ("restoration = 1" in out.getvalue()
+                or "final_fidelity = 1" in out.getvalue())
+    if route[2] == "1":  # the counter acts on the 4,096-level side
+        assert "[counter]" not in out.getvalue()  # 4,096^2 entries, past MAX_TABLE_ROWS
     assert peak <= 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 @pytest.mark.parametrize("route", [
-    ["envcheck", "--term-phases", "0.3,0.9"],
-    ["protocol", "--pair", "0,1"],
-], ids=["term-phases", "protocol"])
+    ["envcheck", "--cut", "1", "--term-phases", "0.3,0.9"],
+    ["protocol", "--cut", "1", "--pair", "0,1"],
+    ["schmidt", "--cut", "1"],
+    ["envcheck", "--cut", "0", "--term-phases", "0.3,0.9"],
+    ["protocol", "--cut", "0", "--pair", "0,1"],
+    ["schmidt", "--cut", "0"],
+], ids=["term-phases", "protocol", "schmidt", "term-phases-cut-0", "protocol-cut-0",
+        "schmidt-cut-0"])
 def test_envariance_on_a_65536_level_environment_runs_within_memory_cap(route, bell_files):
-    # a dense counter on this cut would be a 64 GiB allocation
+    # a dense counter on --cut 1, or the projector of the degenerate Schmidt
+    # group on --cut 0, would be a 64 GiB allocation
     proc = run_under_memory_cap([route[0], "--state", str(bell_files / "bell65536.state"),
-                                 "--cut", "1", *route[1:]])
+                                 *route[1:]])
     assert (proc.returncode, proc.stderr) == (0, "")
 
 

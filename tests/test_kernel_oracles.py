@@ -4,7 +4,7 @@ pointer-search, decoherence-sweep and structured-output kernels.
 Each oracle is the earlier, slower implementation of a kernel, kept here
 verbatim.  The current kernels must reproduce it exactly (``==`` on floats
 and arrays, never closeness), because the CLI prints their results and its
-output is pinned byte for byte.  Four exceptions compare within a
+output is pinned byte for byte.  Some exceptions compare within a
 tolerance: the unitarity deviation of a monomial matrix, which sums the
 same products in a different order, and the Schmidt values of a
 partial-permutation cut whose nonzeros differ in modulus, or of the
@@ -19,7 +19,11 @@ state kernel.  The pointer-search oracles still compare the batched descent
 with the per-start descent exactly, both scored by the shipped kernel.  And
 the envariance verdicts, counters and fidelities, which the shipped code
 reads off r x r Schmidt-coordinate blocks: the dense d x d operators applied
-to the whole state (in conftest.py) agree within 1e-12.
+to the whole state (in conftest.py) agree within 1e-12.  And the canonical
+basis of a degenerate Schmidt group, which the shipped code builds in the
+group's g coordinates and the oracle from the d x d projector: the same
+raise or none, the same shape, entries within 1e-12 and orthonormal columns
+within 1e-12 (groups of coordinate vectors still agree bit for bit).
 """
 
 import contextlib
@@ -374,25 +378,33 @@ def _group_block(seed, dim, g, n_support, tiny_scale):
     return block
 
 
-def _same_outcome(fn, oracle, *args):
+def _same_outcome(block):
+    """The group basis and the oracle's of block, after checking that both
+    raise alike or neither does (None, None then) and that the shapes agree."""
     try:
-        expected = oracle(*args)
+        expected = oracle_group_basis(block)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            fn(*args)
-        return
-    got = fn(*args)
-    assert got.shape == expected.shape and np.array_equal(got, expected)
+            _canonical_group_basis(block)
+        return None, None
+    got = _canonical_group_basis(block)
+    assert got.shape == expected.shape
+    return got, expected
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.data())
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 200), st.data())
 @settings(max_examples=120, deadline=None)
-def test_group_basis_matches_oracle_bit_for_bit(seed, dim, data):
+def test_group_basis_matches_oracle_within_round_off(seed, dim, data):
+    # the oracle projects with the d x d projector, the kernel in the
+    # group's g coordinates: the same coordinate vectors are accepted in the
+    # same order, and the products round differently
     g = data.draw(st.integers(1, dim))
     n_support = data.draw(st.integers(g, dim))
     scale = data.draw(st.sampled_from([0.0, 1e-12, 1e-10, 5e-10, 2e-9, 5e-9, 3e-8]))
-    block = _group_block(seed, dim, g, n_support, scale)
-    _same_outcome(_canonical_group_basis, oracle_group_basis, block)
+    got, expected = _same_outcome(_group_block(seed, dim, g, n_support, scale))
+    if got is not None:
+        assert np.max(np.abs(got - expected)) <= 1e-12
+        assert np.max(np.abs(got.conj().T @ got - np.eye(g))) <= 1e-12
 
 
 def test_group_basis_rank_deficient_raises_like_oracle():
@@ -415,7 +427,9 @@ def test_group_basis_on_degenerate_superensemble_cut(runs):
     u, s, _ = np.linalg.svd(mat.reshape(4 ** runs, -1), full_matrices=False)
     group = u[:, s > 1e-12]
     assert group.shape[1] == 2 ** runs
-    _same_outcome(_canonical_group_basis, oracle_group_basis, group)
+    # a group of coordinate vectors: the two routes agree bit for bit
+    got, expected = _same_outcome(group)
+    assert np.array_equal(got, expected)
 
 
 # ----- _block_operator -----
