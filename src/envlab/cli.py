@@ -10,6 +10,11 @@ census mismatch, tolerance overrun), 2 parse or precondition errors.
 
 from __future__ import annotations
 
+import os
+
+# must run before numpy loads: the dense work here is too small to gain from BLAS threads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import math
 import sys

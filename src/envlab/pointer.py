@@ -199,11 +199,13 @@ def _zeta_scores(amps: np.ndarray, zeta: np.ndarray, vectors: np.ndarray) -> np.
     # matrix across the system | environment cut is D_c Z D_c^dagger with
     # trace sum_k |c_k|^2 Z_kk.  s_max^2 of the normalized conditional is the
     # top eigenvalue of that Gram matrix over its trace, so no SVD is needed:
-    # two records have a closed form, more go to one eigvalsh call per chunk
+    # two records have a closed form, more go to one eigvalsh call per chunk.
+    # A vector reading a single branch has a rank-one Gram and scores 0
     n_rec = amps.size
     c = vectors.reshape(-1, n_rec + 1)[:, 1:].conj() * amps
     weights = np.sqrt((c.real ** 2 + c.imag ** 2) @ zeta.diagonal().real)
-    live = np.flatnonzero(weights >= ZERO_PROJECTION_TOL)
+    live = np.flatnonzero((weights >= ZERO_PROJECTION_TOL)
+                          & (np.count_nonzero(c, axis=1) > 1))
     scores = np.zeros(len(c))
     step = _chunk_rows(n_rec * n_rec)
     for lo in range(0, live.size, step):
@@ -235,7 +237,7 @@ def pointer_score(amps, zeta, candidate_basis) -> PointerScore:
     matrix D_c Z D_c^dagger / sum_k |c_k|^2 Z_kk; no SVD is taken.  Zero means
     a product; reading together branches whose environments have decohered
     (|zeta| < 1) pushes the score up.  Vectors with projection weight below
-    the 1e-12 floor score 0.
+    the 1e-12 floor score 0, and so, exactly, do vectors reading one branch.
     """
     amps, zeta = _branches(amps, zeta)
     basis = np.asarray(candidate_basis, dtype=complex)

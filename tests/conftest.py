@@ -1,5 +1,9 @@
 import math
+import os
 from dataclasses import dataclass, field
+
+# must run before numpy loads: in-process tests use one BLAS thread, as the CLI does
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

@@ -12,6 +12,7 @@ import io
 import itertools
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
@@ -996,6 +997,27 @@ def run_under_memory_cap(argv):
     return subprocess.run(
         [sys.executable, "-m", "envlab.cli", *argv],
         capture_output=True, text=True, timeout=120, preexec_fn=limit)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the thread count from /proc/self/status")
+@pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "preset-3"])
+def test_cli_child_pins_one_blas_thread_unless_the_caller_set_one(preset):
+    # importing the CLI before numpy keeps OpenBLAS to the calling thread; a
+    # value the caller set is left as it is
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = ("import envlab.cli, numpy, os; "
+             "status = open('/proc/self/status').read(); "
+             "print(status.split('Threads:')[1].split()[0], os.environ['OPENBLAS_NUM_THREADS'])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    threads, value = proc.stdout.split()
+    assert value == (preset or "1")
+    if preset is None:
+        assert threads == "1"
 
 
 def test_readme_continuum_example_exits_two_within_memory_cap(tmp_path):

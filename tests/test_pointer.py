@@ -21,7 +21,7 @@ from envlab.pointer import (
 from conftest import (OrthogonalOutcomeError, TruthTable, basis_state, branch_form_state,
                       conditional_state, einselection_state, environment_state, evolve,
                       premeasure, random_state, random_unitary, state_pointer_score,
-                      unit_state)
+                      state_scores, unit_state)
 
 
 def coordinate_table(dim):
@@ -400,6 +400,43 @@ def test_pointer_score_row_orthogonal_to_support(rng):
     assert_matches_oracle(got, state, 0, basis)
     assert got.per_outcome[0] == 0.0
     assert got.max_score > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), n_rec=st.integers(1, 6), n_single=st.integers(0, 6),
+       n_zero=st.integers(0, 5))
+def test_zeta_scores_match_dense_oracle_with_single_branch_rows(seed, n_rec, n_single,
+                                                                n_zero):
+    # n_single basis rows read one record each (a phase times a coordinate
+    # vector), the others mix the remaining records, and n_zero amplitudes
+    # vanish, so mixed rows can read a single branch too; every single-branch
+    # row scores exactly 0, with no eigvalsh call, and every row matches the
+    # dense conditionals of sum_k a_k |A_k>|s_k>|E_k>
+    rng = np.random.default_rng(seed)
+    n_single, n_zero = min(n_single, n_rec), min(n_zero, n_rec - 1)
+    amps = random_state(rng, (n_rec,)).amps.copy()
+    amps[rng.permutation(n_rec)[:n_zero]] = 0.0
+    amps /= np.linalg.norm(amps)
+    env = unit_rows(rng, n_rec, 3)
+    block = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_rec)))
+    if n_single < n_rec:
+        block[n_single:, n_single:] = random_unitary(rng, n_rec - n_single).T
+    basis = with_ready_level(block[rng.permutation(n_rec)][:, rng.permutation(n_rec)])
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counted(gram):
+        calls.append(gram.shape[0])
+        return real(gram)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", counted)
+        got = np.array(pointer_score(amps, env @ env.conj().T, basis).per_outcome)
+    want = state_scores(branch_form_state(amps, env), 0, basis[None])[0]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    branches = np.count_nonzero(basis[:, 1:].conj() * amps, axis=1)
+    assert np.all(got[branches == 1] == 0.0)
+    assert len(calls) == int(n_rec > 2 and np.any(branches > 1))  # two records: closed form
 
 
 # ----- pointer-basis search -----
