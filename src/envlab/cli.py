@@ -50,6 +50,13 @@ def _floats(text: str) -> tuple:
     return values
 
 
+def _index_pair(text: str, flag: str) -> tuple:
+    values = _ints(text)
+    if len(values) != 2:
+        raise ValueError(f"{flag} needs two indices k,l, got {text!r}")
+    return values
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -154,6 +161,9 @@ def _cmd_state(args) -> tuple:
         origin = f"product of {len(parts)} states"
     else:
         dims = _ints(args.dims)
+        if min(dims) < 1:  # a negative size would pass the budget check
+            raise ValueError(f"--dims must be a nonempty list of positive integers, "
+                             f"got {args.dims!r}")
         rng = np.random.default_rng(args.seed)
         size = math.prod(dims)
         require_dense(size, "random state")
@@ -180,8 +190,7 @@ def _cmd_schmidt(args) -> tuple:
     state, cut = _state_and_cut(args)
     dec = schmidt(state, cut, zero_tol=args.zero_tol,
                   canonicalize=args.canonical)
-    recon = reconstruct(dec)
-    defect = float(np.linalg.norm(recon.amps - state.amps))
+    defect = float(np.linalg.norm(reconstruct(dec) - state.amps))
     scalars = (
         ("rank", len(dec.coeffs)),
         ("reconstruction_defect", defect),
@@ -203,7 +212,7 @@ def _parse_block_unitary(spec_text: str, block_dim: int) -> np.ndarray:
             raise ValueError(f"phase unitary needs {block_dim} angles")
         return np.diag(np.exp(1j * np.array(phases)))
     if kind == "swap":
-        k, l = _ints(rest)
+        k, l = _index_pair(rest, "--unitary swap:")
         if not (0 <= k < block_dim and 0 <= l < block_dim):
             raise ValueError(f"swap indices outside block of dimension {block_dim}")
         mat = np.eye(block_dim, dtype=complex)
@@ -252,20 +261,19 @@ def _counter_table(counter) -> tuple:
 
 def _cmd_protocol(args) -> tuple:
     state, cut = _state_and_cut(args)
-    k, l = _ints(args.pair)
+    k, l = _index_pair(args.pair, "--pair")
     if k == l:
         raise ValueError(f"--pair needs two distinct Schmidt terms, got {k},{l}")
-    transcript = protocol_run(state, cut, SwapSpec(k=k, l=l, phase=args.phase))
-    failed = transcript.final_fidelity < 1.0 - args.tol or transcript.restoration_failed
+    transcript = protocol_run(state, cut, SwapSpec(k=k, l=l, phase=args.phase), args.tol)
     scalars = (
         ("pair", f"{k}|{l}"),
         ("phase", args.phase),
         ("final_fidelity", transcript.final_fidelity),
-        ("restoration_failed", failed),
+        ("restoration_failed", transcript.restoration_failed),
     )
     rows = tuple((label, fid) for label, fid in transcript.steps)
     table = Table("transcript", ("step", "fidelity"), rows)
-    return Report("protocol", scalars, (table,)), 1 if failed else 0
+    return Report("protocol", scalars, (table,)), int(transcript.restoration_failed)
 
 
 def _born_result_report(result: BornResult, args) -> tuple:
@@ -524,8 +532,9 @@ _MESH = dict(x0=-8.0, x1=8.0, quad=16, interval=None, m_max=None)
 _FAMILIES = (("box edges box_weights", {}), ("uniform", dict(a=0.0, b=1.0)),
              ("gaussian", dict(family="gaussian", center=0.0, width=1.0)))
 
-# Each subcommand's routes in the order main tries them; flags are parser dests, and
-# --format and --out go with every route.  A pin that is also a default holds if not given.
+# Each subcommand's routes in the order main tries them, and the only list of its flags:
+# _build_parser adds the flags its routes name.  Flags are parser dests, and --format and
+# --out go with every route.  A pin that is also a default holds if not given.
 ROUTES = {
     "state": (_route("state", save=None), _route("weights", phases=None, save=None),
               _route("product", save=None), _route("dims", seed=0, save=None)),
@@ -553,6 +562,49 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+# each subcommand's line in `envlab --help`
+_ABOUT = {
+    "state": "load, build, combine, and save state vectors",
+    "schmidt": "Schmidt spectrum, reconstruction, reduced purity",
+    "envcheck": "test a left-side unitary for envariance",
+    "protocol": "swap/counterswap transcript with fidelities",
+    "born": "probabilities by rationalize/fine-grain/count",
+    "pointer": "premeasurement, decoherence sweep, basis search",
+    "records": "record-algebra audit and event probabilities",
+    "freq": "repeated-run tallies and the explicit superensemble",
+    "continuum": "discretize wavefunctions; truncate sequences",
+}
+
+# parse type, choices and help of each route flag that is not plain text without help;
+# a (command, flag) key is for a flag that parses differently in one subcommand
+_FLAGS = {
+    **dict.fromkeys(("canonical", "search", "register", "adaptive"),
+                    dict(action="store_true", default=None)),
+    **dict.fromkeys(("phase", "t0", "t1", "time", "center", "width", "a", "b", "x0", "x1",
+                     "dx"), dict(type=_finite_float)),
+    **dict.fromkeys(("universe", "given", "m", "M", "N", "cells", "quad"), dict(type=int)),
+    **dict.fromkeys(("steps", "iterations"), dict(type=_nonnegative_int)),
+    "zero_tol": dict(type=_nonnegative_float),
+    "trials": dict(type=_positive_int),
+    "family": dict(choices=("gaussian", "uniform", "box")),
+    "delta_target": dict(type=_fraction_text),
+    "truncate_ratio": dict(type=_fraction_text,
+                           help="geometric ratio; runs truncation instead of a mesh"),
+    "delta_r": dict(type=_fraction_text, help="maverick threshold, exact decimal like 0.1"),
+    "pairs": dict(type=_nonnegative_int, help="history swaps to check (default 2)"),
+    "m_max": dict(type=int, help="largest common denominator tried (born: default 1024)"),
+    "product": dict(help="comma-separated state files to tensor together"),
+    "unitary": dict(help="phase:a,b,... | swap:k,l | matrix:PATH"),
+    "term_phases": dict(help="Schmidt-term phases; counter built analytically"),
+    "partial": dict(help="file with new basis rows spanning Schmidt vectors"),
+    "pair": dict(help="Schmidt term indices k,l"),
+    "couplings": dict(help="text file: one row per record, one column per level"),
+    "partition": dict(help="semicolon-separated cells, e.g. 0,1;2,3"),
+    "interval": dict(help="a,b inside the mesh"),
+    ("freq", "cells"): dict(help="multinomial mode: fine cells per outcome"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # no default but --format's: a flag is given when it is not None, and ROUTES holds the
     # defaults; --seed and --tol parse on every subcommand, so a bad value is refused first
@@ -567,102 +619,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="batch runner for the entanglement-invariance laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("state", parents=[common],
-                       help="load, build, combine, and save state vectors")
-    p.add_argument("--state")
-    p.add_argument("--weights")
-    p.add_argument("--phases")
-    p.add_argument("--dims")
-    p.add_argument("--product", help="comma-separated state files to tensor together")
-    p.add_argument("--save")
-
-    p = sub.add_parser("schmidt", parents=[common],
-                       help="Schmidt spectrum, reconstruction, reduced purity")
-    p.add_argument("--state", required=True)
-    p.add_argument("--cut", required=True)
-    p.add_argument("--zero-tol", type=_nonnegative_float)
-    p.add_argument("--canonical", action="store_true", default=None)
-
-    p = sub.add_parser("envcheck", parents=[common],
-                       help="test a left-side unitary for envariance")
-    p.add_argument("--state", required=True)
-    p.add_argument("--cut", required=True)
-    p.add_argument("--unitary", help="phase:a,b,... | swap:k,l | matrix:PATH")
-    p.add_argument("--term-phases", help="Schmidt-term phases; counter built analytically")
-    p.add_argument("--partial", help="file with new basis rows spanning Schmidt vectors")
-
-    p = sub.add_parser("protocol", parents=[common],
-                       help="swap/counterswap transcript with fidelities")
-    p.add_argument("--state", required=True)
-    p.add_argument("--cut", required=True)
-    p.add_argument("--pair", required=True, help="Schmidt term indices k,l")
-    p.add_argument("--phase", type=_finite_float)
-
-    p = sub.add_parser("born", parents=[common],
-                       help="probabilities by rationalize/fine-grain/count")
-    p.add_argument("--weights")
-    p.add_argument("--phases")
-    p.add_argument("--state")
-    p.add_argument("--cut")
-    p.add_argument("--m-max", type=int, help="largest denominator for --state (default 1024)")
-    p.add_argument("--subset")
-
-    p = sub.add_parser("pointer", parents=[common],
-                       help="premeasurement, decoherence sweep, basis search")
-    p.add_argument("--couplings", required=True,
-                   help="text file: one row per record, one column per level")
-    p.add_argument("--gamma")
-    p.add_argument("--amps")
-    p.add_argument("--t0", type=_finite_float)
-    p.add_argument("--t1", type=_finite_float)
-    p.add_argument("--steps", type=_nonnegative_int)
-    p.add_argument("--time", type=_finite_float)
-    p.add_argument("--search", action="store_true", default=None)
-    p.add_argument("--iterations", type=_nonnegative_int)
-
-    p = sub.add_parser("records", parents=[common],
-                       help="record-algebra audit and event probabilities")
-    p.add_argument("--universe", type=int, required=True)
-    p.add_argument("--trials", type=_positive_int)
-    p.add_argument("--event")
-    p.add_argument("--other")
-    p.add_argument("--given", type=int)
-    p.add_argument("--weights")
-    p.add_argument("--partition", help="semicolon-separated cells, e.g. 0,1;2,3")
-
-    p = sub.add_parser("freq", parents=[common],
-                       help="repeated-run tallies and the explicit superensemble")
-    p.add_argument("--m", type=int)
-    p.add_argument("--M", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--delta-r", type=_fraction_text,
-                   help="maverick threshold, exact decimal like 0.1")
-    p.add_argument("--phases")
-    p.add_argument("--pairs", type=_nonnegative_int, help="history swaps to check (default 2)")
-    p.add_argument("--register", action="store_true", default=None)
-    p.add_argument("--cells", help="multinomial mode: fine cells per outcome")
-
-    p = sub.add_parser("continuum", parents=[common],
-                       help="discretize wavefunctions; truncate sequences")
-    p.add_argument("--family", choices=("gaussian", "uniform", "box"))
-    p.add_argument("--center", type=_finite_float)
-    p.add_argument("--width", type=_finite_float)
-    p.add_argument("--a", type=_finite_float)
-    p.add_argument("--b", type=_finite_float)
-    p.add_argument("--edges")
-    p.add_argument("--box-weights")
-    p.add_argument("--x0", type=_finite_float)
-    p.add_argument("--x1", type=_finite_float)
-    p.add_argument("--dx", type=_finite_float)
-    p.add_argument("--cells", type=int)
-    p.add_argument("--adaptive", action="store_true", default=None)
-    p.add_argument("--quad", type=int)
-    p.add_argument("--interval", help="a,b inside the mesh")
-    p.add_argument("--m-max", type=int)
-    p.add_argument("--truncate-ratio", type=_fraction_text,
-                   help="geometric ratio; runs truncation instead of a mesh")
-    p.add_argument("--delta-target", type=_fraction_text)
+    # each subcommand takes the flags its routes read, in route order
+    for command, routes in ROUTES.items():
+        p = sub.add_parser(command, parents=[common], help=_ABOUT[command])
+        for flag in dict.fromkeys(f for r in routes for f in (*r.picks, *r.defaults)):
+            if flag not in ("seed", "tol"):  # the parent parser's
+                p.add_argument(_option(flag),
+                               **_FLAGS.get((command, flag), _FLAGS.get(flag, {})))
     return parser
 
 

@@ -241,12 +241,14 @@ def envcheck_run(state: StateVector, cut: Bipartition, *, unitary: LocalUnitary 
                        _fidelity(dec.coeffs, system, counter))
 
 
-def protocol_run(state: StateVector, cut: Bipartition, spec: SwapSpec) -> ProtocolTranscript:
+def protocol_run(state: StateVector, cut: Bipartition, spec: SwapSpec,
+                 tol: float = 1e-12) -> ProtocolTranscript:
     """Confirm, swap two Schmidt terms, counterswap, and record fidelities.
 
     The counterswap exchanges |eps_k>, |eps_l> with the phase
     theta = phi_kl + arg a_l - arg a_k, so that for equal-modulus
-    coefficients the composition restores the state exactly.
+    coefficients the composition restores the state exactly.  Restoration
+    fails when the final fidelity is below 1 - tol.
     """
     dec = schmidt(state, cut)
     if not (0 <= spec.k < dec.n_terms and 0 <= spec.l < dec.n_terms):
@@ -259,7 +261,7 @@ def protocol_run(state: StateVector, cut: Bipartition, spec: SwapSpec) -> Protoc
     final = _fidelity(dec.coeffs, swap, counter)
     steps = (("confirm", fidelity(state, state)), ("swap", _fidelity(dec.coeffs, swap)),
              ("counterswap", final))
-    return ProtocolTranscript(steps, restoration_failed=final < 1 - 1e-12)
+    return ProtocolTranscript(steps, restoration_failed=final < 1 - tol)
 
 
 def is_even(dec) -> bool:

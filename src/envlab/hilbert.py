@@ -281,17 +281,14 @@ def schmidt_values(state: StateVector, cut: Bipartition,
     return s
 
 
-def reconstruct(dec: SchmidtDecomposition) -> StateVector:
-    """Reassemble the state a decomposition came from (original subsystem order)."""
+def reconstruct(dec: SchmidtDecomposition) -> np.ndarray:
+    """Amplitudes of the sum of a decomposition's terms, in the original subsystem
+    order: the state it came from, unless zero_tol dropped terms."""
     mat = (dec.left_basis.T * np.asarray(dec.coeffs)) @ dec.right_basis
     perm = list(dec.left_targets) + list(dec.right_targets)
     dims_perm = list(dec.left_dims) + list(dec.right_dims)
     inv = np.argsort(perm)
-    tens = np.transpose(mat.reshape(dims_perm), inv)
-    dims = [0] * len(perm)
-    for pos, idx in enumerate(perm):
-        dims[idx] = dims_perm[pos]
-    return StateVector(tuple(dims), tens.reshape(-1))
+    return np.transpose(mat.reshape(dims_perm), inv).reshape(-1)
 
 
 def reduced_purity(state: StateVector, cut: Bipartition) -> float:

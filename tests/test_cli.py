@@ -509,6 +509,14 @@ def test_protocol_even_pair_restores(even_state, capsys):
     assert float(scalar(out, "final_fidelity")) > 1 - 1e-12
 
 
+@pytest.mark.parametrize("tol, code, failed", [("0.1", 0, "false"), ("0.01", 1, "true")])
+def test_protocol_tol_is_the_restoration_threshold(tol, code, failed, uneven_state, capsys):
+    # final fidelity 2 sqrt(2)/3 = 0.9428; a looser --tol used to stay at 1e-12
+    got, out, _ = run_cli(["protocol", "--state", uneven_state, "--cut", "0",
+                           "--pair", "0,1", "--tol", tol], capsys)
+    assert (got, scalar(out, "restoration_failed")) == (code, failed)
+
+
 # ----- pointer and schmidt surfaces -----
 
 def test_schmidt_scalars(uneven_state, capsys):
@@ -519,6 +527,16 @@ def test_schmidt_scalars(uneven_state, capsys):
     assert float(scalar(out, "reconstruction_defect")) <= 1e-9
     # purity of diag(1/3, 2/3)
     assert abs(float(scalar(out, "reduced_purity")) - 5 / 9) < 1e-12
+
+
+def test_schmidt_zero_tol_dropping_support_exits_one(tmp_path, capsys):
+    # the truncated sum used to be refused as a state of norm 0.992, exit 2
+    path = str(tmp_path / "r.state")
+    assert run_cli(["state", "--dims", "4,4", "--seed", "3", "--save", path], capsys)[0] == 0
+    code, out, err = run_cli(["schmidt", "--state", path, "--cut", "0", "--zero-tol", "0.2"],
+                             capsys)
+    assert (code, err, scalar(out, "rank")) == (1, "", "2")
+    assert abs(float(scalar(out, "reconstruction_defect")) - 0.127) < 1e-3
 
 
 def test_pointer_truth_basis_and_commutator(couplings_file, capsys):
@@ -1052,7 +1070,8 @@ def test_out_of_memory_exits_two_within_memory_cap(argv):
     (["state", "--weights", ",".join(["1"] * 3000)], "diagonal state needs 9000000 amplitudes"),
     (["state", "--weights", ",".join(["1"] * 2049)], "diagonal state needs 4198401 amplitudes"),
     (["state", "--dims", "0,3"], "dims must be a nonempty list of positive integers"),
-    (["state", "--dims=-1,3"], "negative dimensions are not allowed"),
+    (["state", "--dims=-1,3"],
+     "--dims must be a nonempty list of positive integers, got '-1,3'"),
 ], ids=["dims-3000", "dims-65536", "dims-2^32", "dims-past-2^63", "weights-3000",
         "weights-2049", "dims-zero", "dims-negative"])
 def test_state_builds_are_checked_against_the_budget(argv, message, tmp_path, capsys):
@@ -1369,17 +1388,36 @@ def test_error_without_a_message_names_its_type(monkeypatch, capsys):
      "--dx does not apply to --adaptive"),
     (["records", "--universe", "6", "--weights", "1,1,1,1,1,9"],
      "--weights does not apply to --universe"),
+    (["protocol", "--state", "{state}", "--cut", "0", "--pair", "0,1,2"],
+     "--pair needs two indices k,l, got '0,1,2'"),
+    (["envcheck", "--state", "{state}", "--cut", "0", "--unitary", "swap:0"],
+     "--unitary swap: needs two indices k,l, got '0'"),
 ], ids=["trials-negative", "trials-zero", "iterations-negative", "steps-negative",
         "given-alone", "other-alone", "given-with-partition", "m-max-negative-weights",
         "m-max-weights", "cells-delta-r", "cells-m", "cells-M", "cells-phases",
         "cells-pairs", "cells-register", "mesh-delta-target", "mesh-cells",
-        "adaptive-dx", "axioms-weights"])
-def test_counts_and_event_flags_are_checked(argv, message, couplings_file, capsys):
+        "adaptive-dx", "axioms-weights", "pair-three", "swap-one"])
+def test_counts_and_event_flags_are_checked(argv, message, couplings_file, even_state,
+                                            capsys):
     # each used to run: zero trials or descents, numpy's text for --steps,
-    # or the flag silently ignored
+    # or the flag silently ignored; the last two gave Python's unpacking
+    # error, naming no flag
     if argv[0] == "pointer":
         argv = argv + ["--couplings", couplings_file]
+    argv = [even_state if a == "{state}" else a for a in argv]
     one_error_line(*run_cli(argv, capsys), message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["state"], ["schmidt"], ["envcheck"], ["protocol"], ["born"], ["pointer"],
+    ["records"], ["freq"], ["continuum"],
+    ["schmidt", "--state", "F"], ["pointer", "--steps", "3"], ["records", "--trials", "5"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_missing_pick_names_the_routes(argv, capsys):
+    # schmidt, envcheck, protocol, pointer and records used to print
+    # argparse's "the following arguments are required"
+    names = " | ".join(r.name for r in cli_module.ROUTES[argv[0]])
+    assert run_cli(argv, capsys) == (2, "", f"error: {argv[0]} needs one of: {names}\n")
 
 
 @pytest.mark.parametrize("argv", [
