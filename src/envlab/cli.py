@@ -57,6 +57,23 @@ def _index_pair(text: str, flag: str) -> tuple:
     return values
 
 
+def _endpoints(text: str) -> tuple:
+    values = _floats(text)
+    if len(values) != 2:
+        raise ValueError(f"--interval needs two endpoints a,b, got {text!r}")
+    return values
+
+
+def _listed(parse, *args):
+    """The argparse type of a comma-list flag: parse's ValueError text is its error."""
+    def parse_flag(text: str) -> tuple:
+        try:
+            return parse(text, *args)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse_flag
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -64,8 +81,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _unit_vector(text: str, flag: str, size: int, dtype) -> np.ndarray:
-    raw = np.array(_floats(text), dtype=dtype)
+def _text(values: tuple) -> str:
+    # a parsed comma list as it would be given
+    return ",".join(str(v) for v in values)
+
+
+def _unit_vector(values: tuple, flag: str, size: int, dtype) -> np.ndarray:
+    raw = np.array(values, dtype=dtype)
     if raw.size != size:
         raise ValueError(f"{flag} needs {size} amplitudes")
     nrm = np.linalg.norm(raw)
@@ -136,7 +158,7 @@ def _matrix_table(name: str, mat: np.ndarray) -> Table:
 
 
 def _state_and_cut(args) -> tuple:
-    return load_state(args.state), Bipartition(_ints(args.cut))
+    return load_state(args.state), Bipartition(args.cut)
 
 
 # ----- subcommand handlers: each gets its route's flags, returns (Report, exit_code) -----
@@ -146,30 +168,30 @@ def _cmd_state(args) -> tuple:
         state = load_state(args.state)
         origin = f"loaded {args.state}"
     elif "weights" in args:
-        w = WeightVector(_ints(args.weights))
-        phases = _floats(args.phases) if args.phases else (0.0,) * len(w.m)
+        w = WeightVector(args.weights)
+        phases = args.phases or (0.0,) * len(w.m)
         if len(phases) != len(w.m):
             raise ValueError("one phase per weight")
         require_dense(len(w.m) ** 2, "diagonal state")
         diagonal = [math.sqrt(m_k / w.M) * np.exp(1j * ph) for m_k, ph in zip(w.m, phases)]
         state = StateVector((len(w.m),) * 2, np.diag(diagonal).reshape(-1))
-        origin = f"weights {args.weights}"
+        origin = f"weights {_text(w.m)}"
     elif "product" in args:
         parts = [load_state(p) for p in args.product.split(",")]
         require_dense(math.prod(p.amps.size for p in parts), "product state")
         state = tensor_product(parts)
         origin = f"product of {len(parts)} states"
     else:
-        dims = _ints(args.dims)
+        dims = args.dims
         if min(dims) < 1:  # a negative size would pass the budget check
             raise ValueError(f"--dims must be a nonempty list of positive integers, "
-                             f"got {args.dims!r}")
+                             f"got {_text(dims)!r}")
         rng = np.random.default_rng(args.seed)
         size = math.prod(dims)
         require_dense(size, "random state")
         raw = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         state = StateVector(dims, raw / np.linalg.norm(raw))
-        origin = f"random dims {args.dims} seed {args.seed}"
+        origin = f"random dims {_text(dims)} seed {args.seed}"
     scalars = [
         ("origin", origin),
         ("subsystems", state.n_subsystems),
@@ -234,7 +256,7 @@ def _cmd_envcheck(args) -> tuple:
         run = envcheck_run(state, cut, unitary=u_s)
         source = "polished"
     elif "term_phases" in args:
-        run = envcheck_run(state, cut, phases=_floats(args.term_phases))
+        run = envcheck_run(state, cut, phases=args.term_phases)
         source = "schmidt-phase"
     else:
         run = envcheck_run(state, cut, basis=_load_matrix(args.partial, complex))
@@ -261,7 +283,7 @@ def _counter_table(counter) -> tuple:
 
 def _cmd_protocol(args) -> tuple:
     state, cut = _state_and_cut(args)
-    k, l = _index_pair(args.pair, "--pair")
+    k, l = args.pair
     if k == l:
         raise ValueError(f"--pair needs two distinct Schmidt terms, got {k},{l}")
     transcript = protocol_run(state, cut, SwapSpec(k=k, l=l, phase=args.phase), args.tol)
@@ -289,7 +311,7 @@ def _born_result_report(result: BornResult, args) -> tuple:
     if args.subset:
         scalars.append(
             ("subset_probability",
-             coarse_probability(result, _ints(args.subset)))
+             coarse_probability(result, args.subset))
         )
     table = Table("outcomes", ("k", "m_k", "p", "p_float"), rows)
     code = 1 if args.tol is not None and result.rationalization_error > args.tol else 0
@@ -300,9 +322,9 @@ def _cmd_born(args) -> tuple:
     if "state" in args:
         state, cut = _state_and_cut(args)
         return _born_result_report(born_probabilities(state, cut, args.m_max), args)
-    w = WeightVector(_ints(args.weights))
+    w = WeightVector(args.weights)
     report, code = _born_result_report(born_from_weights(w), args)
-    phases = _floats(args.phases) if args.phases else (0.0,) * len(w.m)
+    phases = args.phases or (0.0,) * len(w.m)
     values = fine_values(w, phases)
     scalars = (("fine_terms", len(values)), ("fine_even", is_even(values)))
     return Report("born", report.scalars + scalars, report.tables), code
@@ -354,7 +376,7 @@ def _cmd_records(args) -> tuple:
         table = Table("axioms", ("axiom", "passed"), tuple(rep.passes))
         return Report("records", scalars, (table,)), 0 if rep.clean else 1
 
-    weights = _ints(args.weights) if args.weights else None
+    weights = args.weights
     if weights is not None and len(weights) != n:
         raise ValueError(f"need {n} weights for universe of size {n}")
     # parsing an event checks the universe size before n uniform weights are built
@@ -390,7 +412,7 @@ def _cmd_records(args) -> tuple:
 
 def _cmd_freq(args) -> tuple:
     if "cells" in args:
-        cells = _ints(args.cells)
+        cells = args.cells
         counts = multinomial_history_counts(cells, args.N)
         rows = tuple(("-".join(str(x) for x in comp), counts[comp]) for comp in sorted(counts))
         scalars = (("outcomes", len(cells)), ("runs", args.N),
@@ -399,7 +421,7 @@ def _cmd_freq(args) -> tuple:
         return Report("freq", scalars, (table,)), 0
 
     spec = ExperimentSpec(m=args.m, M=args.M, runs=args.N)
-    phases = _floats(args.phases) if args.phases else (0.0, 0.0)
+    phases = args.phases or (0.0, 0.0)
     if "register" in args:  # a register build samples no swaps
         run = repeated_runs(spec, args.delta_r, phases, with_register=True)
     else:
@@ -434,7 +456,7 @@ def _build_wavefunction(args) -> WaveFunction:
         return WaveFunction.gaussian(center=args.center, width=args.width)
     if args.family == "uniform":
         return WaveFunction.uniform(args.a, args.b)
-    return WaveFunction.box_mixture(_floats(args.edges), _floats(args.box_weights))
+    return WaveFunction.box_mixture(args.edges, args.box_weights)
 
 
 def _cmd_continuum(args) -> tuple:
@@ -456,7 +478,7 @@ def _cmd_continuum(args) -> tuple:
 
     psi = _build_wavefunction(args)
     size = {"cells": args.cells} if "adaptive" in args else {"dx": args.dx}
-    interval = _floats(args.interval) if args.interval else None
+    interval = args.interval
     run = mesh_run(psi, args.x0, args.x1, quad_points=args.quad, interval=interval,
                    m_max=args.m_max, **size)
     d, mesh = run.state, run.state.mesh
@@ -543,7 +565,7 @@ ROUTES = {
                  _route("partial state cut")),
     "protocol": (_route("state cut pair", phase=0.0, tol=1e-12),),
     "born": (_route("weights", phases=None, subset=None, tol=None),
-             _route("state", cut="0", m_max=1024, subset=None, tol=None)),
+             _route("state", cut=(0,), m_max=1024, subset=None, tol=None)),
     "pointer": (_route("search couplings", iterations=48, **_POINTER),
                 _route("couplings", **_POINTER)),
     "records": (_route("event universe", other=None, given=None, weights=None, partition=None),
@@ -558,6 +580,9 @@ ROUTES = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # a flag is given in full: a prefix is no flag
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # one "error:" line, like every other input error
         self.exit(2, f"error: {message}\n")
 
@@ -584,6 +609,9 @@ _FLAGS = {
                      "dx"), dict(type=_finite_float)),
     **dict.fromkeys(("universe", "given", "m", "M", "N", "cells", "quad"), dict(type=int)),
     **dict.fromkeys(("steps", "iterations"), dict(type=_nonnegative_int)),
+    **dict.fromkeys(("dims", "cut", "weights", "subset"), dict(type=_listed(_ints))),
+    **dict.fromkeys(("phases", "gamma", "amps", "edges", "box_weights"),
+                    dict(type=_listed(_floats))),
     "zero_tol": dict(type=_nonnegative_float),
     "trials": dict(type=_positive_int),
     "family": dict(choices=("gaussian", "uniform", "box")),
@@ -595,13 +623,15 @@ _FLAGS = {
     "m_max": dict(type=int, help="largest common denominator tried (born: default 1024)"),
     "product": dict(help="comma-separated state files to tensor together"),
     "unitary": dict(help="phase:a,b,... | swap:k,l | matrix:PATH"),
-    "term_phases": dict(help="Schmidt-term phases; counter built analytically"),
+    "term_phases": dict(type=_listed(_floats),
+                        help="Schmidt-term phases; counter built analytically"),
     "partial": dict(help="file with new basis rows spanning Schmidt vectors"),
-    "pair": dict(help="Schmidt term indices k,l"),
+    "pair": dict(type=_listed(_index_pair, "--pair"), help="Schmidt term indices k,l"),
     "couplings": dict(help="text file: one row per record, one column per level"),
     "partition": dict(help="semicolon-separated cells, e.g. 0,1;2,3"),
-    "interval": dict(help="a,b inside the mesh"),
-    ("freq", "cells"): dict(help="multinomial mode: fine cells per outcome"),
+    "interval": dict(type=_listed(_endpoints), help="a,b inside the mesh"),
+    ("freq", "cells"): dict(type=_listed(_ints),
+                            help="multinomial mode: fine cells per outcome"),
 }
 
 

@@ -106,35 +106,6 @@ def load_couplings(path) -> CouplingMatrix:
     return CouplingMatrix(_load_matrix(path, float))
 
 
-def decoherence_factor(couplings: CouplingMatrix, spectrum: EnvSpectrum,
-                       k: int, k_other: int, t):
-    """Overlap of the environment branches behind records k and k_other.
-
-    zeta_kk'(t) = sum_nu |gamma_nu|^2 e^{i (g_k'nu - g_knu) t}; modulus <= 1
-    always, and exactly 1 at t = 0 or k = k'.  ``t`` is a time or an array
-    of times; an array gives one zeta per time, swept in chunks of time
-    points that keep the (times, levels) temporaries within the chunk budget.
-    A phase that overflows is refused, naming the first such time in order.
-    """
-    g = couplings.g
-    for idx in (k, k_other):
-        if idx < 0 or idx >= g.shape[0]:
-            raise ValueError(f"record index {idx} out of range")
-    if spectrum.n_levels != g.shape[1]:
-        raise ValueError("spectrum level count does not match the couplings")
-    times = np.asarray(t, dtype=float)
-    flat = times.reshape(-1)
-    weights = np.abs(spectrum.gamma) ** 2
-    rate = g[k_other] - g[k]
-    _require_finite_phase(rate, flat)
-    zeta = np.empty(flat.size, dtype=complex)
-    step = _chunk_rows(g.shape[1])
-    for lo in range(0, flat.size, step):
-        phases = 1j * rate * flat[lo:lo + step, None]
-        zeta[lo:lo + step] = np.sum(weights * np.exp(phases), axis=1)
-    return complex(zeta[0]) if times.ndim == 0 else zeta.reshape(times.shape)
-
-
 def _require_finite_phase(rates: np.ndarray, times) -> None:
     """Refuse coupling phases rates * t that overflow, before an exp sees them.
 
@@ -152,25 +123,38 @@ def _require_finite_phase(rates: np.ndarray, times) -> None:
 def decoherence_matrix(couplings: CouplingMatrix, spectrum: EnvSpectrum, t) -> np.ndarray:
     """The K x K overlaps of the records' environment branches at time t.
 
-    Z[k-1, l-1] = sum_nu |gamma_nu|^2 e^{-i (g_knu - g_lnu) t}, which is
-    decoherence_factor(k, l, t), for the records k, l = 1..K; row 0 of the
-    couplings is the ready level.  Z is built as E E^dagger from the branches
-    E[k-1, nu] = gamma_nu e^{-i g_knu t}, a chunk of levels at a time, after
-    its K^2 amplitudes are checked against the budget.  A phase g*t that
-    overflows in any row is refused.
+    Z[k-1, l-1] = sum_nu |gamma_nu|^2 e^{i (g_lnu - g_knu) t} is the
+    decoherence factor zeta_kl(t) of the records k, l = 1..K; row 0 of the
+    couplings is the ready level.  ``t`` is a time or an array of times; an
+    array gives one Z per time, of shape t.shape + (K, K).  Z is built as
+    E E^dagger from the branches E[k-1, nu] = gamma_nu e^{-i g_knu t}, after
+    its times x K^2 amplitudes are checked against the budget, a chunk of
+    levels and of times at a time.  Only the level chunks order the sums, so
+    the Z of each time in an array is the Z of a call at that time alone.  A
+    phase g*t that overflows in any row is refused, naming the first such
+    time in order.
     """
     g = couplings.g
     if spectrum.n_levels != g.shape[1]:
         raise ValueError("spectrum level count does not match the couplings")
+    times = np.asarray(t, dtype=float)
+    flat = times.reshape(-1)
     n_rec = g.shape[0] - 1
-    require_dense(n_rec * n_rec, "decoherence matrix")
-    _require_finite_phase(g, t)
-    zeta = np.zeros((n_rec, n_rec), dtype=complex)
+    require_dense(flat.size * n_rec * n_rec, "decoherence matrix")
+    _require_finite_phase(g, flat)
+    zeta = np.zeros((flat.size, n_rec, n_rec), dtype=complex)
     step = _chunk_rows(n_rec)
+    # as many times as keep a chunk's branches and their products in the share
+    span = _chunk_rows(n_rec * max(min(step, g.shape[1]), n_rec))
+    # 3-d as the branches are: numpy rounds a lone mixed-ndim product without FMA
+    gamma = spectrum.gamma.reshape(1, 1, -1)
     for lo in range(0, g.shape[1], step):
-        env = spectrum.gamma[lo:lo + step] * np.exp(-1j * g[1:, lo:lo + step] * float(t))
-        zeta += env @ env.conj().T
-    return zeta
+        rates = -1j * g[1:, lo:lo + step]
+        for first in range(0, flat.size, span):
+            phases = rates * flat[first:first + span, None, None]
+            env = gamma[..., lo:lo + step] * np.exp(phases)
+            zeta[first:first + span] += env @ env.conj().swapaxes(-1, -2)
+    return zeta.reshape(times.shape + (n_rec, n_rec))
 
 
 def _branches(amps, zeta) -> tuple:
@@ -384,22 +368,17 @@ def einselection_run(couplings: CouplingMatrix, spectrum: EnvSpectrum, time: flo
                          for w in np.abs(amps))
     zeta = decoherence_matrix(couplings, spectrum, time)
 
-    pairs = tuple((k, l) for k in range(1, n_rec + 1) for l in range(k + 1, n_rec + 1))
+    first, second = np.triu_indices(n_rec, 1)
+    pairs = tuple(zip((first + 1).tolist(), (second + 1).tolist()))
     require_dense(steps * (1 + 3 * len(pairs)), "decoherence table")
     ts = np.linspace(t0, t1, steps)
-    records = couplings.g[1:]
-    with np.errstate(over="ignore"):
-        # per level, the largest |g_l - g_k| of any pair, with no pairs x levels array
-        spread = records.max(axis=0) - records.min(axis=0)
-    _require_finite_phase(spread, ts)  # every pair at once: the first time of any
-    columns = [ts.tolist()]
-    for k, l in pairs:
-        z = decoherence_factor(couplings, spectrum, k, l, ts)
-        # hypot rounds as abs(complex) does; np.abs can differ by an ulp
-        columns += [z.real.tolist(), z.imag.tolist(), np.hypot(z.real, z.imag).tolist()]
+    z = decoherence_matrix(couplings, spectrum, ts)[:, first, second]
+    # hypot rounds as abs(complex) does; np.abs can differ by an ulp
+    cells = np.stack([z.real, z.imag, np.hypot(z.real, z.imag)], axis=2)
+    sweep = np.column_stack([ts, cells.reshape(steps, 3 * len(pairs))])
 
     truth = pointer_score(amps, zeta, np.eye(n_rec + 1))
     commutator = commutator_norm(np.diag(np.arange(n_rec + 1, dtype=float)), couplings)
     found = find_pointer_basis(amps, zeta, iterations=iterations) if search else None
-    return EinselectionRun(branch_probs, pairs, tuple(zip(*columns)), truth,
+    return EinselectionRun(branch_probs, pairs, tuple(map(tuple, sweep.tolist())), truth,
                            commutator, found)

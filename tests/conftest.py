@@ -291,6 +291,24 @@ def einselection_state(couplings: CouplingMatrix, spectrum: EnvSpectrum, amps,
                   couplings, t)
 
 
+def oracle_decoherence_factor(couplings: CouplingMatrix, spectrum: EnvSpectrum,
+                              k: int, k_other: int, t: float) -> complex:
+    """zeta_kk'(t) = sum_nu |gamma_nu|^2 e^{i (g_k'nu - g_knu) t} of one pair
+    of coupling rows, at one time, refusing a pair whose phases overflow."""
+    g = couplings.g
+    for idx in (k, k_other):
+        if idx < 0 or idx >= g.shape[0]:
+            raise ValueError(f"record index {idx} out of range")
+    if spectrum.n_levels != g.shape[1]:
+        raise ValueError("spectrum level count does not match the couplings")
+    weights = np.abs(spectrum.gamma) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.all(np.isfinite((g[k_other] - g[k]) * float(t)))
+    if not finite:
+        raise ValueError(f"coupling phases g*t are not finite at t={float(t)!r}")
+    return complex(np.sum(weights * np.exp(1j * (g[k_other] - g[k]) * float(t))))
+
+
 def branch_form_state(amps, env_rows) -> StateVector:
     """sum_k a_k |A_k>|s_k>|E_k>, layout (apparatus, system, environment).
 

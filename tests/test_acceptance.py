@@ -46,14 +46,13 @@ from envlab.pointer import (
     CouplingMatrix,
     EnvSpectrum,
     commutator_norm,
-    decoherence_factor,
     decoherence_matrix,
     pointer_score,
 )
 from envlab.records import verify_axioms
-from conftest import (apply_local, conditional_state, phase_counter, phase_unitary,
-                      random_state, random_unitary, schmidt_form_state, state_pointer_score,
-                      swap_unitary)
+from conftest import (apply_local, conditional_state, oracle_decoherence_factor, phase_counter,
+                      phase_unitary, random_state, random_unitary, schmidt_form_state,
+                      state_pointer_score, swap_unitary)
 
 CUT = Bipartition((0,))
 
@@ -209,7 +208,7 @@ def test_criterion_05_pointer_dichotomy():
         for t in np.linspace(0.0, 8.0, 50):
             zeta = decoherence_matrix(g, spectrum, float(t))
             assert pointer_score(amps, zeta, truth).max_score <= 1e-10
-            zmax = max(abs(decoherence_factor(g, spectrum, k, l, float(t)))
+            zmax = max(abs(oracle_decoherence_factor(g, spectrum, k, l, float(t)))
                        for k in range(1, n_rec + 1)
                        for l in range(k + 1, n_rec + 1))
             if zmax < 0.9:

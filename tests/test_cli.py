@@ -852,9 +852,14 @@ def test_decoherence_table_is_checked_against_the_budget(couplings_file, monkeyp
     # two records give one pair: a step is t plus re, im and abs, 4 cells, so
     # 10 steps need 40; an unchecked --steps used to fill memory before failing
     sweeps = []
-    real = envlab.pointer.decoherence_factor
-    monkeypatch.setattr(envlab.pointer, "decoherence_factor",
-                        lambda *args: sweeps.append(args) or real(*args))
+    real = envlab.pointer.decoherence_matrix
+
+    def counted(couplings, spectrum, t):
+        if np.ndim(t):  # the sweep's times, not the scores' one time
+            sweeps.append(t)
+        return real(couplings, spectrum, t)
+
+    monkeypatch.setattr(envlab.pointer, "decoherence_matrix", counted)
     argv = ["pointer", "--couplings", couplings_file, "--steps", "10"]
     monkeypatch.setattr(envlab.born, "DENSE_AMPLITUDE_CAP", 40)
     code, out, _ = run_cli(argv, capsys)
@@ -1392,11 +1397,26 @@ def test_error_without_a_message_names_its_type(monkeypatch, capsys):
      "--pair needs two indices k,l, got '0,1,2'"),
     (["envcheck", "--state", "{state}", "--cut", "0", "--unitary", "swap:0"],
      "--unitary swap: needs two indices k,l, got '0'"),
+    (["envcheck", "--state", "{state}", "--cut", "0", "--unitary", "phase:1"],
+     "phase unitary needs 2 angles"),
+    (["envcheck", "--state", "{state}", "--cut", "0", "--unitary", "swap:0,5"],
+     "swap indices outside block of dimension 2"),
+    (["schmidt", "--state", "{state}", "--cut", "0", "--zero-tol", "10"],
+     "state has no support above zero_tol"),
+    (["continuum", "--dx", "0.5", "--width", "0"], "width must be positive"),
+    (["continuum", "--dx", "0.5", "--family", "uniform", "--a", "1", "--b", "0"],
+     "need a < b"),
+    (["continuum", "--dx", "0.5", "--family", "box", "--edges", "1,0", "--box-weights", "1"],
+     "edges must ascend and bracket every weight"),
+    (["continuum", "--dx", "0.5", "--family", "box", "--edges", "0,1",
+      "--box-weights", "0.9"], "weights must be nonnegative and sum to 1"),
 ], ids=["trials-negative", "trials-zero", "iterations-negative", "steps-negative",
         "given-alone", "other-alone", "given-with-partition", "m-max-negative-weights",
         "m-max-weights", "cells-delta-r", "cells-m", "cells-M", "cells-phases",
         "cells-pairs", "cells-register", "mesh-delta-target", "mesh-cells",
-        "adaptive-dx", "axioms-weights", "pair-three", "swap-one"])
+        "adaptive-dx", "axioms-weights", "pair-three", "swap-one", "phase-one-angle",
+        "swap-outside-block", "zero-tol-drops-all", "gaussian-width-zero",
+        "uniform-reversed", "box-edges-descend", "box-weights-short"])
 def test_counts_and_event_flags_are_checked(argv, message, couplings_file, even_state,
                                             capsys):
     # each used to run: zero trials or descents, numpy's text for --steps,
@@ -1406,6 +1426,41 @@ def test_counts_and_event_flags_are_checked(argv, message, couplings_file, even_
         argv = argv + ["--couplings", couplings_file]
     argv = [even_state if a == "{state}" else a for a in argv]
     one_error_line(*run_cli(argv, capsys), message)
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (["state", "--dims", "2,x"], "--dims", "invalid literal for int() with base 10: 'x'"),
+    (["schmidt", "--state", "{state}", "--cut", "x"], "--cut",
+     "invalid literal for int() with base 10: 'x'"),
+    (["born", "--weights", "1,a"], "--weights", "invalid literal for int() with base 10: 'a'"),
+    (["protocol", "--state", "{state}", "--cut", "0", "--pair", "0,x"], "--pair",
+     "invalid literal for int() with base 10: 'x'"),
+    (["freq", "--cells", "1,x", "--N", "2"], "--cells",
+     "invalid literal for int() with base 10: 'x'"),
+    (["records", "--universe", "3", "--event", "0", "--weights", "1,x,1"], "--weights",
+     "invalid literal for int() with base 10: 'x'"),
+    (["continuum", "--dx", "0.5", "--interval", "0,1,2"], "--interval",
+     "--interval needs two endpoints a,b, got '0,1,2'"),
+    (["born", "--weights", "1,1", "--phases", "nan,0"], "--phases",
+     "entries must be finite, got 'nan,0'"),
+], ids=["dims", "cut", "weights", "pair", "cells", "records-weights", "interval", "phases"])
+def test_list_flags_are_parsed_with_their_flag_named(argv, flag, message, even_state,
+                                                     capsys):
+    # each printed Python's text alone, naming no flag: int(), or unpacking
+    # three values into two
+    argv = [even_state if a == "{state}" else a for a in argv]
+    assert run_cli(argv, capsys) == (2, "", f"error: argument {flag}: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["born", "--weig", "2,3,5", "--sub", "0,1"],
+    ["pointer", "--couplings", "{couplings}", "--s", "3"],
+], ids=["born", "pointer"])
+def test_flag_prefixes_are_refused(argv, couplings_file, capsys):
+    # a unique prefix used to run as its flag: born exited 0
+    argv = [couplings_file if a == "{couplings}" else a for a in argv]
+    prefixes = " ".join(argv[3:] if argv[0] == "pointer" else argv[1:])
+    one_error_line(*run_cli(argv, capsys), f"error: unrecognized arguments: {prefixes}")
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,7 +23,10 @@ to the whole state (in conftest.py) agree within 1e-12.  And the canonical
 basis of a degenerate Schmidt group, which the shipped code builds in the
 group's g coordinates and the oracle from the d x d projector: the same
 raise or none, the same shape, entries within 1e-12 and orthonormal columns
-within 1e-12 (groups of coordinate vectors still agree bit for bit).
+within 1e-12 (groups of coordinate vectors still agree bit for bit).  And the
+decoherence sweep, which the shipped code reads off E E^dagger at each time:
+the per-pair oracle rounds each phase differently, so its zeta values agree
+within 1e-15 per radian of the largest |g t|, and its times exactly.
 """
 
 import contextlib
@@ -88,7 +91,8 @@ from envlab.records import (
 from envlab.report import Report, Table, emit_report, format_value
 from conftest import (_block_operator, apply_local, dense_counter, dense_envcheck,
                       dense_protocol, dense_verdict, einselection_state, even_cut, fine_grain,
-                      phase_unitary, random_unitary, state_scores, unit_state, vector_scores)
+                      oracle_decoherence_factor, phase_unitary, random_unitary, state_scores,
+                      unit_state, vector_scores)
 
 
 # ----- oracles: the earlier implementations -----
@@ -1281,7 +1285,7 @@ def test_decoherence_matrix_matches_the_decoherence_factors(run):
     tol = 1e-15 * max(1.0, float(np.max(np.abs(g.g))) * t)
     for k in range(1, n_rec + 1):
         for l in range(1, n_rec + 1):
-            assert abs(zeta[k - 1, l - 1] - pointer.decoherence_factor(g, spectrum, k, l, t)) \
+            assert abs(zeta[k - 1, l - 1] - oracle_decoherence_factor(g, spectrum, k, l, t)) \
                 <= tol
 
 
@@ -1360,21 +1364,6 @@ def oracle_find_pointer_basis(amps, zeta, iterations=48):
             best_basis, best_val = got_basis, got_val
     return best_basis, pointer._as_score(
         oracle_scores(amps, zeta, best_basis[None])[0])
-
-
-def oracle_decoherence_factor(couplings, spectrum, k, k_other, t):
-    g = couplings.g
-    for idx in (k, k_other):
-        if idx < 0 or idx >= g.shape[0]:
-            raise ValueError(f"record index {idx} out of range")
-    if spectrum.n_levels != g.shape[1]:
-        raise ValueError("spectrum level count does not match the couplings")
-    weights = np.abs(spectrum.gamma) ** 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.all(np.isfinite((g[k_other] - g[k]) * float(t)))
-    if not finite:
-        raise ValueError(f"coupling phases g*t are not finite at t={float(t)!r}")
-    return complex(np.sum(weights * np.exp(1j * (g[k_other] - g[k]) * float(t))))
 
 
 def oracle_decoherence_rows(couplings, spectrum, ts):
@@ -1462,15 +1451,21 @@ def test_pointer_route_matches_per_time_and_per_start_oracles(run):
     tables = {t.name: t for t in rep.tables}
     spectrum = pointer.EnvSpectrum.uniform(g.shape[1])
     ts = np.linspace(args.t0, args.t1, args.steps)
-    # repr, unlike ==, tells -0.0 from 0.0, which print differently
-    want_rows = oracle_decoherence_rows(couplings, spectrum, ts)
-    assert repr(list(tables["decoherence"].rows)) == repr(want_rows)
+    # the sweep's Z = E E^dagger rounds each phase apart from the per-pair
+    # oracle, so its zeta cells agree within the per-radian rule, t exactly
+    shape = (len(ts), len(tables["decoherence"].columns))
+    got = np.array(tables["decoherence"].rows, dtype=float).reshape(shape)
+    want = np.array(oracle_decoherence_rows(couplings, spectrum, ts), dtype=float).reshape(shape)
+    assert np.array_equal(got[:, 0], want[:, 0])
+    tol = 1e-15 * max(1.0, float(np.max(np.abs(g))) * float(np.max(np.abs(ts), initial=0.0)))
+    assert np.all(np.abs(got[:, 1:] - want[:, 1:]) <= tol)
     amps = None
     if args.amps:
-        raw = np.array(args.amps.split(","), dtype=float).astype(complex)
+        raw = np.array(args.amps, dtype=float).astype(complex)
         amps = tuple(raw / np.linalg.norm(raw))
     basis, score = oracle_find_pointer_basis(*_search_branches(g, args.time, amps),
                                              args.iterations)
+    # repr, unlike ==, tells -0.0 from 0.0, which print differently
     assert repr(tables["found_basis"].rows) == repr(cli._matrix_table("found_basis", basis).rows)
     assert repr(dict(rep.scalars)["found_score"]) == repr(score.max_score)
 
@@ -1504,13 +1499,14 @@ def test_batched_search_matches_oracle_on_the_search_workload(seed):
 
 @pytest.mark.parametrize("per_chunk", [1, 7])
 def test_chunked_sweep_matches_unchunked(per_chunk, monkeypatch):
+    # chunks of times hold all 16 levels, so no sum is reordered
     g = pointer.CouplingMatrix(np.random.default_rng(per_chunk).uniform(0, 7, (4, 16)))
     spectrum = pointer.EnvSpectrum.uniform(16)
     ts = np.linspace(-3.0, 40.0, 101)
-    whole = pointer.decoherence_factor(g, spectrum, 1, 3, ts)
-    assert _chunk_rows(16) >= len(ts)  # premise: the default sweep is one chunk
-    monkeypatch.setattr(born, "DENSE_AMPLITUDE_CAP", 512 * 16 * per_chunk)
-    assert _chunk_rows(16) == per_chunk
+    whole = pointer.decoherence_matrix(g, spectrum, ts)
+    assert _chunk_rows(3 * 16) >= len(ts)  # premise: the default sweep is one chunk
+    monkeypatch.setattr(born, "DENSE_AMPLITUDE_CAP", 512 * 3 * 16 * per_chunk)
+    assert _chunk_rows(3) >= 16 and _chunk_rows(3 * 16) == per_chunk
     sizes = []
     exp = np.exp
 
@@ -1519,9 +1515,26 @@ def test_chunked_sweep_matches_unchunked(per_chunk, monkeypatch):
         return exp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", counted)
-    assert np.array_equal(pointer.decoherence_factor(g, spectrum, 1, 3, ts), whole)
-    # every (times, levels) temporary stays within the chunk share of the budget
-    assert max(sizes) <= 16 * per_chunk <= born.DENSE_AMPLITUDE_CAP // 512
+    assert np.array_equal(pointer.decoherence_matrix(g, spectrum, ts), whole)
+    # every (times, records, levels) temporary stays within the chunk share
+    assert max(sizes) <= 3 * 16 * per_chunk <= born.DENSE_AMPLITUDE_CAP // 512
+
+
+@given(einselection_draws(), st.floats(-20.0, 20.0), st.floats(-20.0, 20.0),
+       st.integers(0, 40))
+@settings(max_examples=40, deadline=None)
+def test_every_sweep_row_is_the_decoherence_matrix_at_its_time(run, t0, t1, steps):
+    g, spectrum, _, amps, _ = run
+    ts = np.linspace(t0, t1, steps)
+    zetas = pointer.decoherence_matrix(g, spectrum, ts)
+    sweep = pointer.einselection_run(g, spectrum, 1.0, t0, t1, steps, amps).sweep
+    assert zetas.shape == (steps, g.n_records - 1, g.n_records - 1) and len(sweep) == steps
+    for t, zeta, row in zip(ts, zetas, sweep):
+        one = pointer.decoherence_matrix(g, spectrum, t)
+        assert np.array_equal(zeta, one)
+        pairs = [complex(one[k, l]) for k in range(len(one)) for l in range(k + 1, len(one))]
+        assert np.array_equal(row, [t] + [part for z in pairs
+                                          for part in (z.real, z.imag, abs(z))])
 
 
 def test_sweep_refuses_an_overflowing_phase_at_its_first_time():
@@ -1529,14 +1542,11 @@ def test_sweep_refuses_an_overflowing_phase_at_its_first_time():
     spectrum = pointer.EnvSpectrum.uniform(2)
     ts = np.array([1.0, -1e308, 5e307])
     with pytest.raises(ValueError, match="not finite at t=-1e\\+308"):
-        pointer.decoherence_factor(g, spectrum, 1, 2, ts)
+        pointer.decoherence_matrix(g, spectrum, ts)
     # the time the pointer command names, not the one of largest modulus
     g10 = pointer.CouplingMatrix(np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0]]))
     with pytest.raises(ValueError, match="not finite at t=5e\\+307"):
-        pointer.decoherence_factor(g10, spectrum, 1, 2, np.linspace(0, 1e308, 3))
-    # a pair whose phases stay finite is swept at the same times
-    assert pointer.decoherence_factor(g, spectrum, 0, 1, ts).tolist() == [
-        oracle_decoherence_factor(g, spectrum, 0, 1, t) for t in ts]
+        pointer.decoherence_matrix(g10, spectrum, np.linspace(0, 1e308, 3))
 
 
 _names = st.text(max_size=8)

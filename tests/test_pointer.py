@@ -12,7 +12,6 @@ from envlab.pointer import (
     CouplingMatrix,
     EnvSpectrum,
     commutator_norm,
-    decoherence_factor,
     decoherence_matrix,
     find_pointer_basis,
     load_couplings,
@@ -20,8 +19,8 @@ from envlab.pointer import (
 )
 from conftest import (OrthogonalOutcomeError, TruthTable, basis_state, branch_form_state,
                       conditional_state, einselection_state, environment_state, evolve,
-                      premeasure, random_state, random_unitary, state_pointer_score,
-                      state_scores, unit_state)
+                      oracle_decoherence_factor, premeasure, random_state, random_unitary,
+                      state_pointer_score, state_scores, unit_state)
 
 
 def coordinate_table(dim):
@@ -176,30 +175,28 @@ def test_evolve_single_environment_level(rng):
     out = evolve(state, 0, 2, g, 5.0)
     assert np.allclose(np.abs(out.amps), np.abs(state.amps), atol=1e-14)
     spectrum = EnvSpectrum(np.array([1.0]))
-    for k in range(3):
-        for l in range(3):
-            z = decoherence_factor(g, spectrum, k, l, 5.0)
-            assert abs(abs(z) - 1.0) < 1e-12
-    score = pointer_score(c, decoherence_matrix(g, spectrum, 5.0), random_unitary(rng, 3))
+    zeta = decoherence_matrix(g, spectrum, 5.0)
+    assert np.all(np.abs(np.abs(zeta) - 1.0) < 1e-12)
+    score = pointer_score(c, zeta, random_unitary(rng, 3))
     assert score.max_score <= 1e-10
 
 
 def test_decoherence_factor_trivial_cases(rng):
+    # zeta_kl is 1 at t = 0 and on the diagonal, at one time or a sweep
     g = CouplingMatrix(rng.normal(size=(4, 8)))
     spectrum = EnvSpectrum.uniform(8)
-    assert abs(decoherence_factor(g, spectrum, 0, 3, 0.0) - 1.0) < 1e-12
-    for t in np.linspace(0.0, 10.0, 7):
-        assert abs(decoherence_factor(g, spectrum, 2, 2, t) - 1.0) < 1e-12
+    assert np.all(np.abs(decoherence_matrix(g, spectrum, 0.0) - 1.0) < 1e-12)
+    sweep = decoherence_matrix(g, spectrum, np.linspace(0.0, 10.0, 7))
+    assert sweep.shape == (7, 3, 3)
+    assert np.all(np.abs(np.diagonal(sweep, axis1=1, axis2=2) - 1.0) < 1e-12)
     with pytest.raises(ValueError):
-        decoherence_factor(g, spectrum, 0, 4, 1.0)
-    with pytest.raises(ValueError):
-        decoherence_factor(g, EnvSpectrum.uniform(5), 0, 1, 1.0)
+        decoherence_matrix(g, EnvSpectrum.uniform(5), 1.0)
 
 
 def test_decoherence_factor_two_level_cancellation():
     spectrum = EnvSpectrum(np.sqrt([0.5, 0.5]))
-    g = CouplingMatrix(np.array([[0.0, 0.0], [0.0, np.pi]]))
-    z = decoherence_factor(g, spectrum, 0, 1, 1.0)
+    g = CouplingMatrix(np.array([[0.0, 0.0], [0.0, 0.0], [0.0, np.pi]]))
+    z = decoherence_matrix(g, spectrum, 1.0)[0, 1]
     direct = 0.5 * (np.exp(1j * 0.0) + np.exp(1j * np.pi))
     assert abs(z - direct) < 1e-15
     assert abs(z) < 1e-12
@@ -209,26 +206,24 @@ def test_decoherence_factor_decays_to_plateau():
     # 32 uniform levels: |zeta| starts at 1, decays, then fluctuates on the
     # 1/sqrt(32) scale; the plateau magnitude is measured, not derived
     rng = np.random.default_rng(7)
-    g = CouplingMatrix(rng.uniform(0.0, 2.0 * np.pi, size=(2, 32)))
+    records = rng.uniform(0.0, 2.0 * np.pi, size=(2, 32))
+    g = CouplingMatrix(np.vstack([np.zeros(32), records]))
     spectrum = EnvSpectrum.uniform(32)
-    assert abs(decoherence_factor(g, spectrum, 0, 1, 0.0) - 1.0) < 1e-12
-    for t in np.linspace(0.0, 10.0, 101):
-        assert abs(decoherence_factor(g, spectrum, 0, 1, t)) <= 1.0 + 1e-12
-    plateau = [abs(decoherence_factor(g, spectrum, 0, 1, t))
-               for t in np.linspace(50.0, 500.0, 61)]
+    early = np.abs(decoherence_matrix(g, spectrum, np.linspace(0.0, 10.0, 101))[:, 0, 1])
+    assert abs(early[0] - 1.0) < 1e-12 and np.all(early <= 1.0 + 1e-12)
+    plateau = np.abs(decoherence_matrix(g, spectrum, np.linspace(50.0, 500.0, 61))[:, 0, 1])
     scale = 1.0 / math.sqrt(32)
     assert 0.3 * scale < np.mean(plateau) < 3.0 * scale
 
 
 def test_modulus_stays_one_iff_rows_differ_by_offset(rng):
     base = rng.normal(size=6)
-    offset = CouplingMatrix(np.stack([base, base + 0.7]))
+    offset = CouplingMatrix(np.stack([np.zeros(6), base, base + 0.7]))
     spectrum = EnvSpectrum.uniform(6)
-    for t in np.linspace(0.0, 10.0, 41):
-        assert abs(abs(decoherence_factor(offset, spectrum, 0, 1, t)) - 1.0) < 1e-12
-    skewed = CouplingMatrix(np.stack([base, base + rng.normal(size=6)]))
-    dips = [abs(decoherence_factor(skewed, spectrum, 0, 1, t))
-            for t in np.linspace(0.0, 10.0, 41)]
+    ts = np.linspace(0.0, 10.0, 41)
+    assert np.all(np.abs(np.abs(decoherence_matrix(offset, spectrum, ts)[:, 0, 1]) - 1.0) < 1e-12)
+    skewed = CouplingMatrix(np.stack([np.zeros(6), base, base + rng.normal(size=6)]))
+    dips = np.abs(decoherence_matrix(skewed, spectrum, ts)[:, 0, 1])
     assert min(dips) < 1.0 - 1e-6
 
 
@@ -311,7 +306,7 @@ def test_pointer_score_two_branch_dichotomy(seed, t):
     rot = with_ready_level([[math.cos(theta), math.sin(theta)],
                             [-math.sin(theta), math.cos(theta)]])
     score = pointer_score(c, zeta_matrix, rot)
-    zeta = decoherence_factor(g, spectrum, 1, 2, t)
+    zeta = oracle_decoherence_factor(g, spectrum, 1, 2, t)
     for l in (1, 2):
         w1 = abs(c[0] * rot[l, 1]) ** 2
         w2 = abs(c[1] * rot[l, 2]) ** 2
@@ -449,7 +444,7 @@ def test_find_pointer_basis_recovers_rotated_truth():
     g = CouplingMatrix(np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, size=(3, 16)))
     spectrum = EnvSpectrum(np.full(16, 0.25))
     t = 6.0
-    assert abs(decoherence_factor(g, spectrum, 1, 2, t)) < 0.3  # premise: well separated
+    assert abs(oracle_decoherence_factor(g, spectrum, 1, 2, t)) < 0.3  # premise: well separated
     amps = np.array([math.sqrt(0.4), math.sqrt(0.6)], dtype=complex)
     zeta = decoherence_matrix(g, spectrum, t)
     haar = np.random.default_rng(17)
@@ -561,8 +556,6 @@ def test_overflowing_coupling_phases_are_refused(g_value, t):
             decoherence_matrix(g, spectrum, t)
         with pytest.raises(ValueError, match="coupling phases g\\*t are not finite"):
             evolve(state, 0, 1, g, t)  # the dense oracle refuses it alike
-        with pytest.raises(ValueError, match="coupling phases g\\*t are not finite"):
-            decoherence_factor(g, spectrum, 0, 1, t)
 
 
 def test_einselection_run_holds_no_pairs_by_levels_array():
@@ -580,18 +573,6 @@ def test_einselection_run_holds_no_pairs_by_levels_array():
         tracemalloc.stop()
     assert run.truth.max_score <= 1e-12 and len(run.sweep[0]) == 1 + 3 * 4851
     assert peak < 16 << 20
-
-
-def test_finite_phases_pass_beside_an_overflowing_pair():
-    # each pair's own rates decide: only the pair whose phases overflow is
-    # refused
-    g = CouplingMatrix(np.array([[0.0, 0.0], [0.0, 0.0], [1e300, 0.0]]))
-    spectrum = EnvSpectrum.uniform(2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert abs(decoherence_factor(g, spectrum, 0, 1, 1e10) - 1.0) < 1e-12
-        with pytest.raises(ValueError, match="not finite at t=10000000000.0"):
-            decoherence_factor(g, spectrum, 0, 2, 1e10)
 
 
 def test_commutator_norm_validation(rng):
