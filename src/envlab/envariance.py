@@ -17,7 +17,8 @@ nuclear norm of sum_j |a_j|^2 |w_j><eps_j|, which is what the reported
 residual infidelity is computed from.  Fidelities are read off the blocks
 too: <psi|u x v|psi> = sum_jk conj(a_j) a_k O_jk V_jk exactly, because <s_j|
 projects out whatever u moves off the span.  No d x d operator and no
-rotated state is built.
+rotated state is built.  The swap/counterswap protocol needs no blocks: its
+fidelities depend on the Schmidt moduli alone.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .hilbert import (
     StateVector,
     _unitarity_deviation,
     schmidt,
+    schmidt_values,
     fidelity,
 )
 
@@ -106,15 +108,6 @@ def _fidelity(coeffs, system, counter=None) -> float:
     if counter is None:
         return float(abs(np.sum(np.abs(coeffs) ** 2 * np.diag(system))))
     return float(abs(coeffs.conj() @ (system * counter) @ coeffs))
-
-
-def _exchange(n_terms: int, k: int, l: int, phase: float) -> np.ndarray:
-    """Block of e^{i phase}|k><l| + e^{-i phase}|l><k|, identity elsewhere (k == l: identity)."""
-    block = np.eye(n_terms, dtype=complex)
-    if k != l:
-        block[[k, l], [k, l]] = 0.0
-        block[k, l], block[l, k] = np.exp(1j * phase), np.exp(-1j * phase)
-    return block
 
 
 def _spanned_indices(dec: SchmidtDecomposition, new_basis):
@@ -246,21 +239,20 @@ def protocol_run(state: StateVector, cut: Bipartition, spec: SwapSpec,
     """Confirm, swap two Schmidt terms, counterswap, and record fidelities.
 
     The counterswap exchanges |eps_k>, |eps_l> with the phase
-    theta = phi_kl + arg a_l - arg a_k, so that for equal-modulus
-    coefficients the composition restores the state exactly.  Restoration
-    fails when the final fidelity is below 1 - tol.
+    theta = phi_kl + arg a_l - arg a_k, which cancels the swap's phase and the
+    coefficient arguments, so the fidelities depend on the Schmidt moduli only:
+    sum_{j != k,l} |a_j|^2 after the swap, that plus 2 |a_k| |a_l| after the
+    counterswap.  Restoration fails when the final fidelity is below 1 - tol.
     """
-    dec = schmidt(state, cut)
-    if not (0 <= spec.k < dec.n_terms and 0 <= spec.l < dec.n_terms):
-        raise ValueError(
-            f"swap indices ({spec.k}, {spec.l}) outside {dec.n_terms} Schmidt terms"
-        )
-    theta = spec.phase + np.angle(dec.coeffs[spec.l]) - np.angle(dec.coeffs[spec.k])
-    swap = _exchange(dec.n_terms, spec.k, spec.l, spec.phase)
-    counter = _exchange(dec.n_terms, spec.k, spec.l, -theta)
-    final = _fidelity(dec.coeffs, swap, counter)
-    steps = (("confirm", fidelity(state, state)), ("swap", _fidelity(dec.coeffs, swap)),
-             ("counterswap", final))
+    mods = schmidt_values(state, cut)
+    k, l = spec.k, spec.l
+    if not (0 <= k < mods.size and 0 <= l < mods.size):
+        raise ValueError(f"swap indices ({k}, {l}) outside {mods.size} Schmidt terms")
+    swap = final = float(np.sum(mods ** 2))  # k == l: the swap is the identity
+    if k != l:
+        swap = float(np.sum(np.delete(mods, [k, l]) ** 2))
+        final = swap + 2.0 * float(mods[k] * mods[l])
+    steps = (("confirm", fidelity(state, state)), ("swap", swap), ("counterswap", final))
     return ProtocolTranscript(steps, restoration_failed=final < 1 - tol)
 
 

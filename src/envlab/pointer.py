@@ -140,6 +140,8 @@ def decoherence_matrix(couplings: CouplingMatrix, spectrum: EnvSpectrum, t) -> n
     times = np.asarray(t, dtype=float)
     flat = times.reshape(-1)
     n_rec = g.shape[0] - 1
+    if n_rec < 1:
+        raise ValueError("couplings need at least two rows: ready level plus records")
     require_dense(flat.size * n_rec * n_rec, "decoherence matrix")
     _require_finite_phase(g, flat)
     zeta = np.zeros((flat.size, n_rec, n_rec), dtype=complex)
@@ -358,15 +360,13 @@ def einselection_run(couplings: CouplingMatrix, spectrum: EnvSpectrum, time: flo
     from t0 to t1 are checked against the amplitude budget first, and an
     overflowing phase is named at its first time in sweep order.
     """
-    n_rec = couplings.n_records - 1
-    if n_rec < 1:
-        raise ValueError("couplings need at least two rows: ready level plus records")
+    zeta = decoherence_matrix(couplings, spectrum, time)
+    n_rec = len(zeta)
     if amps is None:
         amps = np.full(n_rec, 1.0 / math.sqrt(n_rec), dtype=complex)
     amps = StateVector((n_rec,), amps).amps
     branch_probs = tuple(float(w * w) if w >= ZERO_PROJECTION_TOL else 0.0
                          for w in np.abs(amps))
-    zeta = decoherence_matrix(couplings, spectrum, time)
 
     first, second = np.triu_indices(n_rec, 1)
     pairs = tuple(zip((first + 1).tolist(), (second + 1).tolist()))

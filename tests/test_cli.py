@@ -1428,6 +1428,54 @@ def test_counts_and_event_flags_are_checked(argv, message, couplings_file, even_
     one_error_line(*run_cli(argv, capsys), message)
 
 
+@pytest.fixture
+def refusal_files(tmp_path, even_state, uneven_state):
+    """Braced name -> path of the inputs each refusal below is given."""
+    files = {"even": even_state, "uneven": uneven_state}
+    matrices = {"three-columns": np.eye(2, 3), "skew": [[1.0, 0.0], [1.0, 0.0]],
+                "diagonal": [[1 / math.sqrt(2), 1 / math.sqrt(2)]],
+                "hadamard": np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2),
+                "eye3": np.eye(3), "one-row": np.zeros((1, 3))}
+    for name, mat in matrices.items():
+        files[name] = str(tmp_path / f"{name}.txt")
+        np.savetxt(files[name], mat)
+    for name, text in (("nan", '{"dims": [2], "amps": [[NaN, 0], [1, 0]]}'),
+                       ("negative-dims", '{"dims": [-1], "amps": [[1, 0]]}')):
+        files[name] = str(tmp_path / f"{name}.state")
+        (tmp_path / f"{name}.state").write_text(text + "\n")
+    return files
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["schmidt", "--state", "{even}", "--cut", "0,1"], "right side of a cut cannot be empty"),
+    (["envcheck", "--state", "{even}", "--cut", "0", "--partial", "{three-columns}"],
+     "new_basis must be rows over the left block"),
+    (["envcheck", "--state", "{even}", "--cut", "0", "--partial", "{skew}"],
+     "new_basis is not orthonormal"),
+    (["envcheck", "--state", "{uneven}", "--cut", "0", "--partial", "{diagonal}"],
+     "new_basis does not align with a subset of Schmidt vectors"),
+    (["envcheck", "--state", "{uneven}", "--cut", "0", "--partial", "{hadamard}"],
+     "subspace is not even: modulus spread 0.239146"),
+    (["state", "--weights", "1,2", "--phases", "0.1"], "one phase per weight"),
+    (["envcheck", "--state", "{even}", "--cut", "0", "--unitary", "matrix:{eye3}"],
+     "matrix file must be 2x2"),
+    (["records", "--universe", "2", "--event", "0", "--weights=-1,2"],
+     "tally must be nonnegative integers"),
+    (["continuum", "--dx", "0.5", "--width", "1e-200"],
+     "width 1e-200 is too small: its square underflows"),
+    (["pointer", "--couplings", "{one-row}"],
+     "couplings need at least two rows: ready level plus records"),
+    (["schmidt", "--state", "{nan}", "--cut", "0"], "amplitudes must be finite"),
+    (["schmidt", "--state", "{negative-dims}", "--cut", "0"],
+     "dims must be a nonempty list of positive integers"),
+], ids=["cut-right-empty", "partial-columns", "partial-not-orthonormal", "partial-misaligned",
+        "partial-uneven", "phases-short", "unitary-matrix-size", "tally-negative",
+        "width-underflows", "couplings-one-row", "state-nan", "state-dims-negative"])
+def test_engine_refusals_exit_two(argv, message, refusal_files, capsys):
+    # each is raised inside an engine, and no other test reached it
+    one_error_line(*run_cli([a.format(**refusal_files) for a in argv], capsys), message)
+
+
 @pytest.mark.parametrize("argv, flag, message", [
     (["state", "--dims", "2,x"], "--dims", "invalid literal for int() with base 10: 'x'"),
     (["schmidt", "--state", "{state}", "--cut", "x"], "--cut",
@@ -1674,11 +1722,13 @@ ENVCHECK_RUNS = (
     ["envcheck", "--state", "{state}", "--cut", "0", "--term-phases", "0.3,0.9"],
     ["envcheck", "--state", "{state}", "--cut", "0", "--partial", "{basis}"],
 )
+PROTOCOL_RUN = ["protocol", "--state", "{state}", "--cut", "0", "--pair", "0,1"]
 
 # --unitary checks its d x d matrix against the budget before parsing it
 SCENARIO_RUNS = tuple((argv, "envariance.envcheck_run",
                        {"hilbert.load_state"} | ({"born.require_dense"} if i == 0 else set()))
                       for i, argv in enumerate(ENVCHECK_RUNS)) + (
+    (PROTOCOL_RUN, "envariance.protocol_run", {"hilbert.load_state"}),
     (["born", "--weights", "2,3,5", "--subset", "0,2"], "born.born_from_weights",
      {"born.coarse_probability", "born.fine_values", "envariance.is_even"}),
     (["born", "--state", "{state}", "--cut", "0"], "born.born_probabilities",
@@ -1714,10 +1764,10 @@ SCENARIO_RUNS = tuple((argv, "envariance.envcheck_run",
 
 @pytest.mark.parametrize("argv, scenario, others", SCENARIO_RUNS,
                          ids=["envcheck-unitary", "envcheck-term-phases", "envcheck-partial",
-                              "born-weights", "born-state", "pointer", "pointer-search",
-                              "freq", "freq-register", "freq-cells", "continuum",
-                              "continuum-adaptive", "continuum-truncate", "records-event",
-                              "records-partition"])
+                              "protocol", "born-weights", "born-state", "pointer",
+                              "pointer-search", "freq", "freq-register", "freq-cells",
+                              "continuum", "continuum-adaptive", "continuum-truncate",
+                              "records-event", "records-partition"])
 def test_handlers_make_one_scenario_call(argv, scenario, others, audit_files):
     # the audit's profile hook, narrowed to calls made from cli.py frames
     names = public_codes()
@@ -1744,9 +1794,8 @@ def test_handlers_make_one_scenario_call(argv, scenario, others, audit_files):
         assert entered.count(scenario) == 1
 
 
-@pytest.mark.parametrize("argv", ENVCHECK_RUNS, ids=["unitary", "term-phases", "partial"])
-def test_envcheck_decomposes_once(argv, audit_files):
-    # the verdict reads the decomposition u_s and the counter were built from
+def entered_operations(argv, audit_files) -> tuple:
+    """Exit code of main(argv) and the public engine functions it entered, in order."""
     names = public_codes()
     entered = []
 
@@ -1761,8 +1810,24 @@ def test_envcheck_decomposes_once(argv, audit_files):
             code = main([a.format(**audit_files) for a in argv])
     finally:
         sys.setprofile(previous)
+    return code, entered
+
+
+@pytest.mark.parametrize("argv", ENVCHECK_RUNS, ids=["unitary", "term-phases", "partial"])
+def test_envcheck_decomposes_once(argv, audit_files):
+    # the verdict reads the decomposition u_s and the counter were built from
+    code, entered = entered_operations(argv, audit_files)
     assert code == 0
     assert entered.count("hilbert.schmidt") == 1
+
+
+def test_protocol_reads_schmidt_moduli_only(audit_files):
+    # the transcript is a closed form in the moduli; it used to run the full
+    # decomposition, bases and group rotation included
+    code, entered = entered_operations(PROTOCOL_RUN, audit_files)
+    assert code == 0
+    assert entered.count("hilbert.schmidt_values") == 1
+    assert "hilbert.schmidt" not in entered
 
 
 # ----- exit-code contract under edge inputs -----

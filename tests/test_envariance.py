@@ -385,6 +385,22 @@ def test_protocol_trivial_swap(rng):
     assert all(abs(f - 1) < 1e-12 for _, f in transcript.steps)
 
 
+@pytest.mark.parametrize("left", [(0,), (1,)], ids=["cut-0", "cut-1"])
+@pytest.mark.parametrize("phase", [0.0, 0.7])
+def test_protocol_is_the_moduli_closed_form_on_a_near_degenerate_pair(left, phase, rng):
+    # the two leading moduli differ by 3e-10 relative, inside schmidt's 1e-9
+    # grouping; the rotation of that group used to move the fidelities off
+    # the closed form by 2.3e-10 at cut 0 and by 9.0e-11 at cut 1
+    c = np.array([1.0, 1.0 - 3e-10, 0.5])
+    c /= np.linalg.norm(c)
+    psi = schmidt_form_state(c, 3, 3, rng)
+    for k, l in [(0, 1), (0, 2), (1, 2)]:
+        steps = dict(protocol_run(psi, Bipartition(left), SwapSpec(k, l, phase)).steps)
+        swap = sum(c[j] ** 2 for j in range(3) if j not in (k, l))
+        assert abs(steps["swap"] - swap) <= 1e-15
+        assert abs(steps["counterswap"] - (swap + 2 * c[k] * c[l])) <= 1e-15
+
+
 def test_protocol_rejects_out_of_range_indices(rng):
     psi = random_state(rng, (2, 2))
     with pytest.raises(ValueError):

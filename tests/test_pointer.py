@@ -558,6 +558,15 @@ def test_overflowing_coupling_phases_are_refused(g_value, t):
             evolve(state, 0, 1, g, t)  # the dense oracle refuses it alike
 
 
+@pytest.mark.parametrize("t", [1.0, np.linspace(0.0, 1.0, 3)], ids=["time", "times"])
+def test_one_row_couplings_are_refused(t):
+    # the ready level and no record: used to raise ZeroDivisionError while
+    # sizing the level chunks
+    with pytest.raises(ValueError, match="^couplings need at least two rows: ready level "
+                                         "plus records$"):
+        decoherence_matrix(CouplingMatrix(np.zeros((1, 3))), EnvSpectrum.uniform(3), t)
+
+
 def test_einselection_run_holds_no_pairs_by_levels_array():
     # 99 records of 3,000 levels: the sweep's phase check used to subtract
     # every record pair's couplings at once, 4,851 x 3,000 floats (111 MiB),
