@@ -27,7 +27,7 @@ import numpy as np
 from .born import (BornResult, WeightVector, born_from_weights, born_probabilities,
                    coarse_probability, fine_values, require_dense)
 from .continuum import CoefficientSequence, WaveFunction, mesh_run, truncate
-from .envariance import SwapSpec, envcheck_run, is_even, protocol_run
+from .envariance import SwapSpec, check_envariance, envcheck_run, is_even, protocol_run
 from .frequencies import ExperimentSpec, multinomial_history_counts, repeated_runs
 from .hilbert import (Bipartition, LocalUnitary, StateVector, _load_matrix, load_state,
                       reconstruct, reduced_purity, save_state, schmidt, tensor_product)
@@ -253,23 +253,23 @@ def _cmd_envcheck(args) -> tuple:
     block_dim = math.prod(state.dims[i] for i in cut.sides(state.n_subsystems)[0])
     if "unitary" in args:
         u_s = LocalUnitary(cut.left, _parse_block_unitary(args.unitary, block_dim))
-        run = envcheck_run(state, cut, unitary=u_s)
+        verdict = check_envariance(state, cut, u_s)
         source = "polished"
     elif "term_phases" in args:
-        run = envcheck_run(state, cut, phases=args.term_phases)
+        verdict = envcheck_run(state, cut, phases=args.term_phases)
         source = "schmidt-phase"
     else:
-        run = envcheck_run(state, cut, basis=_load_matrix(args.partial, complex))
+        verdict = envcheck_run(state, cut, basis=_load_matrix(args.partial, complex))
         source = "partial-swap"
     scalars = (
-        ("envariant", run.verdict.envariant),
-        ("gram_deviation", run.verdict.gram_deviation),
-        ("residual_infidelity", run.verdict.residual_infidelity),
-        ("overlap_after_unitary", run.verdict.overlap),
-        ("restoration", run.restoration),
+        ("envariant", verdict.envariant),
+        ("gram_deviation", verdict.gram_deviation),
+        ("residual_infidelity", verdict.residual_infidelity),
+        ("overlap_after_unitary", verdict.overlap),
+        ("restoration", verdict.restoration),
         ("counter_source", source),
     )
-    return Report("envcheck", scalars, _counter_table(run.counter)), 0
+    return Report("envcheck", scalars, _counter_table(verdict.counter)), 0
 
 
 def _counter_table(counter) -> tuple:

@@ -66,9 +66,10 @@ class BlockUnitary:
 
 @dataclass(frozen=True)
 class EnvarianceVerdict:
-    """Whether u_s is envariant, the counter that undoes it (None when it is
-    not), the best restoration infidelity any environment unitary reaches,
-    how far the candidate images are from orthonormal, and the fidelities
+    """Whether u_s is envariant, the counter that was applied (the route's
+    own counter, else the polar one, None when u_s is not envariant), the
+    best restoration infidelity any environment unitary reaches, how far the
+    candidate images are from orthonormal, and the fidelities
     |<psi|u_s|psi>| and |<psi|u_s x counter|psi>| (0 without a counter)."""
 
     envariant: bool
@@ -76,17 +77,6 @@ class EnvarianceVerdict:
     residual_infidelity: float
     gram_deviation: float
     overlap: float
-    restoration: float
-
-
-@dataclass(frozen=True)
-class EnvcheckRun:
-    """What envcheck_run found: the verdict on u_s, the counter it applied,
-    and the fidelity with the state after u_s and the counter (0 when there
-    is no counter); the fidelity after u_s alone is the verdict's."""
-
-    verdict: EnvarianceVerdict
-    counter: Optional[BlockUnitary]
     restoration: float
 
 
@@ -148,11 +138,9 @@ def _partial_swap_blocks(dec: SchmidtDecomposition, new_basis) -> tuple:
     if dev > UNITARY_TOL:
         raise ValueError(f"matrix deviates from unitarity by {dev:g}")
     coeffs = np.asarray(dec.coeffs)[spanned]
-    mods = np.abs(coeffs)
-    if (mods.max() - mods.min()) > EVEN_TOL * mods.max():
-        raise ValueError(
-            f"subspace is not even: modulus spread {mods.max() - mods.min():g}"
-        )
+    if not is_even(coeffs):
+        mods = np.abs(coeffs)
+        raise ValueError(f"subspace is not even: modulus spread {mods.max() - mods.min():g}")
     phases = np.exp(1j * np.angle(coeffs))
     counter = np.eye(dec.n_terms, dtype=complex)
     counter[np.ix_(spanned, spanned)] = (overlaps[:, spanned].T * phases[:, None]
@@ -184,8 +172,10 @@ def check_envariance(state: StateVector, cut: Bipartition,
     return _envariance_verdict(dec, _system_block(dec, u_s))
 
 
-def _envariance_verdict(dec: SchmidtDecomposition, system: np.ndarray) -> EnvarianceVerdict:
-    """The verdict on u_s from dec's coefficients and u_s's system block."""
+def _envariance_verdict(dec: SchmidtDecomposition, system: np.ndarray,
+                        counter: np.ndarray = None) -> EnvarianceVerdict:
+    """The verdict on u_s from dec's coefficients and u_s's system block,
+    applying the given counter block, else the polar one when u_s is envariant."""
     coeffs = np.asarray(dec.coeffs)
     images = system * (coeffs[None, :] / coeffs[:, None])  # row j = |w_j> on the |eps_k>
 
@@ -196,31 +186,29 @@ def _envariance_verdict(dec: SchmidtDecomposition, system: np.ndarray) -> Envari
     best_overlap = float(np.sum(np.linalg.svd(images.T * weights, compute_uv=False)))
     residual = max(0.0, 1.0 - best_overlap)
     overlap = _fidelity(coeffs, system)
+    envariant = gram_dev <= GRAM_TOL
 
-    if gram_dev > GRAM_TOL:
-        return EnvarianceVerdict(False, None, residual, gram_dev, overlap, 0.0)
+    if counter is None:
+        if not envariant:
+            return EnvarianceVerdict(False, None, residual, gram_dev, overlap, 0.0)
+        # the polar factor of the images is exactly unitary; its conjugate is
+        # the block of the counter sending each |w_j> back to |eps_j>
+        uw, _, vhw = np.linalg.svd(images)
+        counter = (uw @ vhw).conj()
+    return EnvarianceVerdict(envariant, BlockUnitary(dec.right_basis, counter), residual,
+                             gram_dev, overlap, _fidelity(coeffs, system, counter))
 
-    # the polar factor of the images is exactly unitary; its conjugate is the
-    # block of the counter sending each |w_j> back to |eps_j>
-    uw, _, vhw = np.linalg.svd(images)
-    counter = (uw @ vhw).conj()
-    return EnvarianceVerdict(True, BlockUnitary(dec.right_basis, counter), residual, gram_dev,
-                             overlap, _fidelity(coeffs, system, counter))
 
-
-def envcheck_run(state: StateVector, cut: Bipartition, *, unitary: LocalUnitary = None,
-                 phases=None, basis=None) -> EnvcheckRun:
+def envcheck_run(state: StateVector, cut: Bipartition, *, phases=None,
+                 basis=None) -> EnvarianceVerdict:
     """Apply one system-side unitary, decide its envariance and undo it.
 
-    Give one of: a ``unitary`` on the left side, countered by its verdict's
-    polished counter; Schmidt-term ``phases``; or the rows of a ``basis`` a
-    Schmidt subspace rotates onto.  The last two build the system block and
-    its analytic counter block from one decomposition, which the verdict
-    reads as well.
+    Give Schmidt-term ``phases``, or the rows of a ``basis`` an even Schmidt
+    subspace rotates onto.  One decomposition yields the system block and
+    its analytic counter block; the verdict applies that counter, so its
+    ``counter`` and ``restoration`` are the analytic ones.  A unitary on the
+    left side is checked by ``check_envariance``, with the polar counter.
     """
-    if unitary is not None:
-        verdict = check_envariance(state, cut, unitary)
-        return EnvcheckRun(verdict, verdict.counter, verdict.restoration)
     dec = schmidt(state, cut)
     if phases is not None:
         phases = np.asarray(phases, dtype=float)
@@ -230,8 +218,7 @@ def envcheck_run(state: StateVector, cut: Bipartition, *, unitary: LocalUnitary 
         counter = system.conj()
     else:
         system, counter = _partial_swap_blocks(dec, basis)
-    return EnvcheckRun(_envariance_verdict(dec, system), BlockUnitary(dec.right_basis, counter),
-                       _fidelity(dec.coeffs, system, counter))
+    return _envariance_verdict(dec, system, counter)
 
 
 def protocol_run(state: StateVector, cut: Bipartition, spec: SwapSpec,

@@ -209,8 +209,8 @@ def maverick_mass(tally: HistoryTally, delta_r) -> Fraction:
 class SwapCheck:
     pair: tuple                  # two histories, each a tuple of cell indices
     restoration: float           # sparse swap+counterswap protocol fidelity
-    envariant: bool = None       # dense check_envariance verdict, when run
-    counter_fidelity: float = None  # restoration via the polished dense counter
+    envariant: bool = None       # _envariance_verdict on the swap's system block, when run
+    counter_fidelity: float = None  # restoration via that verdict's polar counter
 
 
 @dataclass(frozen=True)

@@ -184,7 +184,7 @@ def test_phase_unitary_matches_criterion_04_oracle():
         # the shipped route reads the same rotation off its Schmidt block
         run = envcheck_run(state, CUT, phases=phases)
         moved = apply_local(state, want)
-        assert abs(run.verdict.overlap - fidelity(state, moved)) <= 1e-12
+        assert abs(run.overlap - fidelity(state, moved)) <= 1e-12
         restored = apply_local(moved, phase_counter(dec, phases))
         assert abs(run.restoration - fidelity(state, restored)) <= 1e-12
 

@@ -73,6 +73,11 @@ def test_rationalize_rejects_small_m_max():
         rationalize(np.sqrt([0.2, 0.3, 0.5]), 2)
 
 
+def test_born_result_refuses_probabilities_not_summing_to_one():
+    with pytest.raises(ValueError, match="exact probabilities must sum to 1"):
+        BornResult((Fraction(1, 2), Fraction(1, 3)), (0.5, 1 / 3), 0.0, WeightVector((1, 1)))
+
+
 def test_rationalize_rejects_unnormalized():
     with pytest.raises(ValueError):
         rationalize([1.0, 1.0], 10)

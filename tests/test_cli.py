@@ -36,6 +36,7 @@ import envlab.records
 from conftest import build_upsilon
 from envlab.cli import main
 from envlab.hilbert import StateVector, load_state, save_state
+from envlab.report import Report, Table, emit_report
 
 ENGINES = (
     envlab.hilbert,
@@ -696,6 +697,25 @@ def test_csv_has_table_header(capsys):
     assert code == 0
     assert out.splitlines()[0] == "# title=born"
     assert "k,m_k,p,p_float" in out
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "structured"])
+def test_a_short_row_is_refused_in_every_format(fmt):
+    short = Report("t", (), (Table("cells", ("a", "b"), ((1,),)),))
+    with pytest.raises(ValueError, match="row width mismatch in table 'cells'"):
+        emit_report(short, fmt)
+
+
+def test_csv_refuses_a_comma_inside_a_cell():
+    report = Report("t", (), (Table("cells", ("a",), (("1,2",),)),))
+    with pytest.raises(ValueError, match="comma inside CSV cell '1,2'"):
+        emit_report(report, "csv")
+    assert emit_report(report, "table").endswith("1,2\n")
+
+
+def test_unknown_report_format_is_refused():
+    with pytest.raises(ValueError, match="unknown format 'yaml'"):
+        emit_report(Report("t"), "yaml")
 
 
 GOLDEN_BORN_CSV = """\
@@ -1725,7 +1745,7 @@ ENVCHECK_RUNS = (
 PROTOCOL_RUN = ["protocol", "--state", "{state}", "--cut", "0", "--pair", "0,1"]
 
 # --unitary checks its d x d matrix against the budget before parsing it
-SCENARIO_RUNS = tuple((argv, "envariance.envcheck_run",
+SCENARIO_RUNS = tuple((argv, "envariance.check_envariance" if i == 0 else "envariance.envcheck_run",
                        {"hilbert.load_state"} | ({"born.require_dense"} if i == 0 else set()))
                       for i, argv in enumerate(ENVCHECK_RUNS)) + (
     (PROTOCOL_RUN, "envariance.protocol_run", {"hilbert.load_state"}),

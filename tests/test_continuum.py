@@ -126,6 +126,24 @@ def test_discretize_coverage_and_smoothness_errors():
         discretize(GAUSS, Mesh.uniform(0.0, 0.25, 8))
     with pytest.raises(ValueError, match="quadrature points"):
         discretize(GAUSS, Mesh.uniform(-8.0, 0.5, 32), quad_points=1)
+    # twice the unit Gaussian carries weight 4, more than a state can
+    doubled = WaveFunction(lambda x: 2 * GAUSS(x), "2 gaussian")
+    with pytest.raises(ValueError, match="exceeds the total norm"):
+        discretize(doubled, Mesh.uniform(-8.0, 0.5, 32))
+
+
+def test_truncate_refuses_a_sequence_with_no_weight():
+    # a tail of 0 everywhere fits any budget before the first term
+    empty = CoefficientSequence(term=lambda k: 0.0, tail=lambda n: 0.0)
+    with pytest.raises(ValueError, match="no weight left after truncation"):
+        truncate(empty, Fraction(1, 10))
+
+
+def test_equal_mass_mesh_refuses_a_point_mass():
+    # all the weight at one grid node leaves the inner edges on top of each other
+    spike = WaveFunction(lambda x: np.where(x == 0.0, np.inf, 0.0), "spike")
+    with pytest.raises(ValueError, match="density too concentrated for this many cells"):
+        equal_mass_mesh(spike, -8.0, 8.0, 4)
 
 
 def test_box_part_orthogonal_to_remainder():
@@ -155,6 +173,8 @@ def test_discretized_state_validation():
         DiscretizedState(psi_k=(1.0, 1.0), mesh=mesh, remainder_sq=0.5)
     with pytest.raises(ValueError, match="negative"):
         DiscretizedState(psi_k=(1.0, 1.0), mesh=mesh, remainder_sq=-0.1)
+    with pytest.raises(ValueError, match="one average per cell"):
+        DiscretizedState(psi_k=(1.0,), mesh=mesh, remainder_sq=0.5)
 
 
 def test_interval_probability_matches_error_function():

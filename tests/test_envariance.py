@@ -1,10 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import envlab.envariance as envariance
 from envlab.envariance import (
     SwapSpec,
     check_envariance,
+    envcheck_run,
     is_even,
     protocol_run,
 )
@@ -314,6 +318,75 @@ def test_check_envariance_rejects_right_side_targets(rng):
         check_envariance(psi, CUT, LocalUnitary((1,), np.eye(2)))
 
 
+def test_check_envariance_rejects_a_matrix_of_the_wrong_dimension():
+    with pytest.raises(ValueError, match=r"matrix dimension 3 does not match targets \[0\]"):
+        check_envariance(bell_pair(), CUT, LocalUnitary((0,), np.eye(3)))
+
+
+# ----- one counter per route -----
+
+@pytest.fixture
+def polar_svds(monkeypatch):
+    """Count the np.linalg.svd calls made from envariance.py that compute U and V."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if (kwargs.get("compute_uv", True)
+                and sys._getframe(1).f_globals["__name__"] == envariance.__name__):
+            calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_term_phases_route_applies_its_closed_form_counter(rng, polar_svds):
+    psi = random_state(rng, (3, 4))
+    phases = rng.uniform(0, 2 * np.pi, 3)
+    verdict = envcheck_run(psi, CUT, phases=phases)
+    assert polar_svds == []
+    assert verdict.envariant
+    assert np.array_equal(verdict.counter.block, np.diag(np.exp(-1j * phases)))
+    assert abs(verdict.restoration - 1.0) <= 1e-12
+
+
+def test_partial_route_applies_its_closed_form_counter(rng, polar_svds):
+    psi = schmidt_form_state(np.sqrt([0.25, 0.25, 0.5]), 3, 3, rng)
+    dec = schmidt(psi, CUT)
+    group = [k for k in range(3) if abs(abs(dec.coeffs[k]) - 0.5) <= 1e-12]
+    basis = random_unitary(rng, 2) @ dec.left_basis[group]
+    verdict = envcheck_run(psi, CUT, basis=basis)
+    assert polar_svds == []
+    assert verdict.envariant
+    _, counter = envariance._partial_swap_blocks(dec, basis)
+    assert np.array_equal(verdict.counter.block, counter)
+    assert abs(verdict.restoration - 1.0) <= 1e-12
+
+
+def test_unitary_route_keeps_the_polar_counter(rng, polar_svds):
+    psi = random_state(rng, (3, 4))
+    dec = schmidt(psi, CUT)
+    u = schmidt_phase_unitary(dec, rng.uniform(0, 2 * np.pi, dec.n_terms))
+    verdict = check_envariance(psi, CUT, u)
+    assert polar_svds == [(3, 3)]
+    assert verdict.envariant and verdict.counter is not None
+    assert abs(verdict.restoration - 1.0) <= 1e-12
+
+
+def test_a_given_counter_is_applied_even_when_not_envariant(polar_svds):
+    # swapping the two terms of sqrt(1/3)|00> + sqrt(2/3)|11> and counterswapping
+    # restores 2 sqrt(2)/3 of the state, the closed form of the protocol
+    psi = schmidt_form_state(np.sqrt([1 / 3, 2 / 3]), 2, 2)
+    dec = schmidt(psi, CUT)
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    verdict = envariance._envariance_verdict(dec, swap, swap)
+    assert polar_svds == []
+    assert not verdict.envariant
+    assert verdict.counter.block is swap
+    assert abs(verdict.restoration - 2 * np.sqrt(2) / 3) <= 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     weights=st.lists(st.integers(min_value=1, max_value=64), min_size=2, max_size=5),
@@ -418,3 +491,5 @@ def test_is_even_cases(rng):
     # plain coefficient arrays follow the same rule
     assert is_even(coeffs) and is_even(np.abs(coeffs))
     assert not is_even(np.sqrt([1 / 3, 2 / 3]))
+    # no nonzero modulus, nothing to be even
+    assert not is_even([]) and not is_even([0.0, 0.0])

@@ -1,4 +1,6 @@
 
+import json
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,18 @@ def test_apply_local_dimension_mismatch():
 def test_local_unitary_rejects_nonunitary():
     with pytest.raises(ValueError):
         LocalUnitary((0,), np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StateVector((2,), np.array([[1.0, 0.0]])), "amplitudes must form a flat vector"),
+    (lambda: Bipartition(()), "left side of a cut cannot be empty"),
+    (lambda: LocalUnitary((0, 0), np.eye(4)), "duplicate target subsystem"),
+    (lambda: LocalUnitary((0,), np.eye(2)[:1]), "unitary matrix must be square"),
+    (lambda: LocalUnitary((0,), np.ones(2)), "unitary matrix must be square"),
+], ids=["nested-amplitudes", "empty-left", "duplicate-target", "wide-matrix", "flat-matrix"])
+def test_malformed_states_cuts_and_unitaries_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("caller", [
@@ -283,6 +297,28 @@ def test_state_file_roundtrip(rng, tmp_path):
     back = load_state(path)
     assert back.dims == psi.dims
     assert np.allclose(back.amps, psi.amps, atol=1e-15)
+
+
+def _comprehension_save(state, path):
+    # the amplitude-by-amplitude writer save_state replaced, kept as its oracle
+    doc = {"dims": list(state.dims),
+           "amps": [[float(z.real), float(z.imag)] for z in state.amps]}
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+
+
+@pytest.mark.parametrize("kind", ["random", "signed-zeros"])
+def test_saved_state_file_matches_the_comprehension_writer(kind, rng, tmp_path):
+    if kind == "random":
+        psi = random_state(rng, (4, 6))
+    else:
+        amps = np.array([complex(-0.0, 0.0), complex(0.6, -0.0), complex(-0.0, 1e-300),
+                         complex(-0.8, -0.0), 0j, 0j])
+        psi = StateVector((2, 3), amps)
+    save_state(psi, tmp_path / "new.state")
+    _comprehension_save(psi, tmp_path / "old.state")
+    assert (tmp_path / "new.state").read_bytes() == (tmp_path / "old.state").read_bytes()
 
 
 def test_state_file_rejects_bad_norm(tmp_path):

@@ -562,8 +562,8 @@ def test_schmidt_blocks_match_the_dense_oracle(seed, order, kind, right_dim):
     # Schmidt-term phases with their analytic counter
     run = envcheck_run(state, cut, phases=phases)
     want, counter, overlap, restoration = dense_envcheck(state, cut, phases=phases)
-    assert run.verdict.envariant == want.envariant
-    assert abs(run.verdict.overlap - overlap) <= 1e-12
+    assert run.envariant == want.envariant
+    assert abs(run.overlap - overlap) <= 1e-12
     assert abs(run.restoration - restoration) <= 1e-12
     right = cut.sides(state.n_subsystems)[1]
     assert np.max(np.abs(dense_counter(run.counter, right).matrix - counter.matrix)) <= 1e-12
@@ -582,9 +582,9 @@ def test_schmidt_blocks_match_the_dense_oracle(seed, order, kind, right_dim):
         basis = random_unitary(rng, len(group)) @ dec.left_basis[group]
         run = envcheck_run(state, cut, basis=basis)
         want, counter, overlap, restoration = dense_envcheck(state, cut, basis=basis)
-        assert run.verdict.envariant == want.envariant
-        assert abs(run.verdict.gram_deviation - want.gram_deviation) <= 1e-12
-        assert abs(run.verdict.overlap - overlap) <= 1e-12
+        assert run.envariant == want.envariant
+        assert abs(run.gram_deviation - want.gram_deviation) <= 1e-12
+        assert abs(run.overlap - overlap) <= 1e-12
         assert abs(run.restoration - restoration) <= 1e-12
         lifted = dense_counter(run.counter, right)
         assert np.max(np.abs(lifted.matrix - counter.matrix)) <= 1e-12

@@ -276,6 +276,21 @@ def test_pointer_score_rejects_bad_basis(rng):
         pointer_score(amps, np.eye(2), nearly)
     with pytest.raises(ValueError, match="decoherence matrix must be 2 x 2"):
         pointer_score(amps, np.eye(3), np.eye(3))
+    for flat in (np.zeros(0), np.eye(2)[:1]):
+        with pytest.raises(ValueError, match="branch amplitudes must be a flat nonempty vector"):
+            pointer_score(flat, np.eye(1), np.eye(2))
+
+
+def test_descent_stops_once_every_start_has_converged():
+    # the coordinate basis of perfectly decohered records scores 0 from the
+    # start, so the first sweep leaves no start to descend; another sweep
+    # would rotate an empty stack
+    amps, zeta = np.array([0.6, 0.8], dtype=complex), np.eye(2, dtype=complex)
+    starts = np.eye(3, dtype=complex)[None]
+    scores = pointer._zeta_scores(amps, zeta, starts)
+    bases, values = pointer._descend(amps, zeta, starts, scores, iterations=4)
+    assert values == [0.0]
+    assert np.array_equal(bases, starts)
 
 
 def test_pointer_score_skips_empty_levels():
@@ -605,6 +620,9 @@ def test_coupling_and_spectrum_types():
     assert g.n_records == 2 and g.n_levels == 5
     with pytest.raises(ValueError):
         EnvSpectrum(np.array([1.0, 1.0]))
+    for flat in (np.zeros(0), np.eye(2)[:1]):
+        with pytest.raises(ValueError, match="spectrum must be a flat nonempty vector"):
+            EnvSpectrum(flat)
     spectrum = EnvSpectrum.uniform(8)
     assert spectrum.n_levels == 8
     env = environment_state(spectrum)
